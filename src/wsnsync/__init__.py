@@ -55,7 +55,6 @@ from .protocols import (
 )
 from .simulation import (
     DelayModel,
-    Message,
     RoundRecord,
     SimulationTrace,
     Topology,
@@ -71,7 +70,6 @@ __all__ = [
     "HardwareClock",
     "LogicalClock",
     "MeanStateModel",
-    "Message",
     "MomentParams",
     "NonconvergentMomentError",
     "OracleTrace",

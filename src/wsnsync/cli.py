@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,6 +51,8 @@ DEFAULTS: dict = {
     "quantize_ticks": False,
     "jobs": 1,
 }
+# Settings that must be finite floats (mu may also be None).
+FLOAT_KEYS = ("mu", *(k for k, v in DEFAULTS.items() if isinstance(v, float)))
 
 SUMMARY_COLUMNS = (
     "protocol",
@@ -56,6 +60,15 @@ SUMMARY_COLUMNS = (
     "convergence_time_s",
     "steady_state_max_global_err_s",
     "peak_err_after_convergence_s",
+)
+SWEEP_COLUMNS = (
+    "param",
+    "value",
+    "protocol",
+    "n_runs",
+    "n_converged",
+    "median_convergence_time_s",
+    "median_steady_state_max_global_err_s",
 )
 ANALYSIS_COLUMNS = (
     "mu",
@@ -132,6 +145,9 @@ def _resolve(args: argparse.Namespace, command_defaults: dict | None = None) -> 
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key in FLOAT_KEYS:
+        if cfg[key] is not None and not math.isfinite(float(cfg[key])):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     for key in (
         "beacon_period_s", "nominal_hz", "drift_resample_interval_s",
         "duration_s", "sample_interval_s", "e_max_ticks", "threshold_ticks",
@@ -142,6 +158,8 @@ def _resolve(args: argparse.Namespace, command_defaults: dict | None = None) -> 
         raise ConfigError("max_drift_hz and delay_std_s must be nonnegative")
     if int(cfg["window"]) < 1:
         raise ConfigError("window must be >= 1")
+    if int(cfg["jobs"]) < 1:
+        raise ConfigError("jobs must be >= 1")
     return cfg
 
 
@@ -160,32 +178,31 @@ def _protocol_params(cfg: dict, kind: Protocol) -> ProtocolParams:
     )
 
 
-def _run_one(spec: dict):
-    cfg = spec["cfg"]
-    kind = Protocol.parse(spec["protocol"])
-    params = _protocol_params(cfg, kind)
-    osc = OscillatorParams(
-        nominal_hz=float(cfg["nominal_hz"]),
-        max_drift_hz=float(cfg["max_drift_hz"]),
-        resample_interval_s=float(cfg["drift_resample_interval_s"]),
-        quantize_ticks=bool(cfg["quantize_ticks"]),
-    )
-    return run_simulation(
-        _parse_topology(cfg["topology"]),
-        params,
-        osc_params=osc,
-        delay_model=DelayModel(std_s=float(cfg["delay_std_s"])),
-        duration_s=float(cfg["duration_s"]),
-        sample_interval_s=float(cfg["sample_interval_s"]),
-        boot_window_s=float(cfg["boot_window_s"]),
-        seed=spec["seed"],
-    )
+def _run_one(job: tuple[dict, ProtocolParams, int]):
+    sim_kwargs, params, seed = job
+    return run_simulation(params=params, seed=seed, **sim_kwargs)
 
 
-def _fmt(v) -> str:
-    if v is None:
+def _csv_field(value) -> str:
+    """Empty for None, shortest round-trip repr for floats, str otherwise."""
+    if value is None:
         return ""
-    return repr(float(v))
+    if isinstance(value, float):
+        return repr(float(value))  # float() drops numpy's repr wrapper
+    return str(value)
+
+
+def _write_csv(path: Path, config: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for r in rows:
+            fh.write(",".join(_csv_field(r[c]) for c in columns) + "\n")
+
+
+def _cell(value, spec: str, scale: float = 1.0) -> str:
+    """Table cell: '-' for a missing value, else value * scale formatted by spec."""
+    return "-" if value is None else format(value * scale, spec)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -199,42 +216,49 @@ def cmd_run(args: argparse.Namespace, out_dir: Path | None = None) -> tuple[int,
     cfg = _resolve(args)
     protocols = [Protocol.parse(p) for p in str(cfg["protocol"]).split(",")]
     seeds = _parse_seeds(cfg["seed"])
-    _parse_topology(cfg["topology"])  # fail fast on bad topology
+    params = {p: _protocol_params(cfg, p) for p in protocols}
+    sim_kwargs = {
+        "topology": _parse_topology(cfg["topology"]),
+        "osc_params": OscillatorParams(
+            nominal_hz=float(cfg["nominal_hz"]),
+            max_drift_hz=float(cfg["max_drift_hz"]),
+            resample_interval_s=float(cfg["drift_resample_interval_s"]),
+            quantize_ticks=bool(cfg["quantize_ticks"]),
+        ),
+        "delay_model": DelayModel(std_s=float(cfg["delay_std_s"])),
+        "duration_s": float(cfg["duration_s"]),
+        "sample_interval_s": float(cfg["sample_interval_s"]),
+        "boot_window_s": float(cfg["boot_window_s"]),
+    }
     out = out_dir if out_dir is not None else _out_dir(args)
 
     resolved = dict(cfg)
     resolved["protocols"] = [p.value for p in protocols]
     resolved["seeds"] = seeds
-    resolved["per_protocol_step_size"] = {
-        p.value: _protocol_params(cfg, p).step_size for p in protocols
-    }
-    header = "# config = " + json.dumps(resolved, sort_keys=True) + "\n"
+    resolved["per_protocol_step_size"] = {p.value: params[p].step_size for p in protocols}
 
     for p in protocols:
-        params = _protocol_params(cfg, p)
-        if not params.within_bound():
-            lo, hi = step_size_bound(p, params.beacon_period_s, params.nominal_hz)
+        if not params[p].within_bound():
+            lo, hi = step_size_bound(p, params[p].beacon_period_s, params[p].nominal_hz)
             print(
-                f"warning: {p.value} step size {params.step_size} is outside "
+                f"warning: {p.value} step size {params[p].step_size} is outside "
                 f"the convergence bound ({lo}, {hi})",
                 file=sys.stderr,
             )
 
-    specs = [
-        {"cfg": cfg, "protocol": p.value, "seed": s} for p in protocols for s in seeds
-    ]
-    jobs = int(cfg["jobs"])
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_run_one, specs))
+    jobs = [(sim_kwargs, params[p], s) for p in protocols for s in seeds]
+    workers = min(int(cfg["jobs"]), len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            traces = list(pool.map(_run_one, jobs))
     else:
-        traces = [_run_one(s) for s in specs]
+        traces = [_run_one(j) for j in jobs]
 
     threshold_s = float(cfg["threshold_ticks"]) / float(cfg["nominal_hz"])
     rows: list[dict] = []
-    for spec, trace in zip(specs, traces):
-        trace_path = out / f"trace_{spec['protocol']}_{spec['seed']}.csv"
-        with open(trace_path, "w", newline="\n") as fh:
+    for (_, run_params, seed), trace in zip(jobs, traces):
+        protocol = run_params.kind.value
+        with open(out / f"trace_{protocol}_{seed}.csv", "w", newline="\n") as fh:
             trace.write_csv(fh)  # embeds its own resolved-config header
         summ = metrics.summarize(
             trace.frames,
@@ -242,41 +266,16 @@ def cmd_run(args: argparse.Namespace, out_dir: Path | None = None) -> tuple[int,
             int(cfg["window"]),
             start_after=trace.boot_complete_time,
         )
-        rows.append(
-            {
-                "protocol": spec["protocol"],
-                "seed": spec["seed"],
-                "convergence_time_s": summ.convergence_time_s,
-                "steady_state_max_global_err_s": summ.steady_state_max_global_err_s,
-                "peak_err_after_convergence_s": summ.peak_err_after_convergence_s,
-            }
-        )
-
-    with open(out / "summary.csv", "w", newline="\n") as fh:
-        fh.write(header)
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r['protocol']},{r['seed']},{_fmt(r['convergence_time_s'])},"
-                f"{_fmt(r['steady_state_max_global_err_s'])},"
-                f"{_fmt(r['peak_err_after_convergence_s'])}\n"
-            )
+        rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+    _write_csv(out / "summary.csv", resolved, SUMMARY_COLUMNS, rows)
 
     print(f"{'protocol':<12}{'seed':>6}{'mu':>14}{'conv_time_s':>14}"
           f"{'steady_err_us':>15}{'peak_err_us':>14}")
     for r in rows:
         mu = resolved["per_protocol_step_size"][r["protocol"]]
-        conv = "-" if r["convergence_time_s"] is None else f"{r['convergence_time_s']:.1f}"
-        med = (
-            "-"
-            if r["steady_state_max_global_err_s"] is None
-            else f"{r['steady_state_max_global_err_s'] * 1e6:.1f}"
-        )
-        peak = (
-            "-"
-            if r["peak_err_after_convergence_s"] is None
-            else f"{r['peak_err_after_convergence_s'] * 1e6:.1f}"
-        )
+        conv = _cell(r["convergence_time_s"], ".1f")
+        med = _cell(r["steady_state_max_global_err_s"], ".1f", 1e6)
+        peak = _cell(r["peak_err_after_convergence_s"], ".1f", 1e6)
         print(f"{r['protocol']:<12}{r['seed']:>6}{mu:>14.3g}{conv:>14}{med:>15}{peak:>14}")
     print(f"wrote {len(rows)} trace file(s) and summary.csv to {out}")
     return 0, rows
@@ -294,17 +293,18 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     try:
         grid = [float(m) for m in str(args.mu_grid).split(",")]
     except ValueError:
-        print(f"error: bad --mu-grid {args.mu_grid!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"bad --mu-grid {args.mu_grid!r}")
+    rate_offset = float(args.initial_rate_offset)
+    if not all(math.isfinite(v) for v in (*grid, rate_offset)):
+        raise ConfigError("--mu-grid and --initial-rate-offset must be finite")
     n_runs = int(args.oracle_runs)
     n_steps = int(args.oracle_steps)
     tail = int(args.tail)
     if tail >= n_steps:
-        print("error: --tail must be smaller than --oracle-steps", file=sys.stderr)
-        return 2
+        raise ConfigError("--tail must be smaller than --oracle-steps")
     seeds = _parse_seeds(cfg["seed"])
     base_seed = seeds[0]
-    initial_rate = (1.0 + float(args.initial_rate_offset)) / f
+    initial_rate = (1.0 + rate_offset) / f
 
     rows = []
     failed = False
@@ -354,26 +354,18 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
         "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
         "mu_grid": grid, "oracle_runs": n_runs, "oracle_steps": n_steps,
         "tail": tail, "seed": base_seed,
-        "initial_rate_offset": float(args.initial_rate_offset),
+        "initial_rate_offset": rate_offset,
     }
-    with open(out / "analysis.csv", "w", newline="\n") as fh:
-        fh.write("# config = " + json.dumps(resolved, sort_keys=True) + "\n")
-        fh.write(",".join(ANALYSIS_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r['mu']!r},{b!r},{f!r},{fmax!r},{sigma_b!r},"
-                f"{_fmt(r['predicted_var'])},{_fmt(r['empirical_var'])},"
-                f"{_fmt(r['rel_err'])}\n"
-            )
+    _write_csv(out / "analysis.csv", resolved, ANALYSIS_COLUMNS, rows)
 
     print(f"{'mu':>6}{'final sigma':>13}{'max sigma':>11}{'predicted_var':>16}"
           f"{'empirical_var':>16}{'rel_err':>10}  note")
     for r in rows:
-        fs = "-" if r["final_sigma"] is None else f"{r['final_sigma']:.2f}"
-        ws = "-" if r["worst_sigma"] is None else f"{r['worst_sigma']:.2f}"
-        pv = "-" if r["predicted_var"] is None else f"{r['predicted_var']:.4e}"
-        ev = "-" if r["empirical_var"] is None else f"{r['empirical_var']:.4e}"
-        re_ = "-" if r["rel_err"] is None else f"{r['rel_err']:.2%}"
+        fs = _cell(r["final_sigma"], ".2f")
+        ws = _cell(r["worst_sigma"], ".2f")
+        pv = _cell(r["predicted_var"], ".4e")
+        ev = _cell(r["empirical_var"], ".4e")
+        re_ = _cell(r["rel_err"], ".2%")
         print(f"{r['mu']:>6}{fs:>13}{ws:>11}{pv:>16}{ev:>16}{re_:>10}  {r['note']}")
         variants = r.get("_variants")
         if variants and r["empirical_var"]:
@@ -406,18 +398,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "beacon-period": "beacon_period_s",
     }
     if param not in field:
-        print(f"error: unknown sweep parameter {param!r}; choose from "
-              f"{', '.join(sorted(field))}", file=sys.stderr)
-        return 2
+        raise ConfigError(
+            f"unknown sweep parameter {param!r}; choose from {', '.join(sorted(field))}"
+        )
     try:
         values = [v.strip() for v in str(args.values).split(",") if v.strip()]
         parsed = [int(v) if param == "nodes" else float(v) for v in values]
     except ValueError:
-        print(f"error: bad --values {args.values!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"bad --values {args.values!r}")
     if not parsed:
-        print("error: --values is empty", file=sys.stderr)
-        return 2
+        raise ConfigError("--values is empty")
 
     agg_rows = []
     for raw, value in zip(values, parsed):
@@ -428,73 +418,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             setattr(sub, field[param], value)
         sub_dir = out / f"{param.replace('-', '_')}_{raw}"
         sub_dir.mkdir(parents=True, exist_ok=True)
-        code, rows = cmd_run(sub, out_dir=sub_dir)
-        if code != 0:
-            return code
+        _, rows = cmd_run(sub, out_dir=sub_dir)
         by_proto: dict[str, list[dict]] = {}
         for r in rows:
             by_proto.setdefault(r["protocol"], []).append(r)
         for proto in sorted(by_proto):
-            conv = [
-                r["convergence_time_s"]
-                for r in by_proto[proto]
-                if r["convergence_time_s"] is not None
-            ]
-            err = [
-                r["steady_state_max_global_err_s"]
-                for r in by_proto[proto]
-                if r["steady_state_max_global_err_s"] is not None
-            ]
+            runs = by_proto[proto]
+            conv = [c for r in runs if (c := r["convergence_time_s"]) is not None]
+            err = [e for r in runs if (e := r["steady_state_max_global_err_s"]) is not None]
             agg_rows.append(
                 {
                     "param": param,
                     "value": value,
                     "protocol": proto,
-                    "n_runs": len(by_proto[proto]),
+                    "n_runs": len(runs),
                     "n_converged": len(conv),
-                    "median_convergence_time_s": _safe_median(conv),
-                    "median_steady_state_max_global_err_s": _safe_median(err),
+                    "median_convergence_time_s": metrics._median(conv) if conv else None,
+                    "median_steady_state_max_global_err_s": (
+                        metrics._median(err) if err else None
+                    ),
                 }
             )
 
     resolved = dict(cfg)
     resolved["sweep_param"] = param
     resolved["sweep_values"] = parsed
-    with open(out / "sweep.csv", "w", newline="\n") as fh:
-        fh.write("# config = " + json.dumps(resolved, sort_keys=True) + "\n")
-        fh.write(
-            "param,value,protocol,n_runs,n_converged,"
-            "median_convergence_time_s,median_steady_state_max_global_err_s\n"
-        )
-        for r in agg_rows:
-            fh.write(
-                f"{r['param']},{r['value']!r},{r['protocol']},{r['n_runs']},"
-                f"{r['n_converged']},{_fmt(r['median_convergence_time_s'])},"
-                f"{_fmt(r['median_steady_state_max_global_err_s'])}\n"
-            )
+    _write_csv(out / "sweep.csv", resolved, SWEEP_COLUMNS, agg_rows)
     print(f"{'value':>10}{'protocol':>12}{'conv_time_s':>14}{'steady_err_us':>15}")
     for r in agg_rows:
-        conv = (
-            "-"
-            if r["median_convergence_time_s"] is None
-            else f"{r['median_convergence_time_s']:.1f}"
-        )
-        err = (
-            "-"
-            if r["median_steady_state_max_global_err_s"] is None
-            else f"{r['median_steady_state_max_global_err_s'] * 1e6:.1f}"
-        )
+        conv = _cell(r["median_convergence_time_s"], ".1f")
+        err = _cell(r["median_steady_state_max_global_err_s"], ".1f", 1e6)
         print(f"{r['value']!r:>10}{r['protocol']:>12}{conv:>14}{err:>15}")
     print(f"wrote sweep.csv to {out}")
     return 0
-
-
-def _safe_median(values: list[float]):
-    if not values:
-        return None
-    vs = sorted(values)
-    n = len(vs)
-    return vs[n // 2] if n % 2 else 0.5 * (vs[n // 2 - 1] + vs[n // 2])
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -511,6 +467,35 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="message delay standard deviation, seconds (default 1e-5)")
 
 
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of `run`, which `sweep` accepts as well."""
+    _add_common(sub)
+    sub.add_argument("--protocol", help="comma list: newton,grades,avgpisync")
+    sub.add_argument("--topology", help="line:N or JSON topology file")
+    sub.add_argument("--mu", type=float,
+                     help="step size for all protocols (default: per protocol)")
+    sub.add_argument("--e-max-ticks", dest="e_max_ticks", type=float,
+                     help="rate-update guard threshold in ticks (default 6000)")
+    sub.add_argument("--gather-wait", dest="gather_wait_s", type=float,
+                     help="seconds between requests and averaging (default 1)")
+    sub.add_argument("--drift-resample-interval", dest="drift_resample_interval_s",
+                     type=float, help="constant-drift segment length (default 3600)")
+    sub.add_argument("--duration", dest="duration_s", type=float,
+                     help="simulated seconds (default 12240)")
+    sub.add_argument("--sample-interval", dest="sample_interval_s", type=float,
+                     help="trace sampling period (default 10)")
+    sub.add_argument("--boot-window", dest="boot_window_s", type=float,
+                     help="nodes boot uniformly in [0, window) (default 300)")
+    sub.add_argument("--threshold-ticks", dest="threshold_ticks", type=float,
+                     help="convergence threshold in ticks (default 1000)")
+    sub.add_argument("--window", type=int,
+                     help="consecutive samples below threshold (default 5)")
+    sub.add_argument("--quantize-ticks", dest="quantize_ticks",
+                     action="store_const", const=True,
+                     help="floor hardware tick readings to integers")
+    sub.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsnsync",
@@ -519,53 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate protocol runs")
-    _add_common(run_p)
-    run_p.add_argument("--protocol", help="comma list: newton,grades,avgpisync")
-    run_p.add_argument("--topology", help="line:N or JSON topology file")
-    run_p.add_argument("--mu", type=float,
-                       help="step size for all protocols (default: per protocol)")
-    run_p.add_argument("--e-max-ticks", dest="e_max_ticks", type=float,
-                       help="rate-update guard threshold in ticks (default 6000)")
-    run_p.add_argument("--gather-wait", dest="gather_wait_s", type=float,
-                       help="seconds between requests and averaging (default 1)")
-    run_p.add_argument("--drift-resample-interval", dest="drift_resample_interval_s",
-                       type=float, help="constant-drift segment length (default 3600)")
-    run_p.add_argument("--duration", dest="duration_s", type=float,
-                       help="simulated seconds (default 12240)")
-    run_p.add_argument("--sample-interval", dest="sample_interval_s", type=float,
-                       help="trace sampling period (default 10)")
-    run_p.add_argument("--boot-window", dest="boot_window_s", type=float,
-                       help="nodes boot uniformly in [0, window) (default 300)")
-    run_p.add_argument("--threshold-ticks", dest="threshold_ticks", type=float,
-                       help="convergence threshold in ticks (default 1000)")
-    run_p.add_argument("--window", type=int,
-                       help="consecutive samples below threshold (default 5)")
-    run_p.add_argument("--quantize-ticks", dest="quantize_ticks",
-                       action="store_const", const=True,
-                       help="floor hardware tick readings to integers")
-    run_p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    _add_run_flags(run_p)
     run_p.set_defaults(func=lambda a: cmd_run(a)[0])
 
     sweep_p = sub.add_parser("sweep", help="run over a grid of one parameter")
-    _add_common(sweep_p)
+    _add_run_flags(sweep_p)
     sweep_p.add_argument("--param", required=True,
                          help="nodes | mu | delay-std | max-drift | beacon-period")
     sweep_p.add_argument("--values", required=True, help="comma list of values")
-    sweep_p.add_argument("--protocol", help="comma list: newton,grades,avgpisync")
-    sweep_p.add_argument("--topology", help="line:N or JSON topology file")
-    sweep_p.add_argument("--mu", type=float)
-    sweep_p.add_argument("--e-max-ticks", dest="e_max_ticks", type=float)
-    sweep_p.add_argument("--gather-wait", dest="gather_wait_s", type=float)
-    sweep_p.add_argument("--drift-resample-interval", dest="drift_resample_interval_s",
-                         type=float)
-    sweep_p.add_argument("--duration", dest="duration_s", type=float)
-    sweep_p.add_argument("--sample-interval", dest="sample_interval_s", type=float)
-    sweep_p.add_argument("--boot-window", dest="boot_window_s", type=float)
-    sweep_p.add_argument("--threshold-ticks", dest="threshold_ticks", type=float)
-    sweep_p.add_argument("--window", type=int)
-    sweep_p.add_argument("--quantize-ticks", dest="quantize_ticks",
-                         action="store_const", const=True)
-    sweep_p.add_argument("--jobs", type=int)
     sweep_p.set_defaults(func=cmd_sweep)
 
     val_p = sub.add_parser(
@@ -591,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

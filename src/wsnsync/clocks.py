@@ -39,15 +39,20 @@ class OscillatorParams:
     quantize_ticks: bool = False
 
     def __post_init__(self) -> None:
-        if not self.nominal_hz > 0:
-            raise ValueError(f"nominal_hz must be positive, got {self.nominal_hz}")
+        if not 0 < self.nominal_hz < math.inf:
+            raise ValueError(
+                f"nominal_hz must be finite and positive, got {self.nominal_hz}"
+            )
         if not 0 <= self.max_drift_hz < self.nominal_hz:
             raise ValueError(
                 "max_drift_hz must satisfy 0 <= max_drift < nominal, got "
                 f"{self.max_drift_hz}"
             )
-        if not self.resample_interval_s > 0:
-            raise ValueError("resample_interval_s must be positive")
+        if not 0 < self.resample_interval_s < math.inf:
+            raise ValueError(
+                "resample_interval_s must be finite and positive, got "
+                f"{self.resample_interval_s}"
+            )
 
 
 class HardwareClock:

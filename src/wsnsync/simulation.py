@@ -32,6 +32,7 @@ import enum
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO
@@ -45,25 +46,6 @@ from .protocols import ProtocolParams, rate_update
 TRACE_COLUMNS = ("sample_time", "node_id", "logical_value", "true_time", "error_seconds")
 
 
-class MessageKind(enum.Enum):
-    REQUEST = "request"
-    ACK = "ack"
-
-
-@dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    sender: int
-    receiver: int
-    payload_s: float | None
-    send_time: float
-    deliver_time: float
-
-    def __post_init__(self) -> None:
-        if self.deliver_time < self.send_time:
-            raise ValueError("deliver_time before send_time")
-
-
 @dataclass(frozen=True)
 class DelayModel:
     """Per-message delay: N(0, std^2) clamped below at floor_s."""
@@ -72,10 +54,10 @@ class DelayModel:
     floor_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.std_s < 0:
-            raise ValueError("std_s must be nonnegative")
-        if self.floor_s < 0:
-            raise ValueError("floor_s must be nonnegative")
+        if not 0 <= self.std_s < math.inf:
+            raise ValueError(f"std_s must be finite and nonnegative, got {self.std_s}")
+        if not 0 <= self.floor_s < math.inf:
+            raise ValueError(f"floor_s must be finite and nonnegative, got {self.floor_s}")
 
     def sample(self, gen: np.random.Generator) -> float:
         return max(self.floor_s, float(gen.normal(0.0, self.std_s)))
@@ -161,15 +143,15 @@ class EventQueue:
     """Min-heap of (time, kind, insertion seq); FIFO within (time, kind)."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, object]] = []
+        self._heap: list[tuple[float, EventKind, int, object]] = []
         self._seq = itertools.count()
 
     def push(self, time: float, kind: EventKind, data: object = None) -> None:
-        heapq.heappush(self._heap, (time, int(kind), next(self._seq), data))
+        heapq.heappush(self._heap, (time, kind, next(self._seq), data))
 
     def pop(self) -> tuple[float, EventKind, object]:
         time, kind, _, data = heapq.heappop(self._heap)
-        return time, EventKind(kind), data
+        return time, kind, data
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -177,7 +159,6 @@ class EventQueue:
 
 @dataclass
 class NodeState:
-    node_id: int
     boot_time: float
     hw: HardwareClock
     lc: LogicalClock
@@ -276,7 +257,6 @@ class _Sim:
             # counter puts it, not at true time.
             lc = LogicalClock(value=rate * t0, rate=rate, anchor_ticks=t0)
             self.nodes[nid] = NodeState(
-                node_id=nid,
                 boot_time=float(boot),
                 hw=hw,
                 lc=lc,
@@ -302,45 +282,36 @@ class _Sim:
         return node.lc.read(node.hw.read_ticks())
 
     def run(self) -> None:
+        # indexed by kind: the order must match the EventKind values
+        handlers = (self._deliver, self._deadline, self._beacon, self._sample)
         while len(self.queue):
             t, kind, data = self.queue.pop()
-            if kind is EventKind.DELIVERY:
-                self._deliver(t, data)
-            elif kind is EventKind.DEADLINE:
-                self._deadline(t, data)
-            elif kind is EventKind.BEACON:
-                self._beacon(t, data)
-            else:
-                self._sample(t)
+            handlers[kind](t, data)
 
-    def _send(
-        self, t: float, kind: MessageKind, sender: int, receiver: int,
-        payload: float | None,
-    ) -> None:
+    def _send(self, t: float, sender: int, receiver: int, payload: float | None) -> None:
+        """Schedule a delivery; payload None is a request, a float an ack."""
         d = self.delay.sample(self.delay_gen)
         if t + d <= self.duration:
-            msg = Message(kind, sender, receiver, payload, t, t + d)
-            self.queue.push(msg.deliver_time, EventKind.DELIVERY, msg)
+            self.queue.push(t + d, EventKind.DELIVERY, (receiver, sender, payload))
 
     def _beacon(self, t: float, nid: int) -> None:
         for j in self.topology.neighbors[nid]:
-            self._send(t, MessageKind.REQUEST, nid, j, None)
+            self._send(t, nid, j, None)
         if t + self.params.gather_wait_s <= self.duration:
             self.queue.push(t + self.params.gather_wait_s, EventKind.DEADLINE, nid)
         if t + self.params.beacon_period_s <= self.duration:
             self.queue.push(t + self.params.beacon_period_s, EventKind.BEACON, nid)
 
-    def _deliver(self, t: float, msg: Message) -> None:
-        node = self.nodes[msg.receiver]
+    def _deliver(self, t: float, msg: tuple[int, int, float | None]) -> None:
+        receiver, sender, payload = msg
+        node = self.nodes[receiver]
         if t < node.boot_time:
             return  # powered off; message lost
-        if msg.kind is MessageKind.REQUEST:
+        if payload is None:
             if node.synced:
-                self._send(t, MessageKind.ACK, msg.receiver, msg.sender,
-                           self.logical_value(node, t))
+                self._send(t, receiver, sender, self.logical_value(node, t))
         else:
-            own = self.logical_value(node, t)
-            node.err_acc += msg.payload_s - own
+            node.err_acc += payload - self.logical_value(node, t)
             node.recv_count += 1
 
     def _deadline(self, t: float, nid: int) -> None:
@@ -362,7 +333,7 @@ class _Sim:
         node.synced = True
         self.rounds.append(RoundRecord(t, nid, e_new, new_rate, n_acks))
 
-    def _sample(self, t: float) -> None:
+    def _sample(self, t: float, _: None) -> None:
         errors: dict[int, float] = {}
         logical: dict[int, float] = {}
         for nid in self.topology.node_ids:
@@ -395,12 +366,17 @@ def run_simulation(
     The trace is a pure function of the arguments: rerunning with the same
     values reproduces it exactly.
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    if sample_interval_s <= 0:
-        raise ValueError("sample_interval_s must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not 0 < sample_interval_s < math.inf:
+        raise ValueError(
+            f"sample_interval_s must be finite and positive, got {sample_interval_s}"
+        )
     if not 0 <= boot_window_s < duration_s:
         raise ValueError("boot_window_s must satisfy 0 <= window < duration")
+    for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
     sim = _Sim(
         topology, params, osc_params, delay_model, duration_s,

@@ -1,6 +1,8 @@
 """Command line interface: parsing, precedence, outputs, determinism."""
 from __future__ import annotations
 
+import concurrent.futures
+import hashlib
 import json
 from pathlib import Path
 
@@ -108,6 +110,39 @@ def test_invalid_values_exit_two(tmp_path: Path, capsys):
                      "line:zz"]) == 2
     assert cli.main(["run", "--out-dir", str(tmp_path), "--protocol",
                      "ntp"]) == 2
+    # non-finite settings are rejected before any run starts
+    assert cli.main(_run_args(tmp_path, "--delay-std", "nan")) == 2
+    assert cli.main(_run_args(tmp_path, "--duration", "inf")) == 2
+    assert cli.main(_run_args(tmp_path, "--mu", "inf")) == 2
+    assert cli.main(_run_args(tmp_path, "--jobs", "0")) == 2
+    assert cli.main(_run_args(tmp_path, "--jobs", "-3")) == 2
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
+    requested: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    args = _run_args(tmp_path, "--protocol", "newton,grades", "--jobs", "64")
+    assert cli.main(args) == 0
+    assert requested == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert cli.main(args) == 0
+    assert requested == [2]  # one core: runs in-process, no pool
 
 
 def test_out_of_bound_step_size_warns(tmp_path: Path, capsys):
@@ -195,6 +230,16 @@ def test_validate_analysis_rejects_bad_tail(tmp_path: Path):
     assert cli.main(args) == 2
 
 
+def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):
+    base = ["validate-analysis", "--out-dir", str(tmp_path),
+            "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
+    assert cli.main([*base, "--mu-grid", "1.0,nan"]) == 2
+    assert cli.main([*base, "--mu-grid", "inf"]) == 2
+    assert cli.main([*base, "--initial-rate-offset", "nan"]) == 2
+    assert cli.main([*base, "--delay-std", "inf"]) == 2
+    assert not (tmp_path / "analysis.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -223,3 +268,44 @@ def test_sweep_rejects_bad_values(tmp_path: Path):
     args = ["sweep", "--param", "mu", "--values", "a,b",
             "--out-dir", str(tmp_path)]
     assert cli.main(args) == 2
+    args = ["sweep", "--param", "delay-std", "--values", "nan",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 2
+
+
+# ---------------------------------------------------------------------------
+# byte pins for outputs that the benchmark's golden hashes do not cover
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_outputs_match_pinned_bytes(tmp_path: Path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # stdout names the relative out dirs
+    monkeypatch.delenv("WSNSYNC_OUT_DIR", raising=False)
+    fast = ["--topology", "line:3", "--duration", "300", "--boot-window", "60"]
+    assert cli.main(["sweep", "--param", "mu", "--values", "0.5,1.0",
+                     "--protocol", "newton,avgpisync", *fast, "--seed", "1..2",
+                     "--out-dir", "out"]) == 0
+    sweep_out = capsys.readouterr().out
+    assert cli.main(["run", "--protocol", "newton,grades,avgpisync", *fast,
+                     "--seed", "1", "--out-dir", "out2"]) == 0
+    run_out = capsys.readouterr().out
+    assert cli.main(["validate-analysis", "--mu-grid", "1.0,2.2",
+                     "--oracle-runs", "2000", "--oracle-steps", "80",
+                     "--tail", "20", "--out-dir", "out3"]) == 0
+    validate_out = capsys.readouterr().out
+    # even-count medians and empty (never converged) columns
+    assert _sha((tmp_path / "out" / "sweep.csv").read_bytes()) == (
+        "a1e6e78e0f9f159d7bf581872011e9db7c337495aa21c4a8e756b62060514087"
+    )
+    assert _sha(sweep_out.encode()) == (
+        "890b879d739e8aeba8c39db78b3acba178bb446e47beb9f503cd19cd15a344ed"
+    )
+    assert _sha(run_out.encode()) == (
+        "5722dc45635da847a86536dc2bcbd7e824753d2bc58f6e0d2ec72badb46d1812"
+    )
+    assert _sha(validate_out.encode()) == (
+        "e480d35a64c683f75c36c0a2ee3854f9ce4a4e38449a9059c143980f3c2a2344"
+    )

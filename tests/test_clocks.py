@@ -43,6 +43,16 @@ def test_params_reject_nonpositive_resample():
         OscillatorParams(nominal_hz=1e6, resample_interval_s=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_params_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        OscillatorParams(nominal_hz=bad)
+    with pytest.raises(ValueError):
+        OscillatorParams(nominal_hz=1e6, max_drift_hz=bad)
+    with pytest.raises(ValueError):
+        OscillatorParams(nominal_hz=1e6, resample_interval_s=bad)
+
+
 # ---------------------------------------------------------------------------
 # HardwareClock
 

@@ -13,8 +13,6 @@ from wsnsync.simulation import (
     DelayModel,
     EventKind,
     EventQueue,
-    Message,
-    MessageKind,
     Topology,
     build_line_topology,
     run_simulation,
@@ -78,19 +76,15 @@ def test_topology_to_config_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# messages, delays, event ordering
-
-
-def test_message_rejects_delivery_before_send():
-    with pytest.raises(ValueError):
-        Message(MessageKind.ACK, 1, 2, 0.0, send_time=5.0, deliver_time=4.9)
+# delays, event ordering
 
 
 def test_delay_model_validation_and_floor():
-    with pytest.raises(ValueError):
-        DelayModel(std_s=-1.0)
-    with pytest.raises(ValueError):
-        DelayModel(floor_s=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DelayModel(std_s=bad)
+        with pytest.raises(ValueError):
+            DelayModel(floor_s=bad)
     dm = DelayModel(std_s=0.0, floor_s=0.25)
     assert dm.sample(_gen()) == 0.25
 
@@ -129,6 +123,15 @@ def test_run_simulation_validates_arguments():
     with pytest.raises(ValueError):
         run_simulation(topo, _newton_params(), osc_params=osc,
                        duration_s=100.0, boot_window_s=100.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            run_simulation(topo, _newton_params(), osc_params=osc, duration_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            run_simulation(topo, _newton_params(), osc_params=osc,
+                           duration_s=100.0, sample_interval_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            run_simulation(topo, _newton_params(), osc_params=osc,
+                           duration_s=1000.0, initial_rate=bad)
 
 
 # ---------------------------------------------------------------------------
