@@ -86,8 +86,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_distinct(what: str, items: list) -> None:
+    """ConfigError if ``items`` is empty or repeats an entry."""
+    if not items:
+        raise ConfigError(f"empty {what} list")
+    repeated = sorted({str(x) for x in items if items.count(x) > 1})
+    if repeated:
+        raise ConfigError(f"duplicate {what}: {', '.join(repeated)}")
+
+
 def _parse_seeds(spec: str) -> list[int]:
-    """'7' | '1,2,5' | '1..20' (inclusive range)."""
+    """'7' | '1,2,5' | '1..20' (inclusive range); nonempty, no repeats."""
     spec = str(spec).strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
@@ -99,9 +108,11 @@ def _parse_seeds(spec: str) -> list[int]:
             raise ConfigError(f"empty seed range {spec!r}")
         return list(range(a, b + 1))
     try:
-        return [int(s) for s in spec.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in spec.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"bad seed list {spec!r}")
+    _check_distinct("seed", seeds)
+    return seeds
 
 
 def _parse_topology(spec: str) -> Topology:
@@ -215,6 +226,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_run(args: argparse.Namespace, out_dir: Path | None = None) -> tuple[int, list[dict]]:
     cfg = _resolve(args)
     protocols = [Protocol.parse(p) for p in str(cfg["protocol"]).split(",")]
+    _check_distinct("protocol", [p.value for p in protocols])
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
     sim_kwargs = {

@@ -75,6 +75,9 @@ class HardwareClock:
         if initial_ticks < 0:
             raise ValueError("initial_ticks must be nonnegative")
         self.params = params
+        # Read on every advance; params is frozen, so cache the fields here.
+        self._nominal_hz = params.nominal_hz
+        self._quantize = params.quantize_ticks
         self._rng = rng
         self._ticks = float(initial_ticks)
         self._now = float(start_time)
@@ -94,7 +97,7 @@ class HardwareClock:
         return self._drift_hz
 
     def read_ticks(self) -> float:
-        if self.params.quantize_ticks:
+        if self._quantize:
             return float(math.floor(self._ticks))
         return self._ticks
 
@@ -104,22 +107,26 @@ class HardwareClock:
         Elapsed ticks are reported in the same (possibly quantized) view as
         read_ticks().
         """
-        if to_time < self._now:
+        now = self._now
+        if to_time < now:
             raise ClockRegressionError(
-                f"advance to {to_time} before current time {self._now}"
+                f"advance to {to_time} before current time {now}"
             )
-        before = self.read_ticks()
-        rate = self.params.nominal_hz
+        before = ticks = self._ticks
+        rate = self._nominal_hz
         # Each constant-drift segment is accumulated separately so the
         # trajectory does not depend on call partitioning.
         while self._next_resample <= to_time:
-            self._ticks += (rate + self._drift_hz) * (self._next_resample - self._now)
-            self._now = self._next_resample
+            ticks += (rate + self._drift_hz) * (self._next_resample - now)
+            now = self._next_resample
             self._drift_hz = self._draw_drift()
             self._next_resample += self.params.resample_interval_s
-        self._ticks += (rate + self._drift_hz) * (to_time - self._now)
+        ticks += (rate + self._drift_hz) * (to_time - now)
+        self._ticks = ticks
         self._now = to_time
-        return self.read_ticks() - before
+        if self._quantize:
+            return float(math.floor(ticks)) - float(math.floor(before))
+        return ticks - before
 
 
 @dataclass

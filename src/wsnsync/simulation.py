@@ -3,7 +3,9 @@
 Each non-gateway node runs the same round protocol: every beacon period it
 broadcasts a clock request to its one-hop neighbors, collects the clock
 values carried by the acks, and after a fixed gather wait averages the
-observed offsets (neighbor value minus own value at ack receipt). The
+observed offsets (neighbor value minus own value at ack receipt). An ack
+that arrives after the deadline of the round that asked for it is dropped,
+so every round averages at most one ack per neighbor. The
 average is always applied as an offset correction; the rate update is
 applied only when the average magnitude is below the guard threshold, and
 consumes the node's own error (the negated average). The gateway answers
@@ -35,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -44,6 +46,12 @@ from .metrics import SampleFrame
 from .protocols import ProtocolParams, rate_update
 
 TRACE_COLUMNS = ("sample_time", "node_id", "logical_value", "true_time", "error_seconds")
+# Delay draws are made this many at a time; a block of normal draws holds
+# the same values in the same order as that many scalar draws.
+DELAY_BLOCK = 4096
+# Most sample frames, and most beacon rounds per node, that one run may
+# schedule; the defaults need 1224 and 408.
+MAX_PERIODS_PER_RUN = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,14 @@ class DelayModel:
         if not 0 <= self.floor_s < math.inf:
             raise ValueError(f"floor_s must be finite and nonnegative, got {self.floor_s}")
 
-    def sample(self, gen: np.random.Generator) -> float:
-        return max(self.floor_s, float(gen.normal(0.0, self.std_s)))
+    def normals(self, gen: np.random.Generator) -> Iterator[float]:
+        """Endless N(0, std^2) draws from ``gen``, made DELAY_BLOCK at a time."""
+        while True:
+            yield from gen.normal(0.0, self.std_s, DELAY_BLOCK).tolist()
+
+    def sample(self, normals: Iterator[float]) -> float:
+        """One message delay from the next draw of ``normals()``."""
+        return max(self.floor_s, next(normals))
 
 
 @dataclass(frozen=True)
@@ -77,7 +91,8 @@ class Topology:
 
     def __post_init__(self) -> None:
         ids = tuple(sorted(self.node_ids))
-        if len(ids) != len(set(ids)):
+        id_set = set(ids)
+        if len(ids) != len(id_set):
             raise ValueError("duplicate node ids")
         if len(ids) < 2:
             raise ValueError("need at least two nodes")
@@ -85,7 +100,7 @@ class Topology:
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self loop on node {i}")
-            if i not in set(ids) or j not in set(ids):
+            if i not in id_set or j not in id_set:
                 raise ValueError(f"edge ({i}, {j}) references unknown node")
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "node_ids", ids)
@@ -101,8 +116,8 @@ class Topology:
                 if other not in seen:
                     seen.add(other)
                     frontier.append(other)
-        if seen != set(ids):
-            missing = sorted(set(ids) - seen)
+        if seen != id_set:
+            missing = sorted(id_set - seen)
             raise ValueError(f"nodes {missing} cannot reach the gateway")
 
     @cached_property
@@ -157,6 +172,11 @@ class EventQueue:
         return len(self._heap)
 
 
+# Reading a member off the enum class costs about ten times a global read,
+# and the event loop pushes an event for nearly every one it pops.
+_DELIVERY, _DEADLINE, _BEACON, _SAMPLE = EventKind
+
+
 @dataclass
 class NodeState:
     boot_time: float
@@ -207,12 +227,13 @@ class SimulationTrace:
         out.write("# config = " + json.dumps(self.config, sort_keys=True) + "\n")
         out.write(",".join(TRACE_COLUMNS) + "\n")
         for fr in self.frames:
+            ts = repr(fr.time_s)
             logical = fr.logical_s or {}
-            for nid in sorted(fr.errors_s):
-                out.write(
-                    f"{fr.time_s!r},{nid},{logical.get(nid)!r},"
-                    f"{fr.time_s!r},{fr.errors_s[nid]!r}\n"
-                )
+            errors = fr.errors_s
+            out.write("".join([
+                f"{ts},{nid},{logical.get(nid)!r},{ts},{errors[nid]!r}\n"
+                for nid in sorted(errors)
+            ]))
 
 
 class _Sim:
@@ -237,7 +258,9 @@ class _Sim:
 
         root = np.random.SeedSequence(seed)
         boot_ss, delay_ss, *node_ss = root.spawn(2 + len(topology.node_ids))
-        self.delay_gen = np.random.Generator(np.random.PCG64(delay_ss))
+        self.delay_normals = delay.normals(
+            np.random.Generator(np.random.PCG64(delay_ss))
+        )
         boot_gen = np.random.Generator(np.random.PCG64(boot_ss))
         boots = boot_gen.uniform(0.0, boot_window_s, len(topology.node_ids))
 
@@ -268,50 +291,68 @@ class _Sim:
         for nid in topology.node_ids:
             node = self.nodes[nid]
             if not node.is_gateway and node.boot_time <= duration_s:
-                self.queue.push(node.boot_time, EventKind.BEACON, nid)
+                self.queue.push(node.boot_time, _BEACON, nid)
         if sample_interval_s <= duration_s:
-            self.queue.push(sample_interval_s, EventKind.SAMPLE)
+            self.queue.push(sample_interval_s, _SAMPLE)
 
         self.frames: list[SampleFrame] = []
         self.rounds: list[RoundRecord] = []
 
-    def logical_value(self, node: NodeState, t: float) -> float:
-        if node.is_gateway:
-            return t
-        node.hw.advance(t)
-        return node.lc.read(node.hw.read_ticks())
-
     def run(self) -> None:
         # indexed by kind: the order must match the EventKind values
         handlers = (self._deliver, self._deadline, self._beacon, self._sample)
-        while len(self.queue):
-            t, kind, data = self.queue.pop()
+        heap = self.queue._heap
+        pop = self.queue.pop
+        while heap:
+            t, kind, data = pop()
             handlers[kind](t, data)
 
-    def _send(self, t: float, sender: int, receiver: int, payload: float | None) -> None:
-        """Schedule a delivery; payload None is a request, a float an ack."""
-        d = self.delay.sample(self.delay_gen)
+    def _send(
+        self, t: float, sender: int, receiver: int, payload: float | None,
+        round_deadline: float,
+    ) -> None:
+        """Schedule a delivery; payload None is a request, a float an ack.
+
+        round_deadline is the deadline of the requester's round, which the
+        ack of a request carries back.
+        """
+        d = self.delay.sample(self.delay_normals)
         if t + d <= self.duration:
-            self.queue.push(t + d, EventKind.DELIVERY, (receiver, sender, payload))
+            self.queue.push(
+                t + d, _DELIVERY, (receiver, sender, payload, round_deadline)
+            )
 
     def _beacon(self, t: float, nid: int) -> None:
+        deadline = t + self.params.gather_wait_s
         for j in self.topology.neighbors[nid]:
-            self._send(t, nid, j, None)
-        if t + self.params.gather_wait_s <= self.duration:
-            self.queue.push(t + self.params.gather_wait_s, EventKind.DEADLINE, nid)
+            self._send(t, nid, j, None, deadline)
+        if deadline <= self.duration:
+            self.queue.push(deadline, _DEADLINE, nid)
         if t + self.params.beacon_period_s <= self.duration:
-            self.queue.push(t + self.params.beacon_period_s, EventKind.BEACON, nid)
+            self.queue.push(t + self.params.beacon_period_s, _BEACON, nid)
 
-    def _deliver(self, t: float, msg: tuple[int, int, float | None]) -> None:
-        receiver, sender, payload = msg
+    def _deliver(self, t: float, msg: tuple[int, int, float | None, float]) -> None:
+        receiver, sender, payload, round_deadline = msg
         node = self.nodes[receiver]
         if t < node.boot_time:
             return  # powered off; message lost
+        # Both returns come before the clock is read: an extra advance would
+        # split the float sum of ticks and change the trace bytes.
         if payload is None:
-            if node.synced:
-                self._send(t, receiver, sender, self.logical_value(node, t))
+            if not node.synced:
+                return  # no valid time to answer with
+        elif t > round_deadline:
+            return  # the round that asked has already averaged
+        if node.is_gateway:
+            value = t
         else:
-            node.err_acc += payload - self.logical_value(node, t)
+            hw = node.hw
+            hw.advance(t)
+            value = node.lc.read(hw.read_ticks())
+        if payload is None:
+            self._send(t, receiver, sender, value, round_deadline)
+        else:
+            node.err_acc += payload - value
             node.recv_count += 1
 
     def _deadline(self, t: float, nid: int) -> None:
@@ -336,16 +377,20 @@ class _Sim:
     def _sample(self, t: float, _: None) -> None:
         errors: dict[int, float] = {}
         logical: dict[int, float] = {}
-        for nid in self.topology.node_ids:
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if t < node.boot_time:
                 continue
-            v = self.logical_value(node, t)
+            if node.is_gateway:
+                v = t
+            else:
+                hw = node.hw
+                hw.advance(t)
+                v = node.lc.read(hw.read_ticks())
             logical[nid] = v
             errors[nid] = v - t
         self.frames.append(SampleFrame(t, errors, logical))
         if t + self.sample_interval <= self.duration:
-            self.queue.push(t + self.sample_interval, EventKind.SAMPLE)
+            self.queue.push(t + self.sample_interval, _SAMPLE)
 
 
 def run_simulation(
@@ -377,6 +422,13 @@ def run_simulation(
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    for name, period in (("sample_interval_s", sample_interval_s),
+                         ("beacon_period_s", params.beacon_period_s)):
+        if duration_s / period > MAX_PERIODS_PER_RUN:
+            raise ValueError(
+                f"duration_s / {name} = {duration_s / period:.6g} exceeds the "
+                f"limit of {MAX_PERIODS_PER_RUN} per run"
+            )
 
     sim = _Sim(
         topology, params, osc_params, delay_model, duration_s,

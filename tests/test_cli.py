@@ -116,7 +116,32 @@ def test_invalid_values_exit_two(tmp_path: Path, capsys):
     assert cli.main(_run_args(tmp_path, "--mu", "inf")) == 2
     assert cli.main(_run_args(tmp_path, "--jobs", "0")) == 2
     assert cli.main(_run_args(tmp_path, "--jobs", "-3")) == 2
+    # runaway schedules: too many sample frames or beacon rounds
+    assert cli.main(_run_args(tmp_path, "--sample-interval", "1e-4")) == 2
+    assert cli.main(_run_args(tmp_path, "--beacon-period", "1e-4",
+                              "--gather-wait", "0")) == 2
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", ",", "empty seed list"),
+    ("--seed", "1,1", "duplicate seed: 1"),
+    ("--protocol", "newton,newton", "duplicate protocol: newton"),
+    ("--protocol", "avgpisync,grades,pisync", "duplicate protocol: avgpisync"),
+])
+def test_empty_or_repeated_run_lists_exit_two(tmp_path: Path, capsys, flag, value,
+                                              message):
+    assert cli.main(_run_args(tmp_path, flag, value)) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_validate_analysis_rejects_empty_seed_list(tmp_path: Path, capsys):
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--seed", ",",
+            "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
+    assert cli.main(args) == 2
+    assert "empty seed list" in capsys.readouterr().err
+    assert not (tmp_path / "analysis.csv").exists()
 
 
 def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
@@ -308,4 +333,29 @@ def test_outputs_match_pinned_bytes(tmp_path: Path, monkeypatch, capsys):
     )
     assert _sha(validate_out.encode()) == (
         "e480d35a64c683f75c36c0a2ee3854f9ce4a4e38449a9059c143980f3c2a2344"
+    )
+
+
+def test_rare_paths_match_pinned_bytes(tmp_path: Path, monkeypatch, capsys):
+    # drift segments shorter than the run, quantized ticks, zero delay and
+    # all three protocols: paths the benchmark's golden workloads never take
+    monkeypatch.chdir(tmp_path)  # stdout names the relative out dir
+    assert cli.main(["run", "--protocol", "newton,grades,avgpisync",
+                     "--topology", "line:4", "--duration", "2000",
+                     "--boot-window", "60", "--drift-resample-interval", "250",
+                     "--quantize-ticks", "--delay-std", "0", "--seed", "1",
+                     "--out-dir", "out"]) == 0
+    pins = {
+        "summary.csv": "531c3d2b966f0fd0f80471322b43caaf27f93a630153b3c11bf23d4ec1473db4",
+        "trace_newton_1.csv":
+            "343107c1d0df5c54d89c1046440090f458ba1ce3e91ef3dd634c353799e3bb66",
+        "trace_grades_1.csv":
+            "cd6929416f45d18cdd2f3f9cbbcc4503e852a74a0864f10c6701bf62e786a512",
+        "trace_avgpisync_1.csv":
+            "dadf86caa26fc9f9b03fe5e0087d463618678be0b48cfacda2aabbeffc14c309",
+    }
+    for name, digest in pins.items():
+        assert _sha((tmp_path / "out" / name).read_bytes()) == digest, name
+    assert _sha(capsys.readouterr().out.encode()) == (
+        "5bbc6bd71438e95f83b795d518025644529658dac58ef6f174cdddc8dffe4d8c"
     )

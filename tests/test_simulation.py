@@ -2,14 +2,19 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wsnsync import simulation
 from wsnsync.analysis import MeanStateModel, mean_trace
 from wsnsync.clocks import OscillatorParams
 from wsnsync.protocols import Protocol, ProtocolParams, default_step_size
 from wsnsync.simulation import (
+    DELAY_BLOCK,
     DelayModel,
     EventKind,
     EventQueue,
@@ -67,6 +72,14 @@ def test_topology_validation():
         Topology((1, 2, 3, 4), ((1, 2), (3, 4)), 1)
 
 
+def test_large_line_topology_builds_and_validates():
+    topo = build_line_topology(4096)
+    assert len(topo.edges) == 4095
+    assert topo.neighbors[4096] == (4095,)
+    with pytest.raises(ValueError, match="unknown node"):
+        Topology(topo.node_ids, (*topo.edges, (4096, 4097)), 1)
+
+
 def test_topology_to_config_round_trip():
     topo = build_line_topology(4)
     cfg = topo.to_config()
@@ -86,7 +99,19 @@ def test_delay_model_validation_and_floor():
         with pytest.raises(ValueError):
             DelayModel(floor_s=bad)
     dm = DelayModel(std_s=0.0, floor_s=0.25)
-    assert dm.sample(_gen()) == 0.25
+    assert dm.sample(dm.normals(_gen())) == 0.25
+
+
+def test_block_drawn_delays_equal_scalar_draws():
+    # the floor clamps some draws and not others
+    dm = DelayModel(std_s=1e-3, floor_s=2e-4)
+    n = 2 * DELAY_BLOCK + 7
+    normals = dm.normals(_gen(5))
+    blocked = [dm.sample(normals) for _ in range(n)]
+    gen = _gen(5)
+    scalar = [max(dm.floor_s, float(gen.normal(0.0, dm.std_s))) for _ in range(n)]
+    assert blocked == scalar
+    assert min(blocked) == dm.floor_s < max(blocked)
 
 
 def test_event_queue_priority_classes():
@@ -132,6 +157,31 @@ def test_run_simulation_validates_arguments():
         with pytest.raises(ValueError, match="finite"):
             run_simulation(topo, _newton_params(), osc_params=osc,
                            duration_s=1000.0, initial_rate=bad)
+
+
+def test_run_simulation_rejects_runaway_schedules(monkeypatch):
+    # too many sample frames or beacon rounds per node is refused before
+    # the simulator is built; exactly the limit is accepted
+    class Started(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(simulation, "_Sim", refuse)
+    topo = build_line_topology(2)
+    osc = OscillatorParams(nominal_hz=1e6)
+    limit = simulation.MAX_PERIODS_PER_RUN
+    with pytest.raises(Started):
+        run_simulation(topo, _newton_params(), osc_params=osc,
+                       duration_s=float(limit), sample_interval_s=1.0)
+    with pytest.raises(ValueError, match="sample_interval_s"):
+        run_simulation(topo, _newton_params(), osc_params=osc,
+                       duration_s=float(limit + 1), sample_interval_s=1.0)
+    fast_beacons = _newton_params(b=1e-3, gather_wait_s=0.0)
+    with pytest.raises(ValueError, match="beacon_period_s"):
+        run_simulation(topo, fast_beacons, osc_params=osc, duration_s=2000.0,
+                       sample_interval_s=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +309,57 @@ def test_ack_counts_bounded_by_degree():
     degree = {nid: len(trace.topology.neighbors[nid])
               for nid in trace.topology.node_ids}
     assert all(r.n_acks <= degree[r.node_id] for r in trace.rounds)
+
+
+@st.composite
+def _connected_topologies(draw):
+    # a random tree (node k hangs off an earlier node) plus random extra edges
+    n = draw(st.integers(min_value=2, max_value=6))
+    edges = [(k, draw(st.integers(min_value=1, max_value=k - 1))) for k in range(2, n + 1)]
+    node = st.integers(min_value=1, max_value=n)
+    extra = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          max_size=n))
+    return Topology(tuple(range(1, n + 1)), tuple(edges + extra), draw(node))
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+# up to the 1 s gather wait, so some acks arrive after their round's deadline
+_DELAY_STDS = st.sampled_from([0.0, 1e-5, 1e-2, 0.5])
+_BOOT_WINDOWS = st.floats(min_value=0.0, max_value=200.0)
+
+
+def _property_run(topo: Topology, seed: int, delay_std: float, boot_window: float):
+    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0, resample_interval_s=60.0)
+    return run_simulation(topo, _newton_params(gather_wait_s=1.0), osc_params=osc,
+                          delay_model=DelayModel(std_s=delay_std), duration_s=400.0,
+                          boot_window_s=boot_window, seed=seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_connected_topologies(), _SEEDS, _DELAY_STDS, _BOOT_WINDOWS)
+def test_rounds_and_frames_are_well_formed(topo, seed, delay_std, boot_window):
+    trace = _property_run(topo, seed, delay_std, boot_window)
+    for r in trace.rounds:
+        assert r.n_acks <= len(topo.neighbors[r.node_id])
+    for fr in trace.frames:
+        assert all(math.isfinite(v) for v in fr.errors_s.values())
+        assert all(math.isfinite(v) for v in fr.logical_s.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=3, max_value=7), _SEEDS, _DELAY_STDS, _BOOT_WINDOWS)
+def test_first_answered_round_moves_outward_along_a_line(n, seed, delay_std,
+                                                         boot_window):
+    # only synced nodes answer, so node k can first hear from node k - 1,
+    # and only after node k - 1's own first answered round
+    trace = _property_run(build_line_topology(n), seed, delay_std, boot_window)
+    first_answered: dict[int, float] = {}
+    for r in trace.rounds:
+        if r.n_acks > 0:
+            first_answered.setdefault(r.node_id, r.time_s)
+    for k in range(3, n + 1):
+        if k in first_answered:
+            assert first_answered[k] > first_answered[k - 1]
 
 
 def test_messages_to_powered_off_nodes_are_lost():
