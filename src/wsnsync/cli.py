@@ -7,8 +7,9 @@ Subcommands:
   validate-analysis  check the closed-form predictions against the Monte
                      Carlo oracle and write analysis.csv
 
-Precedence for every setting: command line flag, then JSON config file
-(--config), then built-in defaults. Output files embed the fully resolved
+Every setting is one row of SETTINGS: its flag, config key, type, default,
+range and help. Precedence: command line flag, then JSON config file
+(--config), then the command's default. Output files embed the fully resolved
 configuration as a `# config = {...}` comment header and contain no
 timestamps, so identical invocations produce byte-identical files. The
 default output directory comes from $WSNSYNC_OUT_DIR, falling back to ./out.
@@ -24,42 +25,98 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, metrics
 from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
 from .simulation import DelayModel, Topology, build_line_topology, run_simulation
 
-DEFAULTS: dict = {
-    "protocol": "newton",
-    "seed": "1",
-    "topology": "line:16",
-    "beacon_period_s": 30.0,
-    "nominal_hz": 1e6,
-    "max_drift_hz": 25.0,
-    "drift_resample_interval_s": 3600.0,
-    "delay_std_s": 1e-5,
-    "e_max_ticks": 6000.0,
-    "gather_wait_s": 1.0,
-    "mu": None,
-    "duration_s": 12240.0,
-    "sample_interval_s": 10.0,
-    "boot_window_s": 300.0,
-    "threshold_ticks": 1000.0,
-    "window": 5,
-    "quantize_ticks": False,
-    "jobs": 1,
+_RUN = ("run", "sweep")
+_ALL = ("run", "sweep", "validate-analysis")
+_VALIDATE = ("validate-analysis",)
+RANGES = {
+    "positive": lambda v: v > 0,
+    "nonnegative": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
 }
-# Settings that must be finite floats (mu may also be None).
-FLOAT_KEYS = ("mu", *(k for k, v in DEFAULTS.items() if isinstance(v, float)))
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """One setting: config key (also the argparse dest), flag, type (float,
+    int, bool or str), default, allowed range (a RANGES key), help text,
+    the commands that take it and its `sweep --param` name."""
+
+    key: str
+    flag: str
+    type: type
+    default: object
+    check: str | None
+    help: str
+    commands: tuple[str, ...] = _RUN
+    sweep: str | None = None
+    config: bool = True  # settable from a --config file
+    command_defaults: dict = dataclasses.field(default_factory=dict)
+
+    def default_for(self, command: str):
+        return self.command_defaults.get(command, self.default)
+
+
+SETTINGS = (
+    Setting("seed", "seed", str, "1", None,
+            "seed spec: N, N,M,... or A..B (validate-analysis takes one seed)", _ALL),
+    Setting("beacon_period_s", "beacon-period", float, 30.0, "positive",
+            "seconds between sync rounds", _ALL, "beacon-period"),
+    Setting("nominal_hz", "nominal-hz", float, 1e6, "positive",
+            "nominal oscillator frequency in Hz", _ALL),
+    # The closed-form model's canonical parameter set uses the worst-case
+    # drift bound; the experiment default models deployed crystals.
+    Setting("max_drift_hz", "max-drift-hz", float, 25.0, "nonnegative",
+            "oscillator drift bound in Hz", _ALL, "max-drift",
+            command_defaults={"validate-analysis": 100.0}),
+    Setting("delay_std_s", "delay-std", float, 1e-5, "nonnegative",
+            "message delay standard deviation, seconds", _ALL, "delay-std"),
+    Setting("protocol", "protocol", str, "newton", None,
+            "comma list: newton,grades,avgpisync"),
+    # `sweep --param nodes` sets the topology to line:N
+    Setting("topology", "topology", str, "line:16", None,
+            "line:N or JSON topology file", sweep="nodes"),
+    Setting("mu", "mu", float, None, "positive",
+            "step size for all protocols; unset, each protocol uses its own", sweep="mu"),
+    Setting("e_max_ticks", "e-max-ticks", float, 6000.0, "positive",
+            "rate-update guard threshold in ticks"),
+    Setting("gather_wait_s", "gather-wait", float, 1.0, "nonnegative",
+            "seconds between requests and averaging"),
+    Setting("drift_resample_interval_s", "drift-resample-interval", float, 3600.0,
+            "positive", "constant-drift segment length, seconds"),
+    Setting("duration_s", "duration", float, 12240.0, "positive", "simulated seconds"),
+    Setting("sample_interval_s", "sample-interval", float, 10.0, "positive",
+            "trace sampling period, seconds"),
+    Setting("boot_window_s", "boot-window", float, 300.0, "nonnegative",
+            "nodes boot uniformly in [0, window) seconds"),
+    Setting("threshold_ticks", "threshold-ticks", float, 1000.0, "positive",
+            "convergence threshold in ticks"),
+    Setting("window", "window", int, 5, "at least 1", "consecutive samples below threshold"),
+    Setting("quantize_ticks", "quantize-ticks", bool, False, None,
+            "floor hardware tick readings to integers"),
+    Setting("jobs", "jobs", int, 1, "at least 1", "parallel workers"),
+    Setting("mu_grid", "mu-grid", str, "0.25,0.5,1.0,1.5,2.2", None,
+            "comma list of step sizes; 2.2 diverges by design", _VALIDATE, config=False),
+    Setting("oracle_runs", "oracle-runs", int, 20000, "at least 1",
+            "Monte Carlo runs per step size", _VALIDATE, config=False),
+    Setting("oracle_steps", "oracle-steps", int, 300, "at least 1",
+            "rounds per oracle run", _VALIDATE, config=False),
+    Setting("tail", "tail", int, 100, "at least 1",
+            "steady-state averaging window in rounds, below oracle-steps",
+            _VALIDATE, config=False),
+    Setting("initial_rate_offset", "initial-rate-offset", float, 0.05, None,
+            "relative initial rate error fed to the oracle", _VALIDATE, config=False),
+)
+CONFIG_KEYS = frozenset(s.key for s in SETTINGS if s.config)
+SWEEPS = {s.sweep: s for s in SETTINGS if s.sweep}
 
 SUMMARY_COLUMNS = (
-    "protocol",
-    "seed",
-    "convergence_time_s",
-    "steady_state_max_global_err_s",
-    "peak_err_after_convergence_s",
+    "protocol", "seed", *(f.name for f in dataclasses.fields(metrics.TraceSummary))
 )
 SWEEP_COLUMNS = (
     "param",
@@ -139,53 +196,56 @@ def _parse_topology(spec: str) -> Topology:
         raise ConfigError(f"bad topology file {spec!r}: {exc}")
 
 
-def _resolve(args: argparse.Namespace, command_defaults: dict | None = None) -> dict:
-    cfg = dict(DEFAULTS)
-    if command_defaults:
-        cfg.update(command_defaults)
-    if getattr(args, "config", None):
+def _parse(s: Setting, value):
+    """``value`` as setting ``s``: of its type (a JSON integer is a float too),
+    finite and in range, else ConfigError naming the setting."""
+    if value is None and s.default is None:
+        return None
+    name = f"{s.key} (--{s.flag})"
+    # exact types, since bool is an int subclass
+    if type(value) is not s.type and not (s.type is float and type(value) is int):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[s.type]}, got {json.dumps(value)}")
+    value = s.type(value)
+    if s.type is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if s.check and not RANGES[s.check](value):
+        raise ConfigError(f"{name} must be {s.check}, got {value}")
+    return value
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every config key and every setting of ``args.command``: its flag, else
+    its --config file entry, else the command's default."""
+    loaded = {}
+    if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
-        unknown = sorted(set(loaded) - set(DEFAULTS))
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(loaded) - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config file keys: {', '.join(unknown)}")
-        cfg.update(loaded)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key in FLOAT_KEYS:
-        if cfg[key] is not None and not math.isfinite(float(cfg[key])):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
-    for key in (
-        "beacon_period_s", "nominal_hz", "drift_resample_interval_s",
-        "duration_s", "sample_interval_s", "e_max_ticks", "threshold_ticks",
-    ):
-        if not float(cfg[key]) > 0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
-    if float(cfg["max_drift_hz"]) < 0 or float(cfg["delay_std_s"]) < 0:
-        raise ConfigError("max_drift_hz and delay_std_s must be nonnegative")
-    if int(cfg["window"]) < 1:
-        raise ConfigError("window must be >= 1")
-    if int(cfg["jobs"]) < 1:
-        raise ConfigError("jobs must be >= 1")
+    cfg = {}
+    for s in SETTINGS:
+        if s.config or args.command in s.commands:
+            value = getattr(args, s.key, None)
+            if value is None:
+                value = loaded.get(s.key, s.default_for(args.command))
+            cfg[s.key] = _parse(s, value)
     return cfg
 
 
 def _protocol_params(cfg: dict, kind: Protocol) -> ProtocolParams:
-    b = float(cfg["beacon_period_s"])
-    f = float(cfg["nominal_hz"])
-    mu = cfg["mu"]
-    step = float(mu) if mu is not None else default_step_size(kind, b, f)
+    b, f, mu = cfg["beacon_period_s"], cfg["nominal_hz"], cfg["mu"]
     return ProtocolParams(
         kind=kind,
-        step_size=step,
+        step_size=mu if mu is not None else default_step_size(kind, b, f),
         beacon_period_s=b,
         nominal_hz=f,
-        max_error_s=float(cfg["e_max_ticks"]) / f,
-        gather_wait_s=float(cfg["gather_wait_s"]),
+        max_error_s=cfg["e_max_ticks"] / f,
+        gather_wait_s=cfg["gather_wait_s"],
     )
 
 
@@ -223,50 +283,47 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return p
 
 
-def cmd_run(args: argparse.Namespace, out_dir: Path | None = None) -> tuple[int, list[dict]]:
-    cfg = _resolve(args)
-    protocols = [Protocol.parse(p) for p in str(cfg["protocol"]).split(",")]
+def _plan(cfg: dict) -> tuple[list[tuple[dict, ProtocolParams, int]], dict]:
+    """The (simulation kwargs, protocol params, seed) job of every run that
+    ``cfg`` asks for, and the summary header that records them."""
+    protocols = [Protocol.parse(p) for p in cfg["protocol"].split(",")]
     _check_distinct("protocol", [p.value for p in protocols])
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
     sim_kwargs = {
         "topology": _parse_topology(cfg["topology"]),
         "osc_params": OscillatorParams(
-            nominal_hz=float(cfg["nominal_hz"]),
-            max_drift_hz=float(cfg["max_drift_hz"]),
-            resample_interval_s=float(cfg["drift_resample_interval_s"]),
-            quantize_ticks=bool(cfg["quantize_ticks"]),
+            nominal_hz=cfg["nominal_hz"],
+            max_drift_hz=cfg["max_drift_hz"],
+            resample_interval_s=cfg["drift_resample_interval_s"],
+            quantize_ticks=cfg["quantize_ticks"],
         ),
-        "delay_model": DelayModel(std_s=float(cfg["delay_std_s"])),
-        "duration_s": float(cfg["duration_s"]),
-        "sample_interval_s": float(cfg["sample_interval_s"]),
-        "boot_window_s": float(cfg["boot_window_s"]),
+        "delay_model": DelayModel(std_s=cfg["delay_std_s"]),
+        "duration_s": cfg["duration_s"],
+        "sample_interval_s": cfg["sample_interval_s"],
+        "boot_window_s": cfg["boot_window_s"],
     }
-    out = out_dir if out_dir is not None else _out_dir(args)
-
-    resolved = dict(cfg)
-    resolved["protocols"] = [p.value for p in protocols]
-    resolved["seeds"] = seeds
-    resolved["per_protocol_step_size"] = {p.value: params[p].step_size for p in protocols}
-
     for p in protocols:
         if not params[p].within_bound():
             lo, hi = step_size_bound(p, params[p].beacon_period_s, params[p].nominal_hz)
-            print(
-                f"warning: {p.value} step size {params[p].step_size} is outside "
-                f"the convergence bound ({lo}, {hi})",
-                file=sys.stderr,
-            )
+            print(f"warning: {p.value} step size {params[p].step_size} is outside "
+                  f"the convergence bound ({lo}, {hi})", file=sys.stderr)
+    resolved = {**cfg, "protocols": [p.value for p in protocols], "seeds": seeds,
+                "per_protocol_step_size": {p.value: params[p].step_size for p in protocols}}
+    return [(sim_kwargs, params[p], s) for p in protocols for s in seeds], resolved
 
-    jobs = [(sim_kwargs, params[p], s) for p in protocols for s in seeds]
-    workers = min(int(cfg["jobs"]), len(jobs), os.cpu_count() or 1)
+
+def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
+    """Run the planned jobs; write their traces and summary.csv to ``out``,
+    print the summary table and return its rows."""
+    workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_one, jobs))
     else:
         traces = [_run_one(j) for j in jobs]
 
-    threshold_s = float(cfg["threshold_ticks"]) / float(cfg["nominal_hz"])
+    threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
     rows: list[dict] = []
     for (_, run_params, seed), trace in zip(jobs, traces):
         protocol = run_params.kind.value
@@ -275,7 +332,7 @@ def cmd_run(args: argparse.Namespace, out_dir: Path | None = None) -> tuple[int,
         summ = metrics.summarize(
             trace.frames,
             threshold_s,
-            int(cfg["window"]),
+            resolved["window"],
             start_after=trace.boot_complete_time,
         )
         rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
@@ -290,33 +347,35 @@ def cmd_run(args: argparse.Namespace, out_dir: Path | None = None) -> tuple[int,
         peak = _cell(r["peak_err_after_convergence_s"], ".1f", 1e6)
         print(f"{r['protocol']:<12}{r['seed']:>6}{mu:>14.3g}{conv:>14}{med:>15}{peak:>14}")
     print(f"wrote {len(rows)} trace file(s) and summary.csv to {out}")
-    return 0, rows
+    return rows
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    jobs, resolved = _plan(_resolve(args))
+    _run_jobs(jobs, resolved, _out_dir(args))
+    return 0
 
 
 def cmd_validate_analysis(args: argparse.Namespace) -> int:
-    # The closed-form model's canonical parameter set uses the worst-case
-    # drift bound; the experiment default (25 Hz) models deployed crystals.
-    cfg = _resolve(args, command_defaults={"max_drift_hz": 100.0})
-    out = _out_dir(args)
-    b = float(cfg["beacon_period_s"])
-    f = float(cfg["nominal_hz"])
-    fmax = float(cfg["max_drift_hz"])
-    sigma_b = float(cfg["delay_std_s"])
+    cfg = _resolve(args)
+    b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
+    fmax, sigma_b = cfg["max_drift_hz"], cfg["delay_std_s"]
     try:
-        grid = [float(m) for m in str(args.mu_grid).split(",")]
+        grid = [float(m) for m in cfg["mu_grid"].split(",")]
     except ValueError:
-        raise ConfigError(f"bad --mu-grid {args.mu_grid!r}")
-    rate_offset = float(args.initial_rate_offset)
-    if not all(math.isfinite(v) for v in (*grid, rate_offset)):
-        raise ConfigError("--mu-grid and --initial-rate-offset must be finite")
-    n_runs = int(args.oracle_runs)
-    n_steps = int(args.oracle_steps)
-    tail = int(args.tail)
+        raise ConfigError(f"bad --mu-grid {cfg['mu_grid']!r}")
+    if not all(math.isfinite(m) for m in grid):
+        raise ConfigError("--mu-grid must be finite")
+    rate_offset = cfg["initial_rate_offset"]
+    n_runs, n_steps, tail = cfg["oracle_runs"], cfg["oracle_steps"], cfg["tail"]
     if tail >= n_steps:
         raise ConfigError("--tail must be smaller than --oracle-steps")
     seeds = _parse_seeds(cfg["seed"])
+    if len(seeds) != 1:
+        raise ConfigError(f"validate-analysis takes one seed, got {cfg['seed']!r}")
     base_seed = seeds[0]
     initial_rate = (1.0 + rate_offset) / f
+    out = _out_dir(args)
 
     rows = []
     failed = False
@@ -400,61 +459,41 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    out = _out_dir(args)
     param = args.param
-    field = {
-        "nodes": None,
-        "mu": "mu",
-        "delay-std": "delay_std_s",
-        "max-drift": "max_drift_hz",
-        "beacon-period": "beacon_period_s",
-    }
-    if param not in field:
-        raise ConfigError(
-            f"unknown sweep parameter {param!r}; choose from {', '.join(sorted(field))}"
-        )
+    if param not in SWEEPS:
+        choices = ", ".join(sorted(SWEEPS))
+        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {choices}")
+    setting = SWEEPS[param]
+    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     try:
-        values = [v.strip() for v in str(args.values).split(",") if v.strip()]
-        parsed = [int(v) if param == "nodes" else float(v) for v in values]
+        values = [int(v) if param == "nodes" else setting.type(v) for v in raw_values]
     except ValueError:
         raise ConfigError(f"bad --values {args.values!r}")
-    if not parsed:
-        raise ConfigError("--values is empty")
+    _check_distinct("sweep value", values)
+    # one resolved config per value, each checked before any run
+    plans = [
+        _plan({**cfg, setting.key: _parse(setting, f"line:{v}" if param == "nodes" else v)})
+        for v in values
+    ]
+    out = _out_dir(args)
 
     agg_rows = []
-    for raw, value in zip(values, parsed):
-        sub = argparse.Namespace(**vars(args))
-        if param == "nodes":
-            sub.topology = f"line:{value}"
-        else:
-            setattr(sub, field[param], value)
+    for raw, value, (jobs, resolved) in zip(raw_values, values, plans):
         sub_dir = out / f"{param.replace('-', '_')}_{raw}"
         sub_dir.mkdir(parents=True, exist_ok=True)
-        _, rows = cmd_run(sub, out_dir=sub_dir)
-        by_proto: dict[str, list[dict]] = {}
-        for r in rows:
-            by_proto.setdefault(r["protocol"], []).append(r)
-        for proto in sorted(by_proto):
-            runs = by_proto[proto]
+        rows = _run_jobs(jobs, resolved, sub_dir)
+        for proto in sorted({r["protocol"] for r in rows}):
+            runs = [r for r in rows if r["protocol"] == proto]
             conv = [c for r in runs if (c := r["convergence_time_s"]) is not None]
             err = [e for r in runs if (e := r["steady_state_max_global_err_s"]) is not None]
-            agg_rows.append(
-                {
-                    "param": param,
-                    "value": value,
-                    "protocol": proto,
-                    "n_runs": len(runs),
-                    "n_converged": len(conv),
-                    "median_convergence_time_s": metrics._median(conv) if conv else None,
-                    "median_steady_state_max_global_err_s": (
-                        metrics._median(err) if err else None
-                    ),
-                }
-            )
+            agg_rows.append({
+                "param": param, "value": value, "protocol": proto,
+                "n_runs": len(runs), "n_converged": len(conv),
+                "median_convergence_time_s": metrics._median(conv) if conv else None,
+                "median_steady_state_max_global_err_s": metrics._median(err) if err else None,
+            })
 
-    resolved = dict(cfg)
-    resolved["sweep_param"] = param
-    resolved["sweep_values"] = parsed
+    resolved = {**cfg, "sweep_param": param, "sweep_values": values}
     _write_csv(out / "sweep.csv", resolved, SWEEP_COLUMNS, agg_rows)
     print(f"{'value':>10}{'protocol':>12}{'conv_time_s':>14}{'steady_err_us':>15}")
     for r in agg_rows:
@@ -465,47 +504,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with default overrides")
-    sub.add_argument("--out-dir", help="output directory ($WSNSYNC_OUT_DIR, ./out)")
-    sub.add_argument("--seed", help="seed spec: N, N,M,... or A..B (default 1)")
-    sub.add_argument("--beacon-period", dest="beacon_period_s", type=float,
-                     help="seconds between sync rounds (default 30)")
-    sub.add_argument("--nominal-hz", dest="nominal_hz", type=float,
-                     help="nominal oscillator frequency (default 1e6)")
-    sub.add_argument("--max-drift-hz", dest="max_drift_hz", type=float,
-                     help="oscillator drift bound in Hz (default 25)")
-    sub.add_argument("--delay-std", dest="delay_std_s", type=float,
-                     help="message delay standard deviation, seconds (default 1e-5)")
-
-
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    """Flags of `run`, which `sweep` accepts as well."""
-    _add_common(sub)
-    sub.add_argument("--protocol", help="comma list: newton,grades,avgpisync")
-    sub.add_argument("--topology", help="line:N or JSON topology file")
-    sub.add_argument("--mu", type=float,
-                     help="step size for all protocols (default: per protocol)")
-    sub.add_argument("--e-max-ticks", dest="e_max_ticks", type=float,
-                     help="rate-update guard threshold in ticks (default 6000)")
-    sub.add_argument("--gather-wait", dest="gather_wait_s", type=float,
-                     help="seconds between requests and averaging (default 1)")
-    sub.add_argument("--drift-resample-interval", dest="drift_resample_interval_s",
-                     type=float, help="constant-drift segment length (default 3600)")
-    sub.add_argument("--duration", dest="duration_s", type=float,
-                     help="simulated seconds (default 12240)")
-    sub.add_argument("--sample-interval", dest="sample_interval_s", type=float,
-                     help="trace sampling period (default 10)")
-    sub.add_argument("--boot-window", dest="boot_window_s", type=float,
-                     help="nodes boot uniformly in [0, window) (default 300)")
-    sub.add_argument("--threshold-ticks", dest="threshold_ticks", type=float,
-                     help="convergence threshold in ticks (default 1000)")
-    sub.add_argument("--window", type=int,
-                     help="consecutive samples below threshold (default 5)")
-    sub.add_argument("--quantize-ticks", dest="quantize_ticks",
-                     action="store_const", const=True,
-                     help="floor hardware tick readings to integers")
-    sub.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+def _shown(value) -> str:
+    """A default as --help shows it."""
+    if value is None or isinstance(value, bool):
+        return {None: "unset", False: "off", True: "on"}[value]
+    return format(value, "g") if isinstance(value, float) else str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,39 +517,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Clock synchronization protocols: simulation and analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="simulate protocol runs")
-    _add_run_flags(run_p)
-    run_p.set_defaults(func=lambda a: cmd_run(a)[0])
-
-    sweep_p = sub.add_parser("sweep", help="run over a grid of one parameter")
-    _add_run_flags(sweep_p)
-    sweep_p.add_argument("--param", required=True,
-                         help="nodes | mu | delay-std | max-drift | beacon-period")
-    sweep_p.add_argument("--values", required=True, help="comma list of values")
-    sweep_p.set_defaults(func=cmd_sweep)
-
-    val_p = sub.add_parser(
-        "validate-analysis",
-        help="compare closed forms against the Monte Carlo oracle",
-    )
-    _add_common(val_p)
-    val_p.add_argument("--mu-grid", default="0.25,0.5,1.0,1.5,2.2",
-                       help="comma list of step sizes (2.2 diverges by design)")
-    val_p.add_argument("--oracle-runs", default=20000, type=int)
-    val_p.add_argument("--oracle-steps", default=300, type=int)
-    val_p.add_argument("--tail", default=100, type=int,
-                       help="steady-state averaging window, in rounds")
-    val_p.add_argument("--initial-rate-offset", default=0.05, type=float,
-                       help="relative initial rate error fed to the oracle")
-    val_p.set_defaults(func=cmd_validate_analysis)
-
+    commands = {
+        "run": (cmd_run, "simulate protocol runs"),
+        "sweep": (cmd_sweep, "run over a grid of one parameter"),
+        "validate-analysis": (
+            cmd_validate_analysis, "compare closed forms against the Monte Carlo oracle",
+        ),
+    }
+    for command, (func, summary) in commands.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON file of setting overrides, keyed like "
+                                        "the output headers; values need the setting's type")
+        p.add_argument("--out-dir", help="output directory ($WSNSYNC_OUT_DIR, ./out)")
+        for s in SETTINGS:
+            if command not in s.commands:
+                continue
+            kind = ({"action": "store_const", "const": True} if s.type is bool
+                    else {"type": s.type})
+            p.add_argument(f"--{s.flag}", dest=s.key, **kind,
+                           help=f"{s.help} (default {_shown(s.default_for(command))})")
+        if command == "sweep":
+            p.add_argument("--param", required=True, help=" | ".join(SWEEPS))
+            p.add_argument("--values", required=True, help="comma list of distinct values")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError included

@@ -104,6 +104,66 @@ def test_unknown_config_key_rejected(tmp_path: Path, capsys):
     assert "unknown config file keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("quantize_ticks", "false", 'quantize_ticks (--quantize-ticks) must be true or false, '
+                                'got "false"'),
+    ("window", 2.7, "window (--window) must be an integer, got 2.7"),
+    ("beacon_period_s", "30", 'beacon_period_s (--beacon-period) must be a number, got "30"'),
+    ("jobs", True, "jobs (--jobs) must be an integer, got true"),
+])
+def test_config_values_need_the_setting_type(tmp_path: Path, capsys, key, value, message):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    assert cli.main(_run_args(tmp_path, "--config", str(conf))) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_integer_runs_as_float(tmp_path: Path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"beacon_period_s": 15}))
+    assert cli.main(_run_args(tmp_path, "--config", str(conf))) == 0
+    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+    assert '"beacon_period_s": 15.0' in header
+
+
+# every setting's flag and the default its command uses, as --help shows it
+_RUN_HELP_DEFAULTS = {
+    "--seed": "1", "--beacon-period": "30", "--nominal-hz": "1e+06",
+    "--max-drift-hz": "25", "--delay-std": "1e-05", "--protocol": "newton",
+    "--topology": "line:16", "--mu": "unset", "--e-max-ticks": "6000",
+    "--gather-wait": "1", "--drift-resample-interval": "3600", "--duration": "12240",
+    "--sample-interval": "10", "--boot-window": "300", "--threshold-ticks": "1000",
+    "--window": "5", "--quantize-ticks": "off", "--jobs": "1",
+}
+_HELP_DEFAULTS = {
+    "run": _RUN_HELP_DEFAULTS,
+    "sweep": _RUN_HELP_DEFAULTS,
+    "validate-analysis": {
+        "--seed": "1", "--beacon-period": "30", "--nominal-hz": "1e+06",
+        "--max-drift-hz": "100", "--delay-std": "1e-05",
+        "--mu-grid": "0.25,0.5,1.0,1.5,2.2", "--oracle-runs": "20000",
+        "--oracle-steps": "300", "--tail": "100", "--initial-rate-offset": "0.05",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_DEFAULTS))
+def test_help_shows_each_default_the_command_uses(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    options = text[text.index("options:"):]
+    # one entry per option: its flag, metavar and help up to the next option
+    entries = {e.split()[0]: e for e in ("--" + e for e in options.split(" --")[1:])}
+    settings = {f for f in entries if f not in ("--help", "--config", "--out-dir",
+                                                 "--param", "--values")}
+    assert settings == set(_HELP_DEFAULTS[command])
+    for flag, default in _HELP_DEFAULTS[command].items():
+        assert entries[flag].endswith(f"(default {default})"), entries[flag]
+
+
 def test_invalid_values_exit_two(tmp_path: Path, capsys):
     assert cli.main(_run_args(tmp_path, "--beacon-period", "-5")) == 2
     assert cli.main(["run", "--out-dir", str(tmp_path), "--topology",
@@ -141,6 +201,14 @@ def test_validate_analysis_rejects_empty_seed_list(tmp_path: Path, capsys):
             "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
     assert cli.main(args) == 2
     assert "empty seed list" in capsys.readouterr().err
+    assert not (tmp_path / "analysis.csv").exists()
+
+
+def test_validate_analysis_rejects_more_than_one_seed(tmp_path: Path, capsys):
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--seed", "5..9",
+            "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
+    assert cli.main(args) == 2
+    assert "validate-analysis takes one seed" in capsys.readouterr().err
     assert not (tmp_path / "analysis.csv").exists()
 
 
@@ -249,10 +317,20 @@ def test_validate_analysis_gate_failure_exits_nonzero(tmp_path: Path,
     assert "FAILED" in capsys.readouterr().err
 
 
-def test_validate_analysis_rejects_bad_tail(tmp_path: Path):
-    args = ["validate-analysis", "--out-dir", str(tmp_path),
-            "--oracle-steps", "50", "--tail", "50"]
-    assert cli.main(args) == 2
+def test_validate_analysis_rejects_bad_tail(tmp_path: Path, monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    base = ["validate-analysis", "--out-dir", str(tmp_path)]
+    for extra in (
+        ["--oracle-steps", "50", "--tail", "50"],
+        ["--tail", "0"],
+        ["--mu-grid", "2.2", "--oracle-runs", "0"],
+        ["--mu-grid", "2.2", "--oracle-steps", "0", "--tail", "-3"],
+    ):
+        assert cli.main([*base, *extra]) == 2, extra
+    assert not (tmp_path / "analysis.csv").exists()
 
 
 def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):
@@ -296,6 +374,13 @@ def test_sweep_rejects_bad_values(tmp_path: Path):
     args = ["sweep", "--param", "delay-std", "--values", "nan",
             "--out-dir", str(tmp_path)]
     assert cli.main(args) == 2
+    # repeated values, after parsing, exit before any run
+    for param, values in (("mu", "1.0,1.0"), ("nodes", "3,03"), ("nodes", "3,1")):
+        args = ["sweep", "--param", param, "--values", values,
+                "--out-dir", str(tmp_path), "--topology", "line:3",
+                "--duration", "300", "--boot-window", "60"]
+        assert cli.main(args) == 2, values
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +410,16 @@ def test_outputs_match_pinned_bytes(tmp_path: Path, monkeypatch, capsys):
     assert _sha((tmp_path / "out" / "sweep.csv").read_bytes()) == (
         "a1e6e78e0f9f159d7bf581872011e9db7c337495aa21c4a8e756b62060514087"
     )
+    per_value = {
+        "mu_0.5/summary.csv":
+            "6cfc0223dd92805139c9ef728f1584430f0386a6b80f500ff9cad18a709c6124",
+        "mu_1.0/summary.csv":
+            "a608c5a36fa7107251e70a2c323ee16edc845cd34a86cb2128dffdc8f7ac2809",
+        "mu_0.5/trace_newton_1.csv":
+            "235fe096fb79450cc59224b5fa04c2ba13f3cd8496e8c7550a69bb7d7cccdf04",
+    }
+    for name, digest in per_value.items():
+        assert _sha((tmp_path / "out" / name).read_bytes()) == digest, name
     assert _sha(sweep_out.encode()) == (
         "890b879d739e8aeba8c39db78b3acba178bb446e47beb9f503cd19cd15a344ed"
     )
