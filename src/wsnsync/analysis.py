@@ -51,6 +51,7 @@ disagreement.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,15 @@ class MomentParams:
     max_drift_hz: float = 100.0
     step_size: float = 1.0
     delay_diff_var: float = 2e-10
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("beacon_period_s", "nominal_hz") and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if name in ("max_drift_hz", "delay_diff_var") and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
     @classmethod
     def from_delay_std(
@@ -287,31 +297,53 @@ def pairwise_oracle(
     if n_steps < 1 or n_runs < 1:
         raise ValueError("n_steps and n_runs must be >= 1")
     b, f, mu = p.beacon_period_s, p.nominal_hz, p.step_size
-    sigma_b = p.delay_std_s
+    f_max, sigma_b = p.max_drift_hz, p.delay_std_s
+    gain = mu / (b * f)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-    rate = np.full(n_runs, 1.0 / f if initial_rate is None else initial_rate)
-    beta_prev = gen.normal(0.0, sigma_b, n_runs)
+    # Each round evaluates
+    #   e    = rate * (b*f + b*U(-f_max, f_max)) - (b + beta - beta_prev)
+    #   rate = rate - mu/(b*f) * e
+    # in five preallocated buffers, one IEEE operation at a time in this
+    # order, so every element gets the bits the array expressions would
+    # give. numpy's uniform(lo, hi) is lo + (hi-lo)*u, and normal(0, s) is
+    # 0.0 + s*z, which differs from s*z only in the sign of a zero that
+    # b + beta (b > 0) then loses. See NOTES.md, "The oracle kernel".
+    rate = np.full(n_runs, 1.0 / f if initial_rate is None else initial_rate, dtype=float)
+    e = np.empty(n_runs)
+    t = np.empty(n_runs)
+    beta = np.empty(n_runs)
+    beta_prev = gen.standard_normal(n_runs)
+    beta_prev *= sigma_b
 
-    mean_e = np.empty(n_steps)
-    var_e = np.empty(n_steps)
-    mean_rate = np.empty(n_steps)
-    var_rate = np.empty(n_steps)
+    # rows mean_e, var_e, mean_rate, var_rate; each var as np.var computes it
+    stats = np.empty((4, n_steps))
     for k in range(n_steps):
-        w = b * gen.uniform(-p.max_drift_hz, p.max_drift_hz, n_runs)
-        beta = gen.normal(0.0, sigma_b, n_runs)
-        e = rate * (b * f + w) - (b + beta - beta_prev)
-        rate = rate - mu / (b * f) * e
-        beta_prev = beta
-        mean_e[k] = e.mean()
-        var_e[k] = e.var()
-        mean_rate[k] = rate.mean()
-        var_rate[k] = rate.var()
+        gen.random(out=t)
+        t *= 2.0 * f_max
+        t += -f_max
+        t *= b
+        t += b * f
+        t *= rate
+        gen.standard_normal(out=beta)
+        beta *= sigma_b
+        np.add(beta, b, out=e)
+        e -= beta_prev
+        np.subtract(t, e, out=e)
+        np.multiply(e, gain, out=t)
+        rate -= t
+        beta, beta_prev = beta_prev, beta
+        for row, x in ((0, e), (2, rate)):
+            m = np.add.reduce(x) / n_runs
+            np.subtract(x, m, out=t)
+            t *= t
+            stats[row, k] = m
+            stats[row + 1, k] = np.add.reduce(t) / n_runs
     return OracleTrace(
-        mean_e=mean_e,
-        var_e=var_e,
-        mean_rate=mean_rate,
-        var_rate=var_rate,
+        mean_e=stats[0],
+        var_e=stats[1],
+        mean_rate=stats[2],
+        var_rate=stats[3],
         n_runs=n_runs,
         nominal_hz=f,
     )

@@ -28,7 +28,9 @@ from pathlib import Path
 from . import analysis, metrics
 from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
-from .simulation import DelayModel, Topology, build_line_topology, run_simulation
+from .simulation import (
+    DelayModel, Topology, build_line_topology, check_schedule, run_simulation,
+)
 
 _RUN = ("run", "sweep")
 _ALL = ("run", "sweep", "validate-analysis")
@@ -213,9 +215,10 @@ def _parse(s: Setting, value):
     return value
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace, swept: Setting | None = None) -> dict:
     """Every config key and every setting of ``args.command``: its flag, else
-    its --config file entry, else the command's default."""
+    its --config file entry, else the command's default. ConfigError if the
+    ``swept`` setting, which a sweep sets per value, is given too."""
     loaded = {}
     if args.config:
         try:
@@ -227,6 +230,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = sorted(set(loaded) - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config file keys: {', '.join(unknown)}")
+    if swept and (getattr(args, swept.key) is not None or swept.key in loaded):
+        raise ConfigError(f"sweep --param {swept.sweep} sets {swept.key} "
+                          f"(--{swept.flag}) per value; do not give it too")
     cfg = {}
     for s in SETTINGS:
         if s.config or args.command in s.commands:
@@ -290,6 +296,8 @@ def _plan(cfg: dict) -> tuple[list[tuple[dict, ProtocolParams, int]], dict]:
     _check_distinct("protocol", [p.value for p in protocols])
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
+    check_schedule(cfg["duration_s"], cfg["sample_interval_s"], cfg["beacon_period_s"],
+                   cfg["boot_window_s"])
     sim_kwargs = {
         "topology": _parse_topology(cfg["topology"]),
         "osc_params": OscillatorParams(
@@ -366,6 +374,7 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --mu-grid {cfg['mu_grid']!r}")
     if not all(math.isfinite(m) for m in grid):
         raise ConfigError("--mu-grid must be finite")
+    _check_distinct("--mu-grid entry", grid)
     rate_offset = cfg["initial_rate_offset"]
     n_runs, n_steps, tail = cfg["oracle_runs"], cfg["oracle_steps"], cfg["tail"]
     if tail >= n_steps:
@@ -458,12 +467,12 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
     param = args.param
     if param not in SWEEPS:
         choices = ", ".join(sorted(SWEEPS))
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {choices}")
     setting = SWEEPS[param]
+    cfg = _resolve(args, setting)
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     try:
         values = [int(v) if param == "nodes" else setting.type(v) for v in raw_values]

@@ -393,6 +393,28 @@ class _Sim:
             self.queue.push(t + self.sample_interval, _SAMPLE)
 
 
+def check_schedule(duration_s: float, sample_interval_s: float,
+                   beacon_period_s: float, boot_window_s: float) -> None:
+    """ValueError unless duration and sample interval are finite and
+    positive, every node boots before the run ends, and the run schedules
+    at most MAX_PERIODS_PER_RUN sample frames and beacon rounds per node."""
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not 0 < sample_interval_s < math.inf:
+        raise ValueError(
+            f"sample_interval_s must be finite and positive, got {sample_interval_s}"
+        )
+    if not 0 <= boot_window_s < duration_s:
+        raise ValueError("boot_window_s must satisfy 0 <= window < duration")
+    for name, period in (("sample_interval_s", sample_interval_s),
+                         ("beacon_period_s", beacon_period_s)):
+        if duration_s / period > MAX_PERIODS_PER_RUN:
+            raise ValueError(
+                f"duration_s / {name} = {duration_s / period:.6g} exceeds the "
+                f"limit of {MAX_PERIODS_PER_RUN} per run"
+            )
+
+
 def run_simulation(
     topology: Topology,
     params: ProtocolParams,
@@ -411,24 +433,10 @@ def run_simulation(
     The trace is a pure function of the arguments: rerunning with the same
     values reproduces it exactly.
     """
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
-    if not 0 < sample_interval_s < math.inf:
-        raise ValueError(
-            f"sample_interval_s must be finite and positive, got {sample_interval_s}"
-        )
-    if not 0 <= boot_window_s < duration_s:
-        raise ValueError("boot_window_s must satisfy 0 <= window < duration")
+    check_schedule(duration_s, sample_interval_s, params.beacon_period_s, boot_window_s)
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    for name, period in (("sample_interval_s", sample_interval_s),
-                         ("beacon_period_s", params.beacon_period_s)):
-        if duration_s / period > MAX_PERIODS_PER_RUN:
-            raise ValueError(
-                f"duration_s / {name} = {duration_s / period:.6g} exceeds the "
-                f"limit of {MAX_PERIODS_PER_RUN} per run"
-            )
 
     sim = _Sim(
         topology, params, osc_params, delay_model, duration_s,

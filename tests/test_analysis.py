@@ -6,6 +6,8 @@ last 100 rounds. The closed forms must stay in agreement with them.
 """
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,28 @@ def test_moment_params_from_delay_std():
     p = MomentParams.from_delay_std(1e-5)
     assert p.delay_diff_var == pytest.approx(2e-10, rel=1e-15)
     assert p.delay_std_s == pytest.approx(1e-5, rel=1e-12)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beacon_period_s", 0.0), ("beacon_period_s", -30.0), ("beacon_period_s", np.inf),
+    ("nominal_hz", 0.0), ("nominal_hz", np.nan),
+    ("max_drift_hz", -1e-9), ("max_drift_hz", np.inf),
+    ("step_size", np.nan), ("step_size", -np.inf),
+    ("delay_diff_var", -1e-20), ("delay_diff_var", np.inf),
+])
+def test_moment_params_reject_bad_values(field: str, value: float):
+    with pytest.raises(ValueError, match=field):
+        MomentParams(**{field: value})
+
+
+def test_moment_params_accept_the_edges():
+    # zero drift and delay are the noiseless oracle; any finite step size is
+    # a parameter set to analyse, divergent or not
+    for kwargs in ({"max_drift_hz": 0.0, "delay_diff_var": 0.0},
+                   {"step_size": 0.0}, {"step_size": -1.0}, {"step_size": 2.5}):
+        MomentParams(**kwargs)
+    with pytest.raises(ValueError, match="delay_diff_var"):
+        MomentParams.from_delay_std(np.inf)
 
 
 def test_drift_integral_variance_formula():
@@ -232,6 +256,58 @@ def test_oracle_steady_state_matches_closed_forms():
                                           rel=0.1)
     assert ss["mean_e2"] == pytest.approx(asymptotic_error_variance(p),
                                           rel=0.1)
+
+
+def _reference_oracle(p: MomentParams, *, seed: int, n_steps: int, n_runs: int,
+                      initial_rate: float | None = None) -> np.ndarray:
+    """pairwise_oracle's rounds as whole-array expressions, one new array per
+    operation; rows mean_e, var_e, mean_rate, var_rate."""
+    b, f, mu = p.beacon_period_s, p.nominal_hz, p.step_size
+    sigma_b = p.delay_std_s
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rate = np.full(n_runs, 1.0 / f if initial_rate is None else initial_rate)
+    beta_prev = gen.normal(0.0, sigma_b, n_runs)
+    rows = []
+    for _ in range(n_steps):
+        w = b * gen.uniform(-p.max_drift_hz, p.max_drift_hz, n_runs)
+        beta = gen.normal(0.0, sigma_b, n_runs)
+        e = rate * (b * f + w) - (b + beta - beta_prev)
+        rate = rate - mu / (b * f) * e
+        beta_prev = beta
+        rows.append((e.mean(), e.var(), rate.mean(), rate.var()))
+    return np.array(rows).T
+
+
+def _oracle_bytes(tr) -> bytes:
+    return b"".join(np.asarray(a, "<f8").tobytes()
+                    for a in (tr.mean_e, tr.var_e, tr.mean_rate, tr.var_rate))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_runs=st.integers(1, 300),
+    n_steps=st.integers(1, 20),
+    mu=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+    f_max=st.floats(0.0, 1e3),
+    sigma_b=st.floats(0.0, 1e-2),
+    initial_rate=st.none() | st.floats(0.0, 2e-6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_equals_array_expressions_bit_for_bit(
+    n_runs, n_steps, mu, f_max, sigma_b, initial_rate, seed
+):
+    p = MomentParams.from_delay_std(sigma_b, max_drift_hz=f_max, step_size=mu)
+    kwargs = dict(seed=seed, n_steps=n_steps, n_runs=n_runs, initial_rate=initial_rate)
+    tr = pairwise_oracle(p, **kwargs)
+    assert _oracle_bytes(tr) == _reference_oracle(p, **kwargs).astype("<f8").tobytes()
+
+
+def test_oracle_matches_pinned_bytes():
+    # sha256 of the four float64 series, recorded before the in-place kernel
+    tr = pairwise_oracle(MomentParams(), seed=20260814, n_steps=300, n_runs=20000)
+    assert hashlib.sha256(_oracle_bytes(tr)).hexdigest() == (
+        "d803528cab6a342b7ae1d47def3a32d56f5af74f4f40b01f60e40c9e27d65d1a"
+    )
 
 
 def test_steady_state_stats_validates_tail():

@@ -333,6 +333,17 @@ def test_validate_analysis_rejects_bad_tail(tmp_path: Path, monkeypatch):
     assert not (tmp_path / "analysis.csv").exists()
 
 
+def test_validate_analysis_rejects_repeated_mu(tmp_path: Path, monkeypatch, capsys):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--mu-grid", "0.5,1.0,1"]
+    assert cli.main(args) == 2
+    assert "duplicate --mu-grid entry: 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "analysis.csv").exists()
+
+
 def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):
     base = ["validate-analysis", "--out-dir", str(tmp_path),
             "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
@@ -377,10 +388,44 @@ def test_sweep_rejects_bad_values(tmp_path: Path):
     # repeated values, after parsing, exit before any run
     for param, values in (("mu", "1.0,1.0"), ("nodes", "3,03"), ("nodes", "3,1")):
         args = ["sweep", "--param", param, "--values", values,
-                "--out-dir", str(tmp_path), "--topology", "line:3",
-                "--duration", "300", "--boot-window", "60"]
+                "--out-dir", str(tmp_path), "--duration", "300", "--boot-window", "60"]
         assert cli.main(args) == 2, values
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_sweep_rejects_the_setting_it_sweeps(tmp_path: Path, capsys):
+    # `--param nodes` sets the topology of every value to line:N, so a
+    # topology given by flag or config file would be dropped unseen
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"topology": "line:5"}))
+    out = tmp_path / "out"
+    for given in (["--topology", "line:4"], ["--config", str(config)]):
+        args = ["sweep", "--param", "nodes", "--values", "3", "--out-dir", str(out),
+                "--duration", "300", "--boot-window", "60", *given]
+        assert cli.main(args) == 2, given
+        err = capsys.readouterr().err
+        assert "--param nodes" in err and "topology (--topology)" in err
+    args = ["sweep", "--param", "mu", "--values", "0.5", "--mu", "0.3",
+            "--out-dir", str(out)]
+    assert cli.main(args) == 2
+    assert "mu (--mu)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_checks_every_schedule_before_any_run(tmp_path: Path, capsys):
+    # 1e-4 s beacons over 300 s exceed the per-run schedule budget; the
+    # 30 s value before it must not run either
+    args = ["sweep", "--param", "beacon-period", "--values", "30,1e-4",
+            "--gather-wait", "0", "--out-dir", str(tmp_path),
+            "--topology", "line:3", "--duration", "300", "--boot-window", "60"]
+    assert cli.main(args) == 2
+    assert "beacon_period_s" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    args = ["sweep", "--param", "mu", "--values", "0.5,1.0", "--out-dir", str(tmp_path),
+            "--topology", "line:3", "--duration", "300", "--boot-window", "300"]
+    assert cli.main(args) == 2
+    assert "boot_window_s" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
