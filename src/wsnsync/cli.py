@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -368,6 +369,7 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
     fmax, sigma_b = cfg["max_drift_hz"], cfg["delay_std_s"]
+    OscillatorParams(nominal_hz=f, max_drift_hz=fmax)  # run's drift rule
     try:
         grid = [float(m) for m in cfg["mu_grid"].split(",")]
     except ValueError:
@@ -399,7 +401,8 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
             "note": "", "worst_sigma": None, "final_sigma": None,
         }
         if not analysis.is_mean_convergent(model):
-            row["note"] = "divergent by design"
+            row["note"] = ("marginal by design (|1 - mu| = 1)" if abs(1.0 - mu) == 1.0
+                           else "divergent by design")
             rows.append(row)
             continue
         trace = analysis.pairwise_oracle(
@@ -498,8 +501,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             agg_rows.append({
                 "param": param, "value": value, "protocol": proto,
                 "n_runs": len(runs), "n_converged": len(conv),
-                "median_convergence_time_s": metrics._median(conv) if conv else None,
-                "median_steady_state_max_global_err_s": metrics._median(err) if err else None,
+                "median_convergence_time_s": statistics.median(conv) if conv else None,
+                "median_steady_state_max_global_err_s": statistics.median(err) if err else None,
             })
 
     resolved = {**cfg, "sweep_param": param, "sweep_values": values}

@@ -1,33 +1,37 @@
 """Error metrics over simulation traces.
 
 A trace is a time-ordered sequence of SampleFrame objects, each holding the
-per-node clock errors (logical minus true time, seconds) of the nodes booted
-at that sample instant.
+logical clock readings (seconds) of the nodes booted at that sample instant.
+A node's error is its reading minus true time, e_i = v_i - t, computed with
+that one subtraction wherever an error is read.
 """
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
 class SampleFrame:
-    """Snapshot of per-node clock errors at one sample instant."""
+    """Logical clock readings (node id -> seconds) of the nodes up at
+    true time time_s."""
 
     time_s: float
-    errors_s: dict[int, float]
-    logical_s: dict[int, float] | None = None
+    logical_s: dict[int, float]
 
 
 def max_global_error(frame: SampleFrame) -> float | None:
     """Spread between the fastest and slowest clock, max_i e_i - min_i e_i.
 
-    None when fewer than two nodes are up (no pair to compare).
+    Rounding v - t is monotone in v, so max(v) - t is exactly the largest
+    error. None when fewer than two nodes are up (no pair to compare).
     """
-    if len(frame.errors_s) < 2:
+    vals = frame.logical_s.values()
+    if len(vals) < 2:
         return None
-    vals = frame.errors_s.values()
-    return max(vals) - min(vals)
+    t = frame.time_s
+    return (max(vals) - t) - (min(vals) - t)
 
 
 def max_local_error(
@@ -35,10 +39,11 @@ def max_local_error(
 ) -> float | None:
     """Largest |e_i - e_j| over edges whose both endpoints are up."""
     worst: float | None = None
-    errs = frame.errors_s
+    t = frame.time_s
+    vals = frame.logical_s
     for i, j in edges:
-        if i in errs and j in errs:
-            d = abs(errs[i] - errs[j])
+        if i in vals and j in vals:
+            d = abs((vals[i] - t) - (vals[j] - t))
             if worst is None or d > worst:
                 worst = d
     return worst
@@ -96,15 +101,6 @@ class TraceSummary:
     peak_err_after_convergence_s: float | None
 
 
-def _median(values: list[float]) -> float:
-    vs = sorted(values)
-    n = len(vs)
-    mid = n // 2
-    if n % 2:
-        return vs[mid]
-    return 0.5 * (vs[mid - 1] + vs[mid])
-
-
 def summarize(
     frames: Sequence[SampleFrame],
     threshold_s: float,
@@ -122,4 +118,4 @@ def summarize(
     ]
     if not tail:
         return TraceSummary(t_conv, None, None)
-    return TraceSummary(t_conv, _median(tail), max(tail))
+    return TraceSummary(t_conv, statistics.median(tail), max(tail))

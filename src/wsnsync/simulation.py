@@ -222,17 +222,18 @@ class SimulationTrace:
         """Trace rows with the resolved config embedded as a comment header.
 
         Floats are written with repr (shortest round trip), so identical
-        runs serialize byte-identically.
+        runs serialize byte-identically. Rows follow each frame's readings,
+        which are taken in (sorted) node id order. error_seconds is the
+        reading minus the sample time, logical_value - true_time.
         """
         out.write("# config = " + json.dumps(self.config, sort_keys=True) + "\n")
         out.write(",".join(TRACE_COLUMNS) + "\n")
         for fr in self.frames:
-            ts = repr(fr.time_s)
-            logical = fr.logical_s or {}
-            errors = fr.errors_s
+            t = fr.time_s
+            ts = repr(t)
             out.write("".join([
-                f"{ts},{nid},{logical.get(nid)!r},{ts},{errors[nid]!r}\n"
-                for nid in sorted(errors)
+                f"{ts},{nid},{v!r},{ts},{v - t!r}\n"
+                for nid, v in fr.logical_s.items()
             ]))
 
 
@@ -375,7 +376,6 @@ class _Sim:
         self.rounds.append(RoundRecord(t, nid, e_new, new_rate, n_acks))
 
     def _sample(self, t: float, _: None) -> None:
-        errors: dict[int, float] = {}
         logical: dict[int, float] = {}
         for nid, node in self.nodes.items():
             if t < node.boot_time:
@@ -387,8 +387,7 @@ class _Sim:
                 hw.advance(t)
                 v = node.lc.read(hw.read_ticks())
             logical[nid] = v
-            errors[nid] = v - t
-        self.frames.append(SampleFrame(t, errors, logical))
+        self.frames.append(SampleFrame(t, logical))
         if t + self.sample_interval <= self.duration:
             self.queue.push(t + self.sample_interval, _SAMPLE)
 

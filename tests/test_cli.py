@@ -344,6 +344,31 @@ def test_validate_analysis_rejects_repeated_mu(tmp_path: Path, monkeypatch, caps
     assert not (tmp_path / "analysis.csv").exists()
 
 
+def test_validate_analysis_labels_marginal_step_sizes(tmp_path: Path, monkeypatch,
+                                                     capsys):
+    # at |1 - mu| = 1 the mean recursion neither converges nor diverges
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran for a non-convergent step size")
+
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--mu-grid", "0,2,2.2"]
+    assert cli.main(args) == 0
+    notes = [line.split("  ")[-1] for line in capsys.readouterr().out.splitlines()[1:4]]
+    assert notes == ["marginal by design (|1 - mu| = 1)"] * 2 + ["divergent by design"]
+
+
+def test_validate_analysis_rejects_drift_at_or_above_nominal(tmp_path: Path,
+                                                            monkeypatch, capsys):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--nominal-hz", "50"]
+    assert cli.main(args) == 2
+    assert "max_drift_hz" in capsys.readouterr().err
+    assert not (tmp_path / "analysis.csv").exists()
+
+
 def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):
     base = ["validate-analysis", "--out-dir", str(tmp_path),
             "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]

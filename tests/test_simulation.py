@@ -202,8 +202,8 @@ def test_ideal_run_has_exactly_zero_error():
     )
     assert len(trace.frames) == 64
     for fr in trace.frames:
-        assert fr.errors_s[1] == 0.0
-        assert fr.errors_s[2] == 0.0
+        assert fr.logical_s[1] == fr.time_s
+        assert fr.logical_s[2] == fr.time_s
 
 
 def test_two_node_ideal_run_follows_mean_recursion():
@@ -235,8 +235,8 @@ def test_gateway_error_is_identically_zero():
     trace = run_simulation(build_line_topology(4), params, osc_params=osc,
                            duration_s=900.0, boot_window_s=100.0, seed=5)
     for fr in trace.frames:
-        if 1 in fr.errors_s:
-            assert fr.errors_s[1] == 0.0
+        if 1 in fr.logical_s:
+            assert fr.logical_s[1] == fr.time_s
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +342,8 @@ def test_rounds_and_frames_are_well_formed(topo, seed, delay_std, boot_window):
     for r in trace.rounds:
         assert r.n_acks <= len(topo.neighbors[r.node_id])
     for fr in trace.frames:
-        assert all(math.isfinite(v) for v in fr.errors_s.values())
         assert all(math.isfinite(v) for v in fr.logical_s.values())
+        assert all(math.isfinite(v - fr.time_s) for v in fr.logical_s.values())
 
 
 @settings(max_examples=25, deadline=None)
@@ -377,7 +377,7 @@ def test_messages_to_powered_off_nodes_are_lost():
     for fr in trace.frames:
         for nid in trace.topology.node_ids:
             if fr.time_s < trace.boot_times[nid]:
-                assert nid not in fr.errors_s
+                assert nid not in fr.logical_s
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def test_trace_csv_structure():
     trace.write_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[1] == "sample_time,node_id,logical_value,true_time,error_seconds"
-    n_rows = sum(len(fr.errors_s) for fr in trace.frames)
+    n_rows = sum(len(fr.logical_s) for fr in trace.frames)
     assert len(lines) == 2 + n_rows
 
 
