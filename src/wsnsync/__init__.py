@@ -35,7 +35,6 @@ from .clocks import (
     OscillatorParams,
 )
 from .metrics import (
-    SampleFrame,
     TraceSummary,
     convergence_time,
     max_global_error,
@@ -77,7 +76,6 @@ __all__ = [
     "Protocol",
     "ProtocolParams",
     "RoundRecord",
-    "SampleFrame",
     "SimulationTrace",
     "Topology",
     "TraceSummary",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import math
@@ -324,27 +325,33 @@ def _plan(cfg: dict) -> tuple[list[tuple[dict, ProtocolParams, int]], dict]:
 
 def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
     """Run the planned jobs; write their traces and summary.csv to ``out``,
-    print the summary table and return its rows."""
-    workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_one, jobs))
-    else:
-        traces = [_run_one(j) for j in jobs]
+    print the summary table and return its rows.
 
+    Traces are taken one at a time, in job order: each is written,
+    summarized and dropped before the next is taken.
+    """
+    workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
     rows: list[dict] = []
-    for (_, run_params, seed), trace in zip(jobs, traces):
-        protocol = run_params.kind.value
-        with open(out / f"trace_{protocol}_{seed}.csv", "w", newline="\n") as fh:
-            trace.write_csv(fh)  # embeds its own resolved-config header
-        summ = metrics.summarize(
-            trace.frames,
-            threshold_s,
-            resolved["window"],
-            start_after=trace.boot_complete_time,
-        )
-        rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+    with contextlib.ExitStack() as stack:
+        traces = map(_run_one, jobs)
+        if workers > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+            traces = pool.map(_run_one, jobs)
+        for trace in traces:
+            protocol, seed = trace.config["protocol"], trace.config["seed"]
+            with open(out / f"trace_{protocol}_{seed}.csv", "w", newline="\n") as fh:
+                trace.write_csv(fh)  # embeds its own resolved-config header
+            summ = metrics.summarize(
+                trace.sample_times_s,
+                trace.logical_s,
+                threshold_s,
+                resolved["window"],
+                start_after=trace.boot_complete_time,
+            )
+            del trace  # before the next run starts
+            rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
     _write_csv(out / "summary.csv", resolved, SUMMARY_COLUMNS, rows)
 
     print(f"{'protocol':<12}{'seed':>6}{'mu':>14}{'conv_time_s':>14}"

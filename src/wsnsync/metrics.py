@@ -1,9 +1,9 @@
 """Error metrics over simulation traces.
 
-A trace is a time-ordered sequence of SampleFrame objects, each holding the
-logical clock readings (seconds) of the nodes booted at that sample instant.
-A node's error is its reading minus true time, e_i = v_i - t, computed with
-that one subtraction wherever an error is read.
+A trace is a sequence of sample times and a (samples x nodes) float64 array
+of logical clock readings (seconds), one row per sample, NaN where a node
+has not booted yet. A node's error is its reading minus true time,
+e_i = v_i - t, computed with that one subtraction wherever an error is read.
 """
 from __future__ import annotations
 
@@ -11,46 +11,41 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-
-@dataclass(frozen=True)
-class SampleFrame:
-    """Logical clock readings (node id -> seconds) of the nodes up at
-    true time time_s."""
-
-    time_s: float
-    logical_s: dict[int, float]
+import numpy as np
 
 
-def max_global_error(frame: SampleFrame) -> float | None:
-    """Spread between the fastest and slowest clock, max_i e_i - min_i e_i.
+def max_global_error(time_s: float, readings: np.ndarray) -> float | None:
+    """Spread between the fastest and slowest clock in one row of readings,
+    max_i e_i - min_i e_i.
 
     Rounding v - t is monotone in v, so max(v) - t is exactly the largest
     error. None when fewer than two nodes are up (no pair to compare).
     """
-    vals = frame.logical_s.values()
-    if len(vals) < 2:
+    up = [v for v in readings.tolist() if v == v]  # NaN: not up yet
+    if len(up) < 2:
         return None
-    t = frame.time_s
-    return (max(vals) - t) - (min(vals) - t)
+    return (max(up) - time_s) - (min(up) - time_s)
 
 
 def max_local_error(
-    frame: SampleFrame, edges: Iterable[tuple[int, int]]
+    time_s: float, readings: np.ndarray, edges: Iterable[tuple[int, int]]
 ) -> float | None:
-    """Largest |e_i - e_j| over edges whose both endpoints are up."""
+    """Largest |e_i - e_j| over edges (pairs of column indices) whose both
+    endpoints are up."""
     worst: float | None = None
-    t = frame.time_s
-    vals = frame.logical_s
+    vals = readings.tolist()
     for i, j in edges:
-        if i in vals and j in vals:
-            d = abs((vals[i] - t) - (vals[j] - t))
+        vi, vj = vals[i], vals[j]
+        if vi == vi and vj == vj:  # NaN: not up
+            d = abs((vi - time_s) - (vj - time_s))
             if worst is None or d > worst:
                 worst = d
     return worst
 
 
 def convergence_time(
-    frames: Sequence[SampleFrame],
+    times_s: Sequence[float],
+    readings: np.ndarray,
     threshold_s: float,
     window: int = 5,
     *,
@@ -60,7 +55,7 @@ def convergence_time(
     threshold_s for ``window`` consecutive samples.
 
     Samples at t < start_after (e.g. before the last node boots) are
-    excluded. Frames with an undefined global error (fewer than two nodes)
+    excluded. Samples with an undefined global error (fewer than two nodes)
     break any run in progress. Returns None when no qualifying window
     exists.
     """
@@ -70,13 +65,13 @@ def convergence_time(
         raise ValueError("window must be >= 1")
     run_start: float | None = None
     run_len = 0
-    for fr in frames:
-        if fr.time_s < start_after:
+    for t, row in zip(times_s, readings):
+        if t < start_after:
             continue
-        g = max_global_error(fr)
+        g = max_global_error(t, row)
         if g is not None and g < threshold_s:
             if run_len == 0:
-                run_start = fr.time_s
+                run_start = t
             run_len += 1
             if run_len >= window:
                 return run_start
@@ -102,19 +97,21 @@ class TraceSummary:
 
 
 def summarize(
-    frames: Sequence[SampleFrame],
+    times_s: Sequence[float],
+    readings: np.ndarray,
     threshold_s: float,
     window: int = 5,
     *,
     start_after: float = 0.0,
 ) -> TraceSummary:
-    t_conv = convergence_time(frames, threshold_s, window, start_after=start_after)
+    t_conv = convergence_time(times_s, readings, threshold_s, window,
+                              start_after=start_after)
     if t_conv is None:
         return TraceSummary(None, None, None)
     tail = [
         g
-        for fr in frames
-        if fr.time_s >= t_conv and (g := max_global_error(fr)) is not None
+        for t, row in zip(times_s, readings)
+        if t >= t_conv and (g := max_global_error(t, row)) is not None
     ]
     if not tail:
         return TraceSummary(t_conv, None, None)

@@ -22,6 +22,7 @@ absorbed-constant form used here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -63,16 +64,14 @@ class ProtocolParams:
     gather_wait_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.beacon_period_s > 0:
-            raise ValueError("beacon_period_s must be positive")
-        if not self.nominal_hz > 0:
-            raise ValueError("nominal_hz must be positive")
-        if not self.max_error_s > 0:
-            raise ValueError("max_error_s must be positive")
+        for name in ("beacon_period_s", "nominal_hz", "max_error_s", "step_size"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.beacon_period_s * self.nominal_hz < math.inf:
+            raise ValueError("beacon_period_s * nominal_hz (ticks per round) must be finite")
         if not 0 <= self.gather_wait_s < self.beacon_period_s:
             raise ValueError("gather_wait_s must satisfy 0 <= wait < beacon period")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
 
     def within_bound(self) -> bool:
         low, high = step_size_bound(self.kind, self.beacon_period_s, self.nominal_hz)

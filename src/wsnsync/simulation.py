@@ -42,7 +42,6 @@ from typing import IO, Iterator
 import numpy as np
 
 from .clocks import HardwareClock, LogicalClock, OscillatorParams
-from .metrics import SampleFrame
 from .protocols import ProtocolParams, rate_update
 
 TRACE_COLUMNS = ("sample_time", "node_id", "logical_value", "true_time", "error_seconds")
@@ -190,7 +189,7 @@ class NodeState:
     synced: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """Outcome of one averaging deadline at one node.
 
@@ -206,9 +205,19 @@ class RoundRecord:
     n_acks: int
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ would compare the readings arrays, whose
+# truth value is ambiguous.
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    frames: tuple[SampleFrame, ...]
+    """One run's samples and rounds.
+
+    logical_s holds one row per sample time and one column per node, in
+    topology.node_ids order: the node's logical clock reading (seconds) at
+    that true time, NaN before the node boots.
+    """
+
+    sample_times_s: tuple[float, ...]
+    logical_s: np.ndarray
     rounds: tuple[RoundRecord, ...]
     topology: Topology
     boot_times: dict[int, float]
@@ -222,18 +231,20 @@ class SimulationTrace:
         """Trace rows with the resolved config embedded as a comment header.
 
         Floats are written with repr (shortest round trip), so identical
-        runs serialize byte-identically. Rows follow each frame's readings,
-        which are taken in (sorted) node id order. error_seconds is the
-        reading minus the sample time, logical_value - true_time.
+        runs serialize byte-identically. Rows follow each sample's readings
+        in node id order, skipping nodes not yet booted. error_seconds is
+        the reading minus the sample time, logical_value - true_time.
         """
         out.write("# config = " + json.dumps(self.config, sort_keys=True) + "\n")
         out.write(",".join(TRACE_COLUMNS) + "\n")
-        for fr in self.frames:
-            t = fr.time_s
+        node_ids = self.topology.node_ids
+        for t, row in zip(self.sample_times_s, self.logical_s):
             ts = repr(t)
+            # one row at a time as Python floats: repr(np.float64) differs
             out.write("".join([
                 f"{ts},{nid},{v!r},{ts},{v - t!r}\n"
-                for nid, v in fr.logical_s.items()
+                for nid, v in zip(node_ids, row.tolist())
+                if v == v  # NaN: not booted
             ]))
 
 
@@ -255,7 +266,6 @@ class _Sim:
         self.params = params
         self.delay = delay
         self.duration = duration_s
-        self.sample_interval = sample_interval_s
 
         root = np.random.SeedSequence(seed)
         boot_ss, delay_ss, *node_ss = root.spawn(2 + len(topology.node_ids))
@@ -293,10 +303,19 @@ class _Sim:
             node = self.nodes[nid]
             if not node.is_gateway and node.boot_time <= duration_s:
                 self.queue.push(node.boot_time, _BEACON, nid)
-        if sample_interval_s <= duration_s:
-            self.queue.push(sample_interval_s, _SAMPLE)
+        # Sample k is due at the k-th partial sum of the interval, the float
+        # additions the schedule has always made, so row k of the readings
+        # is filled by the event that carries k.
+        times = []
+        t = sample_interval_s
+        while t <= duration_s:
+            times.append(t)
+            t += sample_interval_s
+        self.sample_times = tuple(times)
+        self.logical_s = np.full((len(times), len(self.nodes)), math.nan)
+        if times:
+            self.queue.push(times[0], _SAMPLE, 0)
 
-        self.frames: list[SampleFrame] = []
         self.rounds: list[RoundRecord] = []
 
     def run(self) -> None:
@@ -375,21 +394,20 @@ class _Sim:
         node.synced = True
         self.rounds.append(RoundRecord(t, nid, e_new, new_rate, n_acks))
 
-    def _sample(self, t: float, _: None) -> None:
-        logical: dict[int, float] = {}
-        for nid, node in self.nodes.items():
+    def _sample(self, t: float, k: int) -> None:
+        row = []
+        for node in self.nodes.values():  # topology.node_ids order
             if t < node.boot_time:
-                continue
-            if node.is_gateway:
-                v = t
+                row.append(math.nan)
+            elif node.is_gateway:
+                row.append(t)
             else:
                 hw = node.hw
                 hw.advance(t)
-                v = node.lc.read(hw.read_ticks())
-            logical[nid] = v
-        self.frames.append(SampleFrame(t, logical))
-        if t + self.sample_interval <= self.duration:
-            self.queue.push(t + self.sample_interval, _SAMPLE)
+                row.append(node.lc.read(hw.read_ticks()))
+        self.logical_s[k] = row
+        if k + 1 < len(self.sample_times):
+            self.queue.push(self.sample_times[k + 1], _SAMPLE, k + 1)
 
 
 def check_schedule(duration_s: float, sample_interval_s: float,
@@ -430,7 +448,9 @@ def run_simulation(
     """Simulate one protocol run over the given topology.
 
     The trace is a pure function of the arguments: rerunning with the same
-    values reproduces it exactly.
+    values reproduces it exactly. Every reading of a booted node is finite:
+    settings that drive a clock out of float range (a huge step size under
+    a wide guard, say) raise ValueError instead of returning inf or NaN.
     """
     check_schedule(duration_s, sample_interval_s, params.beacon_period_s, boot_window_s)
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
@@ -442,6 +462,17 @@ def run_simulation(
         sample_interval_s, boot_window_s, seed, initial_rate, initial_ticks,
     )
     sim.run()
+    boot_times = {nid: sim.nodes[nid].boot_time for nid in topology.node_ids}
+    booted = (np.array(sim.sample_times).reshape(-1, 1)
+              >= np.array(list(boot_times.values())))
+    overflowed = np.argwhere(booted & ~np.isfinite(sim.logical_s))
+    if overflowed.size:
+        k, col = overflowed[0]
+        raise ValueError(
+            f"node {topology.node_ids[col]} reads {sim.logical_s[k, col]} at "
+            f"t = {sim.sample_times[k]} s: the settings drive its clock out of "
+            "float range"
+        )
     config = {
         "protocol": params.kind.value,
         "step_size": params.step_size,
@@ -463,9 +494,10 @@ def run_simulation(
         "initial_ticks": initial_ticks,
     }
     return SimulationTrace(
-        frames=tuple(sim.frames),
+        sample_times_s=sim.sample_times,
+        logical_s=sim.logical_s,
         rounds=tuple(sim.rounds),
         topology=topology,
-        boot_times={nid: sim.nodes[nid].boot_time for nid in topology.node_ids},
+        boot_times=boot_times,
         config=config,
     )

@@ -178,7 +178,7 @@ def _comparison_run(kind: Protocol, seed: int):
         delay_model=DelayModel(std_s=1e-5), duration_s=12240.0,
         sample_interval_s=10.0, boot_window_s=300.0, seed=seed,
     )
-    return summarize(trace.frames, 1000.0 / F_HAT, 5,
+    return summarize(trace.sample_times_s, trace.logical_s, 1000.0 / F_HAT, 5,
                      start_after=trace.boot_complete_time)
 
 

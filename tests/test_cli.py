@@ -4,6 +4,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,46 @@ def test_rerun_is_byte_identical(tmp_path: Path):
     for name in ("trace_newton_1.csv", "trace_avgpisync_1.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     assert (d1 / "summary.csv").read_bytes() == (d2 / "summary.csv").read_bytes()
+
+
+def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
+    # each trace is written and released before the next run starts
+    real = cli.run_simulation
+    made: list[tuple[weakref.ref, Path]] = []
+
+    def tracked(*args, **kwargs):
+        for ref, path in made:
+            assert ref() is None
+            assert path.exists()
+        trace = real(*args, **kwargs)
+        name = f"trace_{trace.config['protocol']}_{trace.config['seed']}.csv"
+        made.append((weakref.ref(trace), tmp_path / name))
+        return trace
+
+    monkeypatch.setattr(cli, "run_simulation", tracked)
+    args = _run_args(tmp_path, "--protocol", "newton,grades", "--seed", "1..2")
+    assert cli.main(args) == 0
+    assert len(made) == 4
+    assert made[-1][0]() is None
+
+
+def test_parallel_jobs_write_the_same_bytes(tmp_path: Path):
+    spec = ("--protocol", "newton,grades", "--seed", "1..2")
+    assert cli.main(_run_args(tmp_path / "one", *spec, "--jobs", "1")) == 0
+    assert cli.main(_run_args(tmp_path / "two", *spec, "--jobs", "2")) == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert len(names) == 5
+    assert sorted(p.name for p in (tmp_path / "two").iterdir()) == names
+    for name in names:
+        one = (tmp_path / "one" / name).read_bytes()
+        two = (tmp_path / "two" / name).read_bytes()
+        if name == "summary.csv":  # its header records the jobs setting
+            cfg_one = _read_config_header(tmp_path / "one" / name)
+            cfg_two = _read_config_header(tmp_path / "two" / name)
+            assert (cfg_one.pop("jobs"), cfg_two.pop("jobs")) == (1, 2)
+            assert cfg_one == cfg_two
+            one, two = one.split(b"\n", 1)[1], two.split(b"\n", 1)[1]
+        assert one == two, name
 
 
 def test_multiple_protocols_and_seeds(tmp_path: Path):

@@ -1,6 +1,8 @@
 """Rate-update rules, published step-size bounds, and effective gains."""
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,22 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ProtocolParams(kind=Protocol.NEWTON, step_size=1.0,
                        beacon_period_s=30.0, gather_wait_s=30.0)
+
+
+@pytest.mark.parametrize("name", ["beacon_period_s", "nominal_hz", "max_error_s",
+                                  "step_size"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_params_reject_non_finite(name, bad):
+    # an infinite step size or beacon period once ran and gave NaN readings
+    # or an OverflowError from the simulator
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ProtocolParams(**{"kind": Protocol.NEWTON, "step_size": 1.0, name: bad})
+
+
+def test_params_reject_overflowing_ticks_per_round():
+    with pytest.raises(ValueError, match="ticks per round"):
+        ProtocolParams(kind=Protocol.NEWTON, step_size=1.0, beacon_period_s=1e300,
+                       nominal_hz=1e300)
 
 
 def test_zero_gather_wait_allowed():

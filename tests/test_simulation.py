@@ -10,9 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnsync import simulation
-from wsnsync.analysis import MeanStateModel, mean_trace
+from wsnsync.analysis import (
+    MeanStateModel,
+    MomentParams,
+    asymptotic_error_variance,
+    mean_trace,
+)
 from wsnsync.clocks import OscillatorParams
-from wsnsync.protocols import Protocol, ProtocolParams, default_step_size
+from wsnsync.protocols import Protocol, ProtocolParams, default_step_size, effective_gain
 from wsnsync.simulation import (
     DELAY_BLOCK,
     DelayModel,
@@ -159,6 +164,16 @@ def test_run_simulation_validates_arguments():
                            duration_s=1000.0, initial_rate=bad)
 
 
+def test_run_simulation_rejects_overflowing_clocks():
+    # a huge step size under a guard that never blocks it drives the rate,
+    # then the readings, to inf and NaN; the run is refused instead
+    params = ProtocolParams(kind=Protocol.GRADES, step_size=1e300, max_error_s=1e300)
+    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0)
+    with pytest.raises(ValueError, match="out of float range"):
+        run_simulation(build_line_topology(3), params, osc_params=osc,
+                       duration_s=300.0, boot_window_s=60.0, seed=1)
+
+
 def test_run_simulation_rejects_runaway_schedules(monkeypatch):
     # too many sample frames or beacon rounds per node is refused before
     # the simulator is built; exactly the limit is accepted
@@ -200,10 +215,10 @@ def test_ideal_run_has_exactly_zero_error():
         sample_interval_s=8.0, boot_window_s=0.0, seed=3,
         initial_ticks=0.0,
     )
-    assert len(trace.frames) == 64
-    for fr in trace.frames:
-        assert fr.logical_s[1] == fr.time_s
-        assert fr.logical_s[2] == fr.time_s
+    assert len(trace.sample_times_s) == 64
+    assert trace.logical_s.shape == (64, 2)
+    for t, row in zip(trace.sample_times_s, trace.logical_s.tolist()):
+        assert row == [t, t]
 
 
 def test_two_node_ideal_run_follows_mean_recursion():
@@ -228,15 +243,51 @@ def test_two_node_ideal_run_follows_mean_recursion():
     np.testing.assert_allclose(sim_rate, pred[:, 1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", list(Protocol))
+def test_noisy_drift_error_variance_matches_closed_form(kind):
+    # Drift on, delay off: with the drift resampled every beacon period and
+    # both anchored at the boot instant, each round integrates exactly one
+    # drift draw, as the second-moment model assumes. One analysis covers
+    # all three protocols through the effective gain. The delay term is left
+    # out: the model's D(k) = b(k) - b(k-1) differs from the simulator's
+    # per-message clamped delays (see NOTES.md).
+    b, f, f_max = 30.0, 1e6, 100.0
+    mu = default_step_size(kind, b, f)
+    params = ProtocolParams(kind=kind, step_size=mu, beacon_period_s=b,
+                            nominal_hz=f, max_error_s=1.0, gather_wait_s=0.0)
+    osc = OscillatorParams(nominal_hz=f, max_drift_hz=f_max, resample_interval_s=b)
+    per_seed = []
+    for seed in range(100):
+        trace = run_simulation(
+            build_line_topology(2), params, osc_params=osc,
+            delay_model=DelayModel(std_s=0.0), duration_s=3060.0,
+            sample_interval_s=3060.0, boot_window_s=0.0, seed=seed,
+            initial_ticks=0.0,
+        )
+        errors = [r.mean_offset_s for r in trace.rounds if r.node_id == 2][40:]
+        assert len(errors) == 63
+        per_seed.append(np.mean(np.square(errors)))
+    # rounds of one seed are correlated, seeds are independent
+    empirical = float(np.mean(per_seed))
+    std_err = float(np.std(per_seed, ddof=1)) / math.sqrt(len(per_seed))
+    predicted = asymptotic_error_variance(MomentParams(
+        beacon_period_s=b, nominal_hz=f, max_drift_hz=f_max,
+        step_size=effective_gain(kind, mu, b, f), delay_diff_var=0.0,
+    ))
+    assert std_err < 0.05 * predicted
+    assert abs(empirical - predicted) < 4.0 * std_err
+
+
 def test_gateway_error_is_identically_zero():
     params = _newton_params()
     osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
                            resample_interval_s=3600.0)
     trace = run_simulation(build_line_topology(4), params, osc_params=osc,
                            duration_s=900.0, boot_window_s=100.0, seed=5)
-    for fr in trace.frames:
-        if 1 in fr.logical_s:
-            assert fr.logical_s[1] == fr.time_s
+    gateway = trace.topology.node_ids.index(1)
+    for t, row in zip(trace.sample_times_s, trace.logical_s.tolist()):
+        if t >= trace.boot_times[1]:
+            assert row[gateway] == t
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +386,82 @@ def _property_run(topo: Topology, seed: int, delay_std: float, boot_window: floa
                           boot_window_s=boot_window, seed=seed)
 
 
+def _assert_finite_exactly_after_boot(trace) -> None:
+    # a reading (and its error) is finite from the node's boot on, NaN before
+    times = np.array(trace.sample_times_s)
+    boots = np.array([trace.boot_times[nid] for nid in trace.topology.node_ids])
+    up = times[:, None] >= boots[None, :]
+    assert trace.logical_s.shape == up.shape
+    assert np.array_equal(np.isfinite(trace.logical_s), up)
+    assert np.isfinite(trace.logical_s - times[:, None])[up].all()
+    assert np.isnan(trace.logical_s[~up]).all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(_connected_topologies(), _SEEDS, _DELAY_STDS, _BOOT_WINDOWS)
 def test_rounds_and_frames_are_well_formed(topo, seed, delay_std, boot_window):
     trace = _property_run(topo, seed, delay_std, boot_window)
     for r in trace.rounds:
         assert r.n_acks <= len(topo.neighbors[r.node_id])
-    for fr in trace.frames:
-        assert all(math.isfinite(v) for v in fr.logical_s.values())
-        assert all(math.isfinite(v - fr.time_s) for v in fr.logical_s.values())
+    _assert_finite_exactly_after_boot(trace)
+
+
+# Valid values of every setting of a run, over ranges that keep one run to
+# milliseconds; a drawn subset of settings is then replaced by a bad value.
+_VALID_SETTINGS = {
+    "step_size": st.floats(min_value=1e-3, max_value=4.0),
+    "beacon_period_s": st.floats(min_value=5.0, max_value=60.0),
+    "nominal_hz": st.floats(min_value=1e3, max_value=1e7),
+    "max_error_s": st.floats(min_value=1e-6, max_value=1.0),
+    "gather_wait_s": st.floats(min_value=0.0, max_value=2.0),
+    "osc_nominal_hz": st.floats(min_value=1e3, max_value=1e7),
+    "max_drift_hz": st.floats(min_value=0.0, max_value=100.0),
+    "resample_interval_s": st.floats(min_value=1.0, max_value=4000.0),
+    "std_s": st.floats(min_value=0.0, max_value=1.0),
+    "floor_s": st.floats(min_value=0.0, max_value=0.1),
+    "duration_s": st.floats(min_value=1.0, max_value=400.0),
+    "sample_interval_s": st.floats(min_value=1.0, max_value=100.0),
+    "boot_window_s": st.floats(min_value=0.0, max_value=400.0),
+    "initial_rate": st.none() | st.floats(min_value=-1.0, max_value=1.0),
+    "initial_ticks": st.none() | st.floats(min_value=0.0, max_value=1e9),
+}
+_BAD_VALUES = st.sampled_from([0.0, -1.0, 1e300, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _run_settings(draw):
+    cfg = {name: draw(valid) for name, valid in _VALID_SETTINGS.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=2)):
+        cfg[name] = draw(_BAD_VALUES)
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(Protocol), st.integers(min_value=2, max_value=4), _SEEDS,
+       st.booleans(), _run_settings())
+def test_settings_raise_or_give_finite_readings(kind, n, seed, quantize, cfg):
+    # every constructor on the way to a trace either refuses its input with
+    # ValueError or the run's readings are finite exactly where booted
+    try:
+        params = ProtocolParams(
+            kind=kind, step_size=cfg["step_size"],
+            beacon_period_s=cfg["beacon_period_s"], nominal_hz=cfg["nominal_hz"],
+            max_error_s=cfg["max_error_s"], gather_wait_s=cfg["gather_wait_s"],
+        )
+        osc = OscillatorParams(
+            nominal_hz=cfg["osc_nominal_hz"], max_drift_hz=cfg["max_drift_hz"],
+            resample_interval_s=cfg["resample_interval_s"], quantize_ticks=quantize,
+        )
+        delay = DelayModel(std_s=cfg["std_s"], floor_s=cfg["floor_s"])
+        trace = run_simulation(
+            build_line_topology(n), params, osc_params=osc, delay_model=delay,
+            duration_s=cfg["duration_s"], sample_interval_s=cfg["sample_interval_s"],
+            boot_window_s=cfg["boot_window_s"], seed=seed,
+            initial_rate=cfg["initial_rate"], initial_ticks=cfg["initial_ticks"],
+        )
+    except ValueError:
+        return
+    _assert_finite_exactly_after_boot(trace)
 
 
 @settings(max_examples=25, deadline=None)
@@ -373,11 +491,11 @@ def test_messages_to_powered_off_nodes_are_lost():
     empty = [r for r in trace.rounds if r.n_acks == 0]
     assert empty
     assert all(r.mean_offset_s is None and r.new_rate is None for r in empty)
-    # nodes never appear in frames sampled before their boot
-    for fr in trace.frames:
-        for nid in trace.topology.node_ids:
-            if fr.time_s < trace.boot_times[nid]:
-                assert nid not in fr.logical_s
+    # nodes read NaN in samples taken before their boot
+    assert np.isnan(trace.logical_s).any()
+    for t, row in zip(trace.sample_times_s, trace.logical_s.tolist()):
+        for nid, v in zip(trace.topology.node_ids, row):
+            assert (t < trace.boot_times[nid]) == math.isnan(v)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +550,7 @@ def test_trace_csv_structure():
     trace.write_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[1] == "sample_time,node_id,logical_value,true_time,error_seconds"
-    n_rows = sum(len(fr.logical_s) for fr in trace.frames)
+    n_rows = int(np.isfinite(trace.logical_s).sum())
     assert len(lines) == 2 + n_rows
 
 
