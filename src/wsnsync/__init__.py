@@ -1,15 +1,14 @@
 """Clock synchronization for wireless sensor networks.
 
-Drifting-oscillator clock models, flooding-style rate-and-offset
-synchronization protocols (a Newton-step rate update plus two classic
-rate-averaging baselines), closed-form convergence analysis with a Monte
+Drifting-oscillator clock models, rate-and-offset synchronization
+protocols in which each node averages its one-hop neighbours' offsets (a
+Newton-step rate update plus two classic rate-averaging baselines), closed-form convergence analysis with a Monte
 Carlo oracle, trace quality metrics, and a deterministic event-driven
 network simulator.
 """
 from __future__ import annotations
 
 from .analysis import (
-    MeanStateModel,
     MomentParams,
     NonconvergentMomentError,
     OracleTrace,
@@ -68,7 +67,6 @@ __all__ = [
     "DelayModel",
     "HardwareClock",
     "LogicalClock",
-    "MeanStateModel",
     "MomentParams",
     "NonconvergentMomentError",
     "OracleTrace",

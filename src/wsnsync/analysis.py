@@ -62,70 +62,22 @@ class NonconvergentMomentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# mean recursion
-
-
-@dataclass(frozen=True)
-class MeanStateModel:
-    """Parameters of the pairwise mean recursion."""
-
-    beacon_period_s: float = 30.0
-    nominal_hz: float = 1e6
-    step_size: float = 1.0
-
-    def transition_matrix(self) -> np.ndarray:
-        b, f, mu = self.beacon_period_s, self.nominal_hz, self.step_size
-        return np.array([[0.0, b * f], [0.0, 1.0 - mu]])
-
-    def offset_vector(self) -> np.ndarray:
-        b, f, mu = self.beacon_period_s, self.nominal_hz, self.step_size
-        return np.array([-b, mu / f])
-
-
-def mean_step(state: tuple[float, float], m: MeanStateModel) -> tuple[float, float]:
-    """One round of the mean recursion on (E[e], E[Delta])."""
-    _, d = state
-    b, f, mu = m.beacon_period_s, m.nominal_hz, m.step_size
-    return (b * f * d - b, (1.0 - mu) * d + mu / f)
-
-
-def eigenvalues(m: MeanStateModel) -> tuple[float, float]:
-    return (0.0, 1.0 - m.step_size)
-
-
-def is_mean_convergent(m: MeanStateModel) -> bool:
-    return 0.0 < m.step_size < 2.0
-
-
-def mean_fixed_point(m: MeanStateModel) -> tuple[float, float]:
-    return (0.0, 1.0 / m.nominal_hz)
-
-
-def mean_trace(
-    m: MeanStateModel, state0: tuple[float, float], n_steps: int
-) -> np.ndarray:
-    """Iterate mean_step n_steps times; rows are (E[e], E[Delta]) after each
-    step, shape (n_steps, 2)."""
-    out = np.empty((n_steps, 2))
-    s = state0
-    for k in range(n_steps):
-        s = mean_step(s, m)
-        out[k] = s
-    return out
-
-
-# ---------------------------------------------------------------------------
-# second moment and error variance
+# the pairwise model and its mean recursion
 
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Parameters of the second-moment recursion.
+    """Parameters of the pairwise model: the mean recursion reads B, f and
+    mu, the second-moment recursion all five.
 
     delay_diff_var: sigma_D^2, variance of the difference of two successive
     message delays. With i.i.d. delays of standard deviation sigma_b this is
     2*sigma_b^2 (use from_delay_std); the cross-covariance terms in the
-    closed forms assume that i.i.d. structure.
+    closed forms assume that i.i.d. structure. The event simulator draws
+    N(0, sigma^2) per message and clamps it at 0, and only the ack's delay
+    enters the measured offset; its match is
+    delay_diff_var = 2*sigma^2*(1/2 - 1/(2*pi)), twice the variance of a
+    clamped draw, not from_delay_std(sigma).
     """
 
     beacon_period_s: float = 30.0
@@ -168,6 +120,50 @@ class MomentParams:
     def drift_integral_var(self) -> float:
         """E[w^2]: variance of integrated drift over one round, (B*f_max)^2/3."""
         return (self.beacon_period_s * self.max_drift_hz) ** 2 / 3.0
+
+    def transition_matrix(self) -> np.ndarray:
+        b, f, mu = self.beacon_period_s, self.nominal_hz, self.step_size
+        return np.array([[0.0, b * f], [0.0, 1.0 - mu]])
+
+    def offset_vector(self) -> np.ndarray:
+        b, f, mu = self.beacon_period_s, self.nominal_hz, self.step_size
+        return np.array([-b, mu / f])
+
+
+def mean_step(state: tuple[float, float], p: MomentParams) -> tuple[float, float]:
+    """One round of the mean recursion on (E[e], E[Delta])."""
+    _, d = state
+    b, f, mu = p.beacon_period_s, p.nominal_hz, p.step_size
+    return (b * f * d - b, (1.0 - mu) * d + mu / f)
+
+
+def eigenvalues(p: MomentParams) -> tuple[float, float]:
+    return (0.0, 1.0 - p.step_size)
+
+
+def is_mean_convergent(p: MomentParams) -> bool:
+    return 0.0 < p.step_size < 2.0
+
+
+def mean_fixed_point(p: MomentParams) -> tuple[float, float]:
+    return (0.0, 1.0 / p.nominal_hz)
+
+
+def mean_trace(
+    p: MomentParams, state0: tuple[float, float], n_steps: int
+) -> np.ndarray:
+    """Iterate mean_step n_steps times; rows are (E[e], E[Delta]) after each
+    step, shape (n_steps, 2)."""
+    out = np.empty((n_steps, 2))
+    s = state0
+    for k in range(n_steps):
+        s = mean_step(s, p)
+        out[k] = s
+    return out
+
+
+# ---------------------------------------------------------------------------
+# second moment and error variance
 
 
 def second_moment_coefficients(p: MomentParams) -> tuple[float, float]:
@@ -366,8 +362,20 @@ def steady_state_stats(trace: OracleTrace, tail: int) -> dict[str, float]:
     }
 
 
+def _mean_sigma_series(
+    trace: OracleTrace, p: MomentParams, state0: tuple[float, float]
+) -> np.ndarray:
+    """Per round, the larger over (E[e], E[Delta]) of
+    |oracle mean - predicted mean| / stderr."""
+    pred = mean_trace(p, state0, len(trace.mean_e))
+    return np.maximum(
+        np.abs(trace.mean_e - pred[:, 0]) / np.maximum(trace.stderr_e, 1e-300),
+        np.abs(trace.mean_rate - pred[:, 1]) / np.maximum(trace.stderr_rate, 1e-300),
+    )
+
+
 def mean_agreement_max_sigma(
-    trace: OracleTrace, m: MeanStateModel, state0: tuple[float, float]
+    trace: OracleTrace, p: MomentParams, state0: tuple[float, float]
 ) -> float:
     """Largest |oracle mean - predicted mean| / stderr over all rounds and
     both state components.
@@ -376,29 +384,13 @@ def mean_agreement_max_sigma(
     brushes 4 by chance alone; gate pass/fail decisions on
     final_step_sigma instead.
     """
-    pred = mean_trace(m, state0, len(trace.mean_e))
-    worst = 0.0
-    for k in range(len(trace.mean_e)):
-        se_e = max(float(trace.stderr_e[k]), 1e-300)
-        se_r = max(float(trace.stderr_rate[k]), 1e-300)
-        worst = max(
-            worst,
-            abs(float(trace.mean_e[k]) - pred[k, 0]) / se_e,
-            abs(float(trace.mean_rate[k]) - pred[k, 1]) / se_r,
-        )
-    return worst
+    return float(_mean_sigma_series(trace, p, state0).max())
 
 
 def final_step_sigma(
-    trace: OracleTrace, m: MeanStateModel, state0: tuple[float, float]
+    trace: OracleTrace, p: MomentParams, state0: tuple[float, float]
 ) -> float:
     """|oracle mean - predicted mean| / stderr at the final round, the
     larger of the two state components. A single two-component comparison,
     so a 4-sigma gate has a negligible false-alarm rate."""
-    pred = mean_trace(m, state0, len(trace.mean_e))
-    se_e = max(float(trace.stderr_e[-1]), 1e-300)
-    se_r = max(float(trace.stderr_rate[-1]), 1e-300)
-    return max(
-        abs(float(trace.mean_e[-1]) - pred[-1, 0]) / se_e,
-        abs(float(trace.mean_rate[-1]) - pred[-1, 1]) / se_r,
-    )
+    return float(_mean_sigma_series(trace, p, state0)[-1])

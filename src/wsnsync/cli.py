@@ -388,57 +388,70 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     n_runs, n_steps, tail = cfg["oracle_runs"], cfg["oracle_steps"], cfg["tail"]
     if tail >= n_steps:
         raise ConfigError("--tail must be smaller than --oracle-steps")
+    # the mean check divides by the oracle's standard error, the variance
+    # check by its empirical variance; both are 0 without two noisy runs
+    if n_runs < 2:
+        raise ConfigError("--oracle-runs must be at least 2: one run has no standard error")
+    if fmax == 0 and sigma_b == 0:
+        raise ConfigError("--max-drift-hz and --delay-std are both 0: "
+                          "a noiseless oracle has no standard error")
     seeds = _parse_seeds(cfg["seed"])
     if len(seeds) != 1:
         raise ConfigError(f"validate-analysis takes one seed, got {cfg['seed']!r}")
     base_seed = seeds[0]
-    initial_rate = (1.0 + rate_offset) / f
+    models = [analysis.MomentParams.from_delay_std(
+        sigma_b, beacon_period_s=b, nominal_hz=f, max_drift_hz=fmax, step_size=mu,
+    ) for mu in grid]
+    state0 = (0.0, (1.0 + rate_offset) / f)
     out = _out_dir(args)
 
+    print(f"{'mu':>6}{'final sigma':>13}{'max sigma':>11}{'predicted_var':>16}"
+          f"{'empirical_var':>16}{'rel_err':>10}  note")
     rows = []
     failed = False
-    for idx, mu in enumerate(grid):
-        p = analysis.MomentParams.from_delay_std(
-            sigma_b, beacon_period_s=b, nominal_hz=f, max_drift_hz=fmax, step_size=mu,
-        )
-        model = analysis.MeanStateModel(b, f, mu)
-        row = {
-            "mu": mu, "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
-            "predicted_var": None, "empirical_var": None, "rel_err": None,
-            "note": "", "worst_sigma": None, "final_sigma": None,
-        }
-        if not analysis.is_mean_convergent(model):
-            row["note"] = ("marginal by design (|1 - mu| = 1)" if abs(1.0 - mu) == 1.0
-                           else "divergent by design")
-            rows.append(row)
-            continue
-        trace = analysis.pairwise_oracle(
-            p, seed=base_seed + 7919 * idx, n_steps=n_steps, n_runs=n_runs,
-            initial_rate=initial_rate,
-        )
-        # Pass/fail gates on the final-round ensemble means (one
-        # two-component comparison, so 4 sigma is a clean threshold);
-        # the max over every round is reported for context but would
-        # false-alarm a few percent of the time at the same threshold.
-        gate = analysis.final_step_sigma(trace, model, (0.0, initial_rate))
-        row["worst_sigma"] = analysis.mean_agreement_max_sigma(
-            trace, model, (0.0, initial_rate)
-        )
-        row["final_sigma"] = gate
-        if gate > 4.0:
-            row["note"] = "MEAN CHECK FAILED"
-            failed = True
-        ss = analysis.steady_state_stats(trace, tail)
-        try:
-            row["predicted_var"] = analysis.asymptotic_error_variance(p)
-            row["empirical_var"] = ss["mean_e2"]
-            row["rel_err"] = abs(row["predicted_var"] - row["empirical_var"]) / row[
-                "empirical_var"
-            ]
-        except analysis.NonconvergentMomentError:
-            row["note"] = (row["note"] + "; " if row["note"] else "") + "moment nonconvergent"
-        row["_variants"] = analysis.variant_moment_predictions(p)
+    for idx, p in enumerate(models):
+        row = {"mu": p.step_size, "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
+               "predicted_var": None, "empirical_var": None, "rel_err": None}
         rows.append(row)
+        final = worst = None
+        variants = {}
+        if not analysis.is_mean_convergent(p):
+            note = ("marginal by design (|1 - mu| = 1)" if abs(1.0 - p.step_size) == 1.0
+                    else "divergent by design")
+        else:
+            trace = analysis.pairwise_oracle(
+                p, seed=base_seed + 7919 * idx, n_steps=n_steps, n_runs=n_runs,
+                initial_rate=state0[1],
+            )
+            # Pass/fail gates on the final-round ensemble means (one
+            # two-component comparison, so 4 sigma is a clean threshold);
+            # the max over every round is reported for context but would
+            # false-alarm a few percent of the time at the same threshold.
+            final = analysis.final_step_sigma(trace, p, state0)
+            worst = analysis.mean_agreement_max_sigma(trace, p, state0)
+            note = ""
+            if final > 4.0:
+                note, failed = "MEAN CHECK FAILED", True
+            try:
+                predicted = analysis.asymptotic_error_variance(p)
+            except analysis.NonconvergentMomentError:
+                note = (note + "; " if note else "") + "moment nonconvergent"
+            else:
+                empirical = analysis.steady_state_stats(trace, tail)["mean_e2"]
+                row.update(predicted_var=predicted, empirical_var=empirical,
+                           rel_err=abs(predicted - empirical) / empirical)
+                variants = analysis.variant_moment_predictions(p)
+        print(f"{p.step_size:>6}{_cell(final, '.2f'):>13}{_cell(worst, '.2f'):>11}"
+              f"{_cell(row['predicted_var'], '.4e'):>16}"
+              f"{_cell(row['empirical_var'], '.4e'):>16}{_cell(row['rel_err'], '.2%'):>10}"
+              f"  {note}")
+        for name, pred in variants.items():
+            v = pred["var_e"]
+            if v != v:  # NaN: no finite fixed point
+                print(f"       variant {name}: no finite prediction")
+            else:
+                dis = abs(v - row["empirical_var"]) / row["empirical_var"]
+                print(f"       variant {name}: var {v:.4e} disagrees with oracle by {dis:.0%}")
 
     resolved = {
         "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
@@ -447,28 +460,6 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
         "initial_rate_offset": rate_offset,
     }
     _write_csv(out / "analysis.csv", resolved, ANALYSIS_COLUMNS, rows)
-
-    print(f"{'mu':>6}{'final sigma':>13}{'max sigma':>11}{'predicted_var':>16}"
-          f"{'empirical_var':>16}{'rel_err':>10}  note")
-    for r in rows:
-        fs = _cell(r["final_sigma"], ".2f")
-        ws = _cell(r["worst_sigma"], ".2f")
-        pv = _cell(r["predicted_var"], ".4e")
-        ev = _cell(r["empirical_var"], ".4e")
-        re_ = _cell(r["rel_err"], ".2%")
-        print(f"{r['mu']:>6}{fs:>13}{ws:>11}{pv:>16}{ev:>16}{re_:>10}  {r['note']}")
-        variants = r.get("_variants")
-        if variants and r["empirical_var"]:
-            for name, pred in variants.items():
-                v = pred["var_e"]
-                if v != v:  # NaN: no finite fixed point
-                    print(f"       variant {name}: no finite prediction")
-                else:
-                    dis = abs(v - r["empirical_var"]) / r["empirical_var"]
-                    print(
-                        f"       variant {name}: var {v:.4e} "
-                        f"disagrees with oracle by {dis:.0%}"
-                    )
     print(f"wrote analysis.csv to {out}")
     if failed:
         print("mean-recursion check FAILED (> 4 standard errors)", file=sys.stderr)

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from wsnsync.analysis import (
-    MeanStateModel,
     MomentParams,
     asymptotic_error_variance,
     mean_step,
@@ -68,7 +67,7 @@ def test_criterion_1_convergence_bound(capsys):
     t0 = time.perf_counter()
     iters: dict[float, int | None] = {}
     for mu in (0.1, 0.5, 1.0, 1.9, 2.0, 2.2):
-        m = MeanStateModel(beacon_period_s=B, nominal_hz=F_HAT, step_size=mu)
+        m = MomentParams(beacon_period_s=B, nominal_hz=F_HAT, step_size=mu)
         state = (0.0, 1.5e-6)
         found = None
         for k in range(10000):
@@ -89,7 +88,7 @@ def test_criterion_1_convergence_bound(capsys):
 
 def test_criterion_2_deadbeat_step(capsys):
     t0 = time.perf_counter()
-    m = MeanStateModel(beacon_period_s=B, nominal_hz=F_HAT, step_size=1.0)
+    m = MomentParams(beacon_period_s=B, nominal_hz=F_HAT, step_size=1.0)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(271828)))
     exact = 0
     for _ in range(100):
@@ -261,7 +260,7 @@ def test_criterion_7_small_instance_oracle_equivalence(capsys):
         initial_rate=d0, initial_ticks=0.0,
     )
     rounds = [r for r in trace.rounds if r.node_id == 2][:51]
-    pred = mean_trace(MeanStateModel(b, f, 1.0), (0.0, d0), 50)
+    pred = mean_trace(MomentParams(b, f, step_size=1.0), (0.0, d0), 50)
     mism = 0
     for k in range(1, 51):
         r = rounds[k]

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnsync.analysis import (
-    MeanStateModel,
     MomentParams,
     NonconvergentMomentError,
     asymptotic_error_variance,
@@ -43,7 +42,7 @@ ORACLE_MEAN_E2 = 6.000115881812696e-06
 
 
 def test_transition_matrix_and_offset():
-    m = MeanStateModel(beacon_period_s=30.0, nominal_hz=1e6, step_size=0.5)
+    m = MomentParams(beacon_period_s=30.0, nominal_hz=1e6, step_size=0.5)
     np.testing.assert_array_equal(m.transition_matrix(),
                                   [[0.0, 3e7], [0.0, 0.5]])
     np.testing.assert_array_equal(m.offset_vector(), [-30.0, 5e-7])
@@ -51,19 +50,19 @@ def test_transition_matrix_and_offset():
 
 def test_eigenvalues_zero_and_one_minus_mu():
     for mu in (0.1, 0.5, 1.0, 1.9, 2.2):
-        assert eigenvalues(MeanStateModel(step_size=mu)) == (0.0, 1.0 - mu)
+        assert eigenvalues(MomentParams(step_size=mu)) == (0.0, 1.0 - mu)
 
 
 def test_mean_convergence_interval():
-    assert not is_mean_convergent(MeanStateModel(step_size=0.0))
-    assert is_mean_convergent(MeanStateModel(step_size=0.1))
-    assert is_mean_convergent(MeanStateModel(step_size=1.999))
-    assert not is_mean_convergent(MeanStateModel(step_size=2.0))
-    assert not is_mean_convergent(MeanStateModel(step_size=2.2))
+    assert not is_mean_convergent(MomentParams(step_size=0.0))
+    assert is_mean_convergent(MomentParams(step_size=0.1))
+    assert is_mean_convergent(MomentParams(step_size=1.999))
+    assert not is_mean_convergent(MomentParams(step_size=2.0))
+    assert not is_mean_convergent(MomentParams(step_size=2.2))
 
 
 def test_fixed_point_is_stationary():
-    m = MeanStateModel()
+    m = MomentParams()
     fp = mean_fixed_point(m)
     assert fp == (0.0, 1e-6)
     e, d = mean_step(fp, m)
@@ -74,7 +73,7 @@ def test_fixed_point_is_stationary():
 def test_deadbeat_one_step_rate():
     # mu = 1 lands the mean rate on 1/f in a single application, exactly,
     # from any starting state.
-    m = MeanStateModel(step_size=1.0)
+    m = MomentParams(step_size=1.0)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(42)))
     for _ in range(100):
         d0 = float(gen.uniform(0.1e-6, 10e-6))
@@ -87,13 +86,13 @@ def test_deadbeat_one_step_rate():
 @given(st.floats(min_value=0.01, max_value=1.99),
        st.floats(min_value=-5e-6, max_value=5e-6))
 def test_rate_error_contracts_by_one_minus_mu(mu: float, dev: float):
-    m = MeanStateModel(step_size=mu)
+    m = MomentParams(step_size=mu)
     _, d1 = mean_step((0.0, 1e-6 + dev), m)
     assert d1 - 1e-6 == pytest.approx((1.0 - mu) * dev, rel=1e-9, abs=1e-20)
 
 
 def test_mean_trace_matches_repeated_steps():
-    m = MeanStateModel(step_size=0.7)
+    m = MomentParams(step_size=0.7)
     state = (2.0, 1.4e-6)
     tr = mean_trace(m, state, 5)
     s = state
@@ -103,7 +102,7 @@ def test_mean_trace_matches_repeated_steps():
 
 
 def test_divergence_outside_interval():
-    m = MeanStateModel(step_size=2.2)
+    m = MomentParams(step_size=2.2)
     s = (0.0, 1.5e-6)
     for _ in range(200):
         s = mean_step(s, m)
@@ -227,7 +226,7 @@ def test_oracle_is_deterministic():
 
 def test_oracle_noiseless_matches_mean_recursion_exactly():
     p = MomentParams(max_drift_hz=0.0, delay_diff_var=0.0)
-    m = MeanStateModel()
+    m = MomentParams()
     d0 = 1.3e-6
     tr = pairwise_oracle(p, seed=5, n_steps=30, n_runs=3, initial_rate=d0)
     pred = mean_trace(m, (0.0, d0), 30)
@@ -238,7 +237,7 @@ def test_oracle_noiseless_matches_mean_recursion_exactly():
 
 def test_oracle_ensemble_means_track_the_mean_recursion():
     p = MomentParams()
-    m = MeanStateModel()
+    m = MomentParams()
     d0 = 1.05e-6
     tr = pairwise_oracle(p, seed=77, n_steps=120, n_runs=8000,
                          initial_rate=d0)

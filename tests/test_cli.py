@@ -410,6 +410,26 @@ def test_validate_analysis_rejects_drift_at_or_above_nominal(tmp_path: Path,
     assert not (tmp_path / "analysis.csv").exists()
 
 
+def test_validate_analysis_rejects_zero_standard_error(tmp_path: Path, monkeypatch,
+                                                      capsys):
+    # one run, or no drift and no delay, leaves the oracle's standard error 0
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    base = ["validate-analysis", "--out-dir", str(tmp_path)]
+    for extra, flags in (
+        (["--oracle-runs", "1"], ["--oracle-runs"]),
+        (["--max-drift-hz", "0", "--delay-std", "0"], ["--max-drift-hz", "--delay-std"]),
+    ):
+        assert cli.main([*base, *extra]) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert all(flag in captured.err for flag in flags), captured.err
+    assert not (tmp_path / "analysis.csv").exists()
+
+
 def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):
     base = ["validate-analysis", "--out-dir", str(tmp_path),
             "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
@@ -539,6 +559,23 @@ def test_outputs_match_pinned_bytes(tmp_path: Path, monkeypatch, capsys):
     )
     assert _sha(validate_out.encode()) == (
         "e480d35a64c683f75c36c0a2ee3854f9ce4a4e38449a9059c143980f3c2a2344"
+    )
+
+
+def test_nonconvergent_moment_matches_pinned_bytes(tmp_path: Path, monkeypatch, capsys):
+    # at mu = 1.99 and this drift bound the mean recursion converges but the
+    # second moment does not: empty variance cells and no variant lines
+    monkeypatch.chdir(tmp_path)  # stdout names the relative out dir
+    assert cli.main(["validate-analysis", "--nominal-hz", "1000", "--max-drift-hz", "500",
+                     "--mu-grid", "1.99,1.0", "--oracle-runs", "2000",
+                     "--oracle-steps", "60", "--tail", "20", "--out-dir", "out"]) == 0
+    out = capsys.readouterr().out
+    assert "moment nonconvergent" in out
+    assert _sha(out.encode()) == (
+        "91139a1bb4025ecd9985695a1bb81d1f833248dbf16e0b68658659a13945f546"
+    )
+    assert _sha((tmp_path / "out" / "analysis.csv").read_bytes()) == (
+        "bd5200fc5d02dfc9592b390361e734ec0d54ba83d22b0aaced707a2725519c8d"
     )
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from wsnsync import simulation
 from wsnsync.analysis import (
-    MeanStateModel,
     MomentParams,
     asymptotic_error_variance,
     mean_trace,
@@ -236,7 +235,7 @@ def test_two_node_ideal_run_follows_mean_recursion():
     rounds = [r for r in trace.rounds if r.node_id == 2]
     assert len(rounds) == 41
     assert rounds[0].mean_offset_s == 0.0
-    pred = mean_trace(MeanStateModel(b, f, 1.0), (0.0, d0), len(rounds) - 1)
+    pred = mean_trace(MomentParams(b, f, step_size=1.0), (0.0, d0), len(rounds) - 1)
     sim_e = np.array([-r.mean_offset_s for r in rounds[1:]])
     sim_rate = np.array([r.new_rate for r in rounds[1:]])
     np.testing.assert_allclose(sim_e, pred[:, 0], rtol=1e-12, atol=1e-12)
@@ -245,37 +244,42 @@ def test_two_node_ideal_run_follows_mean_recursion():
 
 @pytest.mark.parametrize("kind", list(Protocol))
 def test_noisy_drift_error_variance_matches_closed_form(kind):
-    # Drift on, delay off: with the drift resampled every beacon period and
-    # both anchored at the boot instant, each round integrates exactly one
-    # drift draw, as the second-moment model assumes. One analysis covers
-    # all three protocols through the effective gain. The delay term is left
-    # out: the model's D(k) = b(k) - b(k-1) differs from the simulator's
-    # per-message clamped delays (see NOTES.md).
+    # With the drift resampled every beacon period and both anchored at the
+    # boot instant, each round integrates exactly one drift draw, as the
+    # second-moment model assumes. One analysis covers all three protocols
+    # through the effective gain. First case: drift on, delay off. Second:
+    # delay on too. The simulator clamps each message's N(0, sigma^2) delay
+    # at 0 and only the ack's delay enters the measured offset, so the
+    # model's delay_diff_var is twice the variance of a clamped draw, not
+    # 2*sigma^2 (see NOTES.md). The gather wait ends the last round after
+    # the run does, one round fewer.
     b, f, f_max = 30.0, 1e6, 100.0
     mu = default_step_size(kind, b, f)
-    params = ProtocolParams(kind=kind, step_size=mu, beacon_period_s=b,
-                            nominal_hz=f, max_error_s=1.0, gather_wait_s=0.0)
     osc = OscillatorParams(nominal_hz=f, max_drift_hz=f_max, resample_interval_s=b)
-    per_seed = []
-    for seed in range(100):
-        trace = run_simulation(
-            build_line_topology(2), params, osc_params=osc,
-            delay_model=DelayModel(std_s=0.0), duration_s=3060.0,
-            sample_interval_s=3060.0, boot_window_s=0.0, seed=seed,
-            initial_ticks=0.0,
-        )
-        errors = [r.mean_offset_s for r in trace.rounds if r.node_id == 2][40:]
-        assert len(errors) == 63
-        per_seed.append(np.mean(np.square(errors)))
-    # rounds of one seed are correlated, seeds are independent
-    empirical = float(np.mean(per_seed))
-    std_err = float(np.std(per_seed, ddof=1)) / math.sqrt(len(per_seed))
-    predicted = asymptotic_error_variance(MomentParams(
-        beacon_period_s=b, nominal_hz=f, max_drift_hz=f_max,
-        step_size=effective_gain(kind, mu, b, f), delay_diff_var=0.0,
-    ))
-    assert std_err < 0.05 * predicted
-    assert abs(empirical - predicted) < 4.0 * std_err
+    for sigma, gather_wait_s, n_rounds in ((0.0, 0.0, 63), (1e-3, 0.5, 62)):
+        params = ProtocolParams(kind=kind, step_size=mu, beacon_period_s=b, nominal_hz=f,
+                                max_error_s=1.0, gather_wait_s=gather_wait_s)
+        per_seed = []
+        for seed in range(100):
+            trace = run_simulation(
+                build_line_topology(2), params, osc_params=osc,
+                delay_model=DelayModel(std_s=sigma), duration_s=3060.0,
+                sample_interval_s=3060.0, boot_window_s=0.0, seed=seed,
+                initial_ticks=0.0,
+            )
+            errors = [r.mean_offset_s for r in trace.rounds if r.node_id == 2][40:]
+            assert len(errors) == n_rounds
+            per_seed.append(np.mean(np.square(errors)))
+        # rounds of one seed are correlated, seeds are independent
+        empirical = float(np.mean(per_seed))
+        std_err = float(np.std(per_seed, ddof=1)) / math.sqrt(len(per_seed))
+        predicted = asymptotic_error_variance(MomentParams(
+            beacon_period_s=b, nominal_hz=f, max_drift_hz=f_max,
+            step_size=effective_gain(kind, mu, b, f),
+            delay_diff_var=2.0 * sigma**2 * (0.5 - 1.0 / (2.0 * math.pi)),
+        ))
+        assert std_err < 0.05 * predicted
+        assert abs(empirical - predicted) < 4.0 * std_err
 
 
 def test_gateway_error_is_identically_zero():
