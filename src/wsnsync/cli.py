@@ -49,7 +49,8 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str:
 class Setting:
     """One setting: config key (also the argparse dest), flag, type (float,
     int, bool or str), default, allowed range (a RANGES key), help text,
-    the commands that take it and its `sweep --param` name."""
+    the commands that take it and its `sweep --param` name. A --config file
+    may set exactly the settings that `run` takes."""
 
     key: str
     flag: str
@@ -59,7 +60,6 @@ class Setting:
     help: str
     commands: tuple[str, ...] = _RUN
     sweep: str | None = None
-    config: bool = True  # settable from a --config file
     command_defaults: dict = dataclasses.field(default_factory=dict)
 
     def default_for(self, command: str):
@@ -105,18 +105,17 @@ SETTINGS = (
             "floor hardware tick readings to integers"),
     Setting("jobs", "jobs", int, 1, "at least 1", "parallel workers"),
     Setting("mu_grid", "mu-grid", str, "0.25,0.5,1.0,1.5,2.2", None,
-            "comma list of step sizes; 2.2 diverges by design", _VALIDATE, config=False),
+            "comma list of step sizes; 2.2 diverges by design", _VALIDATE),
     Setting("oracle_runs", "oracle-runs", int, 20000, "at least 1",
-            "Monte Carlo runs per step size", _VALIDATE, config=False),
+            "Monte Carlo runs per step size", _VALIDATE),
     Setting("oracle_steps", "oracle-steps", int, 300, "at least 1",
-            "rounds per oracle run", _VALIDATE, config=False),
+            "rounds per oracle run", _VALIDATE),
     Setting("tail", "tail", int, 100, "at least 1",
-            "steady-state averaging window in rounds, below oracle-steps",
-            _VALIDATE, config=False),
+            "steady-state averaging window in rounds, below oracle-steps", _VALIDATE),
     Setting("initial_rate_offset", "initial-rate-offset", float, 0.05, None,
-            "relative initial rate error fed to the oracle", _VALIDATE, config=False),
+            "relative initial rate error fed to the oracle", _VALIDATE),
 )
-CONFIG_KEYS = frozenset(s.key for s in SETTINGS if s.config)
+CONFIG_KEYS = frozenset(s.key for s in SETTINGS if "run" in s.commands)
 SWEEPS = {s.sweep: s for s in SETTINGS if s.sweep}
 
 SUMMARY_COLUMNS = (
@@ -237,7 +236,7 @@ def _resolve(args: argparse.Namespace, swept: Setting | None = None) -> dict:
                           f"(--{swept.flag}) per value; do not give it too")
     cfg = {}
     for s in SETTINGS:
-        if s.config or args.command in s.commands:
+        if s.key in CONFIG_KEYS or args.command in s.commands:
             value = getattr(args, s.key, None)
             if value is None:
                 value = loaded.get(s.key, s.default_for(args.command))
@@ -328,30 +327,38 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
     print the summary table and return its rows.
 
     Traces are taken one at a time, in job order: each is written,
-    summarized and dropped before the next is taken.
+    summarized and dropped before the next is taken. If a run fails, the
+    traces this call wrote are deleted before the error propagates.
     """
     workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
     rows: list[dict] = []
-    with contextlib.ExitStack() as stack:
-        traces = map(_run_one, jobs)
-        if workers > 1:
-            pool = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-            traces = pool.map(_run_one, jobs)
-        for trace in traces:
-            protocol, seed = trace.config["protocol"], trace.config["seed"]
-            with open(out / f"trace_{protocol}_{seed}.csv", "w", newline="\n") as fh:
-                trace.write_csv(fh)  # embeds its own resolved-config header
-            summ = metrics.summarize(
-                trace.sample_times_s,
-                trace.logical_s,
-                threshold_s,
-                resolved["window"],
-                start_after=trace.boot_complete_time,
-            )
-            del trace  # before the next run starts
-            rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+    written: list[Path] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            traces = map(_run_one, jobs)
+            if workers > 1:
+                pool = stack.enter_context(
+                    concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+                traces = pool.map(_run_one, jobs)
+            for trace in traces:
+                protocol, seed = trace.config["protocol"], trace.config["seed"]
+                written.append(out / f"trace_{protocol}_{seed}.csv")
+                with open(written[-1], "w", newline="\n") as fh:
+                    trace.write_csv(fh)  # embeds its own resolved-config header
+                summ = metrics.summarize(
+                    trace.sample_times_s,
+                    trace.logical_s,
+                    threshold_s,
+                    resolved["window"],
+                    start_after=trace.boot_complete_time,
+                )
+                del trace  # before the next run starts
+                rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+    except BaseException:  # interrupts too: leave no partial set of traces
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     _write_csv(out / "summary.csv", resolved, SUMMARY_COLUMNS, rows)
 
     print(f"{'protocol':<12}{'seed':>6}{'mu':>14}{'conv_time_s':>14}"
@@ -438,6 +445,10 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
                 note = (note + "; " if note else "") + "moment nonconvergent"
             else:
                 empirical = analysis.steady_state_stats(trace, tail)["mean_e2"]
+                if empirical == 0:  # rel_err and the variants divide by it
+                    raise ConfigError(
+                        f"the oracle's error variance at mu {p.step_size} is 0: --max-drift-hz "
+                        "and --delay-std give noise below float resolution")
                 row.update(predicted_var=predicted, empirical_var=empirical,
                            rel_err=abs(predicted - empirical) / empirical)
                 variants = analysis.variant_moment_predictions(p)
@@ -491,7 +502,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for raw, value, (jobs, resolved) in zip(raw_values, values, plans):
         sub_dir = out / f"{param.replace('-', '_')}_{raw}"
         sub_dir.mkdir(parents=True, exist_ok=True)
-        rows = _run_jobs(jobs, resolved, sub_dir)
+        try:
+            rows = _run_jobs(jobs, resolved, sub_dir)
+        except BaseException:
+            with contextlib.suppress(OSError):  # only an empty directory goes
+                sub_dir.rmdir()
+            raise
         for proto in sorted({r["protocol"] for r in rows}):
             runs = [r for r in rows if r["protocol"] == proto]
             conv = [c for r in runs if (c := r["convergence_time_s"]) is not None]

@@ -75,7 +75,8 @@ class HardwareClock:
         if initial_ticks < 0:
             raise ValueError("initial_ticks must be nonnegative")
         self.params = params
-        # Read on every advance; params is frozen, so cache the fields here.
+        # Read on every advance and read_ticks; params is frozen, so cache
+        # the fields here.
         self._nominal_hz = params.nominal_hz
         self._quantize = params.quantize_ticks
         self._rng = rng
@@ -101,18 +102,14 @@ class HardwareClock:
             return float(math.floor(self._ticks))
         return self._ticks
 
-    def advance(self, to_time: float) -> float:
-        """Run the oscillator forward to ``to_time``; return ticks elapsed.
-
-        Elapsed ticks are reported in the same (possibly quantized) view as
-        read_ticks().
-        """
+    def advance(self, to_time: float) -> None:
+        """Run the oscillator forward to ``to_time``."""
         now = self._now
         if to_time < now:
             raise ClockRegressionError(
                 f"advance to {to_time} before current time {now}"
             )
-        before = ticks = self._ticks
+        ticks = self._ticks
         rate = self._nominal_hz
         # Each constant-drift segment is accumulated separately so the
         # trajectory does not depend on call partitioning.
@@ -124,9 +121,6 @@ class HardwareClock:
         ticks += (rate + self._drift_hz) * (to_time - now)
         self._ticks = ticks
         self._now = to_time
-        if self._quantize:
-            return float(math.floor(ticks)) - float(math.floor(before))
-        return ticks - before
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Error metrics over simulation traces.
 
-A trace is a sequence of sample times and a (samples x nodes) float64 array
-of logical clock readings (seconds), one row per sample, NaN where a node
-has not booted yet. A node's error is its reading minus true time,
-e_i = v_i - t, computed with that one subtraction wherever an error is read.
+A trace is a sequence of ascending sample times and a (samples x nodes)
+float64 array of logical clock readings (seconds), one row per sample, NaN
+where a node has not booted yet. A node's error is its reading minus true
+time, e_i = v_i - t, computed with that one subtraction wherever an error is
+read. Each metric reduces the whole array to one value per sample, NaN where
+it is undefined; fmax/fmin skip NaN cells without a warning.
 """
 from __future__ import annotations
 
@@ -14,71 +16,55 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def max_global_error(time_s: float, readings: np.ndarray) -> float | None:
-    """Spread between the fastest and slowest clock in one row of readings,
-    max_i e_i - min_i e_i.
+def max_global_error(times_s: Sequence[float], readings: np.ndarray) -> np.ndarray:
+    """Per sample, the spread between the fastest and slowest clock that is
+    up, max_i e_i - min_i e_i.
 
     Rounding v - t is monotone in v, so max(v) - t is exactly the largest
-    error. None when fewer than two nodes are up (no pair to compare).
+    error. NaN where fewer than two nodes are up (no pair to compare).
     """
-    up = [v for v in readings.tolist() if v == v]  # NaN: not up yet
-    if len(up) < 2:
-        return None
-    return (max(up) - time_s) - (min(up) - time_s)
+    t = np.asarray(times_s, dtype=float)
+    spread = ((np.fmax.reduce(readings, axis=1, initial=np.nan) - t)
+              - (np.fmin.reduce(readings, axis=1, initial=np.nan) - t))
+    spread[np.count_nonzero(readings == readings, axis=1) < 2] = np.nan
+    return spread
 
 
 def max_local_error(
-    time_s: float, readings: np.ndarray, edges: Iterable[tuple[int, int]]
-) -> float | None:
-    """Largest |e_i - e_j| over edges (pairs of column indices) whose both
-    endpoints are up."""
-    worst: float | None = None
-    vals = readings.tolist()
-    for i, j in edges:
-        vi, vj = vals[i], vals[j]
-        if vi == vi and vj == vj:  # NaN: not up
-            d = abs((vi - time_s) - (vj - time_s))
-            if worst is None or d > worst:
-                worst = d
-    return worst
+    times_s: Sequence[float], readings: np.ndarray, edges: Iterable[tuple[int, int]]
+) -> np.ndarray:
+    """Per sample, the largest |e_i - e_j| over edges (pairs of column
+    indices) whose two ends are both up; NaN where no such edge exists."""
+    t = np.asarray(times_s, dtype=float)[:, None]
+    i, j = np.array(list(edges), dtype=np.intp).reshape(-1, 2).T
+    gaps = np.abs((readings[:, i] - t) - (readings[:, j] - t))
+    return np.fmax.reduce(gaps, axis=1, initial=np.nan)
 
 
 def convergence_time(
     times_s: Sequence[float],
-    readings: np.ndarray,
+    errors_s: np.ndarray,
     threshold_s: float,
     window: int = 5,
     *,
     start_after: float = 0.0,
 ) -> float | None:
-    """Earliest sample time from which max_global_error stays below
-    threshold_s for ``window`` consecutive samples.
+    """Earliest sample time from which the error series ``errors_s`` (one
+    value per sample, e.g. max_global_error) stays below threshold_s for
+    ``window`` consecutive samples.
 
     Samples at t < start_after (e.g. before the last node boots) are
-    excluded. Samples with an undefined global error (fewer than two nodes)
-    break any run in progress. Returns None when no qualifying window
-    exists.
+    excluded. An undefined (NaN) error breaks any run in progress. Returns
+    None when no qualifying window exists.
     """
     if threshold_s <= 0:
         raise ValueError("threshold_s must be positive")
     if window < 1:
         raise ValueError("window must be >= 1")
-    run_start: float | None = None
-    run_len = 0
-    for t, row in zip(times_s, readings):
-        if t < start_after:
-            continue
-        g = max_global_error(t, row)
-        if g is not None and g < threshold_s:
-            if run_len == 0:
-                run_start = t
-            run_len += 1
-            if run_len >= window:
-                return run_start
-        else:
-            run_start = None
-            run_len = 0
-    return None
+    below = (np.asarray(times_s) >= start_after) & (errors_s < threshold_s)
+    counts = np.concatenate(([0], np.cumsum(below)))
+    starts = np.flatnonzero(counts[window:] - counts[:-window] == window)
+    return times_s[starts[0]] if starts.size else None
 
 
 @dataclass(frozen=True)
@@ -104,15 +90,12 @@ def summarize(
     *,
     start_after: float = 0.0,
 ) -> TraceSummary:
-    t_conv = convergence_time(times_s, readings, threshold_s, window,
+    errors = max_global_error(times_s, readings)
+    t_conv = convergence_time(times_s, errors, threshold_s, window,
                               start_after=start_after)
     if t_conv is None:
         return TraceSummary(None, None, None)
-    tail = [
-        g
-        for t, row in zip(times_s, readings)
-        if t >= t_conv and (g := max_global_error(t, row)) is not None
-    ]
-    if not tail:
-        return TraceSummary(t_conv, None, None)
+    # nonempty: the converged window holds `window` defined samples
+    tail = errors[np.asarray(times_s) >= t_conv]
+    tail = tail[tail == tail].tolist()  # NaN: undefined
     return TraceSummary(t_conv, statistics.median(tail), max(tail))

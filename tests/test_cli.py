@@ -308,6 +308,30 @@ def test_parallel_jobs_write_the_same_bytes(tmp_path: Path):
         assert one == two, name
 
 
+# grades' step diverges and the huge guard never blocks it, so its clock
+# leaves float range after newton's run has been written
+_OVERFLOW = ("run", "--protocol", "newton,grades", "--mu", "1", "--e-max-ticks", "1e300",
+             "--topology", "line:3", "--boot-window", "60")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_run_leaves_no_trace(tmp_path: Path, capsys, jobs):
+    assert cli.main([*_OVERFLOW, "--jobs", jobs, "--out-dir", str(tmp_path)]) == 2
+    assert "out of float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_sweep_keeps_only_earlier_values(tmp_path: Path, capsys):
+    # the run of mu 1 fails as in _OVERFLOW; the earlier value's run completes
+    args = ["sweep", "--param", "mu", "--values", "0.5,1", "--protocol", "grades",
+            "--e-max-ticks", "1e300", "--topology", "line:3", "--boot-window", "60",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 2
+    assert "out of float range" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv"]
+
+
 def test_multiple_protocols_and_seeds(tmp_path: Path):
     args = _run_args(tmp_path, "--protocol", "newton,grades", "--seed",
                      "1..2")
@@ -427,6 +451,17 @@ def test_validate_analysis_rejects_zero_standard_error(tmp_path: Path, monkeypat
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert all(flag in captured.err for flag in flags), captured.err
+    assert not (tmp_path / "analysis.csv").exists()
+
+
+def test_validate_analysis_rejects_noise_below_float_resolution(tmp_path: Path, capsys):
+    # a 1e-300 Hz drift rounds away inside the oracle: its error variance is 0
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--max-drift-hz", "1e-300",
+            "--delay-std", "0", "--mu-grid", "1.0", "--oracle-runs", "500",
+            "--oracle-steps", "40", "--tail", "10"]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "below float resolution" in err
     assert not (tmp_path / "analysis.csv").exists()
 
 
