@@ -32,6 +32,7 @@ from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
 from .simulation import (
     DelayModel, Topology, build_line_topology, check_schedule, run_simulation,
+    write_csv_preamble,
 )
 
 _RUN = ("run", "sweep")
@@ -146,57 +147,52 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_distinct(what: str, items: list) -> None:
-    """ConfigError if ``items`` is empty or repeats an entry."""
-    if not items:
-        raise ConfigError(f"empty {what} list")
-    repeated = sorted({str(x) for x in items if items.count(x) > 1})
-    if repeated:
-        raise ConfigError(f"duplicate {what}: {', '.join(repeated)}")
+def _parse_list(flag: str, what: str, spec: str, convert) -> dict:
+    """Comma list ``spec`` as {converted entry: its text}, in order, skipping
+    empty entries. ConfigError naming ``flag`` (and ``what``, one entry) if
+    none is left, ``convert`` raises ValueError, or two entries are equal."""
+    values: dict = {}
+    try:
+        for text in (e.strip() for e in str(spec).split(",")):
+            if text:
+                value = convert(text)
+                if value in values:
+                    raise ValueError(f"duplicate {what}: {values[value]}")
+                values[value] = text
+        if not values:
+            raise ValueError(f"empty {what} list")
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {spec!r}: {exc}")
+    return values
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """'7' | '1,2,5' | '1..20' (inclusive range); nonempty, no repeats."""
+    """'7' | '1,2,5' | '1..20' (inclusive range); nonempty, nonnegative, no repeats."""
     spec = str(spec).strip()
-    if ".." in spec:
+    if ".." not in spec:
+        seeds = list(_parse_list("--seed", "seed", spec, int))
+    else:
         lo, _, hi = spec.partition("..")
         try:
-            a, b = int(lo), int(hi)
-        except ValueError:
-            raise ConfigError(f"bad seed range {spec!r}")
-        if b < a:
-            raise ConfigError(f"empty seed range {spec!r}")
-        return list(range(a, b + 1))
-    try:
-        seeds = [int(s) for s in spec.split(",") if s.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"bad seed list {spec!r}")
-    _check_distinct("seed", seeds)
+            seeds = list(range(int(lo), int(hi) + 1))
+        except ValueError as exc:
+            raise ConfigError(f"--seed {spec!r}: {exc}")
+    if not seeds:
+        raise ConfigError(f"--seed {spec!r}: empty seed range")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seed {spec!r}: seeds must be nonnegative")
     return seeds
 
 
 def _parse_topology(spec: str) -> Topology:
+    """line:N, or a JSON file in Topology.to_config's format."""
     spec = str(spec).strip()
-    if spec.startswith("line:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad topology {spec!r}")
-        if n < 2:
-            raise ConfigError("line topology needs at least 2 nodes")
-        return build_line_topology(n)
-    path = Path(spec)
-    if not path.is_file():
-        raise ConfigError(f"topology {spec!r} is neither line:N nor a file")
     try:
-        data = json.loads(path.read_text())
-        return Topology(
-            tuple(data["nodes"]),
-            tuple(tuple(e) for e in data["edges"]),
-            data["gateway"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad topology file {spec!r}: {exc}")
+        if spec.startswith("line:"):
+            return build_line_topology(int(spec[len("line:"):]))
+        return Topology.from_config(json.loads(Path(spec).read_text()))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad topology {spec!r}: {exc}")
 
 
 def _parse(s: Setting, value):
@@ -272,8 +268,7 @@ def _csv_field(value) -> str:
 
 def _write_csv(path: Path, config: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
-        fh.write(",".join(columns) + "\n")
+        write_csv_preamble(fh, config, columns)
         for r in rows:
             fh.write(",".join(_csv_field(r[c]) for c in columns) + "\n")
 
@@ -283,18 +278,23 @@ def _cell(value, spec: str, scale: float = 1.0) -> str:
     return "-" if value is None else format(value * scale, spec)
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}")
+    return path
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = getattr(args, "out_dir", None) or os.environ.get("WSNSYNC_OUT_DIR") or "out"
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    return _make_dir(Path(getattr(args, "out_dir", None)
+                          or os.environ.get("WSNSYNC_OUT_DIR") or "out"))
 
 
 def _plan(cfg: dict) -> tuple[list[tuple[dict, ProtocolParams, int]], dict]:
     """The (simulation kwargs, protocol params, seed) job of every run that
     ``cfg`` asks for, and the summary header that records them."""
-    protocols = [Protocol.parse(p) for p in cfg["protocol"].split(",")]
-    _check_distinct("protocol", [p.value for p in protocols])
+    protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
     check_schedule(cfg["duration_s"], cfg["sample_interval_s"], cfg["beacon_period_s"],
@@ -322,13 +322,19 @@ def _plan(cfg: dict) -> tuple[list[tuple[dict, ProtocolParams, int]], dict]:
     return [(sim_kwargs, params[p], s) for p in protocols for s in seeds], resolved
 
 
+def _staged(path: Path) -> Path:
+    """Where ``path`` is written until every run of its set has succeeded."""
+    return path.with_name(path.name + ".partial")
+
+
 def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
     """Run the planned jobs; write their traces and summary.csv to ``out``,
     print the summary table and return its rows.
 
     Traces are taken one at a time, in job order: each is written,
-    summarized and dropped before the next is taken. If a run fails, the
-    traces this call wrote are deleted before the error propagates.
+    summarized and dropped before the next is taken. Files are renamed from
+    their ``_staged`` paths after the last run succeeds; a failure deletes
+    the staged files and leaves ``out`` as it was.
     """
     workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
@@ -344,7 +350,7 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
             for trace in traces:
                 protocol, seed = trace.config["protocol"], trace.config["seed"]
                 written.append(out / f"trace_{protocol}_{seed}.csv")
-                with open(written[-1], "w", newline="\n") as fh:
+                with open(_staged(written[-1]), "w", newline="\n") as fh:
                     trace.write_csv(fh)  # embeds its own resolved-config header
                 summ = metrics.summarize(
                     trace.sample_times_s,
@@ -355,11 +361,14 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
                 )
                 del trace  # before the next run starts
                 rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
-    except BaseException:  # interrupts too: leave no partial set of traces
+        written.append(out / "summary.csv")
+        _write_csv(_staged(written[-1]), resolved, SUMMARY_COLUMNS, rows)
+    except BaseException:  # interrupts too: leave no staged file behind
         for path in written:
-            path.unlink(missing_ok=True)
+            _staged(path).unlink(missing_ok=True)
         raise
-    _write_csv(out / "summary.csv", resolved, SUMMARY_COLUMNS, rows)
+    for path in written:
+        _staged(path).replace(path)
 
     print(f"{'protocol':<12}{'seed':>6}{'mu':>14}{'conv_time_s':>14}"
           f"{'steady_err_us':>15}{'peak_err_us':>14}")
@@ -384,13 +393,9 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
     fmax, sigma_b = cfg["max_drift_hz"], cfg["delay_std_s"]
     OscillatorParams(nominal_hz=f, max_drift_hz=fmax)  # run's drift rule
-    try:
-        grid = [float(m) for m in cfg["mu_grid"].split(",")]
-    except ValueError:
-        raise ConfigError(f"bad --mu-grid {cfg['mu_grid']!r}")
-    if not all(math.isfinite(m) for m in grid):
-        raise ConfigError("--mu-grid must be finite")
-    _check_distinct("--mu-grid entry", grid)
+    grid = list(_parse_list("--mu-grid", "--mu-grid entry", cfg["mu_grid"], float))
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"--mu-grid {cfg['mu_grid']!r}: entries must be finite")
     rate_offset = cfg["initial_rate_offset"]
     n_runs, n_steps, tail = cfg["oracle_runs"], cfg["oracle_steps"], cfg["tail"]
     if tail >= n_steps:
@@ -485,12 +490,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {choices}")
     setting = SWEEPS[param]
     cfg = _resolve(args, setting)
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
-    try:
-        values = [int(v) if param == "nodes" else setting.type(v) for v in raw_values]
-    except ValueError:
-        raise ConfigError(f"bad --values {args.values!r}")
-    _check_distinct("sweep value", values)
+    values = _parse_list("--values", "sweep value", args.values,
+                         int if param == "nodes" else setting.type)
     # one resolved config per value, each checked before any run
     plans = [
         _plan({**cfg, setting.key: _parse(setting, f"line:{v}" if param == "nodes" else v)})
@@ -499,9 +500,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
 
     agg_rows = []
-    for raw, value, (jobs, resolved) in zip(raw_values, values, plans):
-        sub_dir = out / f"{param.replace('-', '_')}_{raw}"
-        sub_dir.mkdir(parents=True, exist_ok=True)
+    for (value, raw), (jobs, resolved) in zip(values.items(), plans):
+        sub_dir = _make_dir(out / f"{param.replace('-', '_')}_{raw}")
         try:
             rows = _run_jobs(jobs, resolved, sub_dir)
         except BaseException:
@@ -519,7 +519,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "median_steady_state_max_global_err_s": statistics.median(err) if err else None,
             })
 
-    resolved = {**cfg, "sweep_param": param, "sweep_values": values}
+    resolved = {**cfg, "sweep_param": param, "sweep_values": list(values)}
     _write_csv(out / "sweep.csv", resolved, SWEEP_COLUMNS, agg_rows)
     print(f"{'value':>10}{'protocol':>12}{'conv_time_s':>14}{'steady_err_us':>15}")
     for r in agg_rows:

@@ -30,7 +30,6 @@ boot times, drift trajectories and delay draws.
 """
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 import json
@@ -51,6 +50,9 @@ DELAY_BLOCK = 4096
 # Most sample frames, and most beacon rounds per node, that one run may
 # schedule; the defaults need 1224 and 408.
 MAX_PERIODS_PER_RUN = 10**6
+# Event kinds, which are also the priorities of simultaneous events (lower
+# runs first) and the indices of _Sim.run's handlers.
+DELIVERY, DEADLINE, BEACON, SAMPLE = range(4)
 
 
 @dataclass(frozen=True)
@@ -128,52 +130,44 @@ class Topology:
         return {i: tuple(sorted(v)) for i, v in adj.items()}
 
     def to_config(self) -> dict:
+        """The format of topology files and of a trace header's "topology"."""
         return {
             "nodes": list(self.node_ids),
             "edges": [list(e) for e in self.edges],
             "gateway": self.gateway,
         }
 
+    @classmethod
+    def from_config(cls, config: dict) -> Topology:
+        """The topology ``config``, in ``to_config``'s format, describes; else ValueError."""
+        try:
+            nodes, edges = tuple(config["nodes"]), tuple(map(tuple, config["edges"]))
+            return cls(nodes, edges, config["gateway"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a topology config: {exc!r}")
 
-def build_line_topology(n: int, *, gateway: int | None = None) -> Topology:
-    """Chain 1-2-...-n with the gateway at node 1 unless overridden."""
-    if n < 2:
-        raise ValueError("a line needs at least 2 nodes")
-    ids = tuple(range(1, n + 1))
-    edges = tuple((i, i + 1) for i in range(1, n))
-    return Topology(ids, edges, gateway if gateway is not None else 1)
 
-
-class EventKind(enum.IntEnum):
-    """Priority classes for simultaneous events; lower runs first."""
-
-    DELIVERY = 0
-    DEADLINE = 1
-    BEACON = 2
-    SAMPLE = 3
+def build_line_topology(n: int) -> Topology:
+    """Chain 1-2-...-n with the gateway at node 1."""
+    return Topology(tuple(range(1, n + 1)), tuple((i, i + 1) for i in range(1, n)), 1)
 
 
 class EventQueue:
     """Min-heap of (time, kind, insertion seq); FIFO within (time, kind)."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, EventKind, int, object]] = []
+        self._heap: list[tuple[float, int, int, object]] = []
         self._seq = itertools.count()
 
-    def push(self, time: float, kind: EventKind, data: object = None) -> None:
+    def push(self, time: float, kind: int, data: object = None) -> None:
         heapq.heappush(self._heap, (time, kind, next(self._seq), data))
 
-    def pop(self) -> tuple[float, EventKind, object]:
+    def pop(self) -> tuple[float, int, object]:
         time, kind, _, data = heapq.heappop(self._heap)
         return time, kind, data
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-# Reading a member off the enum class costs about ten times a global read,
-# and the event loop pushes an event for nearly every one it pops.
-_DELIVERY, _DEADLINE, _BEACON, _SAMPLE = EventKind
 
 
 @dataclass
@@ -203,6 +197,12 @@ class RoundRecord:
     mean_offset_s: float | None
     new_rate: float | None
     n_acks: int
+
+
+def write_csv_preamble(out: IO[str], config: dict, columns: tuple[str, ...]) -> None:
+    """Every output CSV's first two lines: `# config = <sorted JSON>`, then the columns."""
+    out.write("# config = " + json.dumps(config, sort_keys=True) + "\n")
+    out.write(",".join(columns) + "\n")
 
 
 # eq=False: a generated __eq__ would compare the readings arrays, whose
@@ -235,8 +235,7 @@ class SimulationTrace:
         in node id order, skipping nodes not yet booted. error_seconds is
         the reading minus the sample time, logical_value - true_time.
         """
-        out.write("# config = " + json.dumps(self.config, sort_keys=True) + "\n")
-        out.write(",".join(TRACE_COLUMNS) + "\n")
+        write_csv_preamble(out, self.config, TRACE_COLUMNS)
         node_ids = self.topology.node_ids
         for t, row in zip(self.sample_times_s, self.logical_s):
             ts = repr(t)
@@ -302,7 +301,7 @@ class _Sim:
         for nid in topology.node_ids:
             node = self.nodes[nid]
             if not node.is_gateway and node.boot_time <= duration_s:
-                self.queue.push(node.boot_time, _BEACON, nid)
+                self.queue.push(node.boot_time, BEACON, nid)
         # Sample k is due at the k-th partial sum of the interval, the float
         # additions the schedule has always made, so row k of the readings
         # is filled by the event that carries k.
@@ -314,12 +313,11 @@ class _Sim:
         self.sample_times = tuple(times)
         self.logical_s = np.full((len(times), len(self.nodes)), math.nan)
         if times:
-            self.queue.push(times[0], _SAMPLE, 0)
+            self.queue.push(times[0], SAMPLE, 0)
 
         self.rounds: list[RoundRecord] = []
 
     def run(self) -> None:
-        # indexed by kind: the order must match the EventKind values
         handlers = (self._deliver, self._deadline, self._beacon, self._sample)
         heap = self.queue._heap
         pop = self.queue.pop
@@ -339,7 +337,7 @@ class _Sim:
         d = self.delay.sample(self.delay_normals)
         if t + d <= self.duration:
             self.queue.push(
-                t + d, _DELIVERY, (receiver, sender, payload, round_deadline)
+                t + d, DELIVERY, (receiver, sender, payload, round_deadline)
             )
 
     def _beacon(self, t: float, nid: int) -> None:
@@ -347,9 +345,9 @@ class _Sim:
         for j in self.topology.neighbors[nid]:
             self._send(t, nid, j, None, deadline)
         if deadline <= self.duration:
-            self.queue.push(deadline, _DEADLINE, nid)
+            self.queue.push(deadline, DEADLINE, nid)
         if t + self.params.beacon_period_s <= self.duration:
-            self.queue.push(t + self.params.beacon_period_s, _BEACON, nid)
+            self.queue.push(t + self.params.beacon_period_s, BEACON, nid)
 
     def _deliver(self, t: float, msg: tuple[int, int, float | None, float]) -> None:
         receiver, sender, payload, round_deadline = msg
@@ -407,7 +405,7 @@ class _Sim:
                 row.append(node.lc.read(hw.read_ticks()))
         self.logical_s[k] = row
         if k + 1 < len(self.sample_times):
-            self.queue.push(self.sample_times[k + 1], _SAMPLE, k + 1)
+            self.queue.push(self.sample_times[k + 1], SAMPLE, k + 1)
 
 
 def check_schedule(duration_s: float, sample_interval_s: float,

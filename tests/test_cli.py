@@ -197,6 +197,73 @@ def test_empty_or_repeated_run_lists_exit_two(tmp_path: Path, capsys, flag, valu
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _list_flag_args(out: Path, flag: str, value: str) -> list[str]:
+    # the command that takes each comma-list flag, in a fast configuration
+    if flag == "--mu-grid":
+        return ["validate-analysis", "--out-dir", str(out), "--mu-grid", value,
+                "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
+    if flag == "--values":
+        return ["sweep", "--param", "mu", "--values", value, "--out-dir", str(out),
+                "--topology", "line:3", "--duration", "300", "--boot-window", "60"]
+    return _run_args(out, flag, value)
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", ",,", "empty seed list"),
+    ("--seed", "2,,2", "duplicate seed: 2"),
+    ("--seed", "1,x", "invalid literal"),
+    ("--protocol", ",", "empty protocol list"),
+    ("--protocol", "newton,,pisync,avgpisync", "duplicate protocol: pisync"),
+    ("--protocol", "newton,ntp", "unknown protocol 'ntp'"),
+    ("--mu-grid", " , ", "empty --mu-grid entry list"),
+    ("--mu-grid", "1.0,,1", "duplicate --mu-grid entry: 1.0"),
+    ("--mu-grid", "1.0,x", "could not convert"),
+    ("--values", ",", "empty sweep value list"),
+    ("--values", "0.5,,0.50", "duplicate sweep value: 0.5"),
+    ("--values", "0.5,x", "could not convert"),
+])
+def test_list_flags_reject_empty_repeated_or_bad_lists(tmp_path: Path, capsys, flag, value,
+                                                      message):
+    # one rule for every comma list: the error names the flag and the list
+    assert cli.main(_list_flag_args(tmp_path, flag, value)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} {value!r}: ")
+    assert message in captured.err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_list_flags_skip_empty_entries(tmp_path: Path):
+    for flag, value, output, key, expected in (
+        ("--seed", "1,,2", "summary.csv", "seeds", [1, 2]),
+        ("--protocol", "newton,", "summary.csv", "protocols", ["newton"]),
+        ("--mu-grid", "1.0,,0.5", "analysis.csv", "mu_grid", [1.0, 0.5]),
+        ("--values", ",0.5,,1.0", "sweep.csv", "sweep_values", [0.5, 1.0]),
+    ):
+        out = tmp_path / flag.strip("-")
+        assert cli.main(_list_flag_args(out, flag, value)) == 0, flag
+        assert _read_config_header(out / output)[key] == expected, flag
+
+
+@pytest.mark.parametrize("command,seed", [
+    ("run", "1,-1"), ("run", "-1..2"), ("validate-analysis", "-1"),
+    ("validate-analysis", "-2..-1"),
+])
+def test_negative_seeds_exit_before_any_run(tmp_path: Path, monkeypatch, capsys, command,
+                                            seed):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the seeds were checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_run)
+    assert cli.main([command, "--out-dir", str(tmp_path), f"--seed={seed}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --seed {seed!r}: ")
+    assert "nonnegative" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate_analysis_rejects_empty_seed_list(tmp_path: Path, capsys):
     args = ["validate-analysis", "--out-dir", str(tmp_path), "--seed", ",",
             "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
@@ -269,7 +336,8 @@ def test_rerun_is_byte_identical(tmp_path: Path):
 
 
 def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
-    # each trace is written and released before the next run starts
+    # each trace is written, to its staged path, and released before the
+    # next run starts
     real = cli.run_simulation
     made: list[tuple[weakref.ref, Path]] = []
 
@@ -279,7 +347,7 @@ def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
             assert path.exists()
         trace = real(*args, **kwargs)
         name = f"trace_{trace.config['protocol']}_{trace.config['seed']}.csv"
-        made.append((weakref.ref(trace), tmp_path / name))
+        made.append((weakref.ref(trace), cli._staged(tmp_path / name)))
         return trace
 
     monkeypatch.setattr(cli, "run_simulation", tracked)
@@ -319,6 +387,16 @@ def test_failed_run_leaves_no_trace(tmp_path: Path, capsys, jobs):
     assert cli.main([*_OVERFLOW, "--jobs", jobs, "--out-dir", str(tmp_path)]) == 2
     assert "out of float range" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_rerun_leaves_the_earlier_files(tmp_path: Path, capsys, jobs):
+    assert cli.main(_run_args(tmp_path, "--protocol", "newton,grades")) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["summary.csv", "trace_grades_1.csv", "trace_newton_1.csv"]
+    assert cli.main([*_OVERFLOW, "--jobs", jobs, "--out-dir", str(tmp_path)]) == 2
+    assert "out of float range" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_failed_sweep_keeps_only_earlier_values(tmp_path: Path, capsys):
@@ -547,6 +625,29 @@ def test_sweep_checks_every_schedule_before_any_run(tmp_path: Path, capsys):
     assert cli.main(args) == 2
     assert "boot_window_s" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+_FAST_SWEEP = ("sweep", "--param", "mu", "--topology", "line:3", "--duration", "300",
+               "--boot-window", "60")
+
+
+@pytest.mark.parametrize("args,blocked", [
+    (("run", "--topology", "line:3", "--duration", "300", "--boot-window", "60"), ""),
+    ((*_FAST_SWEEP, "--values", "0.5"), ""),
+    ((*_FAST_SWEEP, "--values", "0.5,1.0"), "mu_1.0"),
+    (("validate-analysis", "--mu-grid", "2.2"), ""),
+])
+def test_uncreatable_out_dir_exits_two(tmp_path: Path, capsys, args, blocked):
+    # a file where the output directory, or a sweep value's, would go
+    out = tmp_path / "out"
+    if blocked:
+        out.mkdir()
+    in_the_way = out / blocked
+    in_the_way.write_text("not a directory\n")
+    assert cli.main([*args, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {in_the_way}: ")
+    assert in_the_way.read_text() == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import numpy as np
@@ -18,9 +19,12 @@ from wsnsync.analysis import (
 from wsnsync.clocks import OscillatorParams
 from wsnsync.protocols import Protocol, ProtocolParams, default_step_size, effective_gain
 from wsnsync.simulation import (
+    BEACON,
+    DEADLINE,
     DELAY_BLOCK,
+    DELIVERY,
+    SAMPLE,
     DelayModel,
-    EventKind,
     EventQueue,
     Topology,
     build_line_topology,
@@ -86,10 +90,24 @@ def test_large_line_topology_builds_and_validates():
 
 def test_topology_to_config_round_trip():
     topo = build_line_topology(4)
-    cfg = topo.to_config()
-    again = Topology(tuple(cfg["nodes"]),
-                     tuple(tuple(e) for e in cfg["edges"]), cfg["gateway"])
-    assert again == topo
+    assert Topology.from_config(topo.to_config()) == topo
+    # a topology file: a star around gateway 2, edges in any order
+    star = Topology((1, 2, 3, 4), ((3, 2), (2, 1), (4, 2)), 2)
+    text = json.dumps({"nodes": [4, 3, 2, 1], "edges": [[2, 4], [1, 2], [2, 3]],
+                       "gateway": 2})
+    assert Topology.from_config(json.loads(text)) == star
+    assert Topology.from_config(json.loads(json.dumps(star.to_config()))) == star
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"nodes": [1, 2], "edges": [[1, 2]]}, "not a topology config: KeyError.'gateway'"),
+    ({"nodes": 2, "edges": [[1, 2]], "gateway": 1}, "not a topology config: TypeError"),
+    ([1, 2], "not a topology config: TypeError"),
+    ({"nodes": [1], "edges": [], "gateway": 1}, "at least two nodes"),
+])
+def test_topology_from_config_rejects_bad_configs(config, message):
+    with pytest.raises(ValueError, match=message):
+        Topology.from_config(config)
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +138,19 @@ def test_block_drawn_delays_equal_scalar_draws():
 
 def test_event_queue_priority_classes():
     q = EventQueue()
-    q.push(5.0, EventKind.SAMPLE, "s")
-    q.push(5.0, EventKind.BEACON, "b")
-    q.push(5.0, EventKind.DELIVERY, "d")
-    q.push(5.0, EventKind.DEADLINE, "x")
-    q.push(4.0, EventKind.SAMPLE, "early")
+    q.push(5.0, SAMPLE, "s")
+    q.push(5.0, BEACON, "b")
+    q.push(5.0, DELIVERY, "d")
+    q.push(5.0, DEADLINE, "x")
+    q.push(4.0, SAMPLE, "early")
     order = [q.pop()[2] for _ in range(len(q))]
     assert order == ["early", "d", "x", "b", "s"]
 
 
 def test_event_queue_fifo_within_class():
     q = EventQueue()
-    q.push(1.0, EventKind.BEACON, "first")
-    q.push(1.0, EventKind.BEACON, "second")
+    q.push(1.0, BEACON, "first")
+    q.push(1.0, BEACON, "second")
     assert q.pop()[2] == "first"
     assert q.pop()[2] == "second"
 
