@@ -15,8 +15,8 @@ delays b ~ N(0, sigma_b^2) affecting successive received reference values,
 so Var[D] = sigma_D^2 = 2*sigma_b^2 and successive D's are correlated.
 
 Mean recursion. Taking expectations, the state (E[e], E[Delta]) evolves
-linearly with transition matrix [[0, B*f], [0, 1-mu]] and offset
-[-B, mu/f]; eigenvalues are 0 and 1-mu, so the mean converges iff
+linearly with transition matrix [[0, B*f], [0, 1-mu]], of spectrum
+{0, 1-mu}, and offset [-B, mu/f], so the mean converges iff
 0 < mu < 2, to the fixed point (0, 1/f). mu = 1 reaches E[Delta] = 1/f in a
 single step.
 
@@ -121,14 +121,6 @@ class MomentParams:
         """E[w^2]: variance of integrated drift over one round, (B*f_max)^2/3."""
         return (self.beacon_period_s * self.max_drift_hz) ** 2 / 3.0
 
-    def transition_matrix(self) -> np.ndarray:
-        b, f, mu = self.beacon_period_s, self.nominal_hz, self.step_size
-        return np.array([[0.0, b * f], [0.0, 1.0 - mu]])
-
-    def offset_vector(self) -> np.ndarray:
-        b, f, mu = self.beacon_period_s, self.nominal_hz, self.step_size
-        return np.array([-b, mu / f])
-
 
 def mean_step(state: tuple[float, float], p: MomentParams) -> tuple[float, float]:
     """One round of the mean recursion on (E[e], E[Delta])."""
@@ -137,16 +129,8 @@ def mean_step(state: tuple[float, float], p: MomentParams) -> tuple[float, float
     return (b * f * d - b, (1.0 - mu) * d + mu / f)
 
 
-def eigenvalues(p: MomentParams) -> tuple[float, float]:
-    return (0.0, 1.0 - p.step_size)
-
-
 def is_mean_convergent(p: MomentParams) -> bool:
     return 0.0 < p.step_size < 2.0
-
-
-def mean_fixed_point(p: MomentParams) -> tuple[float, float]:
-    return (0.0, 1.0 / p.nominal_hz)
 
 
 def mean_trace(
@@ -173,12 +157,6 @@ def second_moment_coefficients(p: MomentParams) -> tuple[float, float]:
     a = (1.0 - mu) ** 2 + mu * mu * drift
     c = mu * mu * drift + mu**3 * p.delay_diff_var / (b * b)
     return a, c
-
-
-def second_moment_step(z2: float, p: MomentParams) -> float:
-    """One round of the steady-state-form second-moment recursion."""
-    a, c = second_moment_coefficients(p)
-    return a * z2 + c
 
 
 def second_moment_fixed_point(p: MomentParams) -> float:

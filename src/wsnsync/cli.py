@@ -88,6 +88,8 @@ SETTINGS = (
             "line:N or JSON topology file", sweep="nodes"),
     Setting("mu", "mu", float, None, "positive",
             "step size for all protocols; unset, each protocol uses its own", sweep="mu"),
+    # Twice the error a bounded drift can build up between two rounds,
+    # 2*B*f_max/f: 6 ms at the 100 Hz drift bound, 6000 ticks at 1 MHz.
     Setting("e_max_ticks", "e-max-ticks", float, 6000.0, "positive",
             "rate-update guard threshold in ticks"),
     Setting("gather_wait_s", "gather-wait", float, 1.0, "nonnegative",
@@ -334,7 +336,8 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
     Traces are taken one at a time, in job order: each is written,
     summarized and dropped before the next is taken. Files are renamed from
     their ``_staged`` paths after the last run succeeds; a failure deletes
-    the staged files and leaves ``out`` as it was.
+    the staged files and leaves ``out`` as it was. Traces in ``out`` that
+    this run did not write are kept and named in a warning.
     """
     workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
@@ -369,6 +372,10 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
         raise
     for path in written:
         _staged(path).replace(path)
+    stale = sorted(p.name for p in out.glob("trace_*.csv") if p not in written)
+    if stale:  # left in place: never delete what this run did not write
+        print(f"warning: {out} also holds trace files this run did not write: "
+              f"{', '.join(stale)}", file=sys.stderr)
 
     print(f"{'protocol':<12}{'seed':>6}{'mu':>14}{'conv_time_s':>14}"
           f"{'steady_err_us':>15}{'peak_err_us':>14}")

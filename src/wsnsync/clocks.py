@@ -72,8 +72,12 @@ class HardwareClock:
         start_time: float = 0.0,
         initial_ticks: float = 0.0,
     ) -> None:
-        if initial_ticks < 0:
-            raise ValueError("initial_ticks must be nonnegative")
+        if not math.isfinite(start_time):
+            raise ValueError(f"start_time must be finite, got {start_time}")
+        if not 0 <= initial_ticks < math.inf:
+            raise ValueError(
+                f"initial_ticks must be finite and nonnegative, got {initial_ticks}"
+            )
         self.params = params
         # Read on every advance and read_ticks; params is frozen, so cache
         # the fields here.
@@ -89,14 +93,6 @@ class HardwareClock:
         m = self.params.max_drift_hz
         return float(self._rng.uniform(-m, m))
 
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def current_drift_hz(self) -> float:
-        return self._drift_hz
-
     def read_ticks(self) -> float:
         if self._quantize:
             return float(math.floor(self._ticks))
@@ -105,7 +101,7 @@ class HardwareClock:
     def advance(self, to_time: float) -> None:
         """Run the oscillator forward to ``to_time``."""
         now = self._now
-        if to_time < now:
+        if not to_time >= now:  # NaN too
             raise ClockRegressionError(
                 f"advance to {to_time} before current time {now}"
             )
@@ -137,7 +133,7 @@ class LogicalClock:
     anchor_ticks: float = 0.0
 
     def read(self, at_ticks: float) -> float:
-        if at_ticks < self.anchor_ticks:
+        if not at_ticks >= self.anchor_ticks:  # NaN too
             raise ClockRegressionError(
                 f"read at {at_ticks} before anchor {self.anchor_ticks}"
             )

@@ -78,45 +78,17 @@ class ProtocolParams:
         return low < self.step_size < high
 
 
-def nominal_interval_ticks(beacon_period_s: float, nominal_hz: float) -> float:
-    """Expected hardware ticks per beacon period, B*f."""
-    return beacon_period_s * nominal_hz
-
-
-def newton_rate_update(rate: float, error_s: float, p: ProtocolParams) -> float:
-    """rate - mu * e / (B*f); the measured error scaled by the inverse of the
-    error-vs-rate slope, so mu=1 cancels the measured rate error outright."""
-    return rate - p.step_size * error_s / nominal_interval_ticks(
-        p.beacon_period_s, p.nominal_hz
-    )
-
-
-def grades_rate_update(rate: float, error_s: float, p: ProtocolParams) -> float:
-    """rate - mu * e * B*f, a raw gradient step on the squared error."""
-    return rate - p.step_size * error_s * nominal_interval_ticks(
-        p.beacon_period_s, p.nominal_hz
-    )
-
-
-def avgpisync_rate_update(rate: float, error_s: float, p: ProtocolParams) -> float:
-    """rate - mu * e, a plain proportional step."""
-    return rate - p.step_size * error_s
-
-
-_UPDATES = {
-    Protocol.NEWTON: newton_rate_update,
-    Protocol.GRADES: grades_rate_update,
-    Protocol.AVGPISYNC: avgpisync_rate_update,
-}
-
-
 def rate_update(rate: float, error_s: float, p: ProtocolParams) -> float:
-    """Dispatch to the rule selected by p.kind.
+    """The rule selected by p.kind, as given in the module docstring.
 
     error_s is the node's own clock error (own minus reference); positive
     error means the node runs fast and the rate is reduced.
     """
-    return _UPDATES[p.kind](rate, error_s, p)
+    if p.kind is Protocol.NEWTON:
+        return rate - p.step_size * error_s / (p.beacon_period_s * p.nominal_hz)
+    if p.kind is Protocol.GRADES:
+        return rate - p.step_size * error_s * (p.beacon_period_s * p.nominal_hz)
+    return rate - p.step_size * error_s
 
 
 def step_size_bound(
@@ -124,7 +96,7 @@ def step_size_bound(
 ) -> tuple[float, float]:
     """Published open interval (0, upper) of step sizes with guaranteed
     mean convergence."""
-    bf = nominal_interval_ticks(beacon_period_s, nominal_hz)
+    bf = beacon_period_s * nominal_hz
     if kind is Protocol.NEWTON:
         return (0.0, 2.0)
     if kind is Protocol.GRADES:
@@ -137,7 +109,7 @@ def effective_gain(
 ) -> float:
     """Per-round gain on the rate error; the noiseless pairwise mean error
     contracts by (1 - gain) each round, so stability requires 0 < gain < 2."""
-    bf = nominal_interval_ticks(beacon_period_s, nominal_hz)
+    bf = beacon_period_s * nominal_hz
     if kind is Protocol.NEWTON:
         return step_size
     if kind is Protocol.GRADES:
@@ -155,17 +127,10 @@ def default_step_size(
     per round), standing in for the cautious adaptive steppers the original
     protocols use; both sit inside their published bounds.
     """
-    bf = nominal_interval_ticks(beacon_period_s, nominal_hz)
+    bf = beacon_period_s * nominal_hz
     if kind is Protocol.NEWTON:
         return 1.0
     if kind is Protocol.GRADES:
         return 0.15 / (bf * bf)
     return 0.2 / bf
 
-
-def default_max_error_s(
-    beacon_period_s: float, nominal_hz: float, max_drift_hz: float
-) -> float:
-    """Guard threshold 2*B*max_drift/f: twice the largest error a bounded
-    drift can accumulate between two successive sync rounds."""
-    return 2.0 * beacon_period_s * max_drift_hz / nominal_hz

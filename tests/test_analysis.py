@@ -17,17 +17,14 @@ from wsnsync.analysis import (
     MomentParams,
     NonconvergentMomentError,
     asymptotic_error_variance,
-    eigenvalues,
     final_step_sigma,
     is_mean_convergent,
     mean_agreement_max_sigma,
-    mean_fixed_point,
     mean_step,
     mean_trace,
     pairwise_oracle,
     second_moment_coefficients,
     second_moment_fixed_point,
-    second_moment_step,
     steady_state_stats,
     variant_moment_predictions,
 )
@@ -41,16 +38,25 @@ ORACLE_MEAN_E2 = 6.000115881812696e-06
 # mean recursion
 
 
+def _mean_map(m: MomentParams) -> tuple[np.ndarray, np.ndarray]:
+    # NOTES' transition matrix A and offset b of the mean recursion
+    b, f, mu = m.beacon_period_s, m.nominal_hz, m.step_size
+    return np.array([[0.0, b * f], [0.0, 1.0 - mu]]), np.array([-b, mu / f])
+
+
 def test_transition_matrix_and_offset():
-    m = MomentParams(beacon_period_s=30.0, nominal_hz=1e6, step_size=0.5)
-    np.testing.assert_array_equal(m.transition_matrix(),
-                                  [[0.0, 3e7], [0.0, 0.5]])
-    np.testing.assert_array_equal(m.offset_vector(), [-30.0, 5e-7])
+    for mu in (0.5, 1.0, 1.7):
+        m = MomentParams(beacon_period_s=30.0, nominal_hz=1e6, step_size=mu)
+        a, b = _mean_map(m)
+        for s in ((0.0, 1e-6), (2.0, 1.4e-6), (-7.5, 0.9e-6), (1e3, 3e-6)):
+            assert np.array_equal(mean_step(s, m), a @ np.array(s) + b)
 
 
 def test_eigenvalues_zero_and_one_minus_mu():
     for mu in (0.1, 0.5, 1.0, 1.9, 2.2):
-        assert eigenvalues(MomentParams(step_size=mu)) == (0.0, 1.0 - mu)
+        a, _ = _mean_map(MomentParams(step_size=mu))
+        np.testing.assert_allclose(sorted(np.linalg.eigvals(a).real),
+                                   sorted((0.0, 1.0 - mu)), rtol=0, atol=1e-12)
 
 
 def test_mean_convergence_interval():
@@ -62,12 +68,10 @@ def test_mean_convergence_interval():
 
 
 def test_fixed_point_is_stationary():
+    # the fixed point (E[e], E[Delta]) = (0, 1/f)
     m = MomentParams()
-    fp = mean_fixed_point(m)
-    assert fp == (0.0, 1e-6)
-    e, d = mean_step(fp, m)
-    assert abs(e) < 1e-13
-    assert d == fp[1]
+    fp = (0.0, 1.0 / m.nominal_hz)
+    assert mean_step(fp, m) == fp
 
 
 def test_deadbeat_one_step_rate():
@@ -162,7 +166,8 @@ def test_second_moment_coefficients_at_defaults():
 def test_second_moment_step_and_fixed_point_consistent():
     p = MomentParams(step_size=0.5)
     z2 = second_moment_fixed_point(p)
-    assert second_moment_step(z2, p) == pytest.approx(z2, rel=1e-12)
+    a, c = second_moment_coefficients(p)
+    assert a * z2 + c == pytest.approx(z2, rel=1e-12)
 
 
 def test_nonconvergent_moment_raises():

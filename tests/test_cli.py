@@ -419,6 +419,34 @@ def test_multiple_protocols_and_seeds(tmp_path: Path):
     assert (tmp_path / "trace_grades_2.csv").exists()
 
 
+def _warnings(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("warning:")]
+
+
+def test_rerun_names_traces_it_did_not_write(tmp_path: Path, capsys):
+    assert cli.main(_run_args(tmp_path, "--seed", "1..3")) == 0
+    assert cli.main(_run_args(tmp_path, "--seed", "1..3")) == 0
+    assert _warnings(capsys.readouterr().err) == []  # the same set again
+    assert cli.main(_run_args(tmp_path, "--seed", "1..2")) == 0
+    (warning,) = _warnings(capsys.readouterr().err)
+    assert warning.endswith(": trace_newton_3.csv")
+    assert (tmp_path / "trace_newton_3.csv").exists()  # kept, never deleted
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 4
+
+
+def test_sweep_names_traces_each_value_did_not_write(tmp_path: Path, capsys):
+    args = ["sweep", "--param", "mu", "--values", "0.5,1.0", "--topology", "line:3",
+            "--duration", "300", "--boot-window", "60", "--out-dir", str(tmp_path)]
+    assert cli.main([*args, "--seed", "1..2"]) == 0
+    capsys.readouterr()
+    assert cli.main([*args, "--seed", "1"]) == 0
+    warnings = _warnings(capsys.readouterr().err)
+    assert len(warnings) == 2
+    for warning, sub_dir in zip(warnings, ("mu_0.5", "mu_1.0")):
+        assert sub_dir in warning and warning.endswith(": trace_newton_2.csv")
+        assert (tmp_path / sub_dir / "trace_newton_2.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate-analysis command
 

@@ -57,11 +57,26 @@ def test_params_reject_non_finite(bad):
 # HardwareClock
 
 
+def _segment_drift(hw: HardwareClock, now: float, dt: float) -> float:
+    """Drift in Hz over [now, now + dt], which must lie in one segment."""
+    before = hw.read_ticks()
+    hw.advance(now + dt)
+    return (hw.read_ticks() - before) / dt - hw.params.nominal_hz
+
+
+def _assert_same_drift(a: HardwareClock, b: HardwareClock, now: float, dt: float):
+    # both clocks stand at ``now``; the drift of the segment holding it
+    assert _segment_drift(a, now, dt) == pytest.approx(_segment_drift(b, now, dt),
+                                                       rel=0, abs=1e-6)
+
+
 def test_zero_drift_advance_is_exact():
     hw = HardwareClock(OscillatorParams(nominal_hz=1e6), _gen())
     hw.advance(2.5)
     assert hw.read_ticks() == 2.5e6
-    assert hw.now == 2.5
+    hw.advance(2.5)  # the clock stands at 2.5 s
+    with pytest.raises(ClockRegressionError):
+        hw.advance(2.4999)
 
 
 def test_initial_ticks_offset_carried():
@@ -74,6 +89,23 @@ def test_initial_ticks_offset_carried():
 def test_negative_initial_ticks_rejected():
     with pytest.raises(ValueError):
         HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), initial_ticks=-1.0)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("start_time", math.nan), ("start_time", math.inf), ("start_time", -math.inf),
+    ("initial_ticks", math.nan), ("initial_ticks", math.inf),
+])
+def test_non_finite_start_rejected(field: str, bad: float):
+    with pytest.raises(ValueError, match=field):
+        HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), **{field: bad})
+
+
+def test_nan_advance_raises_and_leaves_the_clock_usable():
+    hw = HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), start_time=5.0)
+    with pytest.raises(ClockRegressionError):
+        hw.advance(math.nan)
+    hw.advance(6.0)
+    assert hw.read_ticks() == 1e6
 
 
 def test_advance_backwards_raises():
@@ -93,7 +125,6 @@ def test_instantaneous_rate_within_drift_bound():
         hw.advance(t)
         seg = hw.read_ticks() - before
         assert 1e6 - 100.0 <= seg <= 1e6 + 100.0
-        assert abs(hw.current_drift_hz) <= 100.0
 
 
 def test_drift_segment_statistics_match_uniform_law():
@@ -102,12 +133,13 @@ def test_drift_segment_statistics_match_uniform_law():
     params = OscillatorParams(nominal_hz=1e6, max_drift_hz=fmax,
                               resample_interval_s=1.0)
     hw = HardwareClock(params, _gen(11))
-    draws = [hw.current_drift_hz]
-    for k in range(1, 20001):
+    ticks = [hw.read_ticks()]
+    for k in range(1, 20002):
         hw.advance(float(k))
-        draws.append(hw.current_drift_hz)
-    arr = np.asarray(draws)
-    assert np.max(np.abs(arr)) <= fmax
+        ticks.append(hw.read_ticks())
+    # each 1 s step spans one segment: f + drift ticks, up to rounding
+    arr = np.diff(ticks) - 1e6
+    assert np.max(np.abs(arr)) <= fmax + 1e-4
     assert abs(arr.mean()) < 5.0 * fmax / math.sqrt(3.0 * len(arr))
     assert arr.var() == pytest.approx(fmax * fmax / 3.0, rel=0.05)
 
@@ -121,7 +153,7 @@ def test_same_seed_same_trajectory():
         a.advance(t)
         b.advance(t)
         assert a.read_ticks() == b.read_ticks()
-        assert a.current_drift_hz == b.current_drift_hz
+    _assert_same_drift(a, b, 42.25, 0.5)
 
 
 def test_partition_independent_on_segment_boundaries():
@@ -135,7 +167,7 @@ def test_partition_independent_on_segment_boundaries():
     for t in (3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0):
         b.advance(t)
     assert a.read_ticks() == b.read_ticks()
-    assert a.current_drift_hz == b.current_drift_hz
+    _assert_same_drift(a, b, 30.0, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,8 +184,8 @@ def test_partition_independent_anywhere(splits: list[float]):
     for t in sorted(splits):
         b.advance(t)
     b.advance(100.0)
-    assert a.current_drift_hz == b.current_drift_hz
     assert b.read_ticks() == pytest.approx(a.read_ticks(), rel=1e-12)
+    _assert_same_drift(a, b, 100.0, 4.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -193,6 +225,18 @@ def test_read_before_anchor_raises():
     lc = LogicalClock(value=0.0, rate=1e-6, anchor_ticks=50.0)
     with pytest.raises(ClockRegressionError):
         lc.read(49.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lc: lc.read(math.nan),
+    lambda lc: lc.apply_correction(math.nan),
+    lambda lc: lc.apply_correction(math.nan, offset_s=0.5, new_rate=2e-6),
+], ids=["read", "apply_correction", "apply_correction_with_rate"])
+def test_nan_ticks_raise_and_leave_the_clock_unchanged(call):
+    lc = LogicalClock(value=3.0, rate=1e-6, anchor_ticks=50.0)
+    with pytest.raises(ClockRegressionError):
+        call(lc)
+    assert lc == LogicalClock(value=3.0, rate=1e-6, anchor_ticks=50.0)
 
 
 def test_offset_correction_shifts_value():

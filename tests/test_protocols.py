@@ -7,16 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnsync import cli
 from wsnsync.protocols import (
     Protocol,
     ProtocolParams,
-    avgpisync_rate_update,
-    default_max_error_s,
     default_step_size,
     effective_gain,
-    grades_rate_update,
-    newton_rate_update,
-    nominal_interval_ticks,
     rate_update,
     step_size_bound,
 )
@@ -86,33 +82,28 @@ def test_zero_gather_wait_allowed():
 # update rules
 
 
-def test_nominal_interval_ticks():
-    assert nominal_interval_ticks(B, F) == 3e7
-
-
 def test_newton_deadbeat_example():
     # mu = 1 removes the measured rate error outright: a clock running 5%
     # fast (1.05e-6 s/tick) that accumulated e = 1.5 s over one beacon
     # period lands exactly on the nominal rate.
     p = _params(Protocol.NEWTON, 1.0)
-    assert newton_rate_update(1.05e-6, 1.5, p) == 1e-6
+    assert rate_update(1.05e-6, 1.5, p) == 1e-6
 
 
 def test_newton_partial_step():
     p = _params(Protocol.NEWTON, 0.5)
-    assert newton_rate_update(1.05e-6, 1.5, p) == pytest.approx(1.025e-6,
-                                                                rel=1e-15)
+    assert rate_update(1.05e-6, 1.5, p) == pytest.approx(1.025e-6, rel=1e-15)
 
 
 def test_grades_step_at_published_bound():
     p = _params(Protocol.GRADES, 1.0 / (BF * BF))
-    got = grades_rate_update(1e-6, 1.5, p)
+    got = rate_update(1e-6, 1.5, p)
     assert got == pytest.approx(1e-6 - 5e-8, rel=1e-14)
 
 
 def test_avgpisync_step_at_published_bound():
     p = _params(Protocol.AVGPISYNC, 2.0 / BF)
-    assert avgpisync_rate_update(1e-6, 1.5, p) == 9e-7
+    assert rate_update(1e-6, 1.5, p) == 9e-7
 
 
 def test_positive_error_reduces_rate():
@@ -122,15 +113,17 @@ def test_positive_error_reduces_rate():
         assert rate_update(1e-6, -1e-3, p) > 1e-6
 
 
-def test_rate_update_dispatch_matches_direct_calls():
-    fns = {
-        Protocol.NEWTON: newton_rate_update,
-        Protocol.GRADES: grades_rate_update,
-        Protocol.AVGPISYNC: avgpisync_rate_update,
-    }
-    for kind, fn in fns.items():
-        p = _params(kind, default_step_size(kind, B, F))
-        assert rate_update(9.9e-7, 2e-4, p) == fn(9.9e-7, 2e-4, p)
+@pytest.mark.parametrize("kind", list(Protocol), ids=lambda k: k.value)
+def test_rate_update_matches_docstring_formula(kind: Protocol):
+    # the module docstring's rules, operation for operation
+    p = _params(kind, default_step_size(kind, B, F))
+    mu, rate, e = p.step_size, 9.9e-7, 2e-4
+    expected = {
+        Protocol.NEWTON: rate - mu * e / (B * F),
+        Protocol.GRADES: rate - mu * e * (B * F),
+        Protocol.AVGPISYNC: rate - mu * e,
+    }[kind]
+    assert rate_update(rate, e, p) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,4 +239,7 @@ def test_default_step_sizes_sit_inside_bounds():
 def test_default_guard_threshold():
     # twice the drift a bounded oscillator can accumulate in one period:
     # 2 * 30 s * 100 Hz / 1 MHz = 6 ms, i.e. 6000 ticks at 1 MHz.
-    assert default_max_error_s(B, F, 100.0) == 6e-3
+    bound = 2.0 * B * 100.0 / F
+    assert ProtocolParams(kind=Protocol.NEWTON, step_size=1.0).max_error_s == bound
+    (e_max_ticks,) = (s.default for s in cli.SETTINGS if s.key == "e_max_ticks")
+    assert e_max_ticks / F == bound
