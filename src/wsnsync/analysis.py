@@ -217,6 +217,11 @@ def variant_moment_predictions(p: MomentParams) -> dict[str, dict[str, float]]:
 # Monte Carlo oracle
 
 
+# Elements per slice of pairwise_oracle's per-element arithmetic: its five
+# 64 KB slices stay in cache. No output bit depends on the value.
+_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class OracleTrace:
     """Per-round ensemble statistics from pairwise_oracle.
@@ -278,41 +283,51 @@ def pairwise_oracle(
     # Each round evaluates
     #   e    = rate * (b*f + b*U(-f_max, f_max)) - (b + beta - beta_prev)
     #   rate = rate - mu/(b*f) * e
-    # in five preallocated buffers, one IEEE operation at a time in this
-    # order, so every element gets the bits the array expressions would
-    # give. numpy's uniform(lo, hi) is lo + (hi-lo)*u, and normal(0, s) is
-    # 0.0 + s*z, which differs from s*z only in the sign of a zero that
-    # b + beta (b > 0) then loses. See NOTES.md, "The oracle kernel".
+    # one IEEE operation at a time in this order, so every element gets the
+    # bits the array expressions would give. numpy's uniform(lo, hi) is
+    # lo + (hi-lo)*u, and normal(0, s) is 0.0 + s*z, which differs from s*z
+    # only in the sign of a zero that b + beta (b > 0) then loses. Three
+    # n_runs buffers: rate, x (the uniforms, then e, then the variance
+    # scratch) and beta, which holds the previous round's delays until its
+    # slice draws the new ones. A fill in slices draws what one fill draws;
+    # the reductions stay whole-array, since a pairwise sum's rounding
+    # depends on the length. See NOTES.md, "The oracle kernel".
     rate = np.full(n_runs, 1.0 / f if initial_rate is None else initial_rate, dtype=float)
-    e = np.empty(n_runs)
-    t = np.empty(n_runs)
-    beta = np.empty(n_runs)
-    beta_prev = gen.standard_normal(n_runs)
-    beta_prev *= sigma_b
+    x = np.empty(n_runs)
+    beta = gen.standard_normal(n_runs)
+    beta *= sigma_b
+    w = np.empty(min(_CHUNK, n_runs))
+    d = np.empty_like(w)
+    chunks = [
+        (x[i:i + _CHUNK], rate[i:i + _CHUNK], beta[i:i + _CHUNK],
+         w[:min(_CHUNK, n_runs - i)], d[:min(_CHUNK, n_runs - i)])
+        for i in range(0, n_runs, _CHUNK)
+    ]
 
     # rows mean_e, var_e, mean_rate, var_rate; each var as np.var computes it
     stats = np.empty((4, n_steps))
     for k in range(n_steps):
-        gen.random(out=t)
-        t *= 2.0 * f_max
-        t += -f_max
-        t *= b
-        t += b * f
-        t *= rate
-        gen.standard_normal(out=beta)
-        beta *= sigma_b
-        np.add(beta, b, out=e)
-        e -= beta_prev
-        np.subtract(t, e, out=e)
-        np.multiply(e, gain, out=t)
-        rate -= t
-        beta, beta_prev = beta_prev, beta
-        for row, x in ((0, e), (2, rate)):
-            m = np.add.reduce(x) / n_runs
-            np.subtract(x, m, out=t)
-            t *= t
+        gen.random(out=x)
+        for xc, rc, bc, wc, dc in chunks:
+            xc *= 2.0 * f_max
+            xc += -f_max
+            xc *= b
+            xc += b * f
+            xc *= rc
+            gen.standard_normal(out=wc)
+            wc *= sigma_b
+            np.add(wc, b, out=dc)
+            dc -= bc
+            bc[...] = wc
+            xc -= dc  # e
+            np.multiply(xc, gain, out=dc)
+            rc -= dc
+        for row, v in ((0, x), (2, rate)):  # e's pass leaves x free for rate's
+            m = np.add.reduce(v) / n_runs
+            np.subtract(v, m, out=x)
+            x *= x
             stats[row, k] = m
-            stats[row + 1, k] = np.add.reduce(t) / n_runs
+            stats[row + 1, k] = np.add.reduce(x) / n_runs
     return OracleTrace(
         mean_e=stats[0],
         var_e=stats[1],

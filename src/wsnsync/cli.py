@@ -424,57 +424,72 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     state0 = (0.0, (1.0 + rate_offset) / f)
     out = _out_dir(args)
 
+    # Each convergent step size's oracle has its own seed, and its kernel
+    # spends most of its time in numpy calls that release the GIL, so the
+    # kernels run concurrently on threads. The rows are checked, printed
+    # and written here, in grid order.
+    convergent = [idx for idx, p in enumerate(models) if analysis.is_mean_convergent(p)]
     print(f"{'mu':>6}{'final sigma':>13}{'max sigma':>11}{'predicted_var':>16}"
           f"{'empirical_var':>16}{'rel_err':>10}  note")
     rows = []
     failed = False
-    for idx, p in enumerate(models):
-        row = {"mu": p.step_size, "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
-               "predicted_var": None, "empirical_var": None, "rel_err": None}
-        rows.append(row)
-        final = worst = None
-        variants = {}
-        if not analysis.is_mean_convergent(p):
-            note = ("marginal by design (|1 - mu| = 1)" if abs(1.0 - p.step_size) == 1.0
-                    else "divergent by design")
-        else:
-            trace = analysis.pairwise_oracle(
-                p, seed=base_seed + 7919 * idx, n_steps=n_steps, n_runs=n_runs,
-                initial_rate=state0[1],
-            )
-            # Pass/fail gates on the final-round ensemble means (one
-            # two-component comparison, so 4 sigma is a clean threshold);
-            # the max over every round is reported for context but would
-            # false-alarm a few percent of the time at the same threshold.
-            final = analysis.final_step_sigma(trace, p, state0)
-            worst = analysis.mean_agreement_max_sigma(trace, p, state0)
-            note = ""
-            if final > 4.0:
-                note, failed = "MEAN CHECK FAILED", True
-            try:
-                predicted = analysis.asymptotic_error_variance(p)
-            except analysis.NonconvergentMomentError:
-                note = (note + "; " if note else "") + "moment nonconvergent"
+    with contextlib.ExitStack() as stack:
+        traces = {}
+        if convergent:
+            pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=min(len(convergent), os.cpu_count() or 1))
+            # on a row that raises too: queued kernels are dropped
+            stack.callback(pool.shutdown, cancel_futures=True)
+            traces = {idx: pool.submit(
+                analysis.pairwise_oracle, models[idx], seed=base_seed + 7919 * idx,
+                n_steps=n_steps, n_runs=n_runs, initial_rate=state0[1],
+            ) for idx in convergent}
+        for idx, p in enumerate(models):
+            row = {"mu": p.step_size, "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
+                   "predicted_var": None, "empirical_var": None, "rel_err": None}
+            rows.append(row)
+            final = worst = None
+            variants = {}
+            if idx not in traces:
+                note = ("marginal by design (|1 - mu| = 1)" if abs(1.0 - p.step_size) == 1.0
+                        else "divergent by design")
             else:
-                empirical = analysis.steady_state_stats(trace, tail)["mean_e2"]
-                if empirical == 0:  # rel_err and the variants divide by it
-                    raise ConfigError(
-                        f"the oracle's error variance at mu {p.step_size} is 0: --max-drift-hz "
-                        "and --delay-std give noise below float resolution")
-                row.update(predicted_var=predicted, empirical_var=empirical,
-                           rel_err=abs(predicted - empirical) / empirical)
-                variants = analysis.variant_moment_predictions(p)
-        print(f"{p.step_size:>6}{_cell(final, '.2f'):>13}{_cell(worst, '.2f'):>11}"
-              f"{_cell(row['predicted_var'], '.4e'):>16}"
-              f"{_cell(row['empirical_var'], '.4e'):>16}{_cell(row['rel_err'], '.2%'):>10}"
-              f"  {note}")
-        for name, pred in variants.items():
-            v = pred["var_e"]
-            if v != v:  # NaN: no finite fixed point
-                print(f"       variant {name}: no finite prediction")
-            else:
-                dis = abs(v - row["empirical_var"]) / row["empirical_var"]
-                print(f"       variant {name}: var {v:.4e} disagrees with oracle by {dis:.0%}")
+                trace = traces[idx].result()
+                # Pass/fail gates on the final-round ensemble means (one
+                # two-component comparison, so 4 sigma is a clean threshold);
+                # the max over every round is reported for context but would
+                # false-alarm a few percent of the time at the same threshold.
+                final = analysis.final_step_sigma(trace, p, state0)
+                worst = analysis.mean_agreement_max_sigma(trace, p, state0)
+                note = ""
+                if final > 4.0:
+                    note, failed = "MEAN CHECK FAILED", True
+                try:
+                    predicted = analysis.asymptotic_error_variance(p)
+                except analysis.NonconvergentMomentError:
+                    note = (note + "; " if note else "") + "moment nonconvergent"
+                else:
+                    empirical = analysis.steady_state_stats(trace, tail)["mean_e2"]
+                    if empirical == 0:  # rel_err and the variants divide by it
+                        raise ConfigError(
+                            f"the oracle's error variance at mu {p.step_size} is 0: "
+                            "--max-drift-hz and --delay-std give noise below float "
+                            "resolution")
+                    row.update(predicted_var=predicted, empirical_var=empirical,
+                               rel_err=abs(predicted - empirical) / empirical)
+                    variants = analysis.variant_moment_predictions(p)
+            print(f"{p.step_size:>6}{_cell(final, '.2f'):>13}{_cell(worst, '.2f'):>11}"
+                  f"{_cell(row['predicted_var'], '.4e'):>16}"
+                  f"{_cell(row['empirical_var'], '.4e'):>16}{_cell(row['rel_err'], '.2%'):>10}"
+                  f"  {note}")
+            for name, pred in variants.items():
+                v = pred["var_e"]
+                if v != v:  # NaN: no finite fixed point
+                    print(f"       variant {name}: no finite prediction")
+                else:
+                    dis = abs(v - row["empirical_var"]) / row["empirical_var"]
+                    print(f"       variant {name}: var {v:.4e} disagrees with oracle "
+                          f"by {dis:.0%}")
 
     resolved = {
         "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,

@@ -110,6 +110,13 @@ class HardwareClock:
         # Each constant-drift segment is accumulated separately so the
         # trajectory does not depend on call partitioning.
         while self._next_resample <= to_time:
+            # Past this the boundary stops growing under `+=` (at inf too),
+            # so the loop would never end.
+            if math.ulp(to_time) >= 2.0 * self.params.resample_interval_s:
+                raise ValueError(
+                    f"advance to {to_time}: drift segments of "
+                    f"{self.params.resample_interval_s} s cannot be counted that far"
+                )
             ticks += (rate + self._drift_hz) * (self._next_resample - now)
             now = self._next_resample
             self._drift_hz = self._draw_drift()

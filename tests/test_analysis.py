@@ -7,13 +7,15 @@ last 100 rounds. The closed forms must stay in agreement with them.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsnsync.analysis import (
+    _CHUNK,
     MomentParams,
     NonconvergentMomentError,
     asymptotic_error_variance,
@@ -288,6 +290,15 @@ def _oracle_bytes(tr) -> bytes:
 
 
 @settings(max_examples=60, deadline=None)
+# run counts on each side of the kernel's chunk boundaries
+@example(n_runs=_CHUNK - 1, n_steps=3, mu=0.7, f_max=0.0, sigma_b=0.0,
+         initial_rate=None, seed=1)
+@example(n_runs=_CHUNK, n_steps=3, mu=1.3, f_max=100.0, sigma_b=1e-5,
+         initial_rate=1.05e-6, seed=2)
+@example(n_runs=_CHUNK + 1, n_steps=4, mu=0.25, f_max=250.0, sigma_b=0.0,
+         initial_rate=None, seed=3)
+@example(n_runs=2 * _CHUNK + 3, n_steps=4, mu=1.9, f_max=0.0, sigma_b=3e-3,
+         initial_rate=0.97e-6, seed=4)
 @given(
     n_runs=st.integers(1, 300),
     n_steps=st.integers(1, 20),
@@ -304,6 +315,20 @@ def test_oracle_equals_array_expressions_bit_for_bit(
     kwargs = dict(seed=seed, n_steps=n_steps, n_runs=n_runs, initial_rate=initial_rate)
     tr = pairwise_oracle(p, **kwargs)
     assert _oracle_bytes(tr) == _reference_oracle(p, **kwargs).astype("<f8").tobytes()
+
+
+def test_oracle_memory_is_three_run_buffers():
+    # rate, x and beta of 50k float64 runs are 400 KB each; the chunk
+    # scratches and the per-step statistics fit in the remaining half buffer
+    p = MomentParams()
+    pairwise_oracle(p, seed=1, n_steps=3, n_runs=50_000)  # warm-up
+    tracemalloc.start()
+    try:
+        pairwise_oracle(p, seed=1, n_steps=3, n_runs=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 400_000
 
 
 def test_oracle_matches_pinned_bytes():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import time
 import weakref
 from pathlib import Path
 
@@ -579,6 +580,73 @@ def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):
     assert cli.main([*base, "--initial-rate-offset", "nan"]) == 2
     assert cli.main([*base, "--delay-std", "inf"]) == 2
     assert not (tmp_path / "analysis.csv").exists()
+
+
+_POOL_ARGS = ["validate-analysis", "--mu-grid", "0.25,0.5,2.2,1.0,1.5",
+              "--oracle-runs", "300", "--oracle-steps", "30", "--tail", "10",
+              "--out-dir", "out"]
+
+
+def test_validate_analysis_reports_concurrent_oracles_in_grid_order(
+        tmp_path: Path, monkeypatch, capsys):
+    # earlier step sizes sleep longer, so with a worker each the kernels
+    # finish in reverse grid order
+    real_oracle = cli.analysis.pairwise_oracle
+    naps = {0.25: 0.15, 0.5: 0.1, 1.0: 0.05, 1.5: 0.0}
+    finished = []
+
+    def slow_oracle(p, **kwargs):
+        time.sleep(naps[p.step_size])
+        trace = real_oracle(p, **kwargs)
+        finished.append(p.step_size)
+        return trace
+
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", slow_oracle)
+    outputs = []
+    for cpus in (4, 1, None):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        finished.clear()
+        (tmp_path / f"cpus_{cpus}").mkdir()
+        monkeypatch.chdir(tmp_path / f"cpus_{cpus}")
+        assert cli.main(_POOL_ARGS) == 0
+        outputs.append((capsys.readouterr().out, Path("out/analysis.csv").read_bytes()))
+        if cpus == 4:
+            assert finished == [1.5, 1.0, 0.5, 0.25]
+    assert outputs[0] == outputs[1] == outputs[2]
+    rows = [line.split()[0] for line in outputs[0][0].splitlines()[1:-1]]
+    assert [mu for mu in rows if mu != "variant"] == ["0.25", "0.5", "2.2", "1.0", "1.5"]
+
+
+def test_validate_analysis_oracle_failure_cancels_queued_kernels(
+        tmp_path: Path, monkeypatch, capsys):
+    real_oracle = cli.analysis.pairwise_oracle
+    started = []
+
+    def failing_oracle(p, **kwargs):
+        started.append(p.step_size)
+        if p.step_size == 0.25:
+            raise ValueError("oracle failed")
+        time.sleep(0.2)  # the main thread cancels the queued kernels meanwhile
+        return real_oracle(p, **kwargs)
+
+    monkeypatch.setattr(cli.analysis, "pairwise_oracle", failing_oracle)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(_POOL_ARGS) == 2
+    assert capsys.readouterr().err == "error: oracle failed\n"
+    assert started in ([0.25], [0.25, 0.5])  # 1.0 and 1.5 never start
+    assert not (tmp_path / "out" / "analysis.csv").exists()
+
+
+def test_validate_analysis_starts_no_pool_without_a_convergent_step_size(
+        tmp_path: Path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started with no oracle to run")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--mu-grid", "0,2,2.2"]
+    assert cli.main(args) == 0
+    assert (tmp_path / "analysis.csv").exists()
 
 
 # ---------------------------------------------------------------------------

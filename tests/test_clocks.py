@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnsync import clocks
 from wsnsync.clocks import (
     ClockRegressionError,
     HardwareClock,
@@ -106,6 +111,41 @@ def test_nan_advance_raises_and_leaves_the_clock_usable():
         hw.advance(math.nan)
     hw.advance(6.0)
     assert hw.read_ticks() == 1e6
+
+
+_FAR_ADVANCE = """
+import math
+import numpy as np
+from wsnsync.clocks import HardwareClock, OscillatorParams
+
+def clock():
+    return HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=1.0),
+                         np.random.default_rng(0))
+
+untouched = clock()
+untouched.advance(45.0)
+for far in (math.inf, 1e300):
+    hw = clock()
+    try:
+        hw.advance(far)
+    except ValueError:
+        pass
+    else:
+        raise SystemExit(f"advance({far}) returned")
+    hw.advance(45.0)  # the failed call changed nothing, drift draws included
+    print(hw.read_ticks() == untouched.read_ticks())
+"""
+
+
+def test_advance_too_far_to_count_segments_raises():
+    # one loop pass per drift segment: these never ended, so run them in a
+    # child that a timeout can stop
+    src = str(Path(clocks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _FAR_ADVANCE], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "True\nTrue\n"), proc.stderr
 
 
 def test_advance_backwards_raises():
