@@ -31,8 +31,8 @@ from . import analysis, metrics
 from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
 from .simulation import (
-    DelayModel, Topology, build_line_topology, check_schedule, run_simulation,
-    write_csv_preamble,
+    DelayModel, Topology, build_line_topology, check_schedule, record_schedule,
+    run_simulation, write_csv_preamble,
 )
 
 _RUN = ("run", "sweep")
@@ -259,6 +259,21 @@ def _run_one(job: tuple[dict, ProtocolParams, int]):
     return run_simulation(params=params, seed=seed, **sim_kwargs)
 
 
+def _run_by_seed(jobs: list):
+    """Each job's trace, one seed at a time: a seed with two or more jobs
+    records its event pass once and each job replays it, in the same bytes."""
+    by_seed: dict[int, list] = {}
+    for job in jobs:
+        by_seed.setdefault(job[2], []).append(job)
+    for seed, group in by_seed.items():
+        schedule = None  # drops the previous seed's before recording
+        if len(group) > 1:
+            sim_kwargs, params, _ = group[0]
+            schedule = record_schedule(params=params, seed=seed, **sim_kwargs)
+        for sim_kwargs, params, _ in group:
+            yield run_simulation(params=params, seed=seed, schedule=schedule, **sim_kwargs)
+
+
 def _csv_field(value) -> str:
     """Empty for None, shortest round-trip repr for floats, str otherwise."""
     if value is None:
@@ -333,11 +348,13 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
     """Run the planned jobs; write their traces and summary.csv to ``out``,
     print the summary table and return its rows.
 
-    Traces are taken one at a time, in job order: each is written,
-    summarized and dropped before the next is taken. Files are renamed from
-    their ``_staged`` paths after the last run succeeds; a failure deletes
-    the staged files and leaves ``out`` as it was. Traces in ``out`` that
-    this run did not write are kept and named in a warning.
+    Traces are taken one at a time: each is written, summarized and dropped
+    before the next is taken. In process they come seed by seed, so that a
+    seed's protocols share one event pass (_run_by_seed); with workers, in
+    job order, one pass each. summary.csv lists them in job order. Files
+    are renamed from their ``_staged`` paths after the last run succeeds; a
+    failure deletes the staged files and leaves ``out`` as it was. Traces
+    in ``out`` that this run did not write are kept and named in a warning.
     """
     workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
@@ -345,11 +362,12 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
     written: list[Path] = []
     try:
         with contextlib.ExitStack() as stack:
-            traces = map(_run_one, jobs)
             if workers > 1:
                 pool = stack.enter_context(
                     concurrent.futures.ProcessPoolExecutor(max_workers=workers))
                 traces = pool.map(_run_one, jobs)
+            else:
+                traces = _run_by_seed(jobs)
             for trace in traces:
                 protocol, seed = trace.config["protocol"], trace.config["seed"]
                 written.append(out / f"trace_{protocol}_{seed}.csv")
@@ -364,6 +382,8 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
                 )
                 del trace  # before the next run starts
                 rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+        plan = {(params.kind.value, seed): i for i, (_, params, seed) in enumerate(jobs)}
+        rows.sort(key=lambda r: plan[r["protocol"], r["seed"]])
         written.append(out / "summary.csv")
         _write_csv(_staged(written[-1]), resolved, SUMMARY_COLUMNS, rows)
     except BaseException:  # interrupts too: leave no staged file behind

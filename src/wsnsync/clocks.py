@@ -156,9 +156,15 @@ class LogicalClock:
 
         The read up to ``at_ticks`` uses the old rate (the clock physically
         ran at it until this instant); ``new_rate`` takes effect afterwards.
-        Passing new_rate=None keeps the current rate.
+        Passing new_rate=None keeps the current rate. A non-finite offset or
+        rate raises ValueError and leaves the clock unchanged.
         """
-        self.value = self.read(at_ticks) + offset_s
+        value = self.read(at_ticks) + offset_s
+        if not (math.isfinite(offset_s) and (new_rate is None or math.isfinite(new_rate))):
+            raise ValueError(
+                f"correction must be finite, got offset_s={offset_s}, new_rate={new_rate}"
+            )
+        self.value = value
         if new_rate is not None:
             self.rate = new_rate
         self.anchor_ticks = at_ticks

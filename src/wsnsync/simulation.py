@@ -27,6 +27,13 @@ deliveries, then averaging deadlines, then beacons, then trace samples) with
 insertion order inside each class. Reruns with identical inputs produce
 identical traces; runs that differ only in protocol arithmetic see identical
 boot times, drift trajectories and delay draws.
+
+A run is two parts. The event pass (_Sim) decides when each clock is read
+and reads the hardware clock there; the protocol arithmetic (_Clocks) turns
+those readings into logical clocks, rounds and trace rows. Nothing the
+arithmetic computes flows back into the pass, so record_schedule can record
+one seed's pass and run_simulation(..., schedule=) can replay it under any
+protocol, in the same bytes as a full run.
 """
 from __future__ import annotations
 
@@ -34,9 +41,10 @@ import heapq
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -170,20 +178,10 @@ class EventQueue:
         return len(self._heap)
 
 
-@dataclass
-class NodeState:
-    boot_time: float
-    hw: HardwareClock
-    lc: LogicalClock
-    is_gateway: bool = False
-    err_acc: float = 0.0
-    recv_count: int = 0
-    # Holds a valid time and may answer requests: gateway from boot, other
-    # nodes after their first completed averaging round.
-    synced: bool = False
-
-
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen dataclass sets each field through object.__setattr__,
+# which makes a record about four times as slow to build, and a run builds
+# one per node and round (about 6,000 in one default line:16 run).
+@dataclass(slots=True)
 class RoundRecord:
     """Outcome of one averaging deadline at one node.
 
@@ -247,77 +245,199 @@ class SimulationTrace:
             ]))
 
 
+# Operations of a recorded schedule, one per reading handed to a sink: the
+# low three bits of a Schedule.ops entry hold the operation, the rest the
+# node's index in topology.node_ids (for _FRAME, the number of readings).
+_ANSWER, _GATEWAY_ANSWER, _ACK, _ROUND, _EMPTY_ROUND, _FRAME = range(6)
+# A schedule's arrays are cut into chunks of about this many values, at
+# sample frames. One array grown to the whole tape leaves its outgrown
+# copies behind in the allocator, which costs more resident memory than the
+# tape itself.
+_TAPE_CHUNK = 8192
+
+
+# eq=False: a generated __eq__ would compare the arrays element by element.
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """One seed's event pass, recorded by record_schedule for
+    run_simulation to replay under any protocol's arithmetic.
+
+    settings holds the arguments that shape the pass; boot_times and
+    initial_ticks are per node, in topology.node_ids order. ops holds one
+    32-bit operation per clock reading and values its floats, in event
+    order, each as a tuple of array chunks. _ANSWER and _ACK carry the
+    ticks read, and an _ACK entry is followed by the serial number of the
+    answer it carries, counted over both answer operations (so a schedule
+    holds fewer than 2**31 answers). _GATEWAY_ANSWER carries the true time,
+    _ROUND the deadline and the ticks read there, _EMPTY_ROUND the deadline,
+    and _FRAME the ticks of the booted non-gateway nodes at the next sample
+    time.
+    """
+
+    settings: dict
+    boot_times: tuple[float, ...]
+    initial_ticks: tuple[float, ...]
+    ops: tuple[array, ...]
+    values: tuple[array, ...]
+
+    def replay(self, sink: _Clocks) -> None:
+        """Hand the recorded readings to ``sink`` in event order, through the
+        five calls the event pass made."""
+        answers: dict[int, float] = {}  # by serial, until their ack arrives
+        serial = itertools.count().__next__
+        value = itertools.chain.from_iterable(self.values).__next__
+        ops = itertools.chain.from_iterable(self.ops)
+        next_op = ops.__next__
+        answer, ack, round_, frame = sink.answer, sink.ack, sink.round, sink.frame
+        k = 0
+        for op in ops:  # the most frequent operations first
+            kind = op & 7
+            if kind == _ACK:
+                ack(op >> 3, value(), answers.pop(next_op()))
+            elif kind == _ANSWER:
+                answers[serial()] = answer(op >> 3, value())
+            elif kind == _ROUND:
+                t = value()
+                round_(t, op >> 3, value())
+            elif kind == _FRAME:
+                frame(k, [value() for _ in range(op >> 3)])
+                k += 1
+            elif kind == _GATEWAY_ANSWER:
+                answers[serial()] = sink.gateway_answer(value())
+            else:  # _EMPTY_ROUND
+                sink.empty_round(value(), op >> 3)
+
+
+class _Tape:
+    """The sink that records the event pass as Schedule.ops and .values;
+    each answer's serial number is what its ack carries."""
+
+    def __init__(self) -> None:
+        self.ops_chunks: list[array] = []
+        self.values_chunks: list[array] = []
+        self._new_chunk()
+        self._serial = itertools.count().__next__
+
+    def _new_chunk(self) -> None:
+        self.ops = array("i")
+        self.values = array("d")
+        self.ops_chunks.append(self.ops)
+        self.values_chunks.append(self.values)
+
+    def answer(self, i: int, ticks: float) -> int:
+        self.ops.append(_ANSWER | i << 3)
+        self.values.append(ticks)
+        return self._serial()
+
+    def gateway_answer(self, t: float) -> int:
+        self.ops.append(_GATEWAY_ANSWER)
+        self.values.append(t)
+        return self._serial()
+
+    def ack(self, i: int, ticks: float, serial: int) -> None:
+        self.ops.extend((_ACK | i << 3, serial))
+        self.values.append(ticks)
+
+    def empty_round(self, t: float, i: int) -> None:
+        self.ops.append(_EMPTY_ROUND | i << 3)
+        self.values.append(t)
+
+    def round(self, t: float, i: int, ticks: float) -> None:
+        self.ops.append(_ROUND | i << 3)
+        self.values.extend((t, ticks))
+
+    def frame(self, k: int, ticks: list[float]) -> None:
+        self.ops.append(_FRAME | len(ticks) << 3)
+        self.values.extend(ticks)
+        if len(self.values) >= _TAPE_CHUNK:
+            self._new_chunk()
+
+
+def _sample_times(duration_s: float, sample_interval_s: float) -> tuple[float, ...]:
+    """Sample k is due at the k-th partial sum of the interval, the float
+    additions the schedule has always made."""
+    times = []
+    t = sample_interval_s
+    while t <= duration_s:
+        times.append(t)
+        t += sample_interval_s
+    return tuple(times)
+
+
 class _Sim:
+    """The event pass of one run: boots, hardware clocks, messages, rounds
+    and sample frames.
+
+    It decides when each clock is read, advances the hardware clock there
+    and hands the reading to a sink: a _Clocks does the protocol arithmetic
+    live, a _Tape records it for replay. Nothing a sink computes flows back,
+    so every protocol sees the same pass under one seed. The arguments are
+    run_simulation's schedule settings; nodes are indices into
+    topology.node_ids.
+    """
+
     def __init__(
         self,
         topology: Topology,
-        params: ProtocolParams,
-        osc: OscillatorParams,
-        delay: DelayModel,
+        osc_params: OscillatorParams,
+        delay_model: DelayModel,
         duration_s: float,
         sample_interval_s: float,
         boot_window_s: float,
         seed: int,
-        initial_rate: float | None,
+        beacon_period_s: float,
+        gather_wait_s: float,
+        nominal_hz: float,
         initial_ticks: float | None,
     ) -> None:
-        self.topology = topology
-        self.params = params
-        self.delay = delay
+        self.delay = delay_model
         self.duration = duration_s
+        self.beacon_period = beacon_period_s
+        self.gather_wait = gather_wait_s
+        ids = topology.node_ids
+        index = {nid: i for i, nid in enumerate(ids)}
+        self.neighbors = [tuple(index[j] for j in topology.neighbors[nid]) for nid in ids]
+        self.gateway = index[topology.gateway]
 
         root = np.random.SeedSequence(seed)
-        boot_ss, delay_ss, *node_ss = root.spawn(2 + len(topology.node_ids))
-        self.delay_normals = delay.normals(
+        boot_ss, delay_ss, *node_ss = root.spawn(2 + len(ids))
+        self.delay_normals = delay_model.normals(
             np.random.Generator(np.random.PCG64(delay_ss))
         )
         boot_gen = np.random.Generator(np.random.PCG64(boot_ss))
-        boots = boot_gen.uniform(0.0, boot_window_s, len(topology.node_ids))
+        self.boot_times = boot_gen.uniform(0.0, boot_window_s, len(ids)).tolist()
 
-        nominal_rate = 1.0 / params.nominal_hz
-        ticks_span = params.beacon_period_s * params.nominal_hz
-        self.nodes: dict[int, NodeState] = {}
-        for nid, ss, boot in zip(topology.node_ids, node_ss, boots):
+        ticks_span = beacon_period_s * nominal_hz
+        self.initial_ticks: list[float] = []
+        self.hws: list[HardwareClock] = []
+        for ss, boot in zip(node_ss, self.boot_times):
             gen = np.random.Generator(np.random.PCG64(ss))
             t0 = (
                 float(gen.uniform(0.0, ticks_span))
                 if initial_ticks is None
                 else float(initial_ticks)
             )
-            hw = HardwareClock(osc, gen, start_time=float(boot), initial_ticks=t0)
-            rate = nominal_rate if initial_rate is None else float(initial_rate)
-            # Cold boot: the logical clock starts wherever the hardware
-            # counter puts it, not at true time.
-            lc = LogicalClock(value=rate * t0, rate=rate, anchor_ticks=t0)
-            self.nodes[nid] = NodeState(
-                boot_time=float(boot),
-                hw=hw,
-                lc=lc,
-                is_gateway=(nid == topology.gateway),
-                synced=(nid == topology.gateway),
-            )
+            self.hws.append(HardwareClock(osc_params, gen, start_time=boot, initial_ticks=t0))
+            self.initial_ticks.append(t0)
+        # Holds a valid time and may answer requests: gateway from boot, other
+        # nodes after their first round with acks.
+        self.synced = [i == self.gateway for i in range(len(ids))]
+        self.pending_acks = [0] * len(ids)
+        # The clocks a sample frame reads, with their boot times.
+        self.sampled = [(hw, boot) for i, (hw, boot) in enumerate(zip(self.hws, self.boot_times))
+                        if i != self.gateway]
 
         self.queue = EventQueue()
-        for nid in topology.node_ids:
-            node = self.nodes[nid]
-            if not node.is_gateway and node.boot_time <= duration_s:
-                self.queue.push(node.boot_time, BEACON, nid)
-        # Sample k is due at the k-th partial sum of the interval, the float
-        # additions the schedule has always made, so row k of the readings
-        # is filled by the event that carries k.
-        times = []
-        t = sample_interval_s
-        while t <= duration_s:
-            times.append(t)
-            t += sample_interval_s
-        self.sample_times = tuple(times)
-        self.logical_s = np.full((len(times), len(self.nodes)), math.nan)
-        if times:
-            self.queue.push(times[0], SAMPLE, 0)
+        for i, boot in enumerate(self.boot_times):
+            if i != self.gateway and boot <= duration_s:
+                self.queue.push(boot, BEACON, i)
+        # Row k of the readings is filled by the event that carries k.
+        self.sample_times = _sample_times(duration_s, sample_interval_s)
+        if self.sample_times:
+            self.queue.push(self.sample_times[0], SAMPLE, 0)
 
-        self.rounds: list[RoundRecord] = []
-
-    def run(self) -> None:
+    def run(self, sink: _Clocks | _Tape) -> None:
+        self.sink = sink
         handlers = (self._deliver, self._deadline, self._beacon, self._sample)
         heap = self.queue._heap
         pop = self.queue.pop
@@ -326,10 +446,10 @@ class _Sim:
             handlers[kind](t, data)
 
     def _send(
-        self, t: float, sender: int, receiver: int, payload: float | None,
-        round_deadline: float,
+        self, t: float, sender: int, receiver: int, answer: object, round_deadline: float,
     ) -> None:
-        """Schedule a delivery; payload None is a request, a float an ack.
+        """Schedule a delivery; answer None is a request, else an ack that
+        carries what the sink returned for the answer.
 
         round_deadline is the deadline of the requester's round, which the
         ack of a request carries back.
@@ -337,75 +457,137 @@ class _Sim:
         d = self.delay.sample(self.delay_normals)
         if t + d <= self.duration:
             self.queue.push(
-                t + d, DELIVERY, (receiver, sender, payload, round_deadline)
+                t + d, DELIVERY, (receiver, sender, answer, round_deadline)
             )
 
-    def _beacon(self, t: float, nid: int) -> None:
-        deadline = t + self.params.gather_wait_s
-        for j in self.topology.neighbors[nid]:
-            self._send(t, nid, j, None, deadline)
+    def _beacon(self, t: float, i: int) -> None:
+        deadline = t + self.gather_wait
+        for j in self.neighbors[i]:
+            self._send(t, i, j, None, deadline)
         if deadline <= self.duration:
-            self.queue.push(deadline, DEADLINE, nid)
-        if t + self.params.beacon_period_s <= self.duration:
-            self.queue.push(t + self.params.beacon_period_s, BEACON, nid)
+            self.queue.push(deadline, DEADLINE, i)
+        if t + self.beacon_period <= self.duration:
+            self.queue.push(t + self.beacon_period, BEACON, i)
 
-    def _deliver(self, t: float, msg: tuple[int, int, float | None, float]) -> None:
-        receiver, sender, payload, round_deadline = msg
-        node = self.nodes[receiver]
-        if t < node.boot_time:
+    def _deliver(self, t: float, msg: tuple[int, int, object, float]) -> None:
+        receiver, sender, answer, round_deadline = msg
+        if t < self.boot_times[receiver]:
             return  # powered off; message lost
-        # Both returns come before the clock is read: an extra advance would
+        # Every return comes before the clock is read: an extra advance would
         # split the float sum of ticks and change the trace bytes.
-        if payload is None:
-            if not node.synced:
+        if answer is None:
+            if not self.synced[receiver]:
                 return  # no valid time to answer with
-        elif t > round_deadline:
-            return  # the round that asked has already averaged
-        if node.is_gateway:
-            value = t
-        else:
-            hw = node.hw
+            if receiver == self.gateway:
+                answer = self.sink.gateway_answer(t)
+            else:
+                hw = self.hws[receiver]
+                hw.advance(t)
+                answer = self.sink.answer(receiver, hw.read_ticks())
+            self._send(t, receiver, sender, answer, round_deadline)
+        elif t <= round_deadline:  # else the round that asked has averaged
+            hw = self.hws[receiver]
             hw.advance(t)
-            value = node.lc.read(hw.read_ticks())
-        if payload is None:
-            self._send(t, receiver, sender, value, round_deadline)
-        else:
-            node.err_acc += payload - value
-            node.recv_count += 1
+            self.sink.ack(receiver, hw.read_ticks(), answer)
+            self.pending_acks[receiver] += 1
 
-    def _deadline(self, t: float, nid: int) -> None:
-        node = self.nodes[nid]
-        if node.recv_count == 0:
-            self.rounds.append(RoundRecord(t, nid, None, None, 0))
+    def _deadline(self, t: float, i: int) -> None:
+        if not self.pending_acks[i]:
+            self.sink.empty_round(t, i)
             return
-        n_acks = node.recv_count
-        e_new = node.err_acc / n_acks
-        node.err_acc = 0.0
-        node.recv_count = 0
+        self.pending_acks[i] = 0
+        hw = self.hws[i]
+        hw.advance(t)
+        self.sink.round(t, i, hw.read_ticks())
+        self.synced[i] = True
+
+    def _sample(self, t: float, k: int) -> None:
+        ticks = []
+        for hw, boot in self.sampled:
+            if t >= boot:
+                hw.advance(t)
+                ticks.append(hw.read_ticks())
+        self.sink.frame(k, ticks)
+        if k + 1 < len(self.sample_times):
+            self.queue.push(self.sample_times[k + 1], SAMPLE, k + 1)
+
+
+class _Clocks:
+    """The protocol arithmetic of one run: each node's logical clock, ack
+    sums, round records and the readings array.
+
+    It is fed hardware-tick readings through five methods, live by the
+    event pass (as its sink) or by Schedule.replay.
+    The gateway keeps no logical clock: it answers with true time.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        params: ProtocolParams,
+        boot_times: Sequence[float],
+        initial_ticks: Sequence[float],
+        initial_rate: float | None,
+        sample_times: tuple[float, ...],
+    ) -> None:
+        self.node_ids = topology.node_ids
+        self.params = params
+        self.boot_times = boot_times
+        self.sample_times = sample_times
+        gateway = self.node_ids.index(topology.gateway)
+        rate = 1.0 / params.nominal_hz if initial_rate is None else float(initial_rate)
+        # Cold boot: the logical clock starts wherever the hardware counter
+        # puts it, not at true time.
+        self.lcs = [
+            None if i == gateway else LogicalClock(value=rate * t0, rate=rate, anchor_ticks=t0)
+            for i, t0 in enumerate(initial_ticks)
+        ]
+        self.err_acc = [0.0] * len(self.lcs)
+        self.n_acks = [0] * len(self.lcs)
+        self.rounds: list[RoundRecord] = []
+        self.logical_s = np.full((len(sample_times), len(self.lcs)), math.nan)
+
+    def answer(self, i: int, ticks: float) -> float:
+        return self.lcs[i].read(ticks)
+
+    def gateway_answer(self, t: float) -> float:
+        return t
+
+    def ack(self, i: int, ticks: float, payload: float) -> None:
+        self.err_acc[i] += payload - self.lcs[i].read(ticks)
+        self.n_acks[i] += 1
+
+    def empty_round(self, t: float, i: int) -> None:
+        self.rounds.append(RoundRecord(t, self.node_ids[i], None, None, 0))
+
+    def round(self, t: float, i: int, ticks: float) -> None:
+        n_acks = self.n_acks[i]
+        e_new = self.err_acc[i] / n_acks
+        self.err_acc[i] = 0.0
+        self.n_acks[i] = 0
+        lc = self.lcs[i]
         new_rate: float | None = None
         if abs(e_new) < self.params.max_error_s:
             # rate update consumes the node's own error, own minus neighbors
-            new_rate = rate_update(node.lc.rate, -e_new, self.params)
-        node.hw.advance(t)
-        node.lc.apply_correction(node.hw.read_ticks(), offset_s=e_new,
-                                 new_rate=new_rate)
-        node.synced = True
-        self.rounds.append(RoundRecord(t, nid, e_new, new_rate, n_acks))
+            new_rate = rate_update(lc.rate, -e_new, self.params)
+        try:
+            lc.apply_correction(ticks, offset_s=e_new, new_rate=new_rate)
+        except ValueError:
+            raise ValueError(
+                f"node {self.node_ids[i]} reads {lc.read(ticks)} at t = {t} s, where its "
+                f"correction is offset_s={e_new}, new_rate={new_rate}: the settings "
+                "drive its clock out of float range"
+            ) from None
+        self.rounds.append(RoundRecord(t, self.node_ids[i], e_new, new_rate, n_acks))
 
-    def _sample(self, t: float, k: int) -> None:
-        row = []
-        for node in self.nodes.values():  # topology.node_ids order
-            if t < node.boot_time:
-                row.append(math.nan)
-            elif node.is_gateway:
-                row.append(t)
-            else:
-                hw = node.hw
-                hw.advance(t)
-                row.append(node.lc.read(hw.read_ticks()))
-        self.logical_s[k] = row
-        if k + 1 < len(self.sample_times):
-            self.queue.push(self.sample_times[k + 1], SAMPLE, k + 1)
+    def frame(self, k: int, ticks: list[float]) -> None:
+        """Row k of the readings, from the ticks of the booted non-gateway nodes."""
+        t = self.sample_times[k]
+        tick = iter(ticks).__next__
+        self.logical_s[k] = [
+            math.nan if t < boot else t if lc is None else lc.read(tick())
+            for boot, lc in zip(self.boot_times, self.lcs)
+        ]
 
 
 def check_schedule(duration_s: float, sample_interval_s: float,
@@ -430,6 +612,65 @@ def check_schedule(duration_s: float, sample_interval_s: float,
             )
 
 
+def _schedule_settings(
+    topology: Topology,
+    params: ProtocolParams,
+    osc_params: OscillatorParams,
+    delay_model: DelayModel,
+    duration_s: float,
+    sample_interval_s: float,
+    boot_window_s: float,
+    seed: int,
+    initial_ticks: float | None,
+) -> dict:
+    """The arguments that shape a run's event pass, as _Sim takes them;
+    ValueError if the schedule they describe is refused."""
+    check_schedule(duration_s, sample_interval_s, params.beacon_period_s, boot_window_s)
+    if initial_ticks is not None and not math.isfinite(initial_ticks):
+        raise ValueError(f"initial_ticks must be finite, got {initial_ticks}")
+    return {
+        "topology": topology,
+        "osc_params": osc_params,
+        "delay_model": delay_model,
+        "duration_s": duration_s,
+        "sample_interval_s": sample_interval_s,
+        "boot_window_s": boot_window_s,
+        "seed": seed,
+        "beacon_period_s": params.beacon_period_s,
+        "gather_wait_s": params.gather_wait_s,
+        "nominal_hz": params.nominal_hz,
+        "initial_ticks": initial_ticks,
+    }
+
+
+def record_schedule(
+    topology: Topology,
+    params: ProtocolParams,
+    *,
+    osc_params: OscillatorParams,
+    delay_model: DelayModel = DelayModel(),
+    duration_s: float = 12240.0,
+    sample_interval_s: float = 10.0,
+    boot_window_s: float = 300.0,
+    seed: int = 0,
+    initial_ticks: float | None = None,
+) -> Schedule:
+    """Run the event pass of run_simulation's arguments once and record
+    every clock reading, for run_simulation(..., schedule=) to replay.
+
+    Of params it reads only the beacon period, gather wait and nominal
+    frequency: no protocol arithmetic feeds back into when clocks are
+    read, so one schedule serves every protocol and step size.
+    """
+    settings = _schedule_settings(topology, params, osc_params, delay_model, duration_s,
+                                  sample_interval_s, boot_window_s, seed, initial_ticks)
+    sim = _Sim(**settings)
+    tape = _Tape()
+    sim.run(tape)
+    return Schedule(settings, tuple(sim.boot_times), tuple(sim.initial_ticks),
+                    tuple(tape.ops_chunks), tuple(tape.values_chunks))
+
+
 def run_simulation(
     topology: Topology,
     params: ProtocolParams,
@@ -442,6 +683,7 @@ def run_simulation(
     seed: int = 0,
     initial_rate: float | None = None,
     initial_ticks: float | None = None,
+    schedule: Schedule | None = None,
 ) -> SimulationTrace:
     """Simulate one protocol run over the given topology.
 
@@ -449,26 +691,39 @@ def run_simulation(
     values reproduces it exactly. Every reading of a booted node is finite:
     settings that drive a clock out of float range (a huge step size under
     a wide guard, say) raise ValueError instead of returning inf or NaN.
-    """
-    check_schedule(duration_s, sample_interval_s, params.beacon_period_s, boot_window_s)
-    for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
-    sim = _Sim(
-        topology, params, osc_params, delay_model, duration_s,
-        sample_interval_s, boot_window_s, seed, initial_rate, initial_ticks,
-    )
-    sim.run()
-    boot_times = {nid: sim.nodes[nid].boot_time for nid in topology.node_ids}
-    booted = (np.array(sim.sample_times).reshape(-1, 1)
+    With a schedule from record_schedule, the event pass is replayed from
+    it instead of run, which gives the same trace; ValueError if the
+    schedule was recorded with other schedule-shaping arguments.
+    """
+    settings = _schedule_settings(topology, params, osc_params, delay_model, duration_s,
+                                  sample_interval_s, boot_window_s, seed, initial_ticks)
+    if initial_rate is not None and not math.isfinite(initial_rate):
+        raise ValueError(f"initial_rate must be finite, got {initial_rate}")
+
+    if schedule is None:
+        sim = _Sim(**settings)
+        clocks = _Clocks(topology, params, sim.boot_times, sim.initial_ticks,
+                         initial_rate, sim.sample_times)
+        sim.run(clocks)
+    else:
+        differ = [name for name, value in settings.items()
+                  if schedule.settings[name] != value]
+        if differ:
+            raise ValueError(f"the schedule was recorded with other {', '.join(differ)}")
+        clocks = _Clocks(topology, params, schedule.boot_times, schedule.initial_ticks,
+                         initial_rate, _sample_times(duration_s, sample_interval_s))
+        schedule.replay(clocks)
+    sample_times = clocks.sample_times
+    boot_times = dict(zip(topology.node_ids, clocks.boot_times))
+    booted = (np.array(sample_times).reshape(-1, 1)
               >= np.array(list(boot_times.values())))
-    overflowed = np.argwhere(booted & ~np.isfinite(sim.logical_s))
+    overflowed = np.argwhere(booted & ~np.isfinite(clocks.logical_s))
     if overflowed.size:
         k, col = overflowed[0]
         raise ValueError(
-            f"node {topology.node_ids[col]} reads {sim.logical_s[k, col]} at "
-            f"t = {sim.sample_times[k]} s: the settings drive its clock out of "
+            f"node {topology.node_ids[col]} reads {clocks.logical_s[k, col]} at "
+            f"t = {sample_times[k]} s: the settings drive its clock out of "
             "float range"
         )
     config = {
@@ -492,9 +747,9 @@ def run_simulation(
         "initial_ticks": initial_ticks,
     }
     return SimulationTrace(
-        sample_times_s=sim.sample_times,
-        logical_s=sim.logical_s,
-        rounds=tuple(sim.rounds),
+        sample_times_s=sample_times,
+        logical_s=clocks.logical_s,
+        rounds=tuple(clocks.rounds),
         topology=topology,
         boot_times=boot_times,
         config=config,

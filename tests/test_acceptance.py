@@ -38,7 +38,12 @@ from wsnsync.cli import main as cli_main
 from wsnsync.clocks import OscillatorParams
 from wsnsync.metrics import summarize
 from wsnsync.protocols import Protocol, ProtocolParams, default_step_size
-from wsnsync.simulation import DelayModel, build_line_topology, run_simulation
+from wsnsync.simulation import (
+    DelayModel,
+    build_line_topology,
+    record_schedule,
+    run_simulation,
+)
 
 B = 30.0
 F_HAT = 1e6
@@ -161,8 +166,8 @@ def test_criterion_4_moment_and_variance_validation(tmp_path: Path, capsys):
 # criteria 5 and 6: protocol comparison on the 16-node line
 
 
-def _comparison_run(kind: Protocol, seed: int):
-    params = ProtocolParams(
+def _comparison_params(kind: Protocol) -> ProtocolParams:
+    return ProtocolParams(
         kind=kind,
         step_size=default_step_size(kind, B, F_HAT),
         beacon_period_s=B,
@@ -170,23 +175,31 @@ def _comparison_run(kind: Protocol, seed: int):
         max_error_s=6000.0 / F_HAT,
         gather_wait_s=1.0,
     )
-    osc = OscillatorParams(nominal_hz=F_HAT, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
-    trace = run_simulation(
-        build_line_topology(16), params, osc_params=osc,
-        delay_model=DelayModel(std_s=1e-5), duration_s=12240.0,
-        sample_interval_s=10.0, boot_window_s=300.0, seed=seed,
-    )
-    return summarize(trace.sample_times_s, trace.logical_s, 1000.0 / F_HAT, 5,
-                     start_after=trace.boot_complete_time)
 
 
 @pytest.fixture(scope="module")
 def comparison():
+    # One recorded event pass per seed, replayed for each protocol: the same
+    # traces as three full runs (test_replayed_schedule_equals_the_live_run).
     t0 = time.perf_counter()
-    summaries = {
-        kind: [_comparison_run(kind, s) for s in SEEDS] for kind in Protocol
+    sim_kwargs = {
+        "osc_params": OscillatorParams(nominal_hz=F_HAT, max_drift_hz=25.0,
+                                       resample_interval_s=3600.0),
+        "delay_model": DelayModel(std_s=1e-5), "duration_s": 12240.0,
+        "sample_interval_s": 10.0, "boot_window_s": 300.0,
     }
+    topo = build_line_topology(16)
+    summaries = {kind: [] for kind in Protocol}
+    for seed in SEEDS:
+        schedule = record_schedule(topo, _comparison_params(Protocol.NEWTON), seed=seed,
+                                   **sim_kwargs)
+        for kind in Protocol:
+            trace = run_simulation(topo, _comparison_params(kind), seed=seed,
+                                   schedule=schedule, **sim_kwargs)
+            summaries[kind].append(summarize(
+                trace.sample_times_s, trace.logical_s, 1000.0 / F_HAT, 5,
+                start_after=trace.boot_complete_time,
+            ))
     return summaries, time.perf_counter() - t0
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsnsync import clocks
@@ -302,6 +302,16 @@ def test_correction_without_offset_is_continuous():
     assert lc.read(5e5) == before
 
 
+@pytest.mark.parametrize("offset_s,new_rate", [
+    (math.nan, None), (math.inf, 2e-6), (0.5, math.inf), (0.5, -math.inf), (0.0, math.nan),
+])
+def test_non_finite_correction_raises_and_leaves_the_clock_unchanged(offset_s, new_rate):
+    lc = LogicalClock(value=3.0, rate=1e-6, anchor_ticks=50.0)
+    with pytest.raises(ValueError, match="correction must be finite"):
+        lc.apply_correction(100.0, offset_s=offset_s, new_rate=new_rate)
+    assert lc == LogicalClock(value=3.0, rate=1e-6, anchor_ticks=50.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=-1e3, max_value=1e3),
@@ -309,8 +319,13 @@ def test_correction_without_offset_is_continuous():
     st.floats(min_value=0.0, max_value=1e9),
     st.floats(min_value=0.0, max_value=1e9),
 )
+# each read is rounded at its own magnitude before the difference cancels it
+@example(value=0.0, rate=9.796620287887991e-06, a=999999988.0, b=999999999.0)
 def test_read_linearity(value: float, rate: float, a: float, b: float):
     lc = LogicalClock(value=value, rate=rate, anchor_ticks=0.0)
     lo, hi = min(a, b), max(a, b)
-    assert lc.read(hi) - lc.read(lo) == pytest.approx(rate * (hi - lo),
-                                                      rel=1e-9, abs=1e-12)
+    # Seven roundings separate the two sides: a product and a sum in each
+    # read, their difference, and hi - lo and its product on the right. Each
+    # result lies below 2 * m, so each is off by at most ulp(m).
+    m = abs(value) + rate * hi
+    assert abs((lc.read(hi) - lc.read(lo)) - rate * (hi - lo)) <= 7 * math.ulp(m)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from wsnsync.simulation import (
     EventQueue,
     Topology,
     build_line_topology,
+    record_schedule,
     run_simulation,
 )
 
@@ -580,3 +582,83 @@ def test_boot_complete_time_is_last_boot():
     trace = _small_run(Protocol.NEWTON)
     assert trace.boot_complete_time == max(trace.boot_times.values())
     assert 0.0 <= trace.boot_complete_time < 100.0
+
+
+# ---------------------------------------------------------------------------
+# one event pass per seed: a recorded schedule replays to the live run
+
+
+# a star whose hub is not the gateway, in a topology file's format
+_STAR = Topology.from_config(json.loads(
+    '{"nodes": [1, 2, 3, 4, 5], "edges": [[2, 1], [2, 3], [2, 4], [2, 5]], "gateway": 1}'
+))
+
+
+@st.composite
+def _schedule_cases(draw):
+    topo = draw(st.sampled_from([build_line_topology(n) for n in range(3, 9)] + [_STAR]))
+    sim_kwargs = {
+        "osc_params": OscillatorParams(
+            nominal_hz=1e6, max_drift_hz=25.0,
+            resample_interval_s=draw(st.sampled_from([30.0, 3600.0])),
+            quantize_ticks=draw(st.booleans()),
+        ),
+        "delay_model": DelayModel(std_s=draw(_DELAY_STDS),
+                                  floor_s=draw(st.sampled_from([0.0, 2e-3]))),
+        # a horizon off the beacon grid cuts the last rounds' acks off
+        "duration_s": draw(st.floats(min_value=150.0, max_value=700.0)),
+        "boot_window_s": draw(st.floats(min_value=0.0, max_value=120.0)),
+        "seed": draw(_SEEDS),
+        "initial_ticks": draw(st.none() | st.floats(min_value=0.0, max_value=1e9)),
+    }
+    gather_wait_s = draw(st.sampled_from([0.0, 1.0]))
+    initial_rate = draw(st.none() | st.floats(min_value=0.9e-6, max_value=1.1e-6))
+    return topo, sim_kwargs, gather_wait_s, initial_rate
+
+
+def _replayable_params(kind: Protocol, gather_wait_s: float) -> ProtocolParams:
+    return ProtocolParams(kind=kind, step_size=default_step_size(kind, 30.0, 1e6),
+                          beacon_period_s=30.0, nominal_hz=1e6, max_error_s=6e-3,
+                          gather_wait_s=gather_wait_s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_schedule_cases())
+def test_replayed_schedule_equals_the_live_run(case):
+    topo, sim_kwargs, gather_wait_s, initial_rate = case
+    schedule = record_schedule(topo, _replayable_params(Protocol.NEWTON, gather_wait_s),
+                               **sim_kwargs)
+    for kind in Protocol:
+        params = _replayable_params(kind, gather_wait_s)
+        try:
+            live = run_simulation(topo, params, initial_rate=initial_rate, **sim_kwargs)
+        except ValueError as exc:  # a replay fails the same way
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                run_simulation(topo, params, initial_rate=initial_rate,
+                               schedule=schedule, **sim_kwargs)
+            continue
+        replayed = run_simulation(topo, params, initial_rate=initial_rate,
+                                  schedule=schedule, **sim_kwargs)
+        assert replayed.logical_s.tobytes() == live.logical_s.tobytes()
+        assert replayed.rounds == live.rounds
+        assert replayed.boot_times == live.boot_times
+        assert replayed.config == live.config
+
+
+@pytest.mark.parametrize("change,setting", [
+    ({"seed": 12}, "seed"),
+    ({"params": _newton_params(b=20.0)}, "beacon_period_s"),
+    ({"params": _newton_params(gather_wait_s=0.5)}, "gather_wait_s"),
+    ({"topology": build_line_topology(5)}, "topology"),
+    ({"topology": _STAR}, "topology"),
+])
+def test_replay_refuses_a_schedule_of_other_settings(change, setting):
+    run = {"topology": build_line_topology(4), "params": _newton_params(),
+           "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0),
+           "duration_s": 300.0, "boot_window_s": 60.0, "seed": 11}
+    schedule = record_schedule(**run)
+    with pytest.raises(ValueError, match=f"recorded with other {setting}$"):
+        run_simulation(**{**run, **change}, schedule=schedule)
+    # the step size and guard are protocol arithmetic, not schedule settings
+    other = _newton_params(step_size=0.5, max_error_s=1.0)
+    run_simulation(**{**run, "params": other}, schedule=schedule)
