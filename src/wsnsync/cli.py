@@ -31,7 +31,7 @@ from . import analysis, metrics
 from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
 from .simulation import (
-    DelayModel, Topology, build_line_topology, check_schedule, record_schedule,
+    DelayModel, Schedule, Topology, build_line_topology, check_schedule, record_schedule,
     run_simulation, write_csv_preamble,
 )
 
@@ -254,24 +254,10 @@ def _protocol_params(cfg: dict, kind: Protocol) -> ProtocolParams:
     )
 
 
-def _run_one(job: tuple[dict, ProtocolParams, int]):
-    sim_kwargs, params, seed = job
-    return run_simulation(params=params, seed=seed, **sim_kwargs)
-
-
-def _run_by_seed(jobs: list):
-    """Each job's trace, one seed at a time: a seed with two or more jobs
-    records its event pass once and each job replays it, in the same bytes."""
-    by_seed: dict[int, list] = {}
-    for job in jobs:
-        by_seed.setdefault(job[2], []).append(job)
-    for seed, group in by_seed.items():
-        schedule = None  # drops the previous seed's before recording
-        if len(group) > 1:
-            sim_kwargs, params, _ = group[0]
-            schedule = record_schedule(params=params, seed=seed, **sim_kwargs)
-        for sim_kwargs, params, _ in group:
-            yield run_simulation(params=params, seed=seed, schedule=schedule, **sim_kwargs)
+def _seed_schedule(group: tuple[dict, list[ProtocolParams], int]) -> Schedule:
+    """One event pass that runs all of a seed group's protocols in lock step."""
+    sim_kwargs, params_seq, seed = group
+    return record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
 
 
 def _csv_field(value) -> str:
@@ -308,9 +294,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
                           or os.environ.get("WSNSYNC_OUT_DIR") or "out"))
 
 
-def _plan(cfg: dict) -> tuple[list[tuple[dict, ProtocolParams, int]], dict]:
-    """The (simulation kwargs, protocol params, seed) job of every run that
-    ``cfg`` asks for, and the summary header that records them."""
+def _plan(cfg: dict) -> tuple[list[tuple[dict, list[ProtocolParams], int]], dict]:
+    """One (simulation kwargs, protocol params, seed) group per seed that
+    ``cfg`` asks for, and the summary header that records the runs."""
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
@@ -336,7 +322,7 @@ def _plan(cfg: dict) -> tuple[list[tuple[dict, ProtocolParams, int]], dict]:
                   f"the convergence bound ({lo}, {hi})", file=sys.stderr)
     resolved = {**cfg, "protocols": [p.value for p in protocols], "seeds": seeds,
                 "per_protocol_step_size": {p.value: params[p].step_size for p in protocols}}
-    return [(sim_kwargs, params[p], s) for p in protocols for s in seeds], resolved
+    return [(sim_kwargs, list(params.values()), s) for s in seeds], resolved
 
 
 def _staged(path: Path) -> Path:
@@ -344,46 +330,52 @@ def _staged(path: Path) -> Path:
     return path.with_name(path.name + ".partial")
 
 
-def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
-    """Run the planned jobs; write their traces and summary.csv to ``out``,
-    print the summary table and return its rows.
+def _run_jobs(groups: list, resolved: dict, out: Path) -> list[dict]:
+    """Run the planned seed groups; write their traces and summary.csv to
+    ``out``, print the summary table and return its rows.
 
-    Traces are taken one at a time: each is written, summarized and dropped
-    before the next is taken. In process they come seed by seed, so that a
-    seed's protocols share one event pass (_run_by_seed); with workers, in
-    job order, one pass each. summary.csv lists them in job order. Files
-    are renamed from their ``_staged`` paths after the last run succeeds; a
-    failure deletes the staged files and leaves ``out`` as it was. Traces
-    in ``out`` that this run did not write are kept and named in a warning.
+    A seed's protocols share one event pass (_seed_schedule); with workers,
+    each worker makes whole seeds' passes. Traces are built from the passes
+    one at a time: each is written, summarized and dropped before the next
+    is built. summary.csv lists them protocol by protocol, then seed by
+    seed. Files are renamed from their ``_staged`` paths after the last run
+    succeeds; a failure deletes the staged files and leaves ``out`` as it
+    was. Traces in ``out`` that this run did not write are kept and named
+    in a warning.
     """
-    workers = min(resolved["jobs"], len(jobs), os.cpu_count() or 1)
+    protocols = resolved["protocols"]
+    workers = min(resolved["jobs"], len(protocols) * len(groups), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
     rows: list[dict] = []
     written: list[Path] = []
     try:
         with contextlib.ExitStack() as stack:
+            schedules = map(_seed_schedule, groups)
             if workers > 1:
                 pool = stack.enter_context(
                     concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-                traces = pool.map(_run_one, jobs)
-            else:
-                traces = _run_by_seed(jobs)
-            for trace in traces:
-                protocol, seed = trace.config["protocol"], trace.config["seed"]
-                written.append(out / f"trace_{protocol}_{seed}.csv")
-                with open(_staged(written[-1]), "w", newline="\n") as fh:
-                    trace.write_csv(fh)  # embeds its own resolved-config header
-                summ = metrics.summarize(
-                    trace.sample_times_s,
-                    trace.logical_s,
-                    threshold_s,
-                    resolved["window"],
-                    start_after=trace.boot_complete_time,
-                )
-                del trace  # before the next run starts
-                rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
-        plan = {(params.kind.value, seed): i for i, (_, params, seed) in enumerate(jobs)}
-        rows.sort(key=lambda r: plan[r["protocol"], r["seed"]])
+                schedules = pool.map(_seed_schedule, groups)
+            for sim_kwargs, params_seq, seed in groups:
+                schedule = next(schedules)
+                for params in params_seq:
+                    trace = run_simulation(params=params, seed=seed, schedule=schedule,
+                                           **sim_kwargs)
+                    protocol = params.kind.value
+                    written.append(out / f"trace_{protocol}_{seed}.csv")
+                    with open(_staged(written[-1]), "w", newline="\n") as fh:
+                        trace.write_csv(fh)  # embeds its own resolved-config header
+                    summ = metrics.summarize(
+                        trace.sample_times_s,
+                        trace.logical_s,
+                        threshold_s,
+                        resolved["window"],
+                        start_after=trace.boot_complete_time,
+                    )
+                    del trace  # before the next trace is built
+                    rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+                del schedule  # before the next seed's pass
+        # stable: within a protocol, the rows stay in seed order
+        rows.sort(key=lambda r: protocols.index(r["protocol"]))
         written.append(out / "summary.csv")
         _write_csv(_staged(written[-1]), resolved, SUMMARY_COLUMNS, rows)
     except BaseException:  # interrupts too: leave no staged file behind
@@ -410,8 +402,8 @@ def _run_jobs(jobs: list, resolved: dict, out: Path) -> list[dict]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    jobs, resolved = _plan(_resolve(args))
-    _run_jobs(jobs, resolved, _out_dir(args))
+    groups, resolved = _plan(_resolve(args))
+    _run_jobs(groups, resolved, _out_dir(args))
     return 0
 
 
@@ -542,10 +534,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
 
     agg_rows = []
-    for (value, raw), (jobs, resolved) in zip(values.items(), plans):
+    for (value, raw), (groups, resolved) in zip(values.items(), plans):
         sub_dir = _make_dir(out / f"{param.replace('-', '_')}_{raw}")
         try:
-            rows = _run_jobs(jobs, resolved, sub_dir)
+            rows = _run_jobs(groups, resolved, sub_dir)
         except BaseException:
             with contextlib.suppress(OSError):  # only an empty directory goes
                 sub_dir.rmdir()

@@ -31,9 +31,10 @@ boot times, drift trajectories and delay draws.
 A run is two parts. The event pass (_Sim) decides when each clock is read
 and reads the hardware clock there; the protocol arithmetic (_Clocks) turns
 those readings into logical clocks, rounds and trace rows. Nothing the
-arithmetic computes flows back into the pass, so record_schedule can record
-one seed's pass and run_simulation(..., schedule=) can replay it under any
-protocol, in the same bytes as a full run.
+arithmetic computes flows back into the pass, so record_schedule runs one
+seed's pass once with several protocols' arithmetic in lock step, and
+run_simulation(..., schedule=) builds each protocol's trace from it, in the
+same bytes as a run of that protocol alone.
 """
 from __future__ import annotations
 
@@ -245,123 +246,15 @@ class SimulationTrace:
             ]))
 
 
-# Operations of a recorded schedule, one per reading handed to a sink: the
-# low three bits of a Schedule.ops entry hold the operation, the rest the
-# node's index in topology.node_ids (for _FRAME, the number of readings).
-_ANSWER, _GATEWAY_ANSWER, _ACK, _ROUND, _EMPTY_ROUND, _FRAME = range(6)
-# A schedule's arrays are cut into chunks of about this many values, at
-# sample frames. One array grown to the whole tape leaves its outgrown
-# copies behind in the allocator, which costs more resident memory than the
-# tape itself.
-_TAPE_CHUNK = 8192
-
-
-# eq=False: a generated __eq__ would compare the arrays element by element.
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """One seed's event pass, recorded by record_schedule for
-    run_simulation to replay under any protocol's arithmetic.
-
-    settings holds the arguments that shape the pass; boot_times and
-    initial_ticks are per node, in topology.node_ids order. ops holds one
-    32-bit operation per clock reading and values its floats, in event
-    order, each as a tuple of array chunks. _ANSWER and _ACK carry the
-    ticks read, and an _ACK entry is followed by the serial number of the
-    answer it carries, counted over both answer operations (so a schedule
-    holds fewer than 2**31 answers). _GATEWAY_ANSWER carries the true time,
-    _ROUND the deadline and the ticks read there, _EMPTY_ROUND the deadline,
-    and _FRAME the ticks of the booted non-gateway nodes at the next sample
-    time.
-    """
+    """One seed's event pass, run by record_schedule with each params'
+    arithmetic in lock step: the settings that shaped the pass, the initial
+    rate and each params' finished _Clocks, for run_simulation's traces."""
 
     settings: dict
-    boot_times: tuple[float, ...]
-    initial_ticks: tuple[float, ...]
-    ops: tuple[array, ...]
-    values: tuple[array, ...]
-
-    def replay(self, sink: _Clocks) -> None:
-        """Hand the recorded readings to ``sink`` in event order, through the
-        five calls the event pass made."""
-        answers: dict[int, float] = {}  # by serial, until their ack arrives
-        serial = itertools.count().__next__
-        value = itertools.chain.from_iterable(self.values).__next__
-        ops = itertools.chain.from_iterable(self.ops)
-        next_op = ops.__next__
-        answer, ack, round_, frame = sink.answer, sink.ack, sink.round, sink.frame
-        k = 0
-        for op in ops:  # the most frequent operations first
-            kind = op & 7
-            if kind == _ACK:
-                ack(op >> 3, value(), answers.pop(next_op()))
-            elif kind == _ANSWER:
-                answers[serial()] = answer(op >> 3, value())
-            elif kind == _ROUND:
-                t = value()
-                round_(t, op >> 3, value())
-            elif kind == _FRAME:
-                frame(k, [value() for _ in range(op >> 3)])
-                k += 1
-            elif kind == _GATEWAY_ANSWER:
-                answers[serial()] = sink.gateway_answer(value())
-            else:  # _EMPTY_ROUND
-                sink.empty_round(value(), op >> 3)
-
-
-class _Tape:
-    """The sink that records the event pass as Schedule.ops and .values;
-    each answer's serial number is what its ack carries."""
-
-    def __init__(self) -> None:
-        self.ops_chunks: list[array] = []
-        self.values_chunks: list[array] = []
-        self._new_chunk()
-        self._serial = itertools.count().__next__
-
-    def _new_chunk(self) -> None:
-        self.ops = array("i")
-        self.values = array("d")
-        self.ops_chunks.append(self.ops)
-        self.values_chunks.append(self.values)
-
-    def answer(self, i: int, ticks: float) -> int:
-        self.ops.append(_ANSWER | i << 3)
-        self.values.append(ticks)
-        return self._serial()
-
-    def gateway_answer(self, t: float) -> int:
-        self.ops.append(_GATEWAY_ANSWER)
-        self.values.append(t)
-        return self._serial()
-
-    def ack(self, i: int, ticks: float, serial: int) -> None:
-        self.ops.extend((_ACK | i << 3, serial))
-        self.values.append(ticks)
-
-    def empty_round(self, t: float, i: int) -> None:
-        self.ops.append(_EMPTY_ROUND | i << 3)
-        self.values.append(t)
-
-    def round(self, t: float, i: int, ticks: float) -> None:
-        self.ops.append(_ROUND | i << 3)
-        self.values.extend((t, ticks))
-
-    def frame(self, k: int, ticks: list[float]) -> None:
-        self.ops.append(_FRAME | len(ticks) << 3)
-        self.values.extend(ticks)
-        if len(self.values) >= _TAPE_CHUNK:
-            self._new_chunk()
-
-
-def _sample_times(duration_s: float, sample_interval_s: float) -> tuple[float, ...]:
-    """Sample k is due at the k-th partial sum of the interval, the float
-    additions the schedule has always made."""
-    times = []
-    t = sample_interval_s
-    while t <= duration_s:
-        times.append(t)
-        t += sample_interval_s
-    return tuple(times)
+    initial_rate: float | None
+    clocks: dict[ProtocolParams, _Clocks]
 
 
 class _Sim:
@@ -369,11 +262,10 @@ class _Sim:
     and sample frames.
 
     It decides when each clock is read, advances the hardware clock there
-    and hands the reading to a sink: a _Clocks does the protocol arithmetic
-    live, a _Tape records it for replay. Nothing a sink computes flows back,
-    so every protocol sees the same pass under one seed. The arguments are
-    run_simulation's schedule settings; nodes are indices into
-    topology.node_ids.
+    and hands the reading to its sink: one protocol's _Clocks, or a _FanOut
+    of several. Nothing the sink computes flows back, so every protocol
+    sees the same pass under one seed. The arguments are run_simulation's
+    schedule settings; nodes are indices into topology.node_ids.
     """
 
     def __init__(
@@ -394,7 +286,7 @@ class _Sim:
         self.duration = duration_s
         self.beacon_period = beacon_period_s
         self.gather_wait = gather_wait_s
-        ids = topology.node_ids
+        self.node_ids = ids = topology.node_ids
         index = {nid: i for i, nid in enumerate(ids)}
         self.neighbors = [tuple(index[j] for j in topology.neighbors[nid]) for nid in ids]
         self.gateway = index[topology.gateway]
@@ -431,17 +323,21 @@ class _Sim:
         for i, boot in enumerate(self.boot_times):
             if i != self.gateway and boot <= duration_s:
                 self.queue.push(boot, BEACON, i)
-        # Row k of the readings is filled by the event that carries k.
-        self.sample_times = _sample_times(duration_s, sample_interval_s)
+        # Sample k is due at the k-th partial sum of the interval; row k of
+        # the readings is filled by the event that carries k.
+        times, t = [], sample_interval_s
+        while t <= duration_s:
+            times.append(t)
+            t += sample_interval_s
+        self.sample_times = tuple(times)
         if self.sample_times:
             self.queue.push(self.sample_times[0], SAMPLE, 0)
 
-    def run(self, sink: _Clocks | _Tape) -> None:
+    def run(self, sink: _Clocks | _FanOut) -> None:
         self.sink = sink
         handlers = (self._deliver, self._deadline, self._beacon, self._sample)
-        heap = self.queue._heap
         pop = self.queue.pop
-        while heap:
+        while self.queue:
             t, kind, data = pop()
             handlers[kind](t, data)
 
@@ -449,7 +345,7 @@ class _Sim:
         self, t: float, sender: int, receiver: int, answer: object, round_deadline: float,
     ) -> None:
         """Schedule a delivery; answer None is a request, else an ack that
-        carries what the sink returned for the answer.
+        carries the answer.
 
         round_deadline is the deadline of the requester's round, which the
         ack of a request carries back.
@@ -479,7 +375,7 @@ class _Sim:
             if not self.synced[receiver]:
                 return  # no valid time to answer with
             if receiver == self.gateway:
-                answer = self.sink.gateway_answer(t)
+                answer = t  # true time, whatever the protocol
             else:
                 hw = self.hws[receiver]
                 hw.advance(t)
@@ -516,49 +412,40 @@ class _Clocks:
     """The protocol arithmetic of one run: each node's logical clock, ack
     sums, round records and the readings array.
 
-    It is fed hardware-tick readings through five methods, live by the
-    event pass (as its sink) or by Schedule.replay.
-    The gateway keeps no logical clock: it answers with true time.
+    It is fed hardware-tick readings through five methods by the event
+    pass, directly or through a _FanOut. The gateway keeps no logical
+    clock: the pass answers for it with true time. error holds the
+    ValueError that stopped the arithmetic, if any.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        params: ProtocolParams,
-        boot_times: Sequence[float],
-        initial_ticks: Sequence[float],
-        initial_rate: float | None,
-        sample_times: tuple[float, ...],
-    ) -> None:
-        self.node_ids = topology.node_ids
+    def __init__(self, sim: _Sim, params: ProtocolParams, initial_rate: float | None) -> None:
+        self.node_ids = sim.node_ids
         self.params = params
-        self.boot_times = boot_times
-        self.sample_times = sample_times
-        gateway = self.node_ids.index(topology.gateway)
+        self.boot_times = sim.boot_times
+        self.sample_times = sim.sample_times
         rate = 1.0 / params.nominal_hz if initial_rate is None else float(initial_rate)
         # Cold boot: the logical clock starts wherever the hardware counter
         # puts it, not at true time.
-        self.lcs = [
-            None if i == gateway else LogicalClock(value=rate * t0, rate=rate, anchor_ticks=t0)
-            for i, t0 in enumerate(initial_ticks)
-        ]
+        self.lcs = [None if i == sim.gateway else LogicalClock(rate * t0, rate, t0)
+                    for i, t0 in enumerate(sim.initial_ticks)]
+        self.error: ValueError | None = None
         self.err_acc = [0.0] * len(self.lcs)
         self.n_acks = [0] * len(self.lcs)
-        self.rounds: list[RoundRecord] = []
-        self.logical_s = np.full((len(sample_times), len(self.lcs)), math.nan)
+        # Five floats per round, for run_simulation's RoundRecords: time,
+        # node index, mean offset, new rate (NaN for None) and acks. A
+        # seed's protocols all hold theirs until its last trace is built.
+        self.rounds = array("d")
+        self.logical_s = np.full((len(self.sample_times), len(self.lcs)), math.nan)
 
     def answer(self, i: int, ticks: float) -> float:
         return self.lcs[i].read(ticks)
-
-    def gateway_answer(self, t: float) -> float:
-        return t
 
     def ack(self, i: int, ticks: float, payload: float) -> None:
         self.err_acc[i] += payload - self.lcs[i].read(ticks)
         self.n_acks[i] += 1
 
     def empty_round(self, t: float, i: int) -> None:
-        self.rounds.append(RoundRecord(t, self.node_ids[i], None, None, 0))
+        self.rounds.extend((t, i, math.nan, math.nan, 0))
 
     def round(self, t: float, i: int, ticks: float) -> None:
         n_acks = self.n_acks[i]
@@ -578,7 +465,7 @@ class _Clocks:
                 f"correction is offset_s={e_new}, new_rate={new_rate}: the settings "
                 "drive its clock out of float range"
             ) from None
-        self.rounds.append(RoundRecord(t, self.node_ids[i], e_new, new_rate, n_acks))
+        self.rounds.extend((t, i, e_new, math.nan if new_rate is None else new_rate, n_acks))
 
     def frame(self, k: int, ticks: list[float]) -> None:
         """Row k of the readings, from the ticks of the booted non-gateway nodes."""
@@ -588,6 +475,45 @@ class _Clocks:
             math.nan if t < boot else t if lc is None else lc.read(tick())
             for boot, lc in zip(self.boot_times, self.lcs)
         ]
+
+
+def _fanned(method):
+    """The _Clocks ``method``, made on each live _Clocks of a _FanOut in turn."""
+    def each(self: _FanOut, *args) -> list:
+        values = []
+        for clocks in self:
+            value = None
+            if clocks.error is None:
+                try:
+                    value = method(clocks, *args)
+                except ValueError as exc:
+                    clocks.error = exc
+            values.append(value)
+        return values
+    return each
+
+
+class _FanOut(list):
+    """The event pass's sink for several protocols: the list of their
+    _Clocks, each of which gets every call in turn. An answer is a list of
+    one value per _Clocks (None for one that failed), and an ack hands each
+    its own; a gateway's answer is one true time for all. A _Clocks whose
+    arithmetic raises keeps the error and gets no further readings."""
+
+    answer = _fanned(_Clocks.answer)
+    empty_round = _fanned(_Clocks.empty_round)
+    round = _fanned(_Clocks.round)
+    frame = _fanned(_Clocks.frame)
+
+    def ack(self, i: int, ticks: float, payloads: list | float) -> None:
+        if not isinstance(payloads, list):
+            payloads = itertools.repeat(payloads)
+        for clocks, payload in zip(self, payloads):
+            if clocks.error is None:
+                try:
+                    clocks.ack(i, ticks, payload)
+                except ValueError as exc:
+                    clocks.error = exc
 
 
 def check_schedule(duration_s: float, sample_interval_s: float,
@@ -645,7 +571,7 @@ def _schedule_settings(
 
 def record_schedule(
     topology: Topology,
-    params: ProtocolParams,
+    params_seq: Sequence[ProtocolParams],
     *,
     osc_params: OscillatorParams,
     delay_model: DelayModel = DelayModel(),
@@ -653,22 +579,36 @@ def record_schedule(
     sample_interval_s: float = 10.0,
     boot_window_s: float = 300.0,
     seed: int = 0,
+    initial_rate: float | None = None,
     initial_ticks: float | None = None,
 ) -> Schedule:
-    """Run the event pass of run_simulation's arguments once and record
-    every clock reading, for run_simulation(..., schedule=) to replay.
+    """Run the event pass of run_simulation's arguments once, with the
+    arithmetic of each params in params_seq in lock step, for
+    run_simulation(..., schedule=) to build their traces from.
 
-    Of params it reads only the beacon period, gather wait and nominal
-    frequency: no protocol arithmetic feeds back into when clocks are
-    read, so one schedule serves every protocol and step size.
+    The entries must differ and share the beacon period, gather wait and
+    nominal frequency, which shape the pass; else ValueError. A ValueError
+    of one entry's arithmetic is raised by its run_simulation call, or here
+    if it is the only entry; the other entries finish.
     """
-    settings = _schedule_settings(topology, params, osc_params, delay_model, duration_s,
+    if not params_seq:
+        raise ValueError("params_seq is empty")
+    settings = _schedule_settings(topology, params_seq[0], osc_params, delay_model, duration_s,
                                   sample_interval_s, boot_window_s, seed, initial_ticks)
+    for k, params in enumerate(params_seq):
+        if params in params_seq[:k]:
+            raise ValueError(f"params_seq holds {params} twice")
+        if settings != _schedule_settings(topology, params, osc_params, delay_model, duration_s,
+                                          sample_interval_s, boot_window_s, seed, initial_ticks):
+            raise ValueError(f"{params} needs another event pass than {params_seq[0]}")
+    if initial_rate is not None and not math.isfinite(initial_rate):
+        raise ValueError(f"initial_rate must be finite, got {initial_rate}")
     sim = _Sim(**settings)
-    tape = _Tape()
-    sim.run(tape)
-    return Schedule(settings, tuple(sim.boot_times), tuple(sim.initial_ticks),
-                    tuple(tape.ops_chunks), tuple(tape.values_chunks))
+    clocks = [_Clocks(sim, params, initial_rate) for params in params_seq]
+    # A lone _Clocks is the sink itself: a fan-out to one protocol made a
+    # line:256 run 15 % slower end to end (CHANGES.md).
+    sim.run(clocks[0] if len(clocks) == 1 else _FanOut(clocks))
+    return Schedule(settings, initial_rate, dict(zip(params_seq, clocks)))
 
 
 def run_simulation(
@@ -692,28 +632,31 @@ def run_simulation(
     settings that drive a clock out of float range (a huge step size under
     a wide guard, say) raise ValueError instead of returning inf or NaN.
 
-    With a schedule from record_schedule, the event pass is replayed from
-    it instead of run, which gives the same trace; ValueError if the
-    schedule was recorded with other schedule-shaping arguments.
+    With a schedule from record_schedule, the trace comes from the
+    arithmetic its pass ran for params, in the same bytes; ValueError if
+    the pass had other schedule-shaping arguments or initial_rate, or did
+    not run params.
     """
-    settings = _schedule_settings(topology, params, osc_params, delay_model, duration_s,
-                                  sample_interval_s, boot_window_s, seed, initial_ticks)
-    if initial_rate is not None and not math.isfinite(initial_rate):
-        raise ValueError(f"initial_rate must be finite, got {initial_rate}")
-
     if schedule is None:
-        sim = _Sim(**settings)
-        clocks = _Clocks(topology, params, sim.boot_times, sim.initial_ticks,
-                         initial_rate, sim.sample_times)
-        sim.run(clocks)
+        schedule = record_schedule(
+            topology, (params,), osc_params=osc_params, delay_model=delay_model,
+            duration_s=duration_s, sample_interval_s=sample_interval_s,
+            boot_window_s=boot_window_s, seed=seed, initial_rate=initial_rate,
+            initial_ticks=initial_ticks)
     else:
+        settings = _schedule_settings(topology, params, osc_params, delay_model, duration_s,
+                                      sample_interval_s, boot_window_s, seed, initial_ticks)
         differ = [name for name, value in settings.items()
                   if schedule.settings[name] != value]
+        if schedule.initial_rate != initial_rate:
+            differ.append("initial_rate")
         if differ:
             raise ValueError(f"the schedule was recorded with other {', '.join(differ)}")
-        clocks = _Clocks(topology, params, schedule.boot_times, schedule.initial_ticks,
-                         initial_rate, _sample_times(duration_s, sample_interval_s))
-        schedule.replay(clocks)
+        if params not in schedule.clocks:
+            raise ValueError(f"the schedule's pass did not run {params}")
+    clocks = schedule.clocks[params]
+    if clocks.error is not None:
+        raise clocks.error
     sample_times = clocks.sample_times
     boot_times = dict(zip(topology.node_ids, clocks.boot_times))
     booted = (np.array(sample_times).reshape(-1, 1)
@@ -749,7 +692,11 @@ def run_simulation(
     return SimulationTrace(
         sample_times_s=sample_times,
         logical_s=clocks.logical_s,
-        rounds=tuple(clocks.rounds),
+        rounds=tuple(
+            RoundRecord(t, topology.node_ids[int(i)], None if e != e else e,
+                        None if rate != rate else rate, int(n))
+            for t, i, e, rate, n in zip(*(clocks.rounds[k::5] for k in range(5)))
+        ),
         topology=topology,
         boot_times=boot_times,
         config=config,

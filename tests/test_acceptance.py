@@ -179,8 +179,8 @@ def _comparison_params(kind: Protocol) -> ProtocolParams:
 
 @pytest.fixture(scope="module")
 def comparison():
-    # One recorded event pass per seed, replayed for each protocol: the same
-    # traces as three full runs (test_replayed_schedule_equals_the_live_run).
+    # One event pass per seed runs the three protocols in lock step: the
+    # same traces as three full runs (test_replayed_schedule_equals_the_live_run).
     t0 = time.perf_counter()
     sim_kwargs = {
         "osc_params": OscillatorParams(nominal_hz=F_HAT, max_drift_hz=25.0,
@@ -191,8 +191,8 @@ def comparison():
     topo = build_line_topology(16)
     summaries = {kind: [] for kind in Protocol}
     for seed in SEEDS:
-        schedule = record_schedule(topo, _comparison_params(Protocol.NEWTON), seed=seed,
-                                   **sim_kwargs)
+        schedule = record_schedule(topo, [_comparison_params(kind) for kind in Protocol],
+                                   seed=seed, **sim_kwargs)
         for kind in Protocol:
             trace = run_simulation(topo, _comparison_params(kind), seed=seed,
                                    schedule=schedule, **sim_kwargs)

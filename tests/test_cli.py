@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wsnsync import cli
+from wsnsync import cli, simulation
 
 
 def _run_args(out: Path, *extra: str) -> list[str]:
@@ -338,7 +338,17 @@ def test_rerun_is_byte_identical(tmp_path: Path):
 
 def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
     # each trace is written, to its staged path, and released before the
-    # next run starts
+    # next run starts; each seed's event pass is released before the next
+    real_pass = cli.record_schedule
+    passes: list[weakref.ref] = []
+
+    def tracked_pass(*args, **kwargs):
+        assert all(ref() is None for ref in passes)
+        schedule = real_pass(*args, **kwargs)
+        passes.append(weakref.ref(schedule))
+        return schedule
+
+    monkeypatch.setattr(cli, "record_schedule", tracked_pass)
     real = cli.run_simulation
     made: list[tuple[weakref.ref, Path]] = []
 
@@ -356,6 +366,7 @@ def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
     assert cli.main(args) == 0
     assert len(made) == 4
     assert made[-1][0]() is None
+    assert len(passes) == 2
 
 
 def test_parallel_jobs_write_the_same_bytes(tmp_path: Path):
@@ -375,6 +386,20 @@ def test_parallel_jobs_write_the_same_bytes(tmp_path: Path):
             assert cfg_one == cfg_two
             one, two = one.split(b"\n", 1)[1], two.split(b"\n", 1)[1]
         assert one == two, name
+
+
+@pytest.mark.parametrize("protocols", ["newton", "newton,grades,avgpisync"])
+def test_each_seed_makes_one_event_pass(tmp_path: Path, monkeypatch, protocols):
+    passes: list[int] = []
+
+    class CountedSim(simulation._Sim):
+        def __init__(self, **settings):
+            passes.append(settings["seed"])
+            super().__init__(**settings)
+
+    monkeypatch.setattr(simulation, "_Sim", CountedSim)
+    assert cli.main(_run_args(tmp_path, "--protocol", protocols, "--seed", "1..3")) == 0
+    assert passes == [1, 2, 3]
 
 
 # grades' step diverges and the huge guard never blocks it, so its clock

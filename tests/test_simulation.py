@@ -1,6 +1,7 @@
 """Event-driven simulator: topology, scheduling, determinism, protocol rounds."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -585,7 +586,7 @@ def test_boot_complete_time_is_last_boot():
 
 
 # ---------------------------------------------------------------------------
-# one event pass per seed: a recorded schedule replays to the live run
+# one event pass per seed: protocols run in lock step equal their live runs
 
 
 # a star whose hub is not the gateway, in a topology file's format
@@ -625,24 +626,31 @@ def _replayable_params(kind: Protocol, gather_wait_s: float) -> ProtocolParams:
 @settings(max_examples=30, deadline=None)
 @given(_schedule_cases())
 def test_replayed_schedule_equals_the_live_run(case):
+    # one lock-step pass of all three protocols, and a fourth params whose
+    # huge step drives its clocks out of float range once a round has acks
     topo, sim_kwargs, gather_wait_s, initial_rate = case
-    schedule = record_schedule(topo, _replayable_params(Protocol.NEWTON, gather_wait_s),
-                               **sim_kwargs)
-    for kind in Protocol:
-        params = _replayable_params(kind, gather_wait_s)
+    params_seq = [_replayable_params(kind, gather_wait_s) for kind in Protocol]
+    params_seq.append(dataclasses.replace(params_seq[1], step_size=1e300, max_error_s=1e300))
+    schedule = record_schedule(topo, params_seq, initial_rate=initial_rate, **sim_kwargs)
+    for params in params_seq:
         try:
             live = run_simulation(topo, params, initial_rate=initial_rate, **sim_kwargs)
-        except ValueError as exc:  # a replay fails the same way
+        except ValueError as exc:  # only this protocol fails, the same way
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 run_simulation(topo, params, initial_rate=initial_rate,
                                schedule=schedule, **sim_kwargs)
             continue
-        replayed = run_simulation(topo, params, initial_rate=initial_rate,
-                                  schedule=schedule, **sim_kwargs)
-        assert replayed.logical_s.tobytes() == live.logical_s.tobytes()
-        assert replayed.rounds == live.rounds
-        assert replayed.boot_times == live.boot_times
-        assert replayed.config == live.config
+        shared = run_simulation(topo, params, initial_rate=initial_rate,
+                                schedule=schedule, **sim_kwargs)
+        assert shared.logical_s.tobytes() == live.logical_s.tobytes()
+        assert shared.rounds == live.rounds
+        assert shared.boot_times == live.boot_times
+        assert shared.config == live.config
+
+
+_REFUSAL_RUN = {"topology": build_line_topology(4),
+                "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0),
+                "duration_s": 300.0, "boot_window_s": 60.0, "seed": 11}
 
 
 @pytest.mark.parametrize("change,setting", [
@@ -653,12 +661,27 @@ def test_replayed_schedule_equals_the_live_run(case):
     ({"topology": _STAR}, "topology"),
 ])
 def test_replay_refuses_a_schedule_of_other_settings(change, setting):
-    run = {"topology": build_line_topology(4), "params": _newton_params(),
-           "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0),
-           "duration_s": 300.0, "boot_window_s": 60.0, "seed": 11}
-    schedule = record_schedule(**run)
+    run = {**_REFUSAL_RUN, "params": _newton_params()}
+    schedule = record_schedule(params_seq=[_newton_params()], **_REFUSAL_RUN)
     with pytest.raises(ValueError, match=f"recorded with other {setting}$"):
         run_simulation(**{**run, **change}, schedule=schedule)
-    # the step size and guard are protocol arithmetic, not schedule settings
+    # the initial rate is arithmetic, but the pass ran only its own
+    with pytest.raises(ValueError, match="recorded with other initial_rate$"):
+        run_simulation(**run, initial_rate=1.01e-6, schedule=schedule)
+    # so are the step size and guard, and the pass did not run these
     other = _newton_params(step_size=0.5, max_error_s=1.0)
-    run_simulation(**{**run, "params": other}, schedule=schedule)
+    with pytest.raises(ValueError, match=re.escape(f"the schedule's pass did not run {other}")):
+        run_simulation(**{**run, "params": other}, schedule=schedule)
+
+
+def test_record_schedule_refuses_params_one_pass_cannot_run():
+    newton = _newton_params()
+    with pytest.raises(ValueError, match="params_seq is empty"):
+        record_schedule(params_seq=[], **_REFUSAL_RUN)
+    with pytest.raises(ValueError, match=re.escape(f"params_seq holds {newton} twice")):
+        record_schedule(params_seq=[newton, _newton_params(step_size=0.5), newton],
+                        **_REFUSAL_RUN)
+    slower = _newton_params(b=20.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{slower} needs another event pass than {newton}")):
+        record_schedule(params_seq=[newton, slower], **_REFUSAL_RUN)
