@@ -344,7 +344,7 @@ def _run_jobs(groups: list, resolved: dict, out: Path) -> list[dict]:
     in a warning.
     """
     protocols = resolved["protocols"]
-    workers = min(resolved["jobs"], len(protocols) * len(groups), os.cpu_count() or 1)
+    workers = min(resolved["jobs"], len(groups), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
     rows: list[dict] = []
     written: list[Path] = []

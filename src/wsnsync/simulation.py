@@ -212,12 +212,14 @@ class SimulationTrace:
 
     logical_s holds one row per sample time and one column per node, in
     topology.node_ids order: the node's logical clock reading (seconds) at
-    that true time, NaN before the node boots.
+    that true time, NaN before the node boots. round_columns holds five
+    floats per round, as _Clocks records them: time, node index, mean
+    offset, new rate (NaN for None) and acks.
     """
 
     sample_times_s: tuple[float, ...]
     logical_s: np.ndarray
-    rounds: tuple[RoundRecord, ...]
+    round_columns: array
     topology: Topology
     boot_times: dict[int, float]
     config: dict
@@ -225,6 +227,16 @@ class SimulationTrace:
     @property
     def boot_complete_time(self) -> float:
         return max(self.boot_times.values())
+
+    @cached_property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        """The rounds as RoundRecords, built from round_columns on first read."""
+        node_ids, cols = self.topology.node_ids, self.round_columns
+        return tuple(
+            RoundRecord(t, node_ids[int(i)], None if e != e else e,
+                        None if rate != rate else rate, int(n))
+            for t, i, e, rate, n in zip(*(cols[k::5] for k in range(5)))
+        )
 
     def write_csv(self, out: IO[str]) -> None:
         """Trace rows with the resolved config embedded as a comment header.
@@ -246,14 +258,17 @@ class SimulationTrace:
             ]))
 
 
+# The ProtocolParams fields that shape the event pass.
+PASS_FIELDS = ("beacon_period_s", "gather_wait_s", "nominal_hz")
+
+
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """One seed's event pass, run by record_schedule with each params'
-    arithmetic in lock step: the settings that shaped the pass, the initial
-    rate and each params' finished _Clocks, for run_simulation's traces."""
+    arithmetic in lock step: record_schedule's arguments but params_seq, by
+    name, and each params' finished _Clocks, for run_simulation's traces."""
 
-    settings: dict
-    initial_rate: float | None
+    kwargs: dict
     clocks: dict[ProtocolParams, _Clocks]
 
 
@@ -264,8 +279,9 @@ class _Sim:
     It decides when each clock is read, advances the hardware clock there
     and hands the reading to its sink: one protocol's _Clocks, or a _FanOut
     of several. Nothing the sink computes flows back, so every protocol
-    sees the same pass under one seed. The arguments are run_simulation's
-    schedule settings; nodes are indices into topology.node_ids.
+    sees the same pass under one seed. The arguments are record_schedule's,
+    bar initial_rate, and the first params' PASS_FIELDS; nodes are indices
+    into topology.node_ids.
     """
 
     def __init__(
@@ -431,9 +447,8 @@ class _Clocks:
         self.error: ValueError | None = None
         self.err_acc = [0.0] * len(self.lcs)
         self.n_acks = [0] * len(self.lcs)
-        # Five floats per round, for run_simulation's RoundRecords: time,
-        # node index, mean offset, new rate (NaN for None) and acks. A
-        # seed's protocols all hold theirs until its last trace is built.
+        # Five floats per round, a trace's round_columns: time, node index,
+        # mean offset, new rate (NaN for None) and acks.
         self.rounds = array("d")
         self.logical_s = np.full((len(self.sample_times), len(self.lcs)), math.nan)
 
@@ -538,37 +553,6 @@ def check_schedule(duration_s: float, sample_interval_s: float,
             )
 
 
-def _schedule_settings(
-    topology: Topology,
-    params: ProtocolParams,
-    osc_params: OscillatorParams,
-    delay_model: DelayModel,
-    duration_s: float,
-    sample_interval_s: float,
-    boot_window_s: float,
-    seed: int,
-    initial_ticks: float | None,
-) -> dict:
-    """The arguments that shape a run's event pass, as _Sim takes them;
-    ValueError if the schedule they describe is refused."""
-    check_schedule(duration_s, sample_interval_s, params.beacon_period_s, boot_window_s)
-    if initial_ticks is not None and not math.isfinite(initial_ticks):
-        raise ValueError(f"initial_ticks must be finite, got {initial_ticks}")
-    return {
-        "topology": topology,
-        "osc_params": osc_params,
-        "delay_model": delay_model,
-        "duration_s": duration_s,
-        "sample_interval_s": sample_interval_s,
-        "boot_window_s": boot_window_s,
-        "seed": seed,
-        "beacon_period_s": params.beacon_period_s,
-        "gather_wait_s": params.gather_wait_s,
-        "nominal_hz": params.nominal_hz,
-        "initial_ticks": initial_ticks,
-    }
-
-
 def record_schedule(
     topology: Topology,
     params_seq: Sequence[ProtocolParams],
@@ -593,22 +577,29 @@ def record_schedule(
     """
     if not params_seq:
         raise ValueError("params_seq is empty")
-    settings = _schedule_settings(topology, params_seq[0], osc_params, delay_model, duration_s,
-                                  sample_interval_s, boot_window_s, seed, initial_ticks)
+    first = params_seq[0]
+    check_schedule(duration_s, sample_interval_s, first.beacon_period_s, boot_window_s)
+    for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     for k, params in enumerate(params_seq):
         if params in params_seq[:k]:
             raise ValueError(f"params_seq holds {params} twice")
-        if settings != _schedule_settings(topology, params, osc_params, delay_model, duration_s,
-                                          sample_interval_s, boot_window_s, seed, initial_ticks):
-            raise ValueError(f"{params} needs another event pass than {params_seq[0]}")
-    if initial_rate is not None and not math.isfinite(initial_rate):
-        raise ValueError(f"initial_rate must be finite, got {initial_rate}")
-    sim = _Sim(**settings)
+        if any(getattr(params, name) != getattr(first, name) for name in PASS_FIELDS):
+            raise ValueError(f"{params} needs another event pass than {first}")
+    sim = _Sim(topology=topology, osc_params=osc_params, delay_model=delay_model,
+               duration_s=duration_s, sample_interval_s=sample_interval_s,
+               boot_window_s=boot_window_s, seed=seed, initial_ticks=initial_ticks,
+               **{name: getattr(first, name) for name in PASS_FIELDS})
     clocks = [_Clocks(sim, params, initial_rate) for params in params_seq]
     # A lone _Clocks is the sink itself: a fan-out to one protocol made a
     # line:256 run 15 % slower end to end (CHANGES.md).
     sim.run(clocks[0] if len(clocks) == 1 else _FanOut(clocks))
-    return Schedule(settings, initial_rate, dict(zip(params_seq, clocks)))
+    kwargs = {"topology": topology, "osc_params": osc_params, "delay_model": delay_model,
+              "duration_s": duration_s, "sample_interval_s": sample_interval_s,
+              "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
+              "initial_ticks": initial_ticks}
+    return Schedule(kwargs, dict(zip(params_seq, clocks)))
 
 
 def run_simulation(
@@ -634,22 +625,20 @@ def run_simulation(
 
     With a schedule from record_schedule, the trace comes from the
     arithmetic its pass ran for params, in the same bytes; ValueError if
-    the pass had other schedule-shaping arguments or initial_rate, or did
-    not run params.
+    record_schedule was given other values of these arguments or its
+    params another beacon period, gather wait or nominal frequency, or if
+    the pass did not run params.
     """
+    kwargs = {"topology": topology, "osc_params": osc_params, "delay_model": delay_model,
+              "duration_s": duration_s, "sample_interval_s": sample_interval_s,
+              "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
+              "initial_ticks": initial_ticks}
     if schedule is None:
-        schedule = record_schedule(
-            topology, (params,), osc_params=osc_params, delay_model=delay_model,
-            duration_s=duration_s, sample_interval_s=sample_interval_s,
-            boot_window_s=boot_window_s, seed=seed, initial_rate=initial_rate,
-            initial_ticks=initial_ticks)
+        schedule = record_schedule(params_seq=(params,), **kwargs)
     else:
-        settings = _schedule_settings(topology, params, osc_params, delay_model, duration_s,
-                                      sample_interval_s, boot_window_s, seed, initial_ticks)
-        differ = [name for name, value in settings.items()
-                  if schedule.settings[name] != value]
-        if schedule.initial_rate != initial_rate:
-            differ.append("initial_rate")
+        ran = next(iter(schedule.clocks))
+        differ = [name for name, value in kwargs.items() if schedule.kwargs[name] != value]
+        differ += [name for name in PASS_FIELDS if getattr(ran, name) != getattr(params, name)]
         if differ:
             raise ValueError(f"the schedule was recorded with other {', '.join(differ)}")
         if params not in schedule.clocks:
@@ -692,11 +681,7 @@ def run_simulation(
     return SimulationTrace(
         sample_times_s=sample_times,
         logical_s=clocks.logical_s,
-        rounds=tuple(
-            RoundRecord(t, topology.node_ids[int(i)], None if e != e else e,
-                        None if rate != rate else rate, int(n))
-            for t, i, e, rate, n in zip(*(clocks.rounds[k::5] for k in range(5)))
-        ),
+        round_columns=clocks.rounds,
         topology=topology,
         boot_times=boot_times,
         config=config,

@@ -282,6 +282,7 @@ def test_validate_analysis_rejects_more_than_one_seed(tmp_path: Path, capsys):
 
 
 def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
+    # a worker makes a whole seed's pass, so the seeds cap the workers
     requested: list[int] = []
 
     class RecordingPool:
@@ -300,6 +301,9 @@ def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     args = _run_args(tmp_path, "--protocol", "newton,grades", "--jobs", "64")
+    assert cli.main(args) == 0
+    assert requested == []  # one seed: runs in-process, no pool
+    args += ["--seed", "1..2"]
     assert cli.main(args) == 0
     assert requested == [2]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
@@ -386,6 +390,20 @@ def test_parallel_jobs_write_the_same_bytes(tmp_path: Path):
             assert cfg_one == cfg_two
             one, two = one.split(b"\n", 1)[1], two.split(b"\n", 1)[1]
         assert one == two, name
+
+
+def test_run_builds_no_round_records(tmp_path: Path, monkeypatch):
+    # writing and summarizing a trace never reads its rounds
+    real = simulation.RoundRecord
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "RoundRecord", counted)
+    assert cli.main(_run_args(tmp_path, "--protocol", "newton,grades,avgpisync")) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("protocols", ["newton", "newton,grades,avgpisync"])

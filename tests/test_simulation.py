@@ -659,6 +659,13 @@ _REFUSAL_RUN = {"topology": build_line_topology(4),
     ({"params": _newton_params(gather_wait_s=0.5)}, "gather_wait_s"),
     ({"topology": build_line_topology(5)}, "topology"),
     ({"topology": _STAR}, "topology"),
+    ({"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=20.0)}, "osc_params"),
+    ({"delay_model": DelayModel(std_s=2e-5)}, "delay_model"),
+    ({"duration_s": 330.0}, "duration_s"),
+    ({"sample_interval_s": 5.0}, "sample_interval_s"),
+    ({"boot_window_s": 30.0}, "boot_window_s"),
+    ({"initial_ticks": 0.0}, "initial_ticks"),
+    ({"params": _newton_params(f=2e6)}, "nominal_hz"),
 ])
 def test_replay_refuses_a_schedule_of_other_settings(change, setting):
     run = {**_REFUSAL_RUN, "params": _newton_params()}
@@ -672,6 +679,25 @@ def test_replay_refuses_a_schedule_of_other_settings(change, setting):
     other = _newton_params(step_size=0.5, max_error_s=1.0)
     with pytest.raises(ValueError, match=re.escape(f"the schedule's pass did not run {other}")):
         run_simulation(**{**run, "params": other}, schedule=schedule)
+
+
+def test_trace_builds_its_rounds_once_when_read(monkeypatch):
+    real = simulation.RoundRecord
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "RoundRecord", counted)
+    run = {**_REFUSAL_RUN, "params": _newton_params()}
+    schedule = record_schedule(params_seq=[_newton_params(), _newton_params(step_size=0.5)],
+                               **_REFUSAL_RUN)
+    trace = run_simulation(**run, schedule=schedule)
+    assert built == []
+    assert trace.rounds is trace.rounds
+    assert len(built) == len(trace.rounds) > 0
+    assert trace.rounds == run_simulation(**run).rounds
 
 
 def test_record_schedule_refuses_params_one_pass_cannot_run():
