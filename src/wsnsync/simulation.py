@@ -43,7 +43,7 @@ import itertools
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import IO, Iterator, Sequence
 
@@ -266,38 +266,55 @@ PASS_FIELDS = ("beacon_period_s", "gather_wait_s", "nominal_hz")
 class Schedule:
     """One seed's event pass, run by record_schedule with each params'
     arithmetic in lock step: record_schedule's arguments but params_seq, by
-    name, and each params' finished _Clocks, for run_simulation's traces."""
+    name, the pass's sample times and boot times (in topology.node_ids
+    order), and each params' finished _Clocks, for run_simulation's traces."""
 
     kwargs: dict
+    sample_times: tuple[float, ...]
+    boot_times: tuple[float, ...]
     clocks: dict[ProtocolParams, _Clocks]
 
 
-class _Sim:
-    """The event pass of one run: boots, hardware clocks, messages, rounds
-    and sample frames.
+class _TrueTime:
+    """The gateway's counter, which reads true time."""
 
-    It decides when each clock is read, advances the hardware clock there
-    and hands the reading to its sink: one protocol's _Clocks, or a _FanOut
-    of several. Nothing the sink computes flows back, so every protocol
-    sees the same pass under one seed. The arguments are record_schedule's,
-    bar initial_rate, and the first params' PASS_FIELDS; nodes are indices
+    def advance(self, to_time: float) -> None:
+        self.now = to_time
+
+    def read_ticks(self) -> float:
+        return self.now
+
+
+class _BootTickClock(LogicalClock):
+    """A cold-boot clock on quantized ticks: anchored at the unquantized
+    initial count, it also reads within its boot tick, back by under a tick."""
+
+    def read(self, at_ticks: float) -> float:
+        if math.floor(self.anchor_ticks) <= at_ticks < self.anchor_ticks:
+            return self.value + self.rate * (at_ticks - self.anchor_ticks)
+        return super().read(at_ticks)
+
+
+class _Sim:
+    """The event pass of one run: boots, counters, messages, rounds and
+    sample frames.
+
+    It decides when each clock is read, advances the counter there and
+    hands the reading to its sink: one protocol's _Clocks, or a _FanOut of
+    several. It owns every fact the protocols share: boot times, each
+    node's counter and the logical clock it boots with, who may answer,
+    the acks of each open round, and the gateway, whose counter reads
+    true time. Nothing the sink computes flows back, so every protocol
+    sees the same pass under one seed. The arguments are record_schedule's
+    but params_seq, and the first params' PASS_FIELDS; nodes are indices
     into topology.node_ids.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        osc_params: OscillatorParams,
-        delay_model: DelayModel,
-        duration_s: float,
-        sample_interval_s: float,
-        boot_window_s: float,
-        seed: int,
-        beacon_period_s: float,
-        gather_wait_s: float,
-        nominal_hz: float,
-        initial_ticks: float | None,
-    ) -> None:
+    def __init__(self, topology: Topology, osc_params: OscillatorParams,
+                 delay_model: DelayModel, duration_s: float, sample_interval_s: float,
+                 boot_window_s: float, seed: int, initial_rate: float | None,
+                 initial_ticks: float | None, beacon_period_s: float, gather_wait_s: float,
+                 nominal_hz: float) -> None:
         self.delay = delay_model
         self.duration = duration_s
         self.beacon_period = beacon_period_s
@@ -305,7 +322,7 @@ class _Sim:
         self.node_ids = ids = topology.node_ids
         index = {nid: i for i, nid in enumerate(ids)}
         self.neighbors = [tuple(index[j] for j in topology.neighbors[nid]) for nid in ids]
-        self.gateway = index[topology.gateway]
+        gateway = index[topology.gateway]
 
         root = np.random.SeedSequence(seed)
         boot_ss, delay_ss, *node_ss = root.spawn(2 + len(ids))
@@ -316,28 +333,29 @@ class _Sim:
         self.boot_times = boot_gen.uniform(0.0, boot_window_s, len(ids)).tolist()
 
         ticks_span = beacon_period_s * nominal_hz
-        self.initial_ticks: list[float] = []
-        self.hws: list[HardwareClock] = []
-        for ss, boot in zip(node_ss, self.boot_times):
+        rate = 1.0 / nominal_hz if initial_rate is None else float(initial_rate)
+        cold = _BootTickClock if osc_params.quantize_ticks else LogicalClock
+        self.hws: list[HardwareClock | _TrueTime] = []
+        self.boot_clocks: list[LogicalClock] = []
+        for i, (ss, boot) in enumerate(zip(node_ss, self.boot_times)):
+            if i == gateway:  # 0.0 + 1.0 * (t - 0.0) == t: true time, bit for bit
+                self.hws.append(_TrueTime())
+                self.boot_clocks.append(LogicalClock(0.0, 1.0))
+                continue
             gen = np.random.Generator(np.random.PCG64(ss))
-            t0 = (
-                float(gen.uniform(0.0, ticks_span))
-                if initial_ticks is None
-                else float(initial_ticks)
-            )
+            t0 = float(gen.uniform(0.0, ticks_span) if initial_ticks is None else initial_ticks)
             self.hws.append(HardwareClock(osc_params, gen, start_time=boot, initial_ticks=t0))
-            self.initial_ticks.append(t0)
+            # Cold boot: the logical clock starts wherever the hardware
+            # counter puts it, not at true time.
+            self.boot_clocks.append(cold(rate * t0, rate, t0))
         # Holds a valid time and may answer requests: gateway from boot, other
         # nodes after their first round with acks.
-        self.synced = [i == self.gateway for i in range(len(ids))]
+        self.synced = [i == gateway for i in range(len(ids))]
         self.pending_acks = [0] * len(ids)
-        # The clocks a sample frame reads, with their boot times.
-        self.sampled = [(hw, boot) for i, (hw, boot) in enumerate(zip(self.hws, self.boot_times))
-                        if i != self.gateway]
 
         self.queue = EventQueue()
         for i, boot in enumerate(self.boot_times):
-            if i != self.gateway and boot <= duration_s:
+            if i != gateway and boot <= duration_s:
                 self.queue.push(boot, BEACON, i)
         # Sample k is due at the k-th partial sum of the interval; row k of
         # the readings is filled by the event that carries k.
@@ -368,9 +386,7 @@ class _Sim:
         """
         d = self.delay.sample(self.delay_normals)
         if t + d <= self.duration:
-            self.queue.push(
-                t + d, DELIVERY, (receiver, sender, answer, round_deadline)
-            )
+            self.queue.push(t + d, DELIVERY, (receiver, sender, answer, round_deadline))
 
     def _beacon(self, t: float, i: int) -> None:
         deadline = t + self.gather_wait
@@ -390,13 +406,10 @@ class _Sim:
         if answer is None:
             if not self.synced[receiver]:
                 return  # no valid time to answer with
-            if receiver == self.gateway:
-                answer = t  # true time, whatever the protocol
-            else:
-                hw = self.hws[receiver]
-                hw.advance(t)
-                answer = self.sink.answer(receiver, hw.read_ticks())
-            self._send(t, receiver, sender, answer, round_deadline)
+            hw = self.hws[receiver]
+            hw.advance(t)
+            self._send(t, receiver, sender, self.sink.answer(receiver, hw.read_ticks()),
+                       round_deadline)
         elif t <= round_deadline:  # else the round that asked has averaged
             hw = self.hws[receiver]
             hw.advance(t)
@@ -404,21 +417,24 @@ class _Sim:
             self.pending_acks[receiver] += 1
 
     def _deadline(self, t: float, i: int) -> None:
-        if not self.pending_acks[i]:
-            self.sink.empty_round(t, i)
-            return
-        self.pending_acks[i] = 0
-        hw = self.hws[i]
-        hw.advance(t)
-        self.sink.round(t, i, hw.read_ticks())
-        self.synced[i] = True
+        n_acks = self.pending_acks[i]
+        ticks = None  # a round without acks reads no clock
+        if n_acks:
+            self.pending_acks[i] = 0
+            self.synced[i] = True
+            hw = self.hws[i]
+            hw.advance(t)
+            ticks = hw.read_ticks()
+        self.sink.round(t, i, ticks, n_acks)
 
     def _sample(self, t: float, k: int) -> None:
-        ticks = []
-        for hw, boot in self.sampled:
+        ticks: list[float | None] = []
+        for hw, boot in zip(self.hws, self.boot_times):
             if t >= boot:
                 hw.advance(t)
                 ticks.append(hw.read_ticks())
+            else:
+                ticks.append(None)
         self.sink.frame(k, ticks)
         if k + 1 < len(self.sample_times):
             self.queue.push(self.sample_times[k + 1], SAMPLE, k + 1)
@@ -428,45 +444,38 @@ class _Clocks:
     """The protocol arithmetic of one run: each node's logical clock, ack
     sums, round records and the readings array.
 
-    It is fed hardware-tick readings through five methods by the event
-    pass, directly or through a _FanOut. The gateway keeps no logical
-    clock: the pass answers for it with true time. error holds the
-    ValueError that stopped the arithmetic, if any.
+    It is fed readings through four methods by the event pass, directly or
+    through a _FanOut, and starts from copies of the pass's boot clocks.
+    node_ids serve its error messages only. error holds the ValueError
+    that stopped the arithmetic, if any.
     """
 
-    def __init__(self, sim: _Sim, params: ProtocolParams, initial_rate: float | None) -> None:
-        self.node_ids = sim.node_ids
+    def __init__(self, node_ids: tuple[int, ...], params: ProtocolParams,
+                 boot_clocks: list[LogicalClock], n_samples: int) -> None:
+        self.node_ids = node_ids
         self.params = params
-        self.boot_times = sim.boot_times
-        self.sample_times = sim.sample_times
-        rate = 1.0 / params.nominal_hz if initial_rate is None else float(initial_rate)
-        # Cold boot: the logical clock starts wherever the hardware counter
-        # puts it, not at true time.
-        self.lcs = [None if i == sim.gateway else LogicalClock(rate * t0, rate, t0)
-                    for i, t0 in enumerate(sim.initial_ticks)]
+        # replace, not copy.copy, which materializes each clock's __dict__
+        # and so slows every attribute read (a line:16 pass by about 14 %)
+        self.lcs = [replace(lc) for lc in boot_clocks]
         self.error: ValueError | None = None
         self.err_acc = [0.0] * len(self.lcs)
-        self.n_acks = [0] * len(self.lcs)
         # Five floats per round, a trace's round_columns: time, node index,
         # mean offset, new rate (NaN for None) and acks.
         self.rounds = array("d")
-        self.logical_s = np.full((len(self.sample_times), len(self.lcs)), math.nan)
+        self.logical_s = np.full((n_samples, len(self.lcs)), math.nan)
 
     def answer(self, i: int, ticks: float) -> float:
         return self.lcs[i].read(ticks)
 
     def ack(self, i: int, ticks: float, payload: float) -> None:
         self.err_acc[i] += payload - self.lcs[i].read(ticks)
-        self.n_acks[i] += 1
 
-    def empty_round(self, t: float, i: int) -> None:
-        self.rounds.extend((t, i, math.nan, math.nan, 0))
-
-    def round(self, t: float, i: int, ticks: float) -> None:
-        n_acks = self.n_acks[i]
+    def round(self, t: float, i: int, ticks: float | None, n_acks: int) -> None:
+        if not n_acks:
+            self.rounds.extend((t, i, math.nan, math.nan, 0))
+            return
         e_new = self.err_acc[i] / n_acks
         self.err_acc[i] = 0.0
-        self.n_acks[i] = 0
         lc = self.lcs[i]
         new_rate: float | None = None
         if abs(e_new) < self.params.max_error_s:
@@ -482,14 +491,10 @@ class _Clocks:
             ) from None
         self.rounds.extend((t, i, e_new, math.nan if new_rate is None else new_rate, n_acks))
 
-    def frame(self, k: int, ticks: list[float]) -> None:
-        """Row k of the readings, from the ticks of the booted non-gateway nodes."""
-        t = self.sample_times[k]
-        tick = iter(ticks).__next__
-        self.logical_s[k] = [
-            math.nan if t < boot else t if lc is None else lc.read(tick())
-            for boot, lc in zip(self.boot_times, self.lcs)
-        ]
+    def frame(self, k: int, ticks: list[float | None]) -> None:
+        """Row k of the readings, from each node's ticks (None: not booted)."""
+        self.logical_s[k] = [math.nan if x is None else lc.read(x)
+                             for lc, x in zip(self.lcs, ticks)]
 
 
 def _fanned(method):
@@ -512,17 +517,14 @@ class _FanOut(list):
     """The event pass's sink for several protocols: the list of their
     _Clocks, each of which gets every call in turn. An answer is a list of
     one value per _Clocks (None for one that failed), and an ack hands each
-    its own; a gateway's answer is one true time for all. A _Clocks whose
-    arithmetic raises keeps the error and gets no further readings."""
+    its own. A _Clocks whose arithmetic raises keeps the error and gets no
+    further readings."""
 
     answer = _fanned(_Clocks.answer)
-    empty_round = _fanned(_Clocks.empty_round)
     round = _fanned(_Clocks.round)
     frame = _fanned(_Clocks.frame)
 
-    def ack(self, i: int, ticks: float, payloads: list | float) -> None:
-        if not isinstance(payloads, list):
-            payloads = itertools.repeat(payloads)
+    def ack(self, i: int, ticks: float, payloads: list) -> None:
         for clocks, payload in zip(self, payloads):
             if clocks.error is None:
                 try:
@@ -587,19 +589,18 @@ def record_schedule(
             raise ValueError(f"params_seq holds {params} twice")
         if any(getattr(params, name) != getattr(first, name) for name in PASS_FIELDS):
             raise ValueError(f"{params} needs another event pass than {first}")
-    sim = _Sim(topology=topology, osc_params=osc_params, delay_model=delay_model,
-               duration_s=duration_s, sample_interval_s=sample_interval_s,
-               boot_window_s=boot_window_s, seed=seed, initial_ticks=initial_ticks,
-               **{name: getattr(first, name) for name in PASS_FIELDS})
-    clocks = [_Clocks(sim, params, initial_rate) for params in params_seq]
-    # A lone _Clocks is the sink itself: a fan-out to one protocol made a
-    # line:256 run 15 % slower end to end (CHANGES.md).
-    sim.run(clocks[0] if len(clocks) == 1 else _FanOut(clocks))
     kwargs = {"topology": topology, "osc_params": osc_params, "delay_model": delay_model,
               "duration_s": duration_s, "sample_interval_s": sample_interval_s,
               "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
               "initial_ticks": initial_ticks}
-    return Schedule(kwargs, dict(zip(params_seq, clocks)))
+    sim = _Sim(**kwargs, **{name: getattr(first, name) for name in PASS_FIELDS})
+    clocks = [_Clocks(sim.node_ids, params, sim.boot_clocks, len(sim.sample_times))
+              for params in params_seq]
+    # A lone _Clocks is the sink itself: a fan-out to one protocol made a
+    # line:256 run 15 % slower end to end (CHANGES.md).
+    sim.run(clocks[0] if len(clocks) == 1 else _FanOut(clocks))
+    return Schedule(kwargs, sim.sample_times, tuple(sim.boot_times),
+                    dict(zip(params_seq, clocks)))
 
 
 def run_simulation(
@@ -646,10 +647,9 @@ def run_simulation(
     clocks = schedule.clocks[params]
     if clocks.error is not None:
         raise clocks.error
-    sample_times = clocks.sample_times
-    boot_times = dict(zip(topology.node_ids, clocks.boot_times))
-    booted = (np.array(sample_times).reshape(-1, 1)
-              >= np.array(list(boot_times.values())))
+    sample_times = schedule.sample_times
+    boot_times = dict(zip(topology.node_ids, schedule.boot_times))
+    booted = np.array(sample_times).reshape(-1, 1) >= np.array(schedule.boot_times)
     overflowed = np.argwhere(booted & ~np.isfinite(clocks.logical_s))
     if overflowed.size:
         k, col = overflowed[0]
@@ -678,11 +678,6 @@ def run_simulation(
         "initial_rate": initial_rate,
         "initial_ticks": initial_ticks,
     }
-    return SimulationTrace(
-        sample_times_s=sample_times,
-        logical_s=clocks.logical_s,
-        round_columns=clocks.rounds,
-        topology=topology,
-        boot_times=boot_times,
-        config=config,
-    )
+    return SimulationTrace(sample_times_s=sample_times, logical_s=clocks.logical_s,
+                           round_columns=clocks.rounds, topology=topology,
+                           boot_times=boot_times, config=config)

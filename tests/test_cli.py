@@ -2,15 +2,22 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
 import time
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnsync import cli, simulation
+from wsnsync.protocols import Protocol
 
 
 def _run_args(out: Path, *extra: str) -> list[str]:
@@ -331,6 +338,19 @@ def test_quantize_flag_recorded(tmp_path: Path):
     assert cfg["quantize_ticks"] is True
 
 
+def test_quantized_read_within_the_boot_tick(tmp_path: Path):
+    # with no boot window, delay or gather wait, a node's first quantized
+    # reading falls within the tick it booted in, below its unquantized
+    # initial count: the read extrapolates back instead of failing
+    args = ["run", "--topology", "line:3", "--quantize-ticks", "--boot-window", "0",
+            "--delay-std", "0", "--gather-wait", "0", "--duration", "150"]
+    for out in ("a", "b"):
+        assert cli.main([*args, "--out-dir", str(tmp_path / out)]) == 0
+    trace = (tmp_path / "a" / "trace_newton_1.csv").read_bytes()
+    assert trace.count(b"\n") > 2  # header and rows
+    assert trace == (tmp_path / "b" / "trace_newton_1.csv").read_bytes()
+
+
 def test_rerun_is_byte_identical(tmp_path: Path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(_run_args(d1, "--protocol", "newton,avgpisync")) == 0
@@ -489,6 +509,112 @@ def test_sweep_names_traces_each_value_did_not_write(tmp_path: Path, capsys):
     for warning, sub_dir in zip(warnings, ("mu_0.5", "mu_1.0")):
         assert sub_dir in warning and warning.endswith(": trace_newton_2.csv")
         assert (tmp_path / sub_dir / "trace_newton_2.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# every `run` setting: inside its range it runs or is refused, outside it is
+# refused (the SETTINGS table owns the ranges, so these properties read it)
+
+_RUN_SETTINGS = [s for s in cli.SETTINGS if "run" in s.commands]
+
+
+def _up_to(limit: float) -> st.SearchStrategy:
+    """Nonnegative floats below ``limit``, and now and then ``limit``
+    itself, which the run refuses (a drift bound, gather wait or boot
+    window that large)."""
+    below = st.floats(0.0, limit, exclude_max=True)
+    return st.tuples(below, st.integers(1, 8)).map(lambda v: v[0] if v[1] > 1 else limit)
+
+
+@st.composite
+def _run_settings_in_range(draw) -> dict:
+    """A value of every `run` setting inside its range, on a short horizon
+    and a small network: line:2 to line:6, or a star (a topology dict)
+    whose gateway is its hub or a leaf."""
+    duration = draw(st.floats(1.0, 400.0))
+    beacon = draw(st.floats(duration / 30, 2 * duration))
+    nominal = draw(st.sampled_from([1.0, 1e6]) | st.floats(1e-3, 1e12))
+    protocols = draw(st.permutations([p.value for p in Protocol]))
+    leaves = draw(st.integers(1, 5))
+    star = {"nodes": list(range(1, leaves + 2)),
+            "edges": [[1, j] for j in range(2, leaves + 2)],
+            "gateway": draw(st.sampled_from([1, 2]))}
+    return {
+        "seed": str(draw(st.integers(0, 2**32))),  # one seed: no worker pool
+        "beacon_period_s": beacon,
+        "nominal_hz": nominal,
+        "max_drift_hz": draw(_up_to(nominal)),
+        "delay_std_s": draw(st.sampled_from([0.0, 1e-5]) | st.floats(0.0, 1e3)),
+        "protocol": ",".join(protocols[:draw(st.integers(1, 3))]),
+        "topology": draw(st.builds("line:{}".format, st.integers(2, 6)) | st.just(star)),
+        "mu": draw(st.none() | st.floats(1e-300, 1e300)),
+        "e_max_ticks": draw(st.just(6000.0) | st.floats(1e-300, 1e300)),
+        "gather_wait_s": draw(_up_to(beacon)),
+        "drift_resample_interval_s": draw(st.floats(duration / 20, 1e6)),
+        "duration_s": duration,
+        "sample_interval_s": draw(st.floats(duration / 40, 2 * duration)),
+        "boot_window_s": draw(_up_to(duration)),
+        "threshold_ticks": draw(st.floats(1e-300, 1e300)),
+        "window": draw(st.integers(1, 50)),
+        "quantize_ticks": draw(st.booleans()),
+        "jobs": draw(st.integers(1, 8)),
+    }
+
+
+def _main(argv: list[str], out: Path) -> tuple[int, list[str]]:
+    """cli.main's exit code and its stderr lines other than warnings;
+    neither exit leaves a staged file behind."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([*argv, "--out-dir", str(out)])
+    assert not list(out.parent.rglob("*.partial"))
+    return rc, [line for line in err.getvalue().splitlines()
+                if not line.startswith("warning:")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run_settings_in_range())
+def test_every_in_range_setting_runs_or_is_refused(values):
+    assert set(values) == {s.key for s in _RUN_SETTINGS}
+    argv = ["run"]
+    for s in _RUN_SETTINGS:
+        value = values[s.key]
+        if s.check and value is not None:
+            assert cli.RANGES[s.check](value), s.key
+        if s.type is bool:
+            argv += [f"--{s.flag}"] if value else []
+        elif value is not None:
+            argv.append(f"--{s.flag}={value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(values["topology"], dict):
+            star = Path(tmp, "star.json")
+            star.write_text(json.dumps(values["topology"]))
+            argv[argv.index(f"--topology={values['topology']}")] = f"--topology={star}"
+        rc, lines = _main(argv, Path(tmp, "out"))
+    assert (rc, len(lines)) in ((0, 0), (2, 1)), lines
+    assert rc == 0 or lines[0].startswith("error: ")
+
+
+def _just_outside(s: cli.Setting) -> st.SearchStrategy:
+    if s.type is int:  # "at least 1"
+        return st.integers(-2, 0)
+    edge = st.sampled_from([math.inf, -math.inf, math.nan, -5e-324])
+    if s.check == "positive":
+        return edge | st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 0.0)
+    return edge | st.floats(-1.0, -5e-324)  # "nonnegative"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_setting_just_outside_its_range_is_refused(data):
+    s = data.draw(st.sampled_from([s for s in _RUN_SETTINGS if s.check]), label="setting")
+    value = data.draw(_just_outside(s), label="value")
+    argv = ["run", "--topology", "line:2", "--duration", "60", "--boot-window", "0",
+            f"--{s.flag}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, lines = _main(argv, Path(tmp, "out"))
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {s.key} (--{s.flag}) must be")
 
 
 # ---------------------------------------------------------------------------

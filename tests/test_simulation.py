@@ -593,11 +593,14 @@ def test_boot_complete_time_is_last_boot():
 _STAR = Topology.from_config(json.loads(
     '{"nodes": [1, 2, 3, 4, 5], "edges": [[2, 1], [2, 3], [2, 4], [2, 5]], "gateway": 1}'
 ))
+# the gateway is the hub: it answers every node, at true time
+_GATEWAY_STAR = Topology((1, 2, 3, 4, 5), ((1, 2), (1, 3), (1, 4), (1, 5)), 1)
 
 
 @st.composite
 def _schedule_cases(draw):
-    topo = draw(st.sampled_from([build_line_topology(n) for n in range(3, 9)] + [_STAR]))
+    topo = draw(st.sampled_from([build_line_topology(n) for n in range(3, 9)]
+                                + [_STAR, _GATEWAY_STAR]))
     sim_kwargs = {
         "osc_params": OscillatorParams(
             nominal_hz=1e6, max_drift_hz=25.0,
