@@ -301,7 +301,7 @@ def _plan(cfg: dict) -> tuple[list[tuple[dict, list[ProtocolParams], int]], dict
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
     check_schedule(cfg["duration_s"], cfg["sample_interval_s"], cfg["beacon_period_s"],
-                   cfg["boot_window_s"])
+                   cfg["boot_window_s"], cfg["drift_resample_interval_s"])
     sim_kwargs = {
         "topology": _parse_topology(cfg["topology"]),
         "osc_params": OscillatorParams(

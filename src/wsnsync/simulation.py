@@ -266,8 +266,9 @@ PASS_FIELDS = ("beacon_period_s", "gather_wait_s", "nominal_hz")
 class Schedule:
     """One seed's event pass, run by record_schedule with each params'
     arithmetic in lock step: record_schedule's arguments but params_seq, by
-    name, the pass's sample times and boot times (in topology.node_ids
-    order), and each params' finished _Clocks, for run_simulation's traces."""
+    name, to refuse a run_simulation call with other values (a trace's
+    config lacks osc_params.nominal_hz, say), the pass's sample times and
+    boot times (in topology.node_ids order), and each params' _Clocks."""
 
     kwargs: dict
     sample_times: tuple[float, ...]
@@ -300,25 +301,24 @@ class _Sim:
     sample frames.
 
     It decides when each clock is read, advances the counter there and
-    hands the reading to its sink: one protocol's _Clocks, or a _FanOut of
-    several. It owns every fact the protocols share: boot times, each
-    node's counter and the logical clock it boots with, who may answer,
-    the acks of each open round, and the gateway, whose counter reads
-    true time. Nothing the sink computes flows back, so every protocol
-    sees the same pass under one seed. The arguments are record_schedule's
-    but params_seq, and the first params' PASS_FIELDS; nodes are indices
-    into topology.node_ids.
+    hands the reading to every protocol's _Clocks in turn. It owns every
+    fact the protocols share: boot times, each node's counter and the
+    logical clock it boots with, who may answer, the acks of each open
+    round, and the gateway, whose counter reads true time. Nothing a
+    _Clocks computes flows back, so every protocol sees the same pass
+    under one seed. The arguments are record_schedule's but params_seq,
+    and the first params, whose PASS_FIELDS shape the pass; nodes are
+    indices into topology.node_ids.
     """
 
     def __init__(self, topology: Topology, osc_params: OscillatorParams,
                  delay_model: DelayModel, duration_s: float, sample_interval_s: float,
                  boot_window_s: float, seed: int, initial_rate: float | None,
-                 initial_ticks: float | None, beacon_period_s: float, gather_wait_s: float,
-                 nominal_hz: float) -> None:
+                 initial_ticks: float | None, params: ProtocolParams) -> None:
         self.delay = delay_model
         self.duration = duration_s
-        self.beacon_period = beacon_period_s
-        self.gather_wait = gather_wait_s
+        self.beacon_period = params.beacon_period_s
+        self.gather_wait = params.gather_wait_s
         self.node_ids = ids = topology.node_ids
         index = {nid: i for i, nid in enumerate(ids)}
         self.neighbors = [tuple(index[j] for j in topology.neighbors[nid]) for nid in ids]
@@ -332,8 +332,8 @@ class _Sim:
         boot_gen = np.random.Generator(np.random.PCG64(boot_ss))
         self.boot_times = boot_gen.uniform(0.0, boot_window_s, len(ids)).tolist()
 
-        ticks_span = beacon_period_s * nominal_hz
-        rate = 1.0 / nominal_hz if initial_rate is None else float(initial_rate)
+        ticks_span = params.beacon_period_s * params.nominal_hz
+        rate = 1.0 / params.nominal_hz if initial_rate is None else float(initial_rate)
         cold = _BootTickClock if osc_params.quantize_ticks else LogicalClock
         self.hws: list[HardwareClock | _TrueTime] = []
         self.boot_clocks: list[LogicalClock] = []
@@ -367,8 +367,8 @@ class _Sim:
         if self.sample_times:
             self.queue.push(self.sample_times[0], SAMPLE, 0)
 
-    def run(self, sink: _Clocks | _FanOut) -> None:
-        self.sink = sink
+    def run(self, clocks: list[_Clocks]) -> None:
+        self.clocks = clocks
         handlers = (self._deliver, self._deadline, self._beacon, self._sample)
         pop = self.queue.pop
         while self.queue:
@@ -378,12 +378,8 @@ class _Sim:
     def _send(
         self, t: float, sender: int, receiver: int, answer: object, round_deadline: float,
     ) -> None:
-        """Schedule a delivery; answer None is a request, else an ack that
-        carries the answer.
-
-        round_deadline is the deadline of the requester's round, which the
-        ack of a request carries back.
-        """
+        """Schedule a delivery that carries the deadline of the requester's
+        round: a request (answer None), or its ack with one answer per protocol."""
         d = self.delay.sample(self.delay_normals)
         if t + d <= self.duration:
             self.queue.push(t + d, DELIVERY, (receiver, sender, answer, round_deadline))
@@ -408,12 +404,15 @@ class _Sim:
                 return  # no valid time to answer with
             hw = self.hws[receiver]
             hw.advance(t)
-            self._send(t, receiver, sender, self.sink.answer(receiver, hw.read_ticks()),
+            ticks = hw.read_ticks()
+            self._send(t, receiver, sender, [c.answer(receiver, ticks) for c in self.clocks],
                        round_deadline)
         elif t <= round_deadline:  # else the round that asked has averaged
             hw = self.hws[receiver]
             hw.advance(t)
-            self.sink.ack(receiver, hw.read_ticks(), answer)
+            ticks = hw.read_ticks()
+            for c, payload in zip(self.clocks, answer):
+                c.ack(receiver, ticks, payload)
             self.pending_acks[receiver] += 1
 
     def _deadline(self, t: float, i: int) -> None:
@@ -425,7 +424,8 @@ class _Sim:
             hw = self.hws[i]
             hw.advance(t)
             ticks = hw.read_ticks()
-        self.sink.round(t, i, ticks, n_acks)
+        for c in self.clocks:
+            c.round(t, i, ticks, n_acks)
 
     def _sample(self, t: float, k: int) -> None:
         ticks: list[float | None] = []
@@ -435,7 +435,8 @@ class _Sim:
                 ticks.append(hw.read_ticks())
             else:
                 ticks.append(None)
-        self.sink.frame(k, ticks)
+        for c in self.clocks:
+            c.frame(k, ticks)
         if k + 1 < len(self.sample_times):
             self.queue.push(self.sample_times[k + 1], SAMPLE, k + 1)
 
@@ -444,10 +445,13 @@ class _Clocks:
     """The protocol arithmetic of one run: each node's logical clock, ack
     sums, round records and the readings array.
 
-    It is fed readings through four methods by the event pass, directly or
-    through a _FanOut, and starts from copies of the pass's boot clocks.
-    node_ids serve its error messages only. error holds the ValueError
-    that stopped the arithmetic, if any.
+    The event pass feeds it readings through four methods; it starts from
+    copies of the pass's boot clocks, and node_ids serve its error messages
+    only. error keeps its first ValueError: a correction out of float range
+    (from round) or a booted reading out of it (from record_schedule).
+    Reads cannot raise, since no node's ticks fall below its clock's anchor
+    (_BootTickClock covers the boot tick), so a failed _Clocks is fed to
+    the end like the others.
     """
 
     def __init__(self, node_ids: tuple[int, ...], params: ProtocolParams,
@@ -483,12 +487,13 @@ class _Clocks:
             new_rate = rate_update(lc.rate, -e_new, self.params)
         try:
             lc.apply_correction(ticks, offset_s=e_new, new_rate=new_rate)
-        except ValueError:
-            raise ValueError(
+        except ValueError:  # keep the first
+            self.error = self.error or ValueError(
                 f"node {self.node_ids[i]} reads {lc.read(ticks)} at t = {t} s, where its "
                 f"correction is offset_s={e_new}, new_rate={new_rate}: the settings "
                 "drive its clock out of float range"
-            ) from None
+            )
+            return
         self.rounds.extend((t, i, e_new, math.nan if new_rate is None else new_rate, n_acks))
 
     def frame(self, k: int, ticks: list[float | None]) -> None:
@@ -497,47 +502,12 @@ class _Clocks:
                              for lc, x in zip(self.lcs, ticks)]
 
 
-def _fanned(method):
-    """The _Clocks ``method``, made on each live _Clocks of a _FanOut in turn."""
-    def each(self: _FanOut, *args) -> list:
-        values = []
-        for clocks in self:
-            value = None
-            if clocks.error is None:
-                try:
-                    value = method(clocks, *args)
-                except ValueError as exc:
-                    clocks.error = exc
-            values.append(value)
-        return values
-    return each
-
-
-class _FanOut(list):
-    """The event pass's sink for several protocols: the list of their
-    _Clocks, each of which gets every call in turn. An answer is a list of
-    one value per _Clocks (None for one that failed), and an ack hands each
-    its own. A _Clocks whose arithmetic raises keeps the error and gets no
-    further readings."""
-
-    answer = _fanned(_Clocks.answer)
-    round = _fanned(_Clocks.round)
-    frame = _fanned(_Clocks.frame)
-
-    def ack(self, i: int, ticks: float, payloads: list) -> None:
-        for clocks, payload in zip(self, payloads):
-            if clocks.error is None:
-                try:
-                    clocks.ack(i, ticks, payload)
-                except ValueError as exc:
-                    clocks.error = exc
-
-
-def check_schedule(duration_s: float, sample_interval_s: float,
-                   beacon_period_s: float, boot_window_s: float) -> None:
+def check_schedule(duration_s: float, sample_interval_s: float, beacon_period_s: float,
+                   boot_window_s: float, resample_interval_s: float) -> None:
     """ValueError unless duration and sample interval are finite and
     positive, every node boots before the run ends, and the run schedules
-    at most MAX_PERIODS_PER_RUN sample frames and beacon rounds per node."""
+    at most MAX_PERIODS_PER_RUN sample frames, and beacon rounds and drift
+    segments per node."""
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     if not 0 < sample_interval_s < math.inf:
@@ -547,7 +517,8 @@ def check_schedule(duration_s: float, sample_interval_s: float,
     if not 0 <= boot_window_s < duration_s:
         raise ValueError("boot_window_s must satisfy 0 <= window < duration")
     for name, period in (("sample_interval_s", sample_interval_s),
-                         ("beacon_period_s", beacon_period_s)):
+                         ("beacon_period_s", beacon_period_s),
+                         ("drift_resample_interval_s", resample_interval_s)):
         if duration_s / period > MAX_PERIODS_PER_RUN:
             raise ValueError(
                 f"duration_s / {name} = {duration_s / period:.6g} exceeds the "
@@ -573,14 +544,16 @@ def record_schedule(
     run_simulation(..., schedule=) to build their traces from.
 
     The entries must differ and share the beacon period, gather wait and
-    nominal frequency, which shape the pass; else ValueError. A ValueError
-    of one entry's arithmetic is raised by its run_simulation call, or here
-    if it is the only entry; the other entries finish.
+    nominal frequency, which shape the pass; else ValueError. An entry
+    whose arithmetic fails keeps the error in its _Clocks, however many
+    entries there are, and its run_simulation call raises it; the other
+    entries finish.
     """
     if not params_seq:
         raise ValueError("params_seq is empty")
     first = params_seq[0]
-    check_schedule(duration_s, sample_interval_s, first.beacon_period_s, boot_window_s)
+    check_schedule(duration_s, sample_interval_s, first.beacon_period_s, boot_window_s,
+                   osc_params.resample_interval_s)
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -593,14 +566,24 @@ def record_schedule(
               "duration_s": duration_s, "sample_interval_s": sample_interval_s,
               "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
               "initial_ticks": initial_ticks}
-    sim = _Sim(**kwargs, **{name: getattr(first, name) for name in PASS_FIELDS})
+    sim = _Sim(**kwargs, params=first)
     clocks = [_Clocks(sim.node_ids, params, sim.boot_clocks, len(sim.sample_times))
               for params in params_seq]
-    # A lone _Clocks is the sink itself: a fan-out to one protocol made a
-    # line:256 run 15 % slower end to end (CHANGES.md).
-    sim.run(clocks[0] if len(clocks) == 1 else _FanOut(clocks))
-    return Schedule(kwargs, sim.sample_times, tuple(sim.boot_times),
-                    dict(zip(params_seq, clocks)))
+    sim.run(clocks)
+    schedule = Schedule(kwargs, sim.sample_times, tuple(sim.boot_times),
+                        dict(zip(params_seq, clocks)))
+    del sim  # and its block of unused delay draws, before the scan's arrays
+    booted = np.array(schedule.sample_times).reshape(-1, 1) >= np.array(schedule.boot_times)
+    for c in clocks:
+        overflowed = np.argwhere(booted & ~np.isfinite(c.logical_s))
+        if c.error is None and overflowed.size:
+            k, col = overflowed[0]
+            c.error = ValueError(
+                f"node {topology.node_ids[col]} reads {c.logical_s[k, col]} at "
+                f"t = {schedule.sample_times[k]} s: the settings drive its clock out of "
+                "float range"
+            )
+    return schedule
 
 
 def run_simulation(
@@ -645,19 +628,8 @@ def run_simulation(
         if params not in schedule.clocks:
             raise ValueError(f"the schedule's pass did not run {params}")
     clocks = schedule.clocks[params]
-    if clocks.error is not None:
-        raise clocks.error
-    sample_times = schedule.sample_times
-    boot_times = dict(zip(topology.node_ids, schedule.boot_times))
-    booted = np.array(sample_times).reshape(-1, 1) >= np.array(schedule.boot_times)
-    overflowed = np.argwhere(booted & ~np.isfinite(clocks.logical_s))
-    if overflowed.size:
-        k, col = overflowed[0]
-        raise ValueError(
-            f"node {topology.node_ids[col]} reads {clocks.logical_s[k, col]} at "
-            f"t = {sample_times[k]} s: the settings drive its clock out of "
-            "float range"
-        )
+    if clocks.error is not None:  # raised afresh by each call, without earlier frames
+        raise clocks.error.with_traceback(None)
     config = {
         "protocol": params.kind.value,
         "step_size": params.step_size,
@@ -678,6 +650,7 @@ def run_simulation(
         "initial_rate": initial_rate,
         "initial_ticks": initial_ticks,
     }
-    return SimulationTrace(sample_times_s=sample_times, logical_s=clocks.logical_s,
+    return SimulationTrace(sample_times_s=schedule.sample_times, logical_s=clocks.logical_s,
                            round_columns=clocks.rounds, topology=topology,
-                           boot_times=boot_times, config=config)
+                           boot_times=dict(zip(topology.node_ids, schedule.boot_times)),
+                           config=config)

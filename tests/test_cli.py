@@ -7,6 +7,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import weakref
@@ -349,6 +352,22 @@ def test_quantized_read_within_the_boot_tick(tmp_path: Path):
     trace = (tmp_path / "a" / "trace_newton_1.csv").read_bytes()
     assert trace.count(b"\n") > 2  # header and rows
     assert trace == (tmp_path / "b" / "trace_newton_1.csv").read_bytes()
+
+
+def test_too_many_drift_segments_are_refused_before_the_run(tmp_path: Path):
+    # a counter draws once per drift segment: 1e8 segments per node ran for
+    # hours, so this runs in a child that a timeout can stop
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsnsync.cli", "run", "--topology", "line:2",
+         "--drift-resample-interval", "1e-6", "--duration", "100", "--boot-window", "0",
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: duration_s / drift_resample_interval_s = 1e+08 exceeds")
 
 
 def test_rerun_is_byte_identical(tmp_path: Path):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -184,14 +185,32 @@ def test_run_simulation_validates_arguments():
                            duration_s=1000.0, initial_rate=bad)
 
 
+_OVERFLOWING_RUN = {"topology": build_line_topology(3),
+                    "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0),
+                    "duration_s": 300.0, "boot_window_s": 60.0, "seed": 1}
+
+
 def test_run_simulation_rejects_overflowing_clocks():
     # a huge step size under a guard that never blocks it drives the rate,
     # then the readings, to inf and NaN; the run is refused instead
     params = ProtocolParams(kind=Protocol.GRADES, step_size=1e300, max_error_s=1e300)
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0)
     with pytest.raises(ValueError, match="out of float range"):
-        run_simulation(build_line_topology(3), params, osc_params=osc,
-                       duration_s=300.0, boot_window_s=60.0, seed=1)
+        run_simulation(params=params, **_OVERFLOWING_RUN)
+
+
+def test_a_lone_failing_params_fails_at_its_run_not_its_pass():
+    # the pass keeps the error of a lone params as it does among several
+    params = ProtocolParams(kind=Protocol.GRADES, step_size=1e300, max_error_s=1e300)
+    schedule = record_schedule(params_seq=[params], **_OVERFLOWING_RUN)
+    assert isinstance(schedule, simulation.Schedule)
+    with pytest.raises(ValueError) as live:
+        run_simulation(params=params, **_OVERFLOWING_RUN)
+    frames = []
+    for _ in range(2):  # the kept error gathers no frames from earlier calls
+        with pytest.raises(ValueError, match=f"^{re.escape(str(live.value))}$") as shared:
+            run_simulation(params=params, schedule=schedule, **_OVERFLOWING_RUN)
+        frames.append(len(traceback.extract_tb(shared.value.__traceback__)))
+    assert frames[0] == frames[1]
 
 
 def test_run_simulation_rejects_runaway_schedules(monkeypatch):
@@ -217,6 +236,14 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
     with pytest.raises(ValueError, match="beacon_period_s"):
         run_simulation(topo, fast_beacons, osc_params=osc, duration_s=2000.0,
                        sample_interval_s=10.0)
+    # each drift segment is one draw per node
+    short_segments = OscillatorParams(nominal_hz=1e6, resample_interval_s=1.0)
+    with pytest.raises(Started):
+        run_simulation(topo, _newton_params(), osc_params=short_segments,
+                       duration_s=float(limit), sample_interval_s=limit / 10)
+    with pytest.raises(ValueError, match="drift_resample_interval_s"):
+        run_simulation(topo, _newton_params(), osc_params=short_segments,
+                       duration_s=float(limit + 1), sample_interval_s=limit / 10)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +644,9 @@ def _schedule_cases(draw):
     }
     gather_wait_s = draw(st.sampled_from([0.0, 1.0]))
     initial_rate = draw(st.none() | st.floats(min_value=0.9e-6, max_value=1.1e-6))
-    return topo, sim_kwargs, gather_wait_s, initial_rate
+    # where the failing params sits among the three live ones
+    failing_at = draw(st.integers(min_value=0, max_value=3))
+    return topo, sim_kwargs, gather_wait_s, initial_rate, failing_at
 
 
 def _replayable_params(kind: Protocol, gather_wait_s: float) -> ProtocolParams:
@@ -630,10 +659,12 @@ def _replayable_params(kind: Protocol, gather_wait_s: float) -> ProtocolParams:
 @given(_schedule_cases())
 def test_replayed_schedule_equals_the_live_run(case):
     # one lock-step pass of all three protocols, and a fourth params whose
-    # huge step drives its clocks out of float range once a round has acks
-    topo, sim_kwargs, gather_wait_s, initial_rate = case
+    # huge step drives its clocks out of float range once a round has acks;
+    # the pass keeps feeding it, first, between or after the live ones
+    topo, sim_kwargs, gather_wait_s, initial_rate, failing_at = case
     params_seq = [_replayable_params(kind, gather_wait_s) for kind in Protocol]
-    params_seq.append(dataclasses.replace(params_seq[1], step_size=1e300, max_error_s=1e300))
+    params_seq.insert(failing_at, dataclasses.replace(params_seq[1], step_size=1e300,
+                                                      max_error_s=1e300))
     schedule = record_schedule(topo, params_seq, initial_rate=initial_rate, **sim_kwargs)
     for params in params_seq:
         try:
