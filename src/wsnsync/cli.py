@@ -300,10 +300,12 @@ def _plan(cfg: dict) -> tuple[list[tuple[dict, list[ProtocolParams], int]], dict
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
-    check_schedule(cfg["duration_s"], cfg["sample_interval_s"], cfg["beacon_period_s"],
-                   cfg["boot_window_s"], cfg["drift_resample_interval_s"])
+    topology = _parse_topology(cfg["topology"])
+    check_schedule(topology, cfg["duration_s"], cfg["sample_interval_s"],
+                   cfg["beacon_period_s"], cfg["boot_window_s"],
+                   cfg["drift_resample_interval_s"])
     sim_kwargs = {
-        "topology": _parse_topology(cfg["topology"]),
+        "topology": topology,
         "osc_params": OscillatorParams(
             nominal_hz=cfg["nominal_hz"],
             max_drift_hz=cfg["max_drift_hz"],

@@ -98,8 +98,8 @@ class HardwareClock:
             return float(math.floor(self._ticks))
         return self._ticks
 
-    def advance(self, to_time: float) -> None:
-        """Run the oscillator forward to ``to_time``."""
+    def advance(self, to_time: float) -> float:
+        """Run the oscillator forward to ``to_time`` and return read_ticks() there."""
         now = self._now
         if not to_time >= now:  # NaN too
             raise ClockRegressionError(
@@ -124,6 +124,7 @@ class HardwareClock:
         ticks += (rate + self._drift_hz) * (to_time - now)
         self._ticks = ticks
         self._now = to_time
+        return self.read_ticks()
 
 
 @dataclass

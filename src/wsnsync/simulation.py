@@ -39,6 +39,7 @@ same bytes as a run of that protocol alone.
 from __future__ import annotations
 
 import heapq
+import inspect
 import itertools
 import json
 import math
@@ -277,13 +278,10 @@ class Schedule:
 
 
 class _TrueTime:
-    """The gateway's counter, which reads true time."""
+    """The gateway's counter: advancing it to a true time reads that time."""
 
-    def advance(self, to_time: float) -> None:
-        self.now = to_time
-
-    def read_ticks(self) -> float:
-        return self.now
+    def advance(self, to_time: float) -> float:
+        return to_time
 
 
 class _BootTickClock(LogicalClock):
@@ -300,15 +298,15 @@ class _Sim:
     """The event pass of one run: boots, counters, messages, rounds and
     sample frames.
 
-    It decides when each clock is read, advances the counter there and
-    hands the reading to every protocol's _Clocks in turn. It owns every
-    fact the protocols share: boot times, each node's counter and the
-    logical clock it boots with, who may answer, the acks of each open
-    round, and the gateway, whose counter reads true time. Nothing a
-    _Clocks computes flows back, so every protocol sees the same pass
-    under one seed. The arguments are record_schedule's but params_seq,
-    and the first params, whose PASS_FIELDS shape the pass; nodes are
-    indices into topology.node_ids.
+    It decides when each clock is read, reads the counter there with one
+    advance call and hands the reading to every protocol's _Clocks in
+    turn. It owns every fact the protocols share: boot times, each node's
+    counter and the logical clock it boots with, who may answer, the acks
+    of each open round, and the gateway, whose counter reads true time.
+    Nothing a _Clocks computes flows back, so every protocol sees the same
+    pass under one seed. The arguments are record_schedule's but
+    params_seq, and the first params, whose PASS_FIELDS shape the pass;
+    nodes are indices into topology.node_ids.
     """
 
     def __init__(self, topology: Topology, osc_params: OscillatorParams,
@@ -402,15 +400,11 @@ class _Sim:
         if answer is None:
             if not self.synced[receiver]:
                 return  # no valid time to answer with
-            hw = self.hws[receiver]
-            hw.advance(t)
-            ticks = hw.read_ticks()
+            ticks = self.hws[receiver].advance(t)
             self._send(t, receiver, sender, [c.answer(receiver, ticks) for c in self.clocks],
                        round_deadline)
         elif t <= round_deadline:  # else the round that asked has averaged
-            hw = self.hws[receiver]
-            hw.advance(t)
-            ticks = hw.read_ticks()
+            ticks = self.hws[receiver].advance(t)
             for c, payload in zip(self.clocks, answer):
                 c.ack(receiver, ticks, payload)
             self.pending_acks[receiver] += 1
@@ -421,20 +415,13 @@ class _Sim:
         if n_acks:
             self.pending_acks[i] = 0
             self.synced[i] = True
-            hw = self.hws[i]
-            hw.advance(t)
-            ticks = hw.read_ticks()
+            ticks = self.hws[i].advance(t)
         for c in self.clocks:
             c.round(t, i, ticks, n_acks)
 
     def _sample(self, t: float, k: int) -> None:
-        ticks: list[float | None] = []
-        for hw, boot in zip(self.hws, self.boot_times):
-            if t >= boot:
-                hw.advance(t)
-                ticks.append(hw.read_ticks())
-            else:
-                ticks.append(None)
+        ticks = [hw.advance(t) if t >= boot else None
+                 for hw, boot in zip(self.hws, self.boot_times)]
         for c in self.clocks:
             c.frame(k, ticks)
         if k + 1 < len(self.sample_times):
@@ -502,12 +489,13 @@ class _Clocks:
                              for lc, x in zip(self.lcs, ticks)]
 
 
-def check_schedule(duration_s: float, sample_interval_s: float, beacon_period_s: float,
-                   boot_window_s: float, resample_interval_s: float) -> None:
+def check_schedule(topology: Topology, duration_s: float, sample_interval_s: float,
+                   beacon_period_s: float, boot_window_s: float,
+                   resample_interval_s: float) -> None:
     """ValueError unless duration and sample interval are finite and
     positive, every node boots before the run ends, and the run schedules
-    at most MAX_PERIODS_PER_RUN sample frames, and beacon rounds and drift
-    segments per node."""
+    at most MAX_PERIODS_PER_RUN sample frames, beacon rounds per node and
+    drift segments over all its nodes but the gateway, which reads true time."""
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     if not 0 < sample_interval_s < math.inf:
@@ -516,13 +504,15 @@ def check_schedule(duration_s: float, sample_interval_s: float, beacon_period_s:
         )
     if not 0 <= boot_window_s < duration_s:
         raise ValueError("boot_window_s must satisfy 0 <= window < duration")
-    for name, period in (("sample_interval_s", sample_interval_s),
-                         ("beacon_period_s", beacon_period_s),
-                         ("drift_resample_interval_s", resample_interval_s)):
-        if duration_s / period > MAX_PERIODS_PER_RUN:
+    drifting = len(topology.node_ids) - 1
+    for name, period, nodes in (("sample_interval_s", sample_interval_s, 1),
+                                ("beacon_period_s", beacon_period_s, 1),
+                                ("drift_resample_interval_s", resample_interval_s, drifting)):
+        if nodes * duration_s / period > MAX_PERIODS_PER_RUN:
+            per = "" if nodes == 1 else f" x {nodes} nodes"
             raise ValueError(
-                f"duration_s / {name} = {duration_s / period:.6g} exceeds the "
-                f"limit of {MAX_PERIODS_PER_RUN} per run"
+                f"duration_s / {name}{per} = {nodes * duration_s / period:.6g} exceeds "
+                f"the limit of {MAX_PERIODS_PER_RUN} per run"
             )
 
 
@@ -539,9 +529,10 @@ def record_schedule(
     initial_rate: float | None = None,
     initial_ticks: float | None = None,
 ) -> Schedule:
-    """Run the event pass of run_simulation's arguments once, with the
-    arithmetic of each params in params_seq in lock step, for
-    run_simulation(..., schedule=) to build their traces from.
+    """Run the event pass of these settings once, with the arithmetic of
+    each params in params_seq in lock step, for run_simulation(...,
+    schedule=) to build their traces from. run_simulation takes the same
+    keyword settings and defaults, declared here alone.
 
     The entries must differ and share the beacon period, gather wait and
     nominal frequency, which shape the pass; else ValueError. An entry
@@ -552,8 +543,8 @@ def record_schedule(
     if not params_seq:
         raise ValueError("params_seq is empty")
     first = params_seq[0]
-    check_schedule(duration_s, sample_interval_s, first.beacon_period_s, boot_window_s,
-                   osc_params.resample_interval_s)
+    check_schedule(topology, duration_s, sample_interval_s, first.beacon_period_s,
+                   boot_window_s, osc_params.resample_interval_s)
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -586,42 +577,31 @@ def record_schedule(
     return schedule
 
 
-def run_simulation(
-    topology: Topology,
-    params: ProtocolParams,
-    *,
-    osc_params: OscillatorParams,
-    delay_model: DelayModel = DelayModel(),
-    duration_s: float = 12240.0,
-    sample_interval_s: float = 10.0,
-    boot_window_s: float = 300.0,
-    seed: int = 0,
-    initial_rate: float | None = None,
-    initial_ticks: float | None = None,
-    schedule: Schedule | None = None,
-) -> SimulationTrace:
+def run_simulation(topology: Topology, params: ProtocolParams, *,
+                   schedule: Schedule | None = None, **settings) -> SimulationTrace:
     """Simulate one protocol run over the given topology.
 
-    The trace is a pure function of the arguments: rerunning with the same
-    values reproduces it exactly. Every reading of a booted node is finite:
+    settings are record_schedule's keyword arguments, with its defaults;
+    TypeError for one it does not take or a missing osc_params. The trace
+    is a pure function of the arguments: rerunning with the same values
+    reproduces it exactly. Every reading of a booted node is finite:
     settings that drive a clock out of float range (a huge step size under
     a wide guard, say) raise ValueError instead of returning inf or NaN.
 
     With a schedule from record_schedule, the trace comes from the
     arithmetic its pass ran for params, in the same bytes; ValueError if
-    record_schedule was given other values of these arguments or its
-    params another beacon period, gather wait or nominal frequency, or if
-    the pass did not run params.
+    record_schedule was given other settings or its params another beacon
+    period, gather wait or nominal frequency, or if the pass did not run
+    params.
     """
-    kwargs = {"topology": topology, "osc_params": osc_params, "delay_model": delay_model,
-              "duration_s": duration_s, "sample_interval_s": sample_interval_s,
-              "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
-              "initial_ticks": initial_ticks}
     if schedule is None:
-        schedule = record_schedule(params_seq=(params,), **kwargs)
+        schedule = record_schedule(topology, (params,), **settings)
     else:
+        bound = inspect.signature(record_schedule).bind(topology, (params,), **settings)
+        bound.apply_defaults()
         ran = next(iter(schedule.clocks))
-        differ = [name for name, value in kwargs.items() if schedule.kwargs[name] != value]
+        differ = [name for name, value in schedule.kwargs.items()
+                  if bound.arguments[name] != value]
         differ += [name for name in PASS_FIELDS if getattr(ran, name) != getattr(params, name)]
         if differ:
             raise ValueError(f"the schedule was recorded with other {', '.join(differ)}")
@@ -630,6 +610,8 @@ def run_simulation(
     clocks = schedule.clocks[params]
     if clocks.error is not None:  # raised afresh by each call, without earlier frames
         raise clocks.error.with_traceback(None)
+    kw = schedule.kwargs
+    osc_params, delay_model = kw["osc_params"], kw["delay_model"]
     config = {
         "protocol": params.kind.value,
         "step_size": params.step_size,
@@ -643,12 +625,12 @@ def run_simulation(
         "delay_std_s": delay_model.std_s,
         "delay_floor_s": delay_model.floor_s,
         "topology": topology.to_config(),
-        "duration_s": duration_s,
-        "sample_interval_s": sample_interval_s,
-        "boot_window_s": boot_window_s,
-        "seed": seed,
-        "initial_rate": initial_rate,
-        "initial_ticks": initial_ticks,
+        "duration_s": kw["duration_s"],
+        "sample_interval_s": kw["sample_interval_s"],
+        "boot_window_s": kw["boot_window_s"],
+        "seed": kw["seed"],
+        "initial_rate": kw["initial_rate"],
+        "initial_ticks": kw["initial_ticks"],
     }
     return SimulationTrace(sample_times_s=schedule.sample_times, logical_s=clocks.logical_s,
                            round_columns=clocks.rounds, topology=topology,

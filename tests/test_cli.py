@@ -370,6 +370,20 @@ def test_too_many_drift_segments_are_refused_before_the_run(tmp_path: Path):
     assert line.startswith("error: duration_s / drift_resample_interval_s = 1e+08 exceeds")
 
 
+def test_drift_segments_are_bounded_over_the_run(tmp_path: Path, monkeypatch, capsys):
+    # 10^6 segments per node is the limit of one run, not of each of 16 nodes
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass started before its drift segments were counted")
+
+    monkeypatch.setattr(cli, "record_schedule", no_pass)
+    assert cli.main(["run", "--topology", "line:17", "--drift-resample-interval", "1e-4",
+                     "--duration", "100", "--boot-window", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: duration_s / drift_resample_interval_s x 16 nodes = "
+                           "1.6e+07 exceeds")
+
+
 def test_rerun_is_byte_identical(tmp_path: Path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(_run_args(d1, "--protocol", "newton,avgpisync")) == 0

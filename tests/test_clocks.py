@@ -251,6 +251,20 @@ def test_quantized_readings_are_floored():
     assert hw.read_ticks() == 3.0  # raw 3.0 -> floor 3
 
 
+@pytest.mark.parametrize("quantize", [False, True])
+def test_advance_returns_the_reading(quantize):
+    # across drift-segment boundaries too; quantized, the floor of the raw count
+    params = OscillatorParams(nominal_hz=10.0, max_drift_hz=2.0, resample_interval_s=1.0,
+                              quantize_ticks=quantize)
+    hw = HardwareClock(params, _gen(3), initial_ticks=0.5)
+    raw = HardwareClock(OscillatorParams(nominal_hz=10.0, max_drift_hz=2.0,
+                                         resample_interval_s=1.0), _gen(3), initial_ticks=0.5)
+    for t in (0.25, 1.0, 2.75, 3.5):
+        ticks = hw.advance(t)
+        assert ticks == hw.read_ticks()
+        assert ticks == (math.floor(raw.advance(t)) if quantize else raw.advance(t))
+
+
 # ---------------------------------------------------------------------------
 # LogicalClock
 

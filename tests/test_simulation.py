@@ -244,6 +244,14 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
     with pytest.raises(ValueError, match="drift_resample_interval_s"):
         run_simulation(topo, _newton_params(), osc_params=short_segments,
                        duration_s=float(limit + 1), sample_interval_s=limit / 10)
+    # over every node but the gateway, whose counter reads true time
+    line17 = build_line_topology(17)
+    with pytest.raises(Started):
+        run_simulation(line17, _newton_params(), osc_params=short_segments,
+                       duration_s=limit / 16, sample_interval_s=limit / 160)
+    with pytest.raises(ValueError, match="drift_resample_interval_s x 16 nodes = 1.00002e"):
+        run_simulation(line17, _newton_params(), osc_params=short_segments,
+                       duration_s=limit / 16 + 1, sample_interval_s=limit / 160)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +721,27 @@ def test_replay_refuses_a_schedule_of_other_settings(change, setting):
     other = _newton_params(step_size=0.5, max_error_s=1.0)
     with pytest.raises(ValueError, match=re.escape(f"the schedule's pass did not run {other}")):
         run_simulation(**{**run, "params": other}, schedule=schedule)
+
+
+def test_replay_fills_record_schedules_defaults():
+    # a setting left out is compared at record_schedule's default
+    schedule = record_schedule(params_seq=[_newton_params()],
+                               **{**_REFUSAL_RUN, "duration_s": 330.0})
+    run = {**_REFUSAL_RUN, "params": _newton_params()}
+    del run["duration_s"]
+    with pytest.raises(ValueError, match="recorded with other duration_s$"):
+        run_simulation(**run, schedule=schedule)
+
+
+def test_run_simulation_takes_record_schedules_settings_alone():
+    run = {**_REFUSAL_RUN, "params": _newton_params()}
+    schedule = record_schedule(params_seq=[_newton_params()], **_REFUSAL_RUN)
+    no_osc = {k: v for k, v in run.items() if k != "osc_params"}
+    for with_schedule in ({}, {"schedule": schedule}):
+        with pytest.raises(TypeError, match="'duration'"):
+            run_simulation(**run, duration=300.0, **with_schedule)
+        with pytest.raises(TypeError, match="'osc_params'"):
+            run_simulation(**no_osc, **with_schedule)
 
 
 def test_trace_builds_its_rounds_once_when_read(monkeypatch):
