@@ -28,9 +28,9 @@ insertion order inside each class. Reruns with identical inputs produce
 identical traces; runs that differ only in protocol arithmetic see identical
 boot times, drift trajectories and delay draws.
 
-A run is two parts. The event pass (_Sim) decides when each clock is read
-and reads the hardware clock there; the protocol arithmetic (_Clocks) turns
-those readings into logical clocks, rounds and trace rows. Nothing the
+A run is two parts. The event pass (_event_pass) decides when each clock is
+read and reads the hardware clock there; the protocol arithmetic (_Clocks)
+turns those readings into logical clocks, rounds and trace rows. Nothing the
 arithmetic computes flows back into the pass, so record_schedule runs one
 seed's pass once with several protocols' arithmetic in lock step, and
 run_simulation(..., schedule=) builds each protocol's trace from it, in the
@@ -61,7 +61,8 @@ DELAY_BLOCK = 4096
 # schedule; the defaults need 1224 and 408.
 MAX_PERIODS_PER_RUN = 10**6
 # Event kinds, which are also the priorities of simultaneous events (lower
-# runs first) and the indices of _Sim.run's handlers.
+# runs first): the branches of _event_pass's loop. An event's data is the
+# message of a delivery, the node of a deadline or beacon, or a sample's row.
 DELIVERY, DEADLINE, BEACON, SAMPLE = range(4)
 
 
@@ -267,9 +268,9 @@ PASS_FIELDS = ("beacon_period_s", "gather_wait_s", "nominal_hz")
 class Schedule:
     """One seed's event pass, run by record_schedule with each params'
     arithmetic in lock step: record_schedule's arguments but params_seq, by
-    name, to refuse a run_simulation call with other values (a trace's
-    config lacks osc_params.nominal_hz, say), the pass's sample times and
-    boot times (in topology.node_ids order), and each params' _Clocks."""
+    name, to refuse a run_simulation call with other values and to build
+    its trace's config, the pass's sample times and boot times (in
+    topology.node_ids order), and each params' _Clocks."""
 
     kwargs: dict
     sample_times: tuple[float, ...]
@@ -294,138 +295,122 @@ class _BootTickClock(LogicalClock):
         return super().read(at_ticks)
 
 
-class _Sim:
+def _event_pass(
+    topology: Topology, params_seq: Sequence[ProtocolParams], *, osc_params: OscillatorParams,
+    delay_model: DelayModel, duration_s: float, sample_interval_s: float, boot_window_s: float,
+    seed: int, initial_rate: float | None, initial_ticks: float | None,
+) -> tuple[tuple[float, ...], list[float], list[_Clocks]]:
     """The event pass of one run: boots, counters, messages, rounds and
-    sample frames.
+    sample frames. Returns its sample times, its boot times and one _Clocks
+    per params, which it feeds in lock step.
 
     It decides when each clock is read, reads the counter there with one
-    advance call and hands the reading to every protocol's _Clocks in
-    turn. It owns every fact the protocols share: boot times, each node's
-    counter and the logical clock it boots with, who may answer, the acks
-    of each open round, and the gateway, whose counter reads true time.
-    Nothing a _Clocks computes flows back, so every protocol sees the same
-    pass under one seed. The arguments are record_schedule's but
-    params_seq, and the first params, whose PASS_FIELDS shape the pass;
-    nodes are indices into topology.node_ids.
+    advance call and hands the reading to every _Clocks in turn. It owns
+    every fact the protocols share: boot times, each node's counter and the
+    logical clock it boots with, who may answer, the acks of each open
+    round, and the gateway, whose counter reads true time. Nothing a
+    _Clocks computes flows back, so every protocol sees the same pass under
+    one seed. The arguments are record_schedule's, checked there; the first
+    params' PASS_FIELDS shape the pass; nodes are indices into
+    topology.node_ids.
     """
+    first = params_seq[0]
+    beacon_period, gather_wait = first.beacon_period_s, first.gather_wait_s
+    ids = topology.node_ids
+    index = {nid: i for i, nid in enumerate(ids)}
+    neighbors = [tuple(index[j] for j in topology.neighbors[nid]) for nid in ids]
+    gateway = index[topology.gateway]
 
-    def __init__(self, topology: Topology, osc_params: OscillatorParams,
-                 delay_model: DelayModel, duration_s: float, sample_interval_s: float,
-                 boot_window_s: float, seed: int, initial_rate: float | None,
-                 initial_ticks: float | None, params: ProtocolParams) -> None:
-        self.delay = delay_model
-        self.duration = duration_s
-        self.beacon_period = params.beacon_period_s
-        self.gather_wait = params.gather_wait_s
-        self.node_ids = ids = topology.node_ids
-        index = {nid: i for i, nid in enumerate(ids)}
-        self.neighbors = [tuple(index[j] for j in topology.neighbors[nid]) for nid in ids]
-        gateway = index[topology.gateway]
+    boot_ss, delay_ss, *node_ss = np.random.SeedSequence(seed).spawn(2 + len(ids))
+    normals = delay_model.normals(np.random.Generator(np.random.PCG64(delay_ss)))
+    boot_gen = np.random.Generator(np.random.PCG64(boot_ss))
+    boot_times = boot_gen.uniform(0.0, boot_window_s, len(ids)).tolist()
 
-        root = np.random.SeedSequence(seed)
-        boot_ss, delay_ss, *node_ss = root.spawn(2 + len(ids))
-        self.delay_normals = delay_model.normals(
-            np.random.Generator(np.random.PCG64(delay_ss))
-        )
-        boot_gen = np.random.Generator(np.random.PCG64(boot_ss))
-        self.boot_times = boot_gen.uniform(0.0, boot_window_s, len(ids)).tolist()
+    ticks_span = beacon_period * first.nominal_hz
+    rate = 1.0 / first.nominal_hz if initial_rate is None else float(initial_rate)
+    cold = _BootTickClock if osc_params.quantize_ticks else LogicalClock
+    hws: list[HardwareClock | _TrueTime] = []
+    boot_clocks: list[LogicalClock] = []
+    for i, (ss, boot) in enumerate(zip(node_ss, boot_times)):
+        if i == gateway:  # 0.0 + 1.0 * (t - 0.0) == t: true time, bit for bit
+            hws.append(_TrueTime())
+            boot_clocks.append(LogicalClock(0.0, 1.0))
+            continue
+        gen = np.random.Generator(np.random.PCG64(ss))
+        t0 = float(gen.uniform(0.0, ticks_span) if initial_ticks is None else initial_ticks)
+        hws.append(HardwareClock(osc_params, gen, start_time=boot, initial_ticks=t0))
+        # Cold boot: the logical clock starts wherever the hardware
+        # counter puts it, not at true time.
+        boot_clocks.append(cold(rate * t0, rate, t0))
+    # Holds a valid time and may answer requests: gateway from boot, other
+    # nodes after their first round with acks.
+    synced = [i == gateway for i in range(len(ids))]
+    pending_acks = [0] * len(ids)
 
-        ticks_span = params.beacon_period_s * params.nominal_hz
-        rate = 1.0 / params.nominal_hz if initial_rate is None else float(initial_rate)
-        cold = _BootTickClock if osc_params.quantize_ticks else LogicalClock
-        self.hws: list[HardwareClock | _TrueTime] = []
-        self.boot_clocks: list[LogicalClock] = []
-        for i, (ss, boot) in enumerate(zip(node_ss, self.boot_times)):
-            if i == gateway:  # 0.0 + 1.0 * (t - 0.0) == t: true time, bit for bit
-                self.hws.append(_TrueTime())
-                self.boot_clocks.append(LogicalClock(0.0, 1.0))
-                continue
-            gen = np.random.Generator(np.random.PCG64(ss))
-            t0 = float(gen.uniform(0.0, ticks_span) if initial_ticks is None else initial_ticks)
-            self.hws.append(HardwareClock(osc_params, gen, start_time=boot, initial_ticks=t0))
-            # Cold boot: the logical clock starts wherever the hardware
-            # counter puts it, not at true time.
-            self.boot_clocks.append(cold(rate * t0, rate, t0))
-        # Holds a valid time and may answer requests: gateway from boot, other
-        # nodes after their first round with acks.
-        self.synced = [i == gateway for i in range(len(ids))]
-        self.pending_acks = [0] * len(ids)
+    queue = EventQueue()
+    for i, boot in enumerate(boot_times):
+        if i != gateway and boot <= duration_s:
+            queue.push(boot, BEACON, i)
+    # Sample k is due at the k-th partial sum of the interval; row k of the
+    # readings is filled by the event that carries k.
+    sample_times, t = [], sample_interval_s
+    while t <= duration_s:
+        sample_times.append(t)
+        t += sample_interval_s
+    if sample_times:
+        queue.push(sample_times[0], SAMPLE, 0)
+    clocks = [_Clocks(ids, params, boot_clocks, len(sample_times)) for params in params_seq]
 
-        self.queue = EventQueue()
-        for i, boot in enumerate(self.boot_times):
-            if i != gateway and boot <= duration_s:
-                self.queue.push(boot, BEACON, i)
-        # Sample k is due at the k-th partial sum of the interval; row k of
-        # the readings is filled by the event that carries k.
-        times, t = [], sample_interval_s
-        while t <= duration_s:
-            times.append(t)
-            t += sample_interval_s
-        self.sample_times = tuple(times)
-        if self.sample_times:
-            self.queue.push(self.sample_times[0], SAMPLE, 0)
-
-    def run(self, clocks: list[_Clocks]) -> None:
-        self.clocks = clocks
-        handlers = (self._deliver, self._deadline, self._beacon, self._sample)
-        pop = self.queue.pop
-        while self.queue:
-            t, kind, data = pop()
-            handlers[kind](t, data)
-
-    def _send(
-        self, t: float, sender: int, receiver: int, answer: object, round_deadline: float,
-    ) -> None:
+    def send(t: float, sender: int, receiver: int, answer: object, round_deadline: float) -> None:
         """Schedule a delivery that carries the deadline of the requester's
         round: a request (answer None), or its ack with one answer per protocol."""
-        d = self.delay.sample(self.delay_normals)
-        if t + d <= self.duration:
-            self.queue.push(t + d, DELIVERY, (receiver, sender, answer, round_deadline))
+        d = delay_model.sample(normals)
+        if t + d <= duration_s:
+            queue.push(t + d, DELIVERY, (receiver, sender, answer, round_deadline))
 
-    def _beacon(self, t: float, i: int) -> None:
-        deadline = t + self.gather_wait
-        for j in self.neighbors[i]:
-            self._send(t, i, j, None, deadline)
-        if deadline <= self.duration:
-            self.queue.push(deadline, DEADLINE, i)
-        if t + self.beacon_period <= self.duration:
-            self.queue.push(t + self.beacon_period, BEACON, i)
-
-    def _deliver(self, t: float, msg: tuple[int, int, object, float]) -> None:
-        receiver, sender, answer, round_deadline = msg
-        if t < self.boot_times[receiver]:
-            return  # powered off; message lost
-        # Every return comes before the clock is read: an extra advance would
-        # split the float sum of ticks and change the trace bytes.
-        if answer is None:
-            if not self.synced[receiver]:
-                return  # no valid time to answer with
-            ticks = self.hws[receiver].advance(t)
-            self._send(t, receiver, sender, [c.answer(receiver, ticks) for c in self.clocks],
-                       round_deadline)
-        elif t <= round_deadline:  # else the round that asked has averaged
-            ticks = self.hws[receiver].advance(t)
-            for c, payload in zip(self.clocks, answer):
-                c.ack(receiver, ticks, payload)
-            self.pending_acks[receiver] += 1
-
-    def _deadline(self, t: float, i: int) -> None:
-        n_acks = self.pending_acks[i]
-        ticks = None  # a round without acks reads no clock
-        if n_acks:
-            self.pending_acks[i] = 0
-            self.synced[i] = True
-            ticks = self.hws[i].advance(t)
-        for c in self.clocks:
-            c.round(t, i, ticks, n_acks)
-
-    def _sample(self, t: float, k: int) -> None:
-        ticks = [hw.advance(t) if t >= boot else None
-                 for hw, boot in zip(self.hws, self.boot_times)]
-        for c in self.clocks:
-            c.frame(k, ticks)
-        if k + 1 < len(self.sample_times):
-            self.queue.push(self.sample_times[k + 1], SAMPLE, k + 1)
+    pop = queue.pop
+    while queue:
+        t, kind, data = pop()
+        if kind == DELIVERY:
+            receiver, sender, answer, round_deadline = data
+            # Every skip comes before the clock is read: an extra advance
+            # would split the float sum of ticks and change the trace bytes.
+            if t < boot_times[receiver]:
+                continue  # powered off; message lost
+            if answer is None:
+                if synced[receiver]:  # else no valid time to answer with
+                    ticks = hws[receiver].advance(t)
+                    send(t, receiver, sender, [c.answer(receiver, ticks) for c in clocks],
+                         round_deadline)
+            elif t <= round_deadline:  # else the round that asked has averaged
+                ticks = hws[receiver].advance(t)
+                for c, payload in zip(clocks, answer):
+                    c.ack(receiver, ticks, payload)
+                pending_acks[receiver] += 1
+        elif kind == DEADLINE:
+            n_acks = pending_acks[data]
+            ticks = None  # a round without acks reads no clock
+            if n_acks:
+                pending_acks[data] = 0
+                synced[data] = True
+                ticks = hws[data].advance(t)
+            for c in clocks:
+                c.round(t, data, ticks, n_acks)
+        elif kind == BEACON:
+            deadline = t + gather_wait
+            for j in neighbors[data]:
+                send(t, data, j, None, deadline)
+            if deadline <= duration_s:
+                queue.push(deadline, DEADLINE, data)
+            if t + beacon_period <= duration_s:
+                queue.push(t + beacon_period, BEACON, data)
+        else:  # SAMPLE
+            ticks = [hw.advance(t) if t >= boot else None for hw, boot in zip(hws, boot_times)]
+            for c in clocks:
+                c.frame(data, ticks)
+            if data + 1 < len(sample_times):
+                queue.push(sample_times[data + 1], SAMPLE, data + 1)
+    return tuple(sample_times), boot_times, clocks
 
 
 class _Clocks:
@@ -535,10 +520,11 @@ def record_schedule(
     keyword settings and defaults, declared here alone.
 
     The entries must differ and share the beacon period, gather wait and
-    nominal frequency, which shape the pass; else ValueError. An entry
-    whose arithmetic fails keeps the error in its _Clocks, however many
-    entries there are, and its run_simulation call raises it; the other
-    entries finish.
+    nominal frequency, which shape the pass, and osc_params must have that
+    nominal frequency, so a trace's config determines its rows; else
+    ValueError. An entry whose arithmetic fails keeps the error in its
+    _Clocks, however many entries there are, and its run_simulation call
+    raises it; the other entries finish.
     """
     if not params_seq:
         raise ValueError("params_seq is empty")
@@ -553,25 +539,23 @@ def record_schedule(
             raise ValueError(f"params_seq holds {params} twice")
         if any(getattr(params, name) != getattr(first, name) for name in PASS_FIELDS):
             raise ValueError(f"{params} needs another event pass than {first}")
+    if osc_params.nominal_hz != first.nominal_hz:
+        raise ValueError(f"osc_params.nominal_hz = {osc_params.nominal_hz} differs from the "
+                         f"protocols' nominal_hz = {first.nominal_hz}")
     kwargs = {"topology": topology, "osc_params": osc_params, "delay_model": delay_model,
               "duration_s": duration_s, "sample_interval_s": sample_interval_s,
               "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
               "initial_ticks": initial_ticks}
-    sim = _Sim(**kwargs, params=first)
-    clocks = [_Clocks(sim.node_ids, params, sim.boot_clocks, len(sim.sample_times))
-              for params in params_seq]
-    sim.run(clocks)
-    schedule = Schedule(kwargs, sim.sample_times, tuple(sim.boot_times),
-                        dict(zip(params_seq, clocks)))
-    del sim  # and its block of unused delay draws, before the scan's arrays
-    booted = np.array(schedule.sample_times).reshape(-1, 1) >= np.array(schedule.boot_times)
+    sample_times, boot_times, clocks = _event_pass(params_seq=params_seq, **kwargs)
+    schedule = Schedule(kwargs, sample_times, tuple(boot_times), dict(zip(params_seq, clocks)))
+    booted = np.array(sample_times).reshape(-1, 1) >= np.array(boot_times)
     for c in clocks:
         overflowed = np.argwhere(booted & ~np.isfinite(c.logical_s))
         if c.error is None and overflowed.size:
             k, col = overflowed[0]
             c.error = ValueError(
                 f"node {topology.node_ids[col]} reads {c.logical_s[k, col]} at "
-                f"t = {schedule.sample_times[k]} s: the settings drive its clock out of "
+                f"t = {sample_times[k]} s: the settings drive its clock out of "
                 "float range"
             )
     return schedule

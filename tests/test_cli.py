@@ -116,6 +116,25 @@ def test_unknown_config_key_rejected(tmp_path: Path, capsys):
     assert "unknown config file keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read config file"),
+    ("[1, 2]", "must hold a JSON object"),
+])
+def test_config_file_must_be_a_readable_json_object(tmp_path: Path, capsys, content, message):
+    conf = tmp_path / "conf.json"
+    if content is not None:
+        conf.write_text(content)
+    assert cli.main(_run_args(tmp_path, "--config", str(conf))) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_malformed_seed_range_exits_two(tmp_path: Path, capsys):
+    assert cli.main(["run", "--out-dir", str(tmp_path), "--seed", "a..3"]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed 'a..3': invalid literal")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("quantize_ticks", "false", 'quantize_ticks (--quantize-ticks) must be true or false, '
                                 'got "false"'),
@@ -463,12 +482,13 @@ def test_run_builds_no_round_records(tmp_path: Path, monkeypatch):
 def test_each_seed_makes_one_event_pass(tmp_path: Path, monkeypatch, protocols):
     passes: list[int] = []
 
-    class CountedSim(simulation._Sim):
-        def __init__(self, **settings):
-            passes.append(settings["seed"])
-            super().__init__(**settings)
+    real = simulation._event_pass
 
-    monkeypatch.setattr(simulation, "_Sim", CountedSim)
+    def counted(topology, params_seq, **settings):
+        passes.append(settings["seed"])
+        return real(topology, params_seq, **settings)
+
+    monkeypatch.setattr(simulation, "_event_pass", counted)
     assert cli.main(_run_args(tmp_path, "--protocol", protocols, "--seed", "1..3")) == 0
     assert passes == [1, 2, 3]
 
@@ -772,6 +792,18 @@ def test_validate_analysis_rejects_noise_below_float_resolution(tmp_path: Path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "below float resolution" in err
     assert not (tmp_path / "analysis.csv").exists()
+
+
+def test_validate_analysis_reports_a_variant_without_a_finite_prediction(tmp_path: Path,
+                                                                       capsys):
+    # without drift, the variant that drops the unit constant has no finite
+    # variance at mu 1.0; the table says so and the check still passes
+    args = ["validate-analysis", "--out-dir", str(tmp_path), "--max-drift-hz", "0",
+            "--oracle-runs", "500", "--oracle-steps", "40", "--tail", "10"]
+    assert cli.main(args) == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    row = next(k for k, line in enumerate(lines) if line.split()[:1] == ["1.0"])
+    assert "variant dropped_unit_constant: no finite prediction" in lines[row + 1:row + 3]
 
 
 def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):

@@ -213,16 +213,50 @@ def test_a_lone_failing_params_fails_at_its_run_not_its_pass():
     assert frames[0] == frames[1]
 
 
+# a rate so large that the first sample reads inf, while no round's
+# correction fails: the guard skips the rate update at that error
+_SAMPLE_OVERFLOW_RUN = {"topology": build_line_topology(2),
+                        "osc_params": OscillatorParams(1e6, 0.0),
+                        "delay_model": DelayModel(0.0), "duration_s": 15.0,
+                        "boot_window_s": 0.0, "seed": 1, "initial_rate": 1e302,
+                        "initial_ticks": 0.0}
+
+
+def test_a_reading_out_of_float_range_fails_its_run():
+    # the scan after the pass finds it, alone or from a recorded schedule
+    params = ProtocolParams(Protocol.NEWTON, 1.0)
+    message = ("^node 2 reads inf at t = 10.0 s: the settings drive its clock out of "
+               "float range$")
+    with pytest.raises(ValueError, match=message):
+        run_simulation(params=params, **_SAMPLE_OVERFLOW_RUN)
+    schedule = record_schedule(params_seq=[params], **_SAMPLE_OVERFLOW_RUN)
+    with pytest.raises(ValueError, match=message):
+        run_simulation(params=params, schedule=schedule, **_SAMPLE_OVERFLOW_RUN)
+
+
+def test_oscillator_and_protocols_share_one_nominal_frequency():
+    # a trace's config records the protocol's frequency only, so an
+    # oscillator at another one would write other rows under the same header
+    run = {"topology": build_line_topology(3), "duration_s": 600.0, "seed": 1,
+           "osc_params": OscillatorParams(nominal_hz=1.001e6, max_drift_hz=25.0)}
+    message = re.escape("osc_params.nominal_hz = 1001000.0 differs from the protocols' "
+                        "nominal_hz = 1000000.0")
+    with pytest.raises(ValueError, match=message):
+        record_schedule(params_seq=[_newton_params(f=1e6)], **run)
+    with pytest.raises(ValueError, match=message):
+        run_simulation(params=_newton_params(f=1e6), **run)
+
+
 def test_run_simulation_rejects_runaway_schedules(monkeypatch):
     # too many sample frames or beacon rounds per node is refused before
-    # the simulator is built; exactly the limit is accepted
+    # the event pass starts; exactly the limit is accepted
     class Started(Exception):
         pass
 
     def refuse(*args, **kwargs):
         raise Started
 
-    monkeypatch.setattr(simulation, "_Sim", refuse)
+    monkeypatch.setattr(simulation, "_event_pass", refuse)
     topo = build_line_topology(2)
     osc = OscillatorParams(nominal_hz=1e6)
     limit = simulation.MAX_PERIODS_PER_RUN
@@ -474,7 +508,6 @@ _VALID_SETTINGS = {
     "nominal_hz": st.floats(min_value=1e3, max_value=1e7),
     "max_error_s": st.floats(min_value=1e-6, max_value=1.0),
     "gather_wait_s": st.floats(min_value=0.0, max_value=2.0),
-    "osc_nominal_hz": st.floats(min_value=1e3, max_value=1e7),
     "max_drift_hz": st.floats(min_value=0.0, max_value=100.0),
     "resample_interval_s": st.floats(min_value=1.0, max_value=4000.0),
     "std_s": st.floats(min_value=0.0, max_value=1.0),
@@ -502,6 +535,7 @@ def _run_settings(draw):
 def test_settings_raise_or_give_finite_readings(kind, n, seed, quantize, cfg):
     # every constructor on the way to a trace either refuses its input with
     # ValueError or the run's readings are finite exactly where booted
+    # (the oscillator runs at the protocols' nominal frequency, as a run must)
     try:
         params = ProtocolParams(
             kind=kind, step_size=cfg["step_size"],
@@ -509,7 +543,7 @@ def test_settings_raise_or_give_finite_readings(kind, n, seed, quantize, cfg):
             max_error_s=cfg["max_error_s"], gather_wait_s=cfg["gather_wait_s"],
         )
         osc = OscillatorParams(
-            nominal_hz=cfg["osc_nominal_hz"], max_drift_hz=cfg["max_drift_hz"],
+            nominal_hz=cfg["nominal_hz"], max_drift_hz=cfg["max_drift_hz"],
             resample_interval_s=cfg["resample_interval_s"], quantize_ticks=quantize,
         )
         delay = DelayModel(std_s=cfg["std_s"], floor_s=cfg["floor_s"])
@@ -686,6 +720,7 @@ def test_replayed_schedule_equals_the_live_run(case):
                                 schedule=schedule, **sim_kwargs)
         assert shared.logical_s.tobytes() == live.logical_s.tobytes()
         assert shared.rounds == live.rounds
+        assert shared.round_columns.tobytes() == live.round_columns.tobytes()
         assert shared.boot_times == live.boot_times
         assert shared.config == live.config
 
