@@ -13,21 +13,22 @@ range and help. Precedence: command line flag, then JSON config file
 configuration as a `# config = {...}` comment header and contain no
 timestamps, so identical invocations produce byte-identical files. The
 default output directory comes from $WSNSYNC_OUT_DIR, falling back to ./out.
+
+analysis and concurrent.futures are imported where they are used, so
+importing this module, or running `run` with one worker, loads neither.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import json
 import math
 import os
-import statistics
 import sys
 from pathlib import Path
 
-from . import analysis, metrics
+from . import metrics
 from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
 from .simulation import (
@@ -354,6 +355,8 @@ def _run_jobs(groups: list, resolved: dict, out: Path) -> list[dict]:
         with contextlib.ExitStack() as stack:
             schedules = map(_seed_schedule, groups)
             if workers > 1:
+                import concurrent.futures
+
                 pool = stack.enter_context(
                     concurrent.futures.ProcessPoolExecutor(max_workers=workers))
                 schedules = pool.map(_seed_schedule, groups)
@@ -410,6 +413,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_analysis(args: argparse.Namespace) -> int:
+    import concurrent.futures
+
+    from . import analysis
+
     cfg = _resolve(args)
     b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
     fmax, sigma_b = cfg["max_drift_hz"], cfg["delay_std_s"]
@@ -551,8 +558,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             agg_rows.append({
                 "param": param, "value": value, "protocol": proto,
                 "n_runs": len(runs), "n_converged": len(conv),
-                "median_convergence_time_s": statistics.median(conv) if conv else None,
-                "median_steady_state_max_global_err_s": statistics.median(err) if err else None,
+                "median_convergence_time_s": metrics.median(conv) if conv else None,
+                "median_steady_state_max_global_err_s": metrics.median(err) if err else None,
             })
 
     resolved = {**cfg, "sweep_param": param, "sweep_values": list(values)}

@@ -59,9 +59,11 @@ class HardwareClock:
     """Free-running tick counter with piecewise-constant drift.
 
     The drift value for each segment is drawn lazily from ``rng`` as segment
-    boundaries are crossed, so the tick trajectory is a pure function of
-    (params, rng seed, start_time, initial_ticks) and does not depend on how
-    an advance is split into calls.
+    boundaries are crossed, so the drifts do not depend on how an advance is
+    split into calls. The tick count does, in its last bits: each call adds
+    its own rounded product of rate and elapsed time. The trajectory is a
+    pure function of (params, rng seed, start_time, initial_ticks) and the
+    times advanced to; splitting an advance agrees only in exact arithmetic.
     """
 
     def __init__(
@@ -107,8 +109,8 @@ class HardwareClock:
             )
         ticks = self._ticks
         rate = self._nominal_hz
-        # Each constant-drift segment is accumulated separately so the
-        # trajectory does not depend on call partitioning.
+        # One rounded product per constant-drift segment crossed and one
+        # for the rest, so the ticks depend on the times advanced to.
         while self._next_resample <= to_time:
             # Past this the boundary stops growing under `+=` (at inf too),
             # so the loop would never end.

@@ -9,7 +9,6 @@ it is undefined; fmax/fmin skip NaN cells without a warning.
 """
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -82,6 +81,14 @@ class TraceSummary:
     peak_err_after_convergence_s: float | None
 
 
+def median(values: Sequence[float]) -> float:
+    """The middle of the sorted nonempty values, or the mean of the two
+    middle ones: statistics.median's arithmetic, without its import."""
+    s = sorted(values)
+    i = len(s) // 2
+    return s[i] if len(s) % 2 else (s[i - 1] + s[i]) / 2
+
+
 def summarize(
     times_s: Sequence[float],
     readings: np.ndarray,
@@ -98,4 +105,4 @@ def summarize(
     # nonempty: the converged window holds `window` defined samples
     tail = errors[np.asarray(times_s) >= t_conv]
     tail = tail[tail == tail].tolist()  # NaN: undefined
-    return TraceSummary(t_conv, statistics.median(tail), max(tail))
+    return TraceSummary(t_conv, median(tail), max(tail))

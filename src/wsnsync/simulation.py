@@ -346,6 +346,13 @@ def _event_pass(
     # nodes after their first round with acks.
     synced = [i == gateway for i in range(len(ids))]
     pending_acks = [0] * len(ids)
+    # Each node's next deadline, the first time its synced flag can turn on:
+    # its open deadline (gather_wait < beacon_period, so it has at most
+    # one), else its next beacon's, the same float sum the BEACON branch
+    # pushes. A delivery pops before a deadline at the same time, so a
+    # request that reaches an unsynced node by then is dropped on arrival.
+    next_beacon = list(boot_times)
+    next_sync = [boot + gather_wait for boot in boot_times]
 
     queue = EventQueue()
     for i, boot in enumerate(boot_times):
@@ -363,10 +370,21 @@ def _event_pass(
 
     def send(t: float, sender: int, receiver: int, answer: object, round_deadline: float) -> None:
         """Schedule a delivery that carries the deadline of the requester's
-        round: a request (answer None), or its ack with one answer per protocol."""
-        d = delay_model.sample(normals)
-        if t + d <= duration_s:
-            queue.push(t + d, DELIVERY, (receiver, sender, answer, round_deadline))
+        round: a request (answer None), or its ack with one answer per protocol.
+
+        Every message draws its delay, so the draws do not depend on what is
+        queued. A delivery the arrival checks would drop is not queued: an
+        ack after its round's deadline, or a request that reaches an unsynced
+        node by its next_sync. The checks stay, since a request that arrives
+        later may still find its receiver unsynced."""
+        a = t + delay_model.sample(normals)
+        if answer is None:
+            if not synced[receiver] and a <= next_sync[receiver]:
+                return
+        elif a > round_deadline:
+            return
+        if a <= duration_s:
+            queue.push(a, DELIVERY, (receiver, sender, answer, round_deadline))
 
     pop = queue.pop
     while queue:
@@ -389,6 +407,7 @@ def _event_pass(
                 pending_acks[receiver] += 1
         elif kind == DEADLINE:
             n_acks = pending_acks[data]
+            next_sync[data] = next_beacon[data] + gather_wait
             ticks = None  # a round without acks reads no clock
             if n_acks:
                 pending_acks[data] = 0
@@ -398,12 +417,13 @@ def _event_pass(
                 c.round(t, data, ticks, n_acks)
         elif kind == BEACON:
             deadline = t + gather_wait
+            next_beacon[data] = t + beacon_period
             for j in neighbors[data]:
                 send(t, data, j, None, deadline)
             if deadline <= duration_s:
                 queue.push(deadline, DEADLINE, data)
-            if t + beacon_period <= duration_s:
-                queue.push(t + beacon_period, BEACON, data)
+            if next_beacon[data] <= duration_s:
+                queue.push(next_beacon[data], BEACON, data)
         else:  # SAMPLE
             ticks = [hw.advance(t) if t >= boot else None for hw, boot in zip(hws, boot_times)]
             for c in clocks:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnsync import cli, simulation
+from wsnsync import analysis, cli, simulation
 from wsnsync.protocols import Protocol
 
 
@@ -285,7 +285,7 @@ def test_negative_seeds_exit_before_any_run(tmp_path: Path, monkeypatch, capsys,
         raise AssertionError("a run started before the seeds were checked")
 
     monkeypatch.setattr(cli, "run_simulation", no_run)
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_run)
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_run)
     assert cli.main([command, "--out-dir", str(tmp_path), f"--seed={seed}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -387,6 +387,27 @@ def test_too_many_drift_segments_are_refused_before_the_run(tmp_path: Path):
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: duration_s / drift_resample_interval_s = 1e+08 exceeds")
+
+
+def test_run_loads_neither_the_oracle_nor_a_pool(tmp_path: Path):
+    # importing the CLI, and a one-worker run, leave the oracle, the worker
+    # pools and statistics unloaded; only validate-analysis and --jobs use them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = (
+        "import sys\n"
+        "unused = ('wsnsync.analysis', 'concurrent.futures', 'statistics')\n"
+        "import wsnsync.cli\n"
+        "print(sorted(m for m in unused if m in sys.modules))\n"
+        "assert wsnsync.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in unused if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, *_run_args(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 def test_drift_segments_are_bounded_over_the_run(tmp_path: Path, monkeypatch, capsys):
@@ -702,7 +723,7 @@ def test_validate_analysis_uses_worst_case_drift_default(tmp_path: Path):
 
 def test_validate_analysis_gate_failure_exits_nonzero(tmp_path: Path,
                                                       monkeypatch, capsys):
-    monkeypatch.setattr(cli.analysis, "final_step_sigma",
+    monkeypatch.setattr(analysis, "final_step_sigma",
                         lambda *a, **k: 9.9)
     args = ["validate-analysis", "--out-dir", str(tmp_path),
             "--mu-grid", "1.0", "--oracle-runs", "500",
@@ -715,7 +736,7 @@ def test_validate_analysis_rejects_bad_tail(tmp_path: Path, monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran before the arguments were checked")
 
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
     base = ["validate-analysis", "--out-dir", str(tmp_path)]
     for extra in (
         ["--oracle-steps", "50", "--tail", "50"],
@@ -731,7 +752,7 @@ def test_validate_analysis_rejects_repeated_mu(tmp_path: Path, monkeypatch, caps
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran before the arguments were checked")
 
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
     args = ["validate-analysis", "--out-dir", str(tmp_path), "--mu-grid", "0.5,1.0,1"]
     assert cli.main(args) == 2
     assert "duplicate --mu-grid entry: 1.0" in capsys.readouterr().err
@@ -744,7 +765,7 @@ def test_validate_analysis_labels_marginal_step_sizes(tmp_path: Path, monkeypatc
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran for a non-convergent step size")
 
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
     args = ["validate-analysis", "--out-dir", str(tmp_path), "--mu-grid", "0,2,2.2"]
     assert cli.main(args) == 0
     notes = [line.split("  ")[-1] for line in capsys.readouterr().out.splitlines()[1:4]]
@@ -756,7 +777,7 @@ def test_validate_analysis_rejects_drift_at_or_above_nominal(tmp_path: Path,
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran before the arguments were checked")
 
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
     args = ["validate-analysis", "--out-dir", str(tmp_path), "--nominal-hz", "50"]
     assert cli.main(args) == 2
     assert "max_drift_hz" in capsys.readouterr().err
@@ -769,7 +790,7 @@ def test_validate_analysis_rejects_zero_standard_error(tmp_path: Path, monkeypat
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran before the arguments were checked")
 
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", no_oracle)
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
     base = ["validate-analysis", "--out-dir", str(tmp_path)]
     for extra, flags in (
         (["--oracle-runs", "1"], ["--oracle-runs"]),
@@ -825,7 +846,7 @@ def test_validate_analysis_reports_concurrent_oracles_in_grid_order(
         tmp_path: Path, monkeypatch, capsys):
     # earlier step sizes sleep longer, so with a worker each the kernels
     # finish in reverse grid order
-    real_oracle = cli.analysis.pairwise_oracle
+    real_oracle = analysis.pairwise_oracle
     naps = {0.25: 0.15, 0.5: 0.1, 1.0: 0.05, 1.5: 0.0}
     finished = []
 
@@ -835,7 +856,7 @@ def test_validate_analysis_reports_concurrent_oracles_in_grid_order(
         finished.append(p.step_size)
         return trace
 
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", slow_oracle)
+    monkeypatch.setattr(analysis, "pairwise_oracle", slow_oracle)
     outputs = []
     for cpus in (4, 1, None):
         monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
@@ -853,7 +874,7 @@ def test_validate_analysis_reports_concurrent_oracles_in_grid_order(
 
 def test_validate_analysis_oracle_failure_cancels_queued_kernels(
         tmp_path: Path, monkeypatch, capsys):
-    real_oracle = cli.analysis.pairwise_oracle
+    real_oracle = analysis.pairwise_oracle
     started = []
 
     def failing_oracle(p, **kwargs):
@@ -863,7 +884,7 @@ def test_validate_analysis_oracle_failure_cancels_queued_kernels(
         time.sleep(0.2)  # the main thread cancels the queued kernels meanwhile
         return real_oracle(p, **kwargs)
 
-    monkeypatch.setattr(cli.analysis, "pairwise_oracle", failing_oracle)
+    monkeypatch.setattr(analysis, "pairwise_oracle", failing_oracle)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     monkeypatch.chdir(tmp_path)
     assert cli.main(_POOL_ARGS) == 2
@@ -1068,3 +1089,48 @@ def test_rare_paths_match_pinned_bytes(tmp_path: Path, monkeypatch, capsys):
     assert _sha(capsys.readouterr().out.encode()) == (
         "5bbc6bd71438e95f83b795d518025644529658dac58ef6f174cdddc8dffe4d8c"
     )
+
+
+# Runs where the event pass drops deliveries on arrival in every way it can:
+# acks after their round's deadline (2 s delay std against a 0.5 s gather
+# wait), requests that race the receiver's first deadline, every event of a
+# round at one instant (no boot window, delay or gather wait, quantized
+# ticks), and a gather wait just short of the beacon period.
+_DROP_PINS = {
+    "late-acks": (
+        ["--protocol", "newton,grades,avgpisync", "--topology", "line:8",
+         "--delay-std", "2", "--gather-wait", "0.5", "--duration", "3000"],
+        {"summary.csv": "82f44a1f3bde66f5ab78eefab13bf20c0356022d504f7d7507fb9c26dd1a4d8d",
+         "trace_newton_1.csv":
+             "a96d84facb8434b5f0edcaad5fc38130b17a23156068e93b9777f21a58ac8d0e",
+         "trace_grades_1.csv":
+             "aa4d96ff143cd2308b60e7e2ed73d419b0906e8e164576d1cf39f2acb625f529",
+         "trace_avgpisync_1.csv":
+             "cc933503ad0f633d595a0e1a13dfef31e73dbb1463d437bf0dcec08f42f28b3e",
+         "stdout": "d422c2b4f701d3a377a4e1bb9fcf96adefbf31a03d82ef6c5f70bf01d0da853f"},
+    ),
+    "zero-wait": (
+        ["--topology", "line:6", "--gather-wait", "0", "--boot-window", "0",
+         "--delay-std", "0", "--quantize-ticks", "--duration", "1500"],
+        {"summary.csv": "da1f9b25f7f956b271f3dba5ff63e0abfbb1cda90aec2afc8294123e26650389",
+         "trace_newton_1.csv":
+             "27106e7a933b3798bf9d2b9c44ca13e4fa9b63f238cbc38bba0bbb6b38d1ed1a",
+         "stdout": "de39239cf5c692cbed261b6152e598f60fea6dbc978e43239c9bba0c534831c5"},
+    ),
+    "long-wait": (
+        ["--topology", "line:12", "--gather-wait", "29.5", "--duration", "3000"],
+        {"summary.csv": "9148d1895276c54d6b50a29a586f42cf996172326faf8209c55bf370ce8a16c2",
+         "trace_newton_1.csv":
+             "833847e6e30ce2ef7f043fe6f561671d67e6c9428654edd18391f11c9d23297b",
+         "stdout": "2db54e82d73f145b637c479b7bc1821cb00474894eeee05e3bbf7da4b94f1a4c"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DROP_PINS))
+def test_dropped_deliveries_match_pinned_bytes(tmp_path: Path, monkeypatch, capsys, name):
+    args, pins = _DROP_PINS[name]
+    monkeypatch.chdir(tmp_path)  # stdout names the relative out dir
+    assert cli.main(["run", *args, "--seed", "1", "--out-dir", "out"]) == 0
+    written = {p.name: _sha(p.read_bytes()) for p in (tmp_path / "out").iterdir()}
+    assert {**written, "stdout": _sha(capsys.readouterr().out.encode())} == pins

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from wsnsync.metrics import (
     convergence_time,
     max_global_error,
     max_local_error,
+    median,
     TraceSummary,
     summarize,
 )
@@ -115,6 +118,21 @@ def test_spreads_equal_those_of_per_node_errors(frames, edges):
         want_local.append(max(local) if local else None)
     assert _defined(max_global_error(times, readings)) == want_global
     assert _defined(max_local_error(times, readings, edges)) == want_local
+
+
+_MEDIAN_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5]),
+                           st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MEDIAN_VALUES, min_size=1, max_size=9))
+@example([0.0, -0.0])
+@example([-0.0, 0.0, -0.0])
+def test_median_is_statistics_median_bit_for_bit(values):
+    # odd and even lengths from every draw; duplicates and signed zeros
+    # come from the sampled values
+    for vals in (values, values[1:] or values * 2):
+        assert struct.pack("<d", median(vals)) == struct.pack("<d", statistics.median(vals))
 
 
 # ---------------------------------------------------------------------------
