@@ -220,6 +220,29 @@ def variant_moment_predictions(p: MomentParams) -> dict[str, dict[str, float]]:
 # Elements per slice of pairwise_oracle's per-element arithmetic: its five
 # 64 KB slices stay in cache. No output bit depends on the value.
 _CHUNK = 8192
+# The largest oracle, per step size. Runs set memory: a kernel holds three
+# float64 arrays of n_runs, and validate-analysis runs one kernel per core,
+# so the limit holds 96 MB per kernel, 192 MB on two cores. Runs x steps set
+# time: about 31 ns per run and step (2 vCPU Xeon, numpy 2.4.6), so the
+# limit is about 30 s per kernel. A step of few runs still costs its numpy
+# calls, so fewer runs than a slice count as a slice.
+MAX_ORACLE_RUNS = 4 * 10**6
+MAX_ORACLE_RUN_STEPS = 10**9
+
+
+def check_oracle_size(n_runs: int, n_steps: int) -> None:
+    """ValueError unless 1 <= n_runs <= MAX_ORACLE_RUNS, n_steps >= 1 and
+    max(n_runs, one slice) x n_steps <= MAX_ORACLE_RUN_STEPS."""
+    if n_steps < 1 or n_runs < 1:
+        raise ValueError("n_steps and n_runs must be >= 1")
+    if n_runs > MAX_ORACLE_RUNS:
+        raise ValueError(f"oracle runs = {n_runs} exceeds the limit of {MAX_ORACLE_RUNS} "
+                         "per step size")
+    if max(n_runs, _CHUNK) * n_steps > MAX_ORACLE_RUN_STEPS:
+        raise ValueError(
+            f"oracle runs x steps = {max(n_runs, _CHUNK) * n_steps:.6g} exceeds the limit "
+            f"of {MAX_ORACLE_RUN_STEPS} per step size (fewer runs than {_CHUNK} count as {_CHUNK})"
+        )
 
 
 @dataclass(frozen=True)
@@ -273,8 +296,7 @@ def pairwise_oracle(
 
     This is the ground truth the closed forms above are validated against.
     """
-    if n_steps < 1 or n_runs < 1:
-        raise ValueError("n_steps and n_runs must be >= 1")
+    check_oracle_size(n_runs, n_steps)
     b, f, mu = p.beacon_period_s, p.nominal_hz, p.step_size
     f_max, sigma_b = p.max_drift_hz, p.delay_std_s
     gain = mu / (b * f)

@@ -20,12 +20,14 @@ importing this module, or running `run` with one worker, loads neither.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import metrics
@@ -333,52 +335,88 @@ def _staged(path: Path) -> Path:
     return path.with_name(path.name + ".partial")
 
 
-def _run_jobs(groups: list, resolved: dict, out: Path) -> list[dict]:
-    """Run the planned seed groups; write their traces and summary.csv to
-    ``out``, print the summary table and return its rows.
+def _pool_passes(groups: list, workers: int) -> Iterator[Schedule]:
+    """Each seed group's pass, in order, made by ``workers`` processes.
 
-    A seed's protocols share one event pass (_seed_schedule); with workers,
-    each worker makes whole seeds' passes. Traces are built from the passes
-    one at a time: each is written, summarized and dropped before the next
-    is built. summary.csv lists them protocol by protocol, then seed by
-    seed. Files are renamed from their ``_staged`` paths after the last run
-    succeeds; a failure deletes the staged files and leaves ``out`` as it
-    was. Traces in ``out`` that this run did not write are kept and named
-    in a warning.
+    No group is submitted more than ``workers`` groups past the one whose
+    pass was last taken: one pass per worker while the caller writes, and
+    at most workers + 1 passes held here however many groups there are.
+    Closing the iterator cancels the passes not yet started.
     """
+    import concurrent.futures
+
+    pending: collections.deque = collections.deque()
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            for group in groups:
+                pending.append(pool.submit(_seed_schedule, group))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:  # before the pool waits for its running passes
+            for future in pending:
+                future.cancel()
+
+
+def _run_jobs(plans: list[tuple[Path, list, dict]], jobs: int) -> list[list[dict]]:
+    """Run one job list: every seed group of every planned (output
+    directory, seed groups, resolved config). Write the directories in
+    order (_write_dir), each complete before the next one's first trace,
+    so a failure keeps the earlier ones; return each one's summary rows.
+
+    A seed's protocols share one event pass (_seed_schedule). With more
+    than one worker, one pool makes whole seeds' passes for the whole list
+    (_pool_passes); the groups cap the workers, so a one-group job list
+    starts no pool.
+    """
+    groups = [group for _, dir_groups, _ in plans for group in dir_groups]
+    workers = min(jobs, len(groups), os.cpu_count() or 1)
+    passes = _pool_passes(groups, workers) if workers > 1 else (_seed_schedule(g) for g in groups)
+    with contextlib.closing(passes):  # on a failure too: queued passes are dropped
+        return [_write_dir(out, dir_groups, resolved, passes)
+                for out, dir_groups, resolved in plans]
+
+
+def _write_dir(out: Path, groups: list, resolved: dict, passes: Iterator[Schedule]) -> list[dict]:
+    """Write the traces of ``groups``, whose passes ``passes`` yields in
+    order, and summary.csv to ``out``; print the summary table and return
+    its rows.
+
+    Traces are built from the passes one at a time: each is written,
+    summarized and dropped before the next is built. summary.csv lists them
+    protocol by protocol, then seed by seed. Files are renamed from their
+    ``_staged`` paths after the last run succeeds; a failure deletes the
+    staged files and leaves ``out`` as it was, removing it if this call
+    created it and it is empty. Traces in ``out`` that this run did not write are kept and
+    named in a warning.
+    """
+    created = not out.exists()
+    _make_dir(out)
     protocols = resolved["protocols"]
-    workers = min(resolved["jobs"], len(groups), os.cpu_count() or 1)
     threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
     rows: list[dict] = []
     written: list[Path] = []
     try:
-        with contextlib.ExitStack() as stack:
-            schedules = map(_seed_schedule, groups)
-            if workers > 1:
-                import concurrent.futures
-
-                pool = stack.enter_context(
-                    concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-                schedules = pool.map(_seed_schedule, groups)
-            for sim_kwargs, params_seq, seed in groups:
-                schedule = next(schedules)
-                for params in params_seq:
-                    trace = run_simulation(params=params, seed=seed, schedule=schedule,
-                                           **sim_kwargs)
-                    protocol = params.kind.value
-                    written.append(out / f"trace_{protocol}_{seed}.csv")
-                    with open(_staged(written[-1]), "w", newline="\n") as fh:
-                        trace.write_csv(fh)  # embeds its own resolved-config header
-                    summ = metrics.summarize(
-                        trace.sample_times_s,
-                        trace.logical_s,
-                        threshold_s,
-                        resolved["window"],
-                        start_after=trace.boot_complete_time,
-                    )
-                    del trace  # before the next trace is built
-                    rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
-                del schedule  # before the next seed's pass
+        for sim_kwargs, params_seq, seed in groups:
+            schedule = next(passes)
+            for params in params_seq:
+                trace = run_simulation(params=params, seed=seed, schedule=schedule,
+                                       **sim_kwargs)
+                protocol = params.kind.value
+                written.append(out / f"trace_{protocol}_{seed}.csv")
+                with open(_staged(written[-1]), "w", newline="\n") as fh:
+                    trace.write_csv(fh)  # embeds its own resolved-config header
+                summ = metrics.summarize(
+                    trace.sample_times_s,
+                    trace.logical_s,
+                    threshold_s,
+                    resolved["window"],
+                    start_after=trace.boot_complete_time,
+                )
+                del trace  # before the next trace is built
+                rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+            del schedule  # before the next seed's pass
         # stable: within a protocol, the rows stay in seed order
         rows.sort(key=lambda r: protocols.index(r["protocol"]))
         written.append(out / "summary.csv")
@@ -386,6 +424,9 @@ def _run_jobs(groups: list, resolved: dict, out: Path) -> list[dict]:
     except BaseException:  # interrupts too: leave no staged file behind
         for path in written:
             _staged(path).unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):  # only an empty directory goes
+                out.rmdir()
         raise
     for path in written:
         _staged(path).replace(path)
@@ -408,7 +449,7 @@ def _run_jobs(groups: list, resolved: dict, out: Path) -> list[dict]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     groups, resolved = _plan(_resolve(args))
-    _run_jobs(groups, resolved, _out_dir(args))
+    _run_jobs([(_out_dir(args), groups, resolved)], resolved["jobs"])
     return 0
 
 
@@ -432,6 +473,7 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     # check by its empirical variance; both are 0 without two noisy runs
     if n_runs < 2:
         raise ConfigError("--oracle-runs must be at least 2: one run has no standard error")
+    analysis.check_oracle_size(n_runs, n_steps)  # before any output or kernel
     if fmax == 0 and sigma_b == 0:
         raise ConfigError("--max-drift-hz and --delay-std are both 0: "
                           "a noiseless oracle has no standard error")
@@ -536,21 +578,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_list("--values", "sweep value", args.values,
                          int if param == "nodes" else setting.type)
     # one resolved config per value, each checked before any run
-    plans = [
-        _plan({**cfg, setting.key: _parse(setting, f"line:{v}" if param == "nodes" else v)})
-        for v in values
-    ]
+    plans = []
+    for v, raw in values.items():
+        swept = _parse(setting, f"line:{v}" if param == "nodes" else v)
+        plans.append((f"{param.replace('-', '_')}_{raw}", *_plan({**cfg, setting.key: swept})))
     out = _out_dir(args)
+    results = _run_jobs([(out / name, *plan) for name, *plan in plans], cfg["jobs"])
 
     agg_rows = []
-    for (value, raw), (groups, resolved) in zip(values.items(), plans):
-        sub_dir = _make_dir(out / f"{param.replace('-', '_')}_{raw}")
-        try:
-            rows = _run_jobs(groups, resolved, sub_dir)
-        except BaseException:
-            with contextlib.suppress(OSError):  # only an empty directory goes
-                sub_dir.rmdir()
-            raise
+    for value, rows in zip(values, results):
         for proto in sorted({r["protocol"] for r in rows}):
             runs = [r for r in rows if r["protocol"] == proto]
             conv = [c for r in runs if (c := r["convergence_time_s"]) is not None]

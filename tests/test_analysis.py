@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from wsnsync.analysis import (
     _CHUNK,
+    MAX_ORACLE_RUN_STEPS,
+    MAX_ORACLE_RUNS,
     MomentParams,
     NonconvergentMomentError,
     asymptotic_error_variance,
+    check_oracle_size,
     final_step_sigma,
     is_mean_convergent,
     mean_agreement_max_sigma,
@@ -221,6 +224,21 @@ def test_oracle_rejects_empty_runs():
         pairwise_oracle(MomentParams(), seed=1, n_steps=0, n_runs=10)
     with pytest.raises(ValueError):
         pairwise_oracle(MomentParams(), seed=1, n_steps=10, n_runs=0)
+
+
+def test_oracle_size_limits():
+    # validate-analysis's default, the benchmark's oracle and the 200k pin
+    for n_runs, n_steps in ((20_000, 300), (50_000, 300), (200_000, 300)):
+        check_oracle_size(n_runs, n_steps)
+    check_oracle_size(MAX_ORACLE_RUNS, MAX_ORACLE_RUN_STEPS // MAX_ORACLE_RUNS)
+    with pytest.raises(ValueError, match="oracle runs = "):
+        check_oracle_size(MAX_ORACLE_RUNS + 1, 1)
+    with pytest.raises(ValueError, match="oracle runs x steps = "):
+        check_oracle_size(MAX_ORACLE_RUNS, MAX_ORACLE_RUN_STEPS // MAX_ORACLE_RUNS + 1)
+    # a step of few runs counts as a slice's runs
+    check_oracle_size(2, MAX_ORACLE_RUN_STEPS // _CHUNK)
+    with pytest.raises(ValueError, match="oracle runs x steps = "):
+        check_oracle_size(2, MAX_ORACLE_RUN_STEPS // _CHUNK + 1)
 
 
 def test_oracle_is_deterministic():

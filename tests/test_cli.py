@@ -310,13 +310,17 @@ def test_validate_analysis_rejects_more_than_one_seed(tmp_path: Path, capsys):
     assert not (tmp_path / "analysis.csv").exists()
 
 
-def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
-    # a worker makes a whole seed's pass, so the seeds cap the workers
-    requested: list[int] = []
+def _inline_pool(monkeypatch) -> type:
+    """A process pool stand-in, on a 64-core machine, that runs each
+    submitted pass at once, in this process, and records the workers asked
+    for and the seeds submitted, in order."""
 
-    class RecordingPool:
+    class InlinePool:
+        requested: list[int] = []
+        submitted: list[int] = []
+
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            self.requested.append(max_workers)
 
         def __enter__(self):
             return self
@@ -324,11 +328,20 @@ def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, group):
+            self.submitted.append(group[2])
+            future = concurrent.futures.Future()
+            future.set_result(fn(group))
+            return future
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    return InlinePool
+
+
+def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
+    # a worker makes a whole seed's pass, so the seeds cap the workers
+    requested = _inline_pool(monkeypatch).requested
     args = _run_args(tmp_path, "--protocol", "newton,grades", "--jobs", "64")
     assert cli.main(args) == 0
     assert requested == []  # one seed: runs in-process, no pool
@@ -338,6 +351,34 @@ def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert cli.main(args) == 0
     assert requested == [2]  # one core: runs in-process, no pool
+    # a sweep is one job list: one pool for all its values, capped by the
+    # seed groups of all of them
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    args = [*_FAST_SWEEP, "--values", "0.5,1.0,1.5", "--jobs", "64",
+            "--out-dir", str(tmp_path / "sweep")]
+    assert cli.main(args) == 0
+    assert requested == [2, 3]
+
+
+def test_workers_run_at_most_one_group_each_ahead(tmp_path: Path, monkeypatch):
+    # while the traces of a seed group are written, at most one later group
+    # per worker has been submitted, across the sweep's values too, so the
+    # passes held by the main process do not grow with the seeds
+    pool = _inline_pool(monkeypatch)
+    real = cli.run_simulation
+    ahead: list[int] = []
+
+    def writing(*args, **kwargs):
+        ahead.append(len(pool.submitted) - len(ahead) - 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", writing)
+    args = [*_FAST_SWEEP, "--values", "0.5,1.0", "--seed", "1..6", "--jobs", "2",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert pool.requested == [2]
+    assert pool.submitted == [1, 2, 3, 4, 5, 6] * 2
+    assert ahead == [2] * 10 + [1, 0]
 
 
 def test_out_of_bound_step_size_warns(tmp_path: Path, capsys):
@@ -548,6 +589,22 @@ def test_failed_sweep_keeps_only_earlier_values(tmp_path: Path, capsys):
         "mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_failing_at_a_later_seed_keeps_only_earlier_values(tmp_path: Path, capsys,
+                                                                  jobs):
+    # grades at mu 1 leaves float range by 600 s at seed 1 but not at seed 2,
+    # so mu 1 fails at its second seed, after its first trace is staged;
+    # under --jobs 2 the workers make passes of both values meanwhile
+    args = ["sweep", "--param", "mu", "--values", "0.5,1", "--protocol", "grades",
+            "--e-max-ticks", "1e300", "--topology", "line:3", "--boot-window", "60",
+            "--duration", "600", "--seed", "2,1", "--jobs", jobs, "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 2
+    assert "out of float range" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv",
+        "mu_0.5/trace_grades_2.csv"]
+
+
 def test_multiple_protocols_and_seeds(tmp_path: Path):
     args = _run_args(tmp_path, "--protocol", "newton,grades", "--seed",
                      "1..2")
@@ -730,6 +787,31 @@ def test_validate_analysis_gate_failure_exits_nonzero(tmp_path: Path,
             "--oracle-steps", "40", "--tail", "10"]
     assert cli.main(args) == 1
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size,message", [
+    # 7 TiB of buffers per kernel
+    (("--oracle-runs", "1000000000000", "--oracle-steps", "10"),
+     "error: oracle runs = 1000000000000 exceeds the limit of 4000000 per step size"),
+    # 10^8 rounds of two runs: about 45 minutes of per-round numpy calls
+    (("--oracle-runs", "2", "--oracle-steps", "100000000"),
+     "error: oracle runs x steps = 8.192e+11 exceeds the limit of 1000000000"),
+], ids=["runs", "runs-x-steps"])
+def test_validate_analysis_refuses_an_oversized_oracle(tmp_path: Path, monkeypatch,
+                                                       capsys, size, message):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before its size was checked")
+
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
+    out = tmp_path / "out"
+    args = ["validate-analysis", *size, "--tail", "5", "--mu-grid", "1.0",
+            "--out-dir", str(out)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table either
+    [line] = captured.err.splitlines()
+    assert line.startswith(message)
+    assert not out.exists()
 
 
 def test_validate_analysis_rejects_bad_tail(tmp_path: Path, monkeypatch):

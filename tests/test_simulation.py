@@ -686,9 +686,14 @@ def _schedule_cases(draw):
     }
     gather_wait_s = draw(st.sampled_from([0.0, 1.0]))
     initial_rate = draw(st.none() | st.floats(min_value=0.9e-6, max_value=1.1e-6))
-    # where the failing params sits among the three live ones
-    failing_at = draw(st.integers(min_value=0, max_value=3))
-    return topo, sim_kwargs, gather_wait_s, initial_rate, failing_at
+    # newton again at other step sizes, as a mu sweep's values would run
+    default = default_step_size(Protocol.NEWTON, 30.0, 1e6)
+    step_sizes = draw(st.lists(st.floats(min_value=0.25, max_value=1.5)
+                               .filter(lambda mu: mu != default),
+                               min_size=1, max_size=3, unique=True))
+    # where the failing params sits among the live ones
+    failing_at = draw(st.integers(min_value=0, max_value=3 + len(step_sizes)))
+    return topo, sim_kwargs, gather_wait_s, initial_rate, step_sizes, failing_at
 
 
 def _replayable_params(kind: Protocol, gather_wait_s: float) -> ProtocolParams:
@@ -700,11 +705,13 @@ def _replayable_params(kind: Protocol, gather_wait_s: float) -> ProtocolParams:
 @settings(max_examples=30, deadline=None)
 @given(_schedule_cases())
 def test_replayed_schedule_equals_the_live_run(case):
-    # one lock-step pass of all three protocols, and a fourth params whose
+    # one lock-step pass of all three protocols, newton at other step sizes
+    # (params that differ only in step_size), and one more params whose
     # huge step drives its clocks out of float range once a round has acks;
     # the pass keeps feeding it, first, between or after the live ones
-    topo, sim_kwargs, gather_wait_s, initial_rate, failing_at = case
+    topo, sim_kwargs, gather_wait_s, initial_rate, step_sizes, failing_at = case
     params_seq = [_replayable_params(kind, gather_wait_s) for kind in Protocol]
+    params_seq += [dataclasses.replace(params_seq[0], step_size=mu) for mu in step_sizes]
     params_seq.insert(failing_at, dataclasses.replace(params_seq[1], step_size=1e300,
                                                       max_error_s=1e300))
     schedule = record_schedule(topo, params_seq, initial_rate=initial_rate, **sim_kwargs)
