@@ -20,22 +20,20 @@ importing this module, or running `run` with one worker, loads neither.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 from . import metrics
 from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
 from .simulation import (
-    DelayModel, Schedule, Topology, build_line_topology, check_schedule, record_schedule,
-    run_simulation, write_csv_preamble,
+    DelayModel, Topology, build_line_topology, check_schedule, record_schedule, run_simulation,
+    write_csv_preamble,
 )
 
 _RUN = ("run", "sweep")
@@ -47,6 +45,10 @@ RANGES = {
     "at least 1": lambda v: v >= 1,
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+# Seeds per --seed. summary.csv's header lists every seed (0.69 MB at 10^5),
+# and the cheapest run (line:2 over 1 s) takes about 1.1 ms a seed, so 10^5
+# is about two minutes of the cheapest runs; a list of 10^9 would take 40 GB.
+MAX_SEEDS = 10**5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,21 +174,26 @@ def _parse_list(flag: str, what: str, spec: str, convert) -> dict:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """'7' | '1,2,5' | '1..20' (inclusive range); nonempty, nonnegative, no repeats."""
+    """'7' | '1,2,5' | '1..20' (inclusive range); nonempty, at most
+    MAX_SEEDS, nonnegative, no repeats. A range is counted before it is built."""
     spec = str(spec).strip()
     if ".." not in spec:
         seeds = list(_parse_list("--seed", "seed", spec, int))
     else:
         lo, _, hi = spec.partition("..")
         try:
-            seeds = list(range(int(lo), int(hi) + 1))
+            seeds = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise ConfigError(f"--seed {spec!r}: {exc}")
     if not seeds:
         raise ConfigError(f"--seed {spec!r}: empty seed range")
+    # not len(): a range's length past sys.maxsize raises OverflowError
+    count = seeds[-1] - seeds[0] + 1 if isinstance(seeds, range) else len(seeds)
+    if count > MAX_SEEDS:
+        raise ConfigError(f"--seed {spec!r}: {count} seeds exceed the limit of {MAX_SEEDS}")
     if min(seeds) < 0:
         raise ConfigError(f"--seed {spec!r}: seeds must be nonnegative")
-    return seeds
+    return list(seeds)
 
 
 def _parse_topology(spec: str) -> Topology:
@@ -257,12 +264,6 @@ def _protocol_params(cfg: dict, kind: Protocol) -> ProtocolParams:
     )
 
 
-def _seed_schedule(group: tuple[dict, list[ProtocolParams], int]) -> Schedule:
-    """One event pass that runs all of a seed group's protocols in lock step."""
-    sim_kwargs, params_seq, seed = group
-    return record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
-
-
 def _csv_field(value) -> str:
     """Empty for None, shortest round-trip repr for floats, str otherwise."""
     if value is None:
@@ -297,9 +298,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
                           or os.environ.get("WSNSYNC_OUT_DIR") or "out"))
 
 
-def _plan(cfg: dict) -> tuple[list[tuple[dict, list[ProtocolParams], int]], dict]:
-    """One (simulation kwargs, protocol params, seed) group per seed that
-    ``cfg`` asks for, and the summary header that records the runs."""
+def _plan(cfg: dict) -> tuple[list[tuple], dict]:
+    """One (simulation kwargs, protocol params, seed, threshold in seconds,
+    window) group per seed that ``cfg`` asks for, and the summary header
+    that records the runs."""
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
@@ -327,7 +329,8 @@ def _plan(cfg: dict) -> tuple[list[tuple[dict, list[ProtocolParams], int]], dict
                   f"the convergence bound ({lo}, {hi})", file=sys.stderr)
     resolved = {**cfg, "protocols": [p.value for p in protocols], "seeds": seeds,
                 "per_protocol_step_size": {p.value: params[p].step_size for p in protocols}}
-    return [(sim_kwargs, list(params.values()), s) for s in seeds], resolved
+    summary_args = (cfg["threshold_ticks"] / cfg["nominal_hz"], cfg["window"])
+    return [(sim_kwargs, list(params.values()), s, *summary_args) for s in seeds], resolved
 
 
 def _staged(path: Path) -> Path:
@@ -335,102 +338,97 @@ def _staged(path: Path) -> Path:
     return path.with_name(path.name + ".partial")
 
 
-def _pool_passes(groups: list, workers: int) -> Iterator[Schedule]:
-    """Each seed group's pass, in order, made by ``workers`` processes.
+def _trace_path(out: Path, protocol: str, seed: int) -> Path:
+    return out / f"trace_{protocol}_{seed}.csv"
 
-    No group is submitted more than ``workers`` groups past the one whose
-    pass was last taken: one pass per worker while the caller writes, and
-    at most workers + 1 passes held here however many groups there are.
-    Closing the iterator cancels the passes not yet started.
+
+def _seed_job(job: tuple) -> list[dict]:
+    """Run one seed group of one output directory end to end and return only
+    its summary rows, one per protocol, in order; in process or in a worker.
+
+    The seed's protocols share one event pass (record_schedule). Their
+    traces are built from it one at a time: each is written to its
+    ``_staged`` path, summarized and dropped before the next is built.
     """
-    import concurrent.futures
-
-    pending: collections.deque = collections.deque()
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            for group in groups:
-                pending.append(pool.submit(_seed_schedule, group))
-                if len(pending) > workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:  # before the pool waits for its running passes
-            for future in pending:
-                future.cancel()
+    out, sim_kwargs, params_seq, seed, threshold_s, window = job
+    schedule = record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
+    rows = []
+    for params in params_seq:
+        trace = run_simulation(params=params, seed=seed, schedule=schedule, **sim_kwargs)
+        protocol = params.kind.value
+        with open(_staged(_trace_path(out, protocol, seed)), "w", newline="\n") as fh:
+            trace.write_csv(fh)  # embeds its own resolved-config header
+        summ = metrics.summarize(trace.sample_times_s, trace.logical_s, threshold_s, window,
+                                 start_after=trace.boot_complete_time)
+        del trace  # before the next trace is built
+        rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+    return rows
 
 
 def _run_jobs(plans: list[tuple[Path, list, dict]], jobs: int) -> list[list[dict]]:
-    """Run one job list: every seed group of every planned (output
-    directory, seed groups, resolved config). Write the directories in
-    order (_write_dir), each complete before the next one's first trace,
-    so a failure keeps the earlier ones; return each one's summary rows.
+    """Run one job list, a _seed_job per seed group of every planned (output
+    directory, seed groups, resolved config), and commit the directories in
+    order (_commit_dir); return each one's summary rows.
 
-    A seed's protocols share one event pass (_seed_schedule). With more
-    than one worker, one pool makes whole seeds' passes for the whole list
-    (_pool_passes); the groups cap the workers, so a one-group job list
-    starts no pool.
+    Every planned directory is created first. With more than one worker,
+    one pool runs the whole list, and each worker sends back only summary
+    rows; the groups cap the workers, so a one-group job list starts no
+    pool. On any failure the queued jobs are dropped and the running ones
+    waited for. Then every staged path planned for a directory not yet
+    committed is deleted, and such a directory is removed if this call
+    created it and it is empty: the earlier directories stay complete, and
+    the others are left as they were.
     """
-    groups = [group for _, dir_groups, _ in plans for group in dir_groups]
-    workers = min(jobs, len(groups), os.cpu_count() or 1)
-    passes = _pool_passes(groups, workers) if workers > 1 else (_seed_schedule(g) for g in groups)
-    with contextlib.closing(passes):  # on a failure too: queued passes are dropped
-        return [_write_dir(out, dir_groups, resolved, passes)
-                for out, dir_groups, resolved in plans]
-
-
-def _write_dir(out: Path, groups: list, resolved: dict, passes: Iterator[Schedule]) -> list[dict]:
-    """Write the traces of ``groups``, whose passes ``passes`` yields in
-    order, and summary.csv to ``out``; print the summary table and return
-    its rows.
-
-    Traces are built from the passes one at a time: each is written,
-    summarized and dropped before the next is built. summary.csv lists them
-    protocol by protocol, then seed by seed. Files are renamed from their
-    ``_staged`` paths after the last run succeeds; a failure deletes the
-    staged files and leaves ``out`` as it was, removing it if this call
-    created it and it is empty. Traces in ``out`` that this run did not write are kept and
-    named in a warning.
-    """
-    created = not out.exists()
-    _make_dir(out)
-    protocols = resolved["protocols"]
-    threshold_s = resolved["threshold_ticks"] / resolved["nominal_hz"]
-    rows: list[dict] = []
-    written: list[Path] = []
+    todo = [(out, *group) for out, groups, _ in plans for group in groups]
+    workers = min(jobs, len(todo), os.cpu_count() or 1)
+    created = [out for out, _, _ in plans if not out.exists()]
+    made: list[Path] = []
+    committed: list[list[dict]] = []
     try:
-        for sim_kwargs, params_seq, seed in groups:
-            schedule = next(passes)
-            for params in params_seq:
-                trace = run_simulation(params=params, seed=seed, schedule=schedule,
-                                       **sim_kwargs)
-                protocol = params.kind.value
-                written.append(out / f"trace_{protocol}_{seed}.csv")
-                with open(_staged(written[-1]), "w", newline="\n") as fh:
-                    trace.write_csv(fh)  # embeds its own resolved-config header
-                summ = metrics.summarize(
-                    trace.sample_times_s,
-                    trace.logical_s,
-                    threshold_s,
-                    resolved["window"],
-                    start_after=trace.boot_complete_time,
-                )
-                del trace  # before the next trace is built
-                rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
-            del schedule  # before the next seed's pass
-        # stable: within a protocol, the rows stay in seed order
-        rows.sort(key=lambda r: protocols.index(r["protocol"]))
-        written.append(out / "summary.csv")
-        _write_csv(_staged(written[-1]), resolved, SUMMARY_COLUMNS, rows)
+        with contextlib.ExitStack() as stack:
+            for out, _, _ in plans:
+                made.append(_make_dir(out))
+            run = map
+            if workers > 1:
+                import concurrent.futures
+
+                pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                # on a failure too, before the cleanup below: queued jobs are
+                # dropped, and running ones finish writing their staged files
+                stack.callback(pool.shutdown, cancel_futures=True)
+                run = pool.map
+            seed_rows = run(_seed_job, todo)
+            for out, groups, resolved in plans:
+                rows = [row for _ in groups for row in next(seed_rows)]
+                committed.append(_commit_dir(out, rows, resolved))
+        return committed
     except BaseException:  # interrupts too: leave no staged file behind
-        for path in written:
-            _staged(path).unlink(missing_ok=True)
-        if created:
-            with contextlib.suppress(OSError):  # only an empty directory goes
-                out.rmdir()
+        for out, groups, _ in plans[len(committed):len(made)]:
+            for _, params_seq, seed, *_ in groups:
+                for params in params_seq:
+                    _staged(_trace_path(out, params.kind.value, seed)).unlink(missing_ok=True)
+            _staged(out / "summary.csv").unlink(missing_ok=True)
+            if out in created:
+                with contextlib.suppress(OSError):  # only an empty directory goes
+                    out.rmdir()
         raise
+
+
+def _commit_dir(out: Path, rows: list[dict], resolved: dict) -> list[dict]:
+    """Commit ``out``, whose seed jobs have all succeeded and returned
+    ``rows``: write summary.csv, its rows protocol by protocol, then seed by
+    seed, rename every staged file into place, print the summary table and
+    return the rows. Traces in ``out`` that this run did not write are kept
+    and named in a warning.
+    """
+    protocols = resolved["protocols"]
+    # stable: within a protocol, the rows stay in seed order
+    rows.sort(key=lambda r: protocols.index(r["protocol"]))
+    written = [*(_trace_path(out, r["protocol"], r["seed"]) for r in rows), out / "summary.csv"]
+    _write_csv(_staged(written[-1]), resolved, SUMMARY_COLUMNS, rows)
     for path in written:
         _staged(path).replace(path)
-    stale = sorted(p.name for p in out.glob("trace_*.csv") if p not in written)
+    stale = sorted(p.name for p in set(out.glob("trace_*.csv")).difference(written))
     if stale:  # left in place: never delete what this run did not write
         print(f"warning: {out} also holds trace files this run did not write: "
               f"{', '.join(stale)}", file=sys.stderr)

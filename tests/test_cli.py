@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,7 @@ def test_parse_seed_specs():
     assert cli._parse_seeds("7") == [7]
     assert cli._parse_seeds("1,2,5") == [1, 2, 5]
     assert cli._parse_seeds("3..6") == [3, 4, 5, 6]
+    assert len(cli._parse_seeds(f"1..{cli.MAX_SEEDS}")) == cli.MAX_SEEDS
 
 
 def test_parse_seed_spec_errors():
@@ -53,6 +55,10 @@ def test_parse_seed_spec_errors():
         cli._parse_seeds("6..3")
     with pytest.raises(cli.ConfigError):
         cli._parse_seeds("x")
+    # one seed past the limit, as a range or as a list
+    for spec in (f"0..{cli.MAX_SEEDS}", ",".join(map(str, range(cli.MAX_SEEDS + 1)))):
+        with pytest.raises(cli.ConfigError, match=f"exceed the limit of {cli.MAX_SEEDS}$"):
+            cli._parse_seeds(spec)
 
 
 def test_parse_topology_line_and_errors(tmp_path: Path):
@@ -311,28 +317,26 @@ def test_validate_analysis_rejects_more_than_one_seed(tmp_path: Path, capsys):
 
 
 def _inline_pool(monkeypatch) -> type:
-    """A process pool stand-in, on a 64-core machine, that runs each
-    submitted pass at once, in this process, and records the workers asked
-    for and the seeds submitted, in order."""
+    """A process pool stand-in, on a 64-core machine, whose map runs each
+    job in this process when its result is taken, and which records the
+    workers asked for, what each job returned and each shutdown's wait and
+    cancel_futures."""
 
     class InlinePool:
         requested: list[int] = []
-        submitted: list[int] = []
+        returned: list = []
+        shutdowns: list[tuple[bool, bool]] = []
 
         def __init__(self, max_workers):
             self.requested.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def map(self, fn, jobs):
+            for job in jobs:
+                self.returned.append(fn(job))
+                yield self.returned[-1]
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, group):
-            self.submitted.append(group[2])
-            future = concurrent.futures.Future()
-            future.set_result(fn(group))
-            return future
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.shutdowns.append((wait, cancel_futures))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
@@ -360,25 +364,47 @@ def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
     assert requested == [2, 3]
 
 
-def test_workers_run_at_most_one_group_each_ahead(tmp_path: Path, monkeypatch):
-    # while the traces of a seed group are written, at most one later group
-    # per worker has been submitted, across the sweep's values too, so the
-    # passes held by the main process do not grow with the seeds
+def test_workers_send_back_only_summary_rows(tmp_path: Path, monkeypatch):
+    # a job writes its seed's traces where it runs, so a worker sends back
+    # one summary row per protocol, never a pass or a trace
     pool = _inline_pool(monkeypatch)
-    real = cli.run_simulation
-    ahead: list[int] = []
+    args = [*_FAST_SWEEP, "--protocol", "newton,grades", "--values", "0.5,1.0",
+            "--seed", "1..2", "--jobs", "2", "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert (pool.requested, pool.shutdowns) == ([2], [(True, True)])
+    assert [[(r["protocol"], r["seed"]) for r in rows] for rows in pool.returned] == [
+        [("newton", 1), ("grades", 1)], [("newton", 2), ("grades", 2)]] * 2
+    for row in (row for rows in pool.returned for row in rows):
+        assert tuple(row) == cli.SUMMARY_COLUMNS
+        assert all(type(v) in (str, int, float, type(None)) for v in row.values()), row
+    assert len(pickle.dumps(pool.returned)) < 2000
 
-    def writing(*args, **kwargs):
-        ahead.append(len(pool.submitted) - len(ahead) - 1)
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_interrupt_leaves_no_staged_file(tmp_path: Path, monkeypatch, jobs):
+    # the second trace's summary, mu 1.0's, is interrupted after its trace
+    # is staged: in process, and in a job of the pool stand-in
+    pool = _inline_pool(monkeypatch)
+    real = cli.metrics.summarize
+    calls: list[None] = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            assert list(tmp_path.rglob("*.partial")) == [
+                tmp_path / "mu_1.0" / "trace_newton_1.csv.partial"]
+            raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_simulation", writing)
-    args = [*_FAST_SWEEP, "--values", "0.5,1.0", "--seed", "1..6", "--jobs", "2",
-            "--out-dir", str(tmp_path)]
-    assert cli.main(args) == 0
-    assert pool.requested == [2]
-    assert pool.submitted == [1, 2, 3, 4, 5, 6] * 2
-    assert ahead == [2] * 10 + [1, 0]
+    monkeypatch.setattr(cli.metrics, "summarize", interrupted)
+    args = [*_FAST_SWEEP, "--values", "0.5,1.0", "--jobs", jobs, "--out-dir", str(tmp_path)]
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(args)
+    assert len(calls) == 2
+    # queued jobs dropped, running ones waited for, before the cleanup
+    assert pool.shutdowns == ([(True, True)] if jobs == "2" else [])
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_newton_1.csv"]
 
 
 def test_out_of_bound_step_size_warns(tmp_path: Path, capsys):
@@ -428,6 +454,31 @@ def test_too_many_drift_segments_are_refused_before_the_run(tmp_path: Path):
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: duration_s / drift_resample_interval_s = 1e+08 exceeds")
+
+
+@pytest.mark.parametrize("command", ["run", "validate-analysis"])
+def test_an_oversized_seed_range_is_refused_before_it_is_built(tmp_path: Path, command):
+    # a list of 10^9 seeds would take about 40 GB, so the child caps its own
+    # address space at 1 GiB and its time at 20 s: a range built before it
+    # is counted fails fast with MemoryError, never exhausting the machine
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = (
+        "import resource, signal, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "signal.alarm(20)\n"
+        "import wsnsync.cli\n"
+        "sys.exit(wsnsync.cli.main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", probe, command, "--seed", "0..999999999",
+                           "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: --seed '0..999999999': 1000000000 seeds exceed the "
+                           f"limit of {cli.MAX_SEEDS}\n")
+    assert not out.exists()
 
 
 def test_run_loads_neither_the_oracle_nor_a_pool(tmp_path: Path):
@@ -589,20 +640,27 @@ def test_failed_sweep_keeps_only_earlier_values(tmp_path: Path, capsys):
         "mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv"]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+_MU_05 = ["mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv",
+          "mu_0.5/trace_grades_2.csv"]
+
+
+@pytest.mark.parametrize("values,jobs,kept", [
+    pytest.param("0.5,1", "1", _MU_05, id="1"),
+    pytest.param("0.5,1", "2", _MU_05, id="2"),
+    pytest.param("1,0.5", "2", [], id="2-failing-first"),
+])
 def test_sweep_failing_at_a_later_seed_keeps_only_earlier_values(tmp_path: Path, capsys,
-                                                                  jobs):
+                                                                  values, jobs, kept):
     # grades at mu 1 leaves float range by 600 s at seed 1 but not at seed 2,
     # so mu 1 fails at its second seed, after its first trace is staged;
-    # under --jobs 2 the workers make passes of both values meanwhile
-    args = ["sweep", "--param", "mu", "--values", "0.5,1", "--protocol", "grades",
+    # under --jobs 2 the workers run the other value's seeds meanwhile, and
+    # their staged traces go too when mu 1 comes first
+    args = ["sweep", "--param", "mu", "--values", values, "--protocol", "grades",
             "--e-max-ticks", "1e300", "--topology", "line:3", "--boot-window", "60",
             "--duration", "600", "--seed", "2,1", "--jobs", jobs, "--out-dir", str(tmp_path)]
     assert cli.main(args) == 2
     assert "out of float range" in capsys.readouterr().err
-    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
-        "mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv",
-        "mu_0.5/trace_grades_2.csv"]
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == kept
 
 
 def test_multiple_protocols_and_seeds(tmp_path: Path):
@@ -1081,6 +1139,8 @@ def test_uncreatable_out_dir_exits_two(tmp_path: Path, capsys, args, blocked):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {in_the_way}: ")
     assert in_the_way.read_text() == "not a directory\n"
+    if blocked:  # every value's directory is made before any run; mu_0.5's goes again
+        assert list(out.iterdir()) == [in_the_way]
 
 
 # ---------------------------------------------------------------------------
