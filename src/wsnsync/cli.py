@@ -49,6 +49,13 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str:
 # and the cheapest run (line:2 over 1 s) takes about 1.1 ms a seed, so 10^5
 # is about two minutes of the cheapest runs; a list of 10^9 would take 40 GB.
 MAX_SEEDS = 10**5
+# About how many jobs a job list holds. pool.map submits every job at once,
+# and the main process holds a future and a work item per job, about 2 KB,
+# until its rows are taken. Up to this many seeds a job is one seed; beyond
+# it, a run of consecutive seeds of one directory, so that the futures stop
+# growing with the seeds, a failure waits for at most one run per other
+# worker, and a failing run never takes an earlier directory's rows with it.
+MAX_JOBS = 1000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,43 +350,49 @@ def _trace_path(out: Path, protocol: str, seed: int) -> Path:
 
 
 def _seed_job(job: tuple) -> list[dict]:
-    """Run one seed group of one output directory end to end and return only
-    its summary rows, one per protocol, in order; in process or in a worker.
+    """Run consecutive seed groups of one output directory end to end and
+    return only their summary rows, one per protocol, seed by seed; in
+    process or in a worker.
 
-    The seed's protocols share one event pass (record_schedule). Their
-    traces are built from it one at a time: each is written to its
-    ``_staged`` path, summarized and dropped before the next is built.
+    A seed's protocols share one event pass (record_schedule). Their traces
+    are built from it one at a time: each is written to its ``_staged``
+    path, summarized and dropped before the next is built.
     """
-    out, sim_kwargs, params_seq, seed, threshold_s, window = job
-    schedule = record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
+    out, groups = job
     rows = []
-    for params in params_seq:
-        trace = run_simulation(params=params, seed=seed, schedule=schedule, **sim_kwargs)
-        protocol = params.kind.value
-        with open(_staged(_trace_path(out, protocol, seed)), "w", newline="\n") as fh:
-            trace.write_csv(fh)  # embeds its own resolved-config header
-        summ = metrics.summarize(trace.sample_times_s, trace.logical_s, threshold_s, window,
-                                 start_after=trace.boot_complete_time)
-        del trace  # before the next trace is built
-        rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
+    for sim_kwargs, params_seq, seed, threshold_s, window in groups:
+        schedule = record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
+        for params in params_seq:
+            trace = run_simulation(params=params, seed=seed, schedule=schedule, **sim_kwargs)
+            protocol = params.kind.value
+            with open(_staged(_trace_path(out, protocol, seed)), "w", newline="\n") as fh:
+                trace.write_csv(fh)  # embeds its own resolved-config header
+            summ = metrics.summarize(trace.sample_times_s, trace.logical_s, threshold_s, window,
+                                     start_after=trace.boot_complete_time)
+            del trace  # before the next trace is built
+            rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
     return rows
 
 
 def _run_jobs(plans: list[tuple[Path, list, dict]], jobs: int) -> list[list[dict]]:
-    """Run one job list, a _seed_job per seed group of every planned (output
-    directory, seed groups, resolved config), and commit the directories in
-    order (_commit_dir); return each one's summary rows.
+    """Run one job list, a _seed_job per run of seed groups of every planned
+    (output directory, seed groups, resolved config), and commit the
+    directories in order (_commit_dir); return each one's summary rows.
 
-    Every planned directory is created first. With more than one worker,
+    A job runs one seed group; past MAX_JOBS groups in all, it runs up to
+    ceil(groups / MAX_JOBS) consecutive groups of one directory. Every planned directory is created first. With more than one worker,
     one pool runs the whole list, and each worker sends back only summary
-    rows; the groups cap the workers, so a one-group job list starts no
-    pool. On any failure the queued jobs are dropped and the running ones
-    waited for. Then every staged path planned for a directory not yet
-    committed is deleted, and such a directory is removed if this call
-    created it and it is empty: the earlier directories stay complete, and
-    the others are left as they were.
+    rows; the jobs cap the workers, so a one-job list starts no pool. On
+    any failure the queued jobs are dropped and the running ones waited
+    for. Then every staged path planned for a directory not yet committed
+    is deleted, and such a directory is removed if this call created it
+    and it is empty: the earlier directories stay complete, and the others
+    are left as they were.
     """
-    todo = [(out, *group) for out, groups, _ in plans for group in groups]
+    size = math.ceil(sum(len(groups) for _, groups, _ in plans) / MAX_JOBS)
+    runs = [[(out, groups[i:i + size]) for i in range(0, len(groups), size)]
+            for out, groups, _ in plans]
+    todo = [job for plan_jobs in runs for job in plan_jobs]
     workers = min(jobs, len(todo), os.cpu_count() or 1)
     created = [out for out, _, _ in plans if not out.exists()]
     made: list[Path] = []
@@ -397,9 +410,9 @@ def _run_jobs(plans: list[tuple[Path, list, dict]], jobs: int) -> list[list[dict
                 # dropped, and running ones finish writing their staged files
                 stack.callback(pool.shutdown, cancel_futures=True)
                 run = pool.map
-            seed_rows = run(_seed_job, todo)
-            for out, groups, resolved in plans:
-                rows = [row for _ in groups for row in next(seed_rows)]
+            job_rows = run(_seed_job, todo)
+            for (out, _, resolved), plan_jobs in zip(plans, runs):
+                rows = [row for _ in plan_jobs for row in next(job_rows)]
                 committed.append(_commit_dir(out, rows, resolved))
         return committed
     except BaseException:  # interrupts too: leave no staged file behind

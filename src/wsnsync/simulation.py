@@ -29,9 +29,10 @@ identical traces; runs that differ only in protocol arithmetic see identical
 boot times, drift trajectories and delay draws.
 
 A run is two parts. The event pass (_event_pass) decides when each clock is
-read and reads the hardware clock there; the protocol arithmetic (_Clocks)
-turns those readings into logical clocks, rounds and trace rows. Nothing the
-arithmetic computes flows back into the pass, so record_schedule runs one
+read, reads the hardware clock there and records each round's time, node
+and acks; the protocol arithmetic (_Clocks) turns those readings into
+logical clocks, round outcomes and trace rows. Nothing the arithmetic
+computes flows back into the pass, so record_schedule runs one
 seed's pass once with several protocols' arithmetic in lock step, and
 run_simulation(..., schedule=) builds each protocol's trace from it, in the
 same bytes as a run of that protocol alone.
@@ -214,14 +215,18 @@ class SimulationTrace:
 
     logical_s holds one row per sample time and one column per node, in
     topology.node_ids order: the node's logical clock reading (seconds) at
-    that true time, NaN before the node boots. round_columns holds five
-    floats per round, as _Clocks records them: time, node index, mean
-    offset, new rate (NaN for None) and acks.
+    that true time, NaN before the node boots. pass_rounds are the event
+    pass's round columns, shared by every trace of its schedule: each
+    round's time, node index and acks, in the order the rounds closed.
+    round_outcomes holds two floats per round with acks, in the same
+    order, as _Clocks computed them: mean offset and new rate (NaN for
+    None).
     """
 
     sample_times_s: tuple[float, ...]
     logical_s: np.ndarray
-    round_columns: array
+    pass_rounds: tuple[array, array, array]
+    round_outcomes: array
     topology: Topology
     boot_times: dict[int, float]
     config: dict
@@ -229,6 +234,17 @@ class SimulationTrace:
     @property
     def boot_complete_time(self) -> float:
         return max(self.boot_times.values())
+
+    @cached_property
+    def round_columns(self) -> array:
+        """Five floats per round, built on first read: time, node index,
+        mean offset, new rate and acks, with NaN for the offset and rate of
+        a round without acks and for a rate the guard did not install."""
+        times, nodes, acks = self.pass_rounds
+        cols = np.full((len(times), 5), math.nan)
+        cols[:, 0], cols[:, 1], cols[:, 4] = times, nodes, acks
+        cols[np.asarray(acks) > 0, 2:4] = np.asarray(self.round_outcomes).reshape(-1, 2)
+        return array("d", cols.tobytes())
 
     @cached_property
     def rounds(self) -> tuple[RoundRecord, ...]:
@@ -269,12 +285,14 @@ class Schedule:
     """One seed's event pass, run by record_schedule with each params'
     arithmetic in lock step: record_schedule's arguments but params_seq, by
     name, to refuse a run_simulation call with other values and to build
-    its trace's config, the pass's sample times and boot times (in
-    topology.node_ids order), and each params' _Clocks."""
+    its trace's config, the pass's sample times, boot times (in
+    topology.node_ids order) and round columns (a trace's pass_rounds), and
+    each params' _Clocks."""
 
     kwargs: dict
     sample_times: tuple[float, ...]
     boot_times: tuple[float, ...]
+    pass_rounds: tuple[array, array, array]
     clocks: dict[ProtocolParams, _Clocks]
 
 
@@ -299,10 +317,11 @@ def _event_pass(
     topology: Topology, params_seq: Sequence[ProtocolParams], *, osc_params: OscillatorParams,
     delay_model: DelayModel, duration_s: float, sample_interval_s: float, boot_window_s: float,
     seed: int, initial_rate: float | None, initial_ticks: float | None,
-) -> tuple[tuple[float, ...], list[float], list[_Clocks]]:
+) -> tuple[tuple[float, ...], list[float], tuple[array, array, array], list[_Clocks]]:
     """The event pass of one run: boots, counters, messages, rounds and
-    sample frames. Returns its sample times, its boot times and one _Clocks
-    per params, which it feeds in lock step.
+    sample frames. Returns its sample times, its boot times, its round
+    columns (each round's time, node and acks) and one _Clocks per params,
+    which it feeds in lock step.
 
     It decides when each clock is read, reads the counter there with one
     advance call and hands the reading to every _Clocks in turn. It owns
@@ -367,6 +386,11 @@ def _event_pass(
     if sample_times:
         queue.push(sample_times[0], SAMPLE, 0)
     clocks = [_Clocks(ids, params, boot_clocks, len(sample_times)) for params in params_seq]
+    # Every round, as its deadline pops: time, node index and acks. "I" is
+    # a C unsigned int, 32 bits wherever numpy runs: an index and an ack
+    # count are below the node count, and an append out of range raises
+    # OverflowError instead of wrapping.
+    round_times, round_nodes, round_acks = array("d"), array("I"), array("I")
 
     def send(t: float, sender: int, receiver: int, answer: object, round_deadline: float) -> None:
         """Schedule a delivery that carries the deadline of the requester's
@@ -408,13 +432,15 @@ def _event_pass(
         elif kind == DEADLINE:
             n_acks = pending_acks[data]
             next_sync[data] = next_beacon[data] + gather_wait
-            ticks = None  # a round without acks reads no clock
-            if n_acks:
+            round_times.append(t)
+            round_nodes.append(data)
+            round_acks.append(n_acks)
+            if n_acks:  # a round without acks reads no clock and computes nothing
                 pending_acks[data] = 0
                 synced[data] = True
                 ticks = hws[data].advance(t)
-            for c in clocks:
-                c.round(t, data, ticks, n_acks)
+                for c in clocks:
+                    c.round(t, data, ticks, n_acks)
         elif kind == BEACON:
             deadline = t + gather_wait
             next_beacon[data] = t + beacon_period
@@ -430,12 +456,12 @@ def _event_pass(
                 c.frame(data, ticks)
             if data + 1 < len(sample_times):
                 queue.push(sample_times[data + 1], SAMPLE, data + 1)
-    return tuple(sample_times), boot_times, clocks
+    return tuple(sample_times), boot_times, (round_times, round_nodes, round_acks), clocks
 
 
 class _Clocks:
     """The protocol arithmetic of one run: each node's logical clock, ack
-    sums, round records and the readings array.
+    sums, round outcomes and the readings array.
 
     The event pass feeds it readings through four methods; it starts from
     copies of the pass's boot clocks, and node_ids serve its error messages
@@ -443,7 +469,9 @@ class _Clocks:
     (from round) or a booted reading out of it (from record_schedule).
     Reads cannot raise, since no node's ticks fall below its clock's anchor
     (_BootTickClock covers the boot tick), so a failed _Clocks is fed to
-    the end like the others.
+    the end like the others. Its outcomes miss the round that failed, so
+    they no longer line up with the pass's rounds; run_simulation raises
+    its error and builds no trace from them.
     """
 
     def __init__(self, node_ids: tuple[int, ...], params: ProtocolParams,
@@ -455,9 +483,9 @@ class _Clocks:
         self.lcs = [replace(lc) for lc in boot_clocks]
         self.error: ValueError | None = None
         self.err_acc = [0.0] * len(self.lcs)
-        # Five floats per round, a trace's round_columns: time, node index,
-        # mean offset, new rate (NaN for None) and acks.
-        self.rounds = array("d")
+        # A trace's round_outcomes: two floats per round with acks, mean
+        # offset and new rate (NaN for None).
+        self.outcomes = array("d")
         self.logical_s = np.full((n_samples, len(self.lcs)), math.nan)
 
     def answer(self, i: int, ticks: float) -> float:
@@ -466,10 +494,8 @@ class _Clocks:
     def ack(self, i: int, ticks: float, payload: float) -> None:
         self.err_acc[i] += payload - self.lcs[i].read(ticks)
 
-    def round(self, t: float, i: int, ticks: float | None, n_acks: int) -> None:
-        if not n_acks:
-            self.rounds.extend((t, i, math.nan, math.nan, 0))
-            return
+    def round(self, t: float, i: int, ticks: float, n_acks: int) -> None:
+        """The round of node i that closed at t with n_acks > 0 acks."""
         e_new = self.err_acc[i] / n_acks
         self.err_acc[i] = 0.0
         lc = self.lcs[i]
@@ -486,7 +512,7 @@ class _Clocks:
                 "drive its clock out of float range"
             )
             return
-        self.rounds.extend((t, i, e_new, math.nan if new_rate is None else new_rate, n_acks))
+        self.outcomes.extend((e_new, math.nan if new_rate is None else new_rate))
 
     def frame(self, k: int, ticks: list[float | None]) -> None:
         """Row k of the readings, from each node's ticks (None: not booted)."""
@@ -566,8 +592,9 @@ def record_schedule(
               "duration_s": duration_s, "sample_interval_s": sample_interval_s,
               "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
               "initial_ticks": initial_ticks}
-    sample_times, boot_times, clocks = _event_pass(params_seq=params_seq, **kwargs)
-    schedule = Schedule(kwargs, sample_times, tuple(boot_times), dict(zip(params_seq, clocks)))
+    sample_times, boot_times, pass_rounds, clocks = _event_pass(params_seq=params_seq, **kwargs)
+    schedule = Schedule(kwargs, sample_times, tuple(boot_times), pass_rounds,
+                        dict(zip(params_seq, clocks)))
     booted = np.array(sample_times).reshape(-1, 1) >= np.array(boot_times)
     for c in clocks:
         overflowed = np.argwhere(booted & ~np.isfinite(c.logical_s))
@@ -637,6 +664,7 @@ def run_simulation(topology: Topology, params: ProtocolParams, *,
         "initial_ticks": kw["initial_ticks"],
     }
     return SimulationTrace(sample_times_s=schedule.sample_times, logical_s=clocks.logical_s,
-                           round_columns=clocks.rounds, topology=topology,
+                           pass_rounds=schedule.pass_rounds, round_outcomes=clocks.outcomes,
+                           topology=topology,
                            boot_times=dict(zip(topology.node_ids, schedule.boot_times)),
                            config=config)

@@ -364,6 +364,23 @@ def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
     assert requested == [2, 3]
 
 
+def test_past_max_jobs_a_job_runs_seeds_of_one_directory(tmp_path: Path, monkeypatch):
+    # pool.map holds a future per job in the main process, so past MAX_JOBS
+    # seeds a job runs several, never those of two directories
+    pool = _inline_pool(monkeypatch)
+    assert cli.main(_run_args(tmp_path / "a", "--seed", "1..20", "--jobs", "2")) == 0
+    monkeypatch.setattr(cli, "MAX_JOBS", 4)
+    assert cli.main(_run_args(tmp_path / "b", "--seed", "1..10", "--jobs", "2")) == 0
+    args = [*_FAST_SWEEP, "--values", "0.5,1.0", "--seed", "1..5", "--jobs", "64",
+            "--out-dir", str(tmp_path / "c")]
+    assert cli.main(args) == 0
+    assert pool.requested == [2, 2, 4]
+    assert [[row["seed"] for row in rows] for rows in pool.returned] == [
+        *([seed] for seed in range(1, 21)),
+        [1, 2, 3], [4, 5, 6], [7, 8, 9], [10],
+        [1, 2, 3], [4, 5], [1, 2, 3], [4, 5]]
+
+
 def test_workers_send_back_only_summary_rows(tmp_path: Path, monkeypatch):
     # a job writes its seed's traces where it runs, so a worker sends back
     # one summary row per protocol, never a pass or a trace
@@ -578,15 +595,22 @@ def test_parallel_jobs_write_the_same_bytes(tmp_path: Path):
 
 
 def test_run_builds_no_round_records(tmp_path: Path, monkeypatch):
-    # writing and summarizing a trace never reads its rounds
+    # writing and summarizing a trace never reads its rounds, as records or
+    # as round_columns
     real = simulation.RoundRecord
+    real_columns = simulation.SimulationTrace.round_columns.func
     built = []
 
     def counted(*args):
         built.append(args)
         return real(*args)
 
+    def counted_columns(trace):
+        built.append(trace)
+        return real_columns(trace)
+
     monkeypatch.setattr(simulation, "RoundRecord", counted)
+    monkeypatch.setattr(simulation.SimulationTrace, "round_columns", property(counted_columns))
     assert cli.main(_run_args(tmp_path, "--protocol", "newton,grades,avgpisync")) == 0
     assert built == []
 
@@ -644,17 +668,23 @@ _MU_05 = ["mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv",
           "mu_0.5/trace_grades_2.csv"]
 
 
-@pytest.mark.parametrize("values,jobs,kept", [
-    pytest.param("0.5,1", "1", _MU_05, id="1"),
-    pytest.param("0.5,1", "2", _MU_05, id="2"),
-    pytest.param("1,0.5", "2", [], id="2-failing-first"),
+@pytest.mark.parametrize("values,jobs,max_jobs,kept", [
+    pytest.param("0.5,1", "1", cli.MAX_JOBS, _MU_05, id="1"),
+    pytest.param("0.5,1", "2", cli.MAX_JOBS, _MU_05, id="2"),
+    pytest.param("1,0.5", "2", cli.MAX_JOBS, [], id="2-failing-first"),
+    pytest.param("0.5,1", "1", 1, _MU_05, id="1-one-job-a-value"),
+    pytest.param("0.5,1", "2", 1, _MU_05, id="2-one-job-a-value"),
 ])
 def test_sweep_failing_at_a_later_seed_keeps_only_earlier_values(tmp_path: Path, capsys,
-                                                                  values, jobs, kept):
+                                                                  monkeypatch, values, jobs,
+                                                                  max_jobs, kept):
     # grades at mu 1 leaves float range by 600 s at seed 1 but not at seed 2,
     # so mu 1 fails at its second seed, after its first trace is staged;
     # under --jobs 2 the workers run the other value's seeds meanwhile, and
-    # their staged traces go too when mu 1 comes first
+    # their staged traces go too when mu 1 comes first. With MAX_JOBS at 1,
+    # each value's two seeds are one job, and mu 1's failing job takes none
+    # of mu 0.5's rows with it, though the workers run both at once
+    monkeypatch.setattr(cli, "MAX_JOBS", max_jobs)
     args = ["sweep", "--param", "mu", "--values", values, "--protocol", "grades",
             "--e-max-ticks", "1e300", "--topology", "line:3", "--boot-window", "60",
             "--duration", "600", "--seed", "2,1", "--jobs", jobs, "--out-dir", str(tmp_path)]
@@ -1276,3 +1306,82 @@ def test_dropped_deliveries_match_pinned_bytes(tmp_path: Path, monkeypatch, caps
     assert cli.main(["run", *args, "--seed", "1", "--out-dir", "out"]) == 0
     written = {p.name: _sha(p.read_bytes()) for p in (tmp_path / "out").iterdir()}
     assert {**written, "stdout": _sha(capsys.readouterr().out.encode())} == pins
+
+
+# The runs of `run` with these flags, through the library: compare-line16's
+# seeds, a line:64 run where valid time has not reached most nodes (so most
+# rounds have no acks), and the edge cases of _DROP_PINS.
+_ROUND_RUNS = {
+    "compare-line16": ["--protocol", "newton,grades,avgpisync", "--topology", "line:16",
+                       "--seed", "1..2"],
+    "line64-empty": ["--topology", "line:64", "--duration", "900", "--seed", "1"],
+    **{name: [*args, "--seed", "1"] for name, (args, _) in _DROP_PINS.items()},
+}
+# Per trace: sha256 of round_columns.tobytes(), then its rounds, rounds
+# without acks, guard skips (acks but no rate installed) and acks; recorded
+# when each protocol still kept five floats for every round.
+_ROUND_PINS = {
+    "compare-line16": {
+        "newton_1": (
+            "4be330a502e118f3bf16d248a842f8c703e0ec479b0553a1ac0cc11400ae66d3",
+            6069, 124, 15, 11484),
+        "grades_1": (
+            "9930a2a9a2371b654dc6507ab621508c00104b985cda30005249d306c711dc06",
+            6069, 124, 15, 11484),
+        "avgpisync_1": (
+            "e09ff47664ea249c65522dd1da75c189cd08f83bb2696342a29d1b24506dc967",
+            6069, 124, 15, 11484),
+        "newton_2": (
+            "dfe62967fbe2d2db7c6da5c206de01b4f3be12d241e8be6dc3faf6d2b46984ba",
+            6055, 138, 15, 11430),
+        "grades_2": (
+            "facc123aa2da2f3ddb468e9a0ae2ec5475f42dfc7c9a6d38d173cf9c26147273",
+            6055, 138, 15, 11430),
+        "avgpisync_2": (
+            "3fb5fcfc8ed53d4585c184d4a6ad910348ac5ddbf5c7f1af25b28f03a272d5a5",
+            6055, 138, 15, 11430),
+    },
+    "late-acks": {
+        "newton_1": (
+            "8379240c15323a52b1e41c879983e85474fa3af787177241acdbd597fd588356",
+            673, 337, 222, 401),
+        "grades_1": (
+            "d33a733287b33586f64b2522518295c9f3dd182baa6a2e8cce9c242ba8b60a69",
+            673, 337, 217, 401),
+        "avgpisync_1": (
+            "ff6704fe5c82dc65f4956fa5ff72418e1e6b21177999644ffa6d8a1cb41a1c0c",
+            673, 337, 217, 401),
+    },
+    "line64-empty": {
+        "newton_1": (
+            "aba3cab6911e51e0ed0a72a8f1a7df368506c22a376e4849ce1c614b238940f7",
+            1575, 1124, 40, 861),
+    },
+    "long-wait": {
+        "newton_1": (
+            "3e57a6a06de80716880e65c9046f70ecd8803b65074c974bf3a06b6cd555c797",
+            1051, 131, 285, 1735),
+    },
+    "zero-wait": {
+        "newton_1": (
+            "eaa1cd36ebd5777e0ec9c90eebc8009a70f54cc6f70346a8b05ce8225ebda6fa",
+            255, 0, 5, 455),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_RUNS))
+def test_round_columns_match_pinned_bytes(name):
+    groups, _ = cli._plan(cli._resolve(cli.build_parser().parse_args(
+        ["run", *_ROUND_RUNS[name]])))
+    seen = {}
+    for sim_kwargs, params_seq, seed, *_ in groups:
+        schedule = simulation.record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
+        for params in params_seq:
+            cols = simulation.run_simulation(params=params, seed=seed, schedule=schedule,
+                                             **sim_kwargs).round_columns
+            rates, acks = cols[3::5], cols[4::5]
+            seen[f"{params.kind.value}_{seed}"] = (
+                _sha(cols.tobytes()), len(acks), acks.count(0.0),
+                sum(1 for rate, n in zip(rates, acks) if n and rate != rate), int(sum(acks)))
+    assert seen == _ROUND_PINS[name]

@@ -786,6 +786,27 @@ def test_run_simulation_takes_record_schedules_settings_alone():
             run_simulation(**no_osc, **with_schedule)
 
 
+def test_a_pass_holds_each_round_once():
+    # the pass holds every round's time (8 bytes), node index and acks (4
+    # bytes each) once, shared by every trace; each protocol holds only the
+    # mean offset and rate (8 bytes each) of the rounds with acks, where it
+    # computed them. Five floats per round and protocol, as rounds were
+    # once held, would be 40 * 3 * rounds bytes.
+    params_seq = [_replayable_params(kind, 1.0) for kind in Protocol]
+    schedule = record_schedule(params_seq=params_seq, **_REFUSAL_RUN)
+    traces = [run_simulation(params=p, schedule=schedule, **_REFUSAL_RUN) for p in params_seq]
+    assert all(trace.pass_rounds is schedule.pass_rounds for trace in traces)
+    times, _, acks = schedule.pass_rounds
+    rounds, acked = len(times), sum(1 for n in acks if n)
+    assert 0 < acked < rounds
+    held = [*schedule.pass_rounds, *(trace.round_outcomes for trace in traces)]
+    assert sum(a.buffer_info()[1] * a.itemsize for a in held) == (
+        rounds * (8 + 4 + 4) + 3 * acked * (8 + 8))
+    for trace in traces:  # the five-float layout is built on first read
+        assert "round_columns" not in vars(trace)
+        assert len(trace.round_columns) == 5 * rounds
+
+
 def test_trace_builds_its_rounds_once_when_read(monkeypatch):
     real = simulation.RoundRecord
     built = []
