@@ -32,7 +32,7 @@ from . import metrics
 from .clocks import OscillatorParams
 from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
 from .simulation import (
-    DelayModel, Topology, build_line_topology, check_schedule, record_schedule, run_simulation,
+    DelayModel, Topology, build_line_topology, record_schedule, run_config, run_simulation,
     write_csv_preamble,
 )
 
@@ -45,9 +45,10 @@ RANGES = {
     "at least 1": lambda v: v >= 1,
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
-# Seeds per --seed. summary.csv's header lists every seed (0.69 MB at 10^5),
-# and the cheapest run (line:2 over 1 s) takes about 1.1 ms a seed, so 10^5
-# is about two minutes of the cheapest runs; a list of 10^9 would take 40 GB.
+# Seeds per invocation, over all of a sweep's values. summary.csv's header
+# lists every seed (0.69 MB at 10^5), and the cheapest run (line:2 over 1 s)
+# takes about 1.1 ms a seed, so 10^5 is about two minutes of the cheapest
+# runs; a list of 10^9 would take 40 GB.
 MAX_SEEDS = 10**5
 # About how many jobs a job list holds. pool.map submits every job at once,
 # and the main process holds a future and a work item per job, about 2 KB,
@@ -305,19 +306,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
                           or os.environ.get("WSNSYNC_OUT_DIR") or "out"))
 
 
-def _plan(cfg: dict) -> tuple[list[tuple], dict]:
-    """One (simulation kwargs, protocol params, seed, threshold in seconds,
-    window) group per seed that ``cfg`` asks for, and the summary header
-    that records the runs."""
+def _plan(cfg: dict) -> tuple[tuple, dict]:
+    """The run ``cfg`` asks for, as (simulation kwargs, protocol params,
+    threshold in seconds, window), checked by run_config, and the summary
+    header that records it, whose "seeds" are the seeds to run it at."""
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
-    topology = _parse_topology(cfg["topology"])
-    check_schedule(topology, cfg["duration_s"], cfg["sample_interval_s"],
-                   cfg["beacon_period_s"], cfg["boot_window_s"],
-                   cfg["drift_resample_interval_s"])
     sim_kwargs = {
-        "topology": topology,
+        "topology": _parse_topology(cfg["topology"]),
         "osc_params": OscillatorParams(
             nominal_hz=cfg["nominal_hz"],
             max_drift_hz=cfg["max_drift_hz"],
@@ -330,14 +327,15 @@ def _plan(cfg: dict) -> tuple[list[tuple], dict]:
         "boot_window_s": cfg["boot_window_s"],
     }
     for p in protocols:
+        run_config(params=params[p], **sim_kwargs)
         if not params[p].within_bound():
             lo, hi = step_size_bound(p, params[p].beacon_period_s, params[p].nominal_hz)
             print(f"warning: {p.value} step size {params[p].step_size} is outside "
                   f"the convergence bound ({lo}, {hi})", file=sys.stderr)
     resolved = {**cfg, "protocols": [p.value for p in protocols], "seeds": seeds,
                 "per_protocol_step_size": {p.value: params[p].step_size for p in protocols}}
-    summary_args = (cfg["threshold_ticks"] / cfg["nominal_hz"], cfg["window"])
-    return [(sim_kwargs, list(params.values()), s, *summary_args) for s in seeds], resolved
+    threshold_s = cfg["threshold_ticks"] / cfg["nominal_hz"]
+    return (sim_kwargs, list(params.values()), threshold_s, cfg["window"]), resolved
 
 
 def _staged(path: Path) -> Path:
@@ -350,7 +348,7 @@ def _trace_path(out: Path, protocol: str, seed: int) -> Path:
 
 
 def _seed_job(job: tuple) -> list[dict]:
-    """Run consecutive seed groups of one output directory end to end and
+    """Run one output directory's run at consecutive seeds end to end and
     return only their summary rows, one per protocol, seed by seed; in
     process or in a worker.
 
@@ -358,9 +356,9 @@ def _seed_job(job: tuple) -> list[dict]:
     are built from it one at a time: each is written to its ``_staged``
     path, summarized and dropped before the next is built.
     """
-    out, groups = job
+    out, (sim_kwargs, params_seq, threshold_s, window), seeds = job
     rows = []
-    for sim_kwargs, params_seq, seed, threshold_s, window in groups:
+    for seed in seeds:
         schedule = record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
         for params in params_seq:
             trace = run_simulation(params=params, seed=seed, schedule=schedule, **sim_kwargs)
@@ -374,13 +372,14 @@ def _seed_job(job: tuple) -> list[dict]:
     return rows
 
 
-def _run_jobs(plans: list[tuple[Path, list, dict]], jobs: int) -> list[list[dict]]:
-    """Run one job list, a _seed_job per run of seed groups of every planned
-    (output directory, seed groups, resolved config), and commit the
+def _run_jobs(plans: list[tuple[Path, tuple, dict]], jobs: int) -> list[list[dict]]:
+    """Run one job list, a _seed_job per run of seeds of every planned
+    (output directory, run, resolved config) from _plan, and commit the
     directories in order (_commit_dir); return each one's summary rows.
 
-    A job runs one seed group; past MAX_JOBS groups in all, it runs up to
-    ceil(groups / MAX_JOBS) consecutive groups of one directory. Every planned directory is created first. With more than one worker,
+    A job runs one seed; past MAX_JOBS seeds in all, it runs up to
+    ceil(seeds / MAX_JOBS) consecutive seeds of one directory. Every
+    planned directory is created first. With more than one worker,
     one pool runs the whole list, and each worker sends back only summary
     rows; the jobs cap the workers, so a one-job list starts no pool. On
     any failure the queued jobs are dropped and the running ones waited
@@ -389,9 +388,9 @@ def _run_jobs(plans: list[tuple[Path, list, dict]], jobs: int) -> list[list[dict
     and it is empty: the earlier directories stay complete, and the others
     are left as they were.
     """
-    size = math.ceil(sum(len(groups) for _, groups, _ in plans) / MAX_JOBS)
-    runs = [[(out, groups[i:i + size]) for i in range(0, len(groups), size)]
-            for out, groups, _ in plans]
+    size = math.ceil(sum(len(resolved["seeds"]) for *_, resolved in plans) / MAX_JOBS)
+    runs = [[(out, run, resolved["seeds"][i:i + size])
+             for i in range(0, len(resolved["seeds"]), size)] for out, run, resolved in plans]
     todo = [job for plan_jobs in runs for job in plan_jobs]
     workers = min(jobs, len(todo), os.cpu_count() or 1)
     created = [out for out, _, _ in plans if not out.exists()]
@@ -416,10 +415,10 @@ def _run_jobs(plans: list[tuple[Path, list, dict]], jobs: int) -> list[list[dict
                 committed.append(_commit_dir(out, rows, resolved))
         return committed
     except BaseException:  # interrupts too: leave no staged file behind
-        for out, groups, _ in plans[len(committed):len(made)]:
-            for _, params_seq, seed, *_ in groups:
-                for params in params_seq:
-                    _staged(_trace_path(out, params.kind.value, seed)).unlink(missing_ok=True)
+        for out, _, resolved in plans[len(committed):len(made)]:
+            for seed in resolved["seeds"]:
+                for protocol in resolved["protocols"]:
+                    _staged(_trace_path(out, protocol, seed)).unlink(missing_ok=True)
             _staged(out / "summary.csv").unlink(missing_ok=True)
             if out in created:
                 with contextlib.suppress(OSError):  # only an empty directory goes
@@ -459,8 +458,8 @@ def _commit_dir(out: Path, rows: list[dict], resolved: dict) -> list[dict]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    groups, resolved = _plan(_resolve(args))
-    _run_jobs([(_out_dir(args), groups, resolved)], resolved["jobs"])
+    run, resolved = _plan(_resolve(args))
+    _run_jobs([(_out_dir(args), run, resolved)], resolved["jobs"])
     return 0
 
 
@@ -588,6 +587,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args, setting)
     values = _parse_list("--values", "sweep value", args.values,
                          int if param == "nodes" else setting.type)
+    count = len(values) * len(_parse_seeds(cfg["seed"]))
+    if count > MAX_SEEDS:  # before any value is planned
+        raise ConfigError(f"--seed {cfg['seed']!r} x {len(values)} values: {count} seeds "
+                          f"exceed the limit of {MAX_SEEDS}")
     # one resolved config per value, each checked before any run
     plans = []
     for v, raw in values.items():

@@ -40,7 +40,6 @@ same bytes as a run of that protocol alone.
 from __future__ import annotations
 
 import heapq
-import inspect
 import itertools
 import json
 import math
@@ -276,20 +275,20 @@ class SimulationTrace:
             ]))
 
 
-# The ProtocolParams fields that shape the event pass.
-PASS_FIELDS = ("beacon_period_s", "gather_wait_s", "nominal_hz")
+# The config keys that only the protocol arithmetic reads: runs whose
+# configs agree on every other key share one event pass.
+PROTOCOL_KEYS = ("protocol", "step_size", "max_error_s")
 
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """One seed's event pass, run by record_schedule with each params'
-    arithmetic in lock step: record_schedule's arguments but params_seq, by
-    name, to refuse a run_simulation call with other values and to build
-    its trace's config, the pass's sample times, boot times (in
-    topology.node_ids order) and round columns (a trace's pass_rounds), and
-    each params' _Clocks."""
+    arithmetic in lock step: the run_config of its first params (every
+    params' config differs from it in PROTOCOL_KEYS alone), the pass's
+    sample times, boot times (in topology.node_ids order) and round columns
+    (a trace's pass_rounds), and each params' _Clocks."""
 
-    kwargs: dict
+    config: dict
     sample_times: tuple[float, ...]
     boot_times: tuple[float, ...]
     pass_rounds: tuple[array, array, array]
@@ -314,9 +313,7 @@ class _BootTickClock(LogicalClock):
 
 
 def _event_pass(
-    topology: Topology, params_seq: Sequence[ProtocolParams], *, osc_params: OscillatorParams,
-    delay_model: DelayModel, duration_s: float, sample_interval_s: float, boot_window_s: float,
-    seed: int, initial_rate: float | None, initial_ticks: float | None,
+    topology: Topology, params_seq: Sequence[ProtocolParams], config: dict,
 ) -> tuple[tuple[float, ...], list[float], tuple[array, array, array], list[_Clocks]]:
     """The event pass of one run: boots, counters, messages, rounds and
     sample frames. Returns its sample times, its boot times, its round
@@ -329,24 +326,27 @@ def _event_pass(
     logical clock it boots with, who may answer, the acks of each open
     round, and the gateway, whose counter reads true time. Nothing a
     _Clocks computes flows back, so every protocol sees the same pass under
-    one seed. The arguments are record_schedule's, checked there; the first
-    params' PASS_FIELDS shape the pass; nodes are indices into
-    topology.node_ids.
+    one seed. config alone, a run_config checked by record_schedule, shapes
+    the pass; nodes are indices into topology.node_ids.
     """
-    first = params_seq[0]
-    beacon_period, gather_wait = first.beacon_period_s, first.gather_wait_s
+    beacon_period, gather_wait = config["beacon_period_s"], config["gather_wait_s"]
+    duration_s, sample_interval_s = config["duration_s"], config["sample_interval_s"]
+    nominal_hz, initial_ticks = config["nominal_hz"], config["initial_ticks"]
+    osc_params = OscillatorParams(nominal_hz, config["max_drift_hz"],
+                                  config["drift_resample_interval_s"], config["quantize_ticks"])
+    delay_model = DelayModel(config["delay_std_s"], config["delay_floor_s"])
     ids = topology.node_ids
     index = {nid: i for i, nid in enumerate(ids)}
     neighbors = [tuple(index[j] for j in topology.neighbors[nid]) for nid in ids]
     gateway = index[topology.gateway]
 
-    boot_ss, delay_ss, *node_ss = np.random.SeedSequence(seed).spawn(2 + len(ids))
+    boot_ss, delay_ss, *node_ss = np.random.SeedSequence(config["seed"]).spawn(2 + len(ids))
     normals = delay_model.normals(np.random.Generator(np.random.PCG64(delay_ss)))
     boot_gen = np.random.Generator(np.random.PCG64(boot_ss))
-    boot_times = boot_gen.uniform(0.0, boot_window_s, len(ids)).tolist()
+    boot_times = boot_gen.uniform(0.0, config["boot_window_s"], len(ids)).tolist()
 
-    ticks_span = beacon_period * first.nominal_hz
-    rate = 1.0 / first.nominal_hz if initial_rate is None else float(initial_rate)
+    ticks_span = beacon_period * nominal_hz
+    rate = 1.0 / nominal_hz if config["initial_rate"] is None else float(config["initial_rate"])
     cold = _BootTickClock if osc_params.quantize_ticks else LogicalClock
     hws: list[HardwareClock | _TrueTime] = []
     boot_clocks: list[LogicalClock] = []
@@ -520,13 +520,25 @@ class _Clocks:
                              for lc, x in zip(self.lcs, ticks)]
 
 
-def check_schedule(topology: Topology, duration_s: float, sample_interval_s: float,
-                   beacon_period_s: float, boot_window_s: float,
-                   resample_interval_s: float) -> None:
-    """ValueError unless duration and sample interval are finite and
-    positive, every node boots before the run ends, and the run schedules
-    at most MAX_PERIODS_PER_RUN sample frames, beacon rounds per node and
-    drift segments over all its nodes but the gateway, which reads true time."""
+def run_config(
+    topology: Topology, params: ProtocolParams, *, osc_params: OscillatorParams,
+    delay_model: DelayModel = DelayModel(), duration_s: float = 12240.0,
+    sample_interval_s: float = 10.0, boot_window_s: float = 300.0, seed: int = 0,
+    initial_rate: float | None = None, initial_ticks: float | None = None,
+) -> dict:
+    """The config of one run of params, its trace's `# config` header. Its
+    keyword settings and their defaults, declared here alone, are those of
+    record_schedule and run_simulation; TypeError for one it does not take
+    or a missing osc_params.
+
+    ValueError unless duration and sample interval are finite and positive,
+    every node boots before the run ends, the run schedules at most
+    MAX_PERIODS_PER_RUN sample frames, beacon rounds per node and drift
+    segments over all its nodes but the gateway, which reads true time,
+    the initial rate and ticks are finite or None, and osc_params has the
+    protocol's nominal frequency: the config records that one alone, and
+    determines the run's rows.
+    """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     if not 0 < sample_interval_s < math.inf:
@@ -537,63 +549,71 @@ def check_schedule(topology: Topology, duration_s: float, sample_interval_s: flo
         raise ValueError("boot_window_s must satisfy 0 <= window < duration")
     drifting = len(topology.node_ids) - 1
     for name, period, nodes in (("sample_interval_s", sample_interval_s, 1),
-                                ("beacon_period_s", beacon_period_s, 1),
-                                ("drift_resample_interval_s", resample_interval_s, drifting)):
+                                ("beacon_period_s", params.beacon_period_s, 1),
+                                ("drift_resample_interval_s", osc_params.resample_interval_s,
+                                 drifting)):
         if nodes * duration_s / period > MAX_PERIODS_PER_RUN:
             per = "" if nodes == 1 else f" x {nodes} nodes"
             raise ValueError(
                 f"duration_s / {name}{per} = {nodes * duration_s / period:.6g} exceeds "
                 f"the limit of {MAX_PERIODS_PER_RUN} per run"
             )
-
-
-def record_schedule(
-    topology: Topology,
-    params_seq: Sequence[ProtocolParams],
-    *,
-    osc_params: OscillatorParams,
-    delay_model: DelayModel = DelayModel(),
-    duration_s: float = 12240.0,
-    sample_interval_s: float = 10.0,
-    boot_window_s: float = 300.0,
-    seed: int = 0,
-    initial_rate: float | None = None,
-    initial_ticks: float | None = None,
-) -> Schedule:
-    """Run the event pass of these settings once, with the arithmetic of
-    each params in params_seq in lock step, for run_simulation(...,
-    schedule=) to build their traces from. run_simulation takes the same
-    keyword settings and defaults, declared here alone.
-
-    The entries must differ and share the beacon period, gather wait and
-    nominal frequency, which shape the pass, and osc_params must have that
-    nominal frequency, so a trace's config determines its rows; else
-    ValueError. An entry whose arithmetic fails keeps the error in its
-    _Clocks, however many entries there are, and its run_simulation call
-    raises it; the other entries finish.
-    """
-    if not params_seq:
-        raise ValueError("params_seq is empty")
-    first = params_seq[0]
-    check_schedule(topology, duration_s, sample_interval_s, first.beacon_period_s,
-                   boot_window_s, osc_params.resample_interval_s)
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if osc_params.nominal_hz != params.nominal_hz:
+        raise ValueError(f"osc_params.nominal_hz = {osc_params.nominal_hz} differs from the "
+                         f"protocols' nominal_hz = {params.nominal_hz}")
+    return {
+        "protocol": params.kind.value,
+        "step_size": params.step_size,
+        "beacon_period_s": params.beacon_period_s,
+        "nominal_hz": params.nominal_hz,
+        "max_error_s": params.max_error_s,
+        "gather_wait_s": params.gather_wait_s,
+        "max_drift_hz": osc_params.max_drift_hz,
+        "drift_resample_interval_s": osc_params.resample_interval_s,
+        "quantize_ticks": osc_params.quantize_ticks,
+        "delay_std_s": delay_model.std_s,
+        "delay_floor_s": delay_model.floor_s,
+        "topology": topology.to_config(),
+        "duration_s": duration_s,
+        "sample_interval_s": sample_interval_s,
+        "boot_window_s": boot_window_s,
+        "seed": seed,
+        "initial_rate": initial_rate,
+        "initial_ticks": initial_ticks,
+    }
+
+
+def _differing_pass_keys(config: dict, other: dict) -> list[str]:
+    """The keys outside PROTOCOL_KEYS where two run configs differ."""
+    return [key for key, value in config.items()
+            if key not in PROTOCOL_KEYS and other[key] != value]
+
+
+def record_schedule(topology: Topology, params_seq: Sequence[ProtocolParams],
+                    **settings) -> Schedule:
+    """Run the event pass of these settings, run_config's, once, with the
+    arithmetic of each params in params_seq in lock step, for
+    run_simulation(..., schedule=) to build their traces from.
+
+    The entries must differ, and their configs, which run_config checks,
+    may differ only in PROTOCOL_KEYS; else ValueError. An entry whose
+    arithmetic fails keeps the error in its _Clocks, however many entries
+    there are, and its run_simulation call raises it; the other entries
+    finish.
+    """
+    if not params_seq:
+        raise ValueError("params_seq is empty")
+    configs = [run_config(topology, params, **settings) for params in params_seq]
     for k, params in enumerate(params_seq):
         if params in params_seq[:k]:
             raise ValueError(f"params_seq holds {params} twice")
-        if any(getattr(params, name) != getattr(first, name) for name in PASS_FIELDS):
-            raise ValueError(f"{params} needs another event pass than {first}")
-    if osc_params.nominal_hz != first.nominal_hz:
-        raise ValueError(f"osc_params.nominal_hz = {osc_params.nominal_hz} differs from the "
-                         f"protocols' nominal_hz = {first.nominal_hz}")
-    kwargs = {"topology": topology, "osc_params": osc_params, "delay_model": delay_model,
-              "duration_s": duration_s, "sample_interval_s": sample_interval_s,
-              "boot_window_s": boot_window_s, "seed": seed, "initial_rate": initial_rate,
-              "initial_ticks": initial_ticks}
-    sample_times, boot_times, pass_rounds, clocks = _event_pass(params_seq=params_seq, **kwargs)
-    schedule = Schedule(kwargs, sample_times, tuple(boot_times), pass_rounds,
+        if _differing_pass_keys(configs[k], configs[0]):
+            raise ValueError(f"{params} needs another event pass than {params_seq[0]}")
+    sample_times, boot_times, pass_rounds, clocks = _event_pass(topology, params_seq, configs[0])
+    schedule = Schedule(configs[0], sample_times, tuple(boot_times), pass_rounds,
                         dict(zip(params_seq, clocks)))
     booted = np.array(sample_times).reshape(-1, 1) >= np.array(boot_times)
     for c in clocks:
@@ -612,57 +632,27 @@ def run_simulation(topology: Topology, params: ProtocolParams, *,
                    schedule: Schedule | None = None, **settings) -> SimulationTrace:
     """Simulate one protocol run over the given topology.
 
-    settings are record_schedule's keyword arguments, with its defaults;
-    TypeError for one it does not take or a missing osc_params. The trace
-    is a pure function of the arguments: rerunning with the same values
+    settings are run_config's keyword arguments, with its defaults. The
+    trace is a pure function of its config: rerunning with the same values
     reproduces it exactly. Every reading of a booted node is finite:
     settings that drive a clock out of float range (a huge step size under
     a wide guard, say) raise ValueError instead of returning inf or NaN.
 
     With a schedule from record_schedule, the trace comes from the
-    arithmetic its pass ran for params, in the same bytes; ValueError if
-    record_schedule was given other settings or its params another beacon
-    period, gather wait or nominal frequency, or if the pass did not run
-    params.
+    arithmetic its pass ran for params, in the same bytes; ValueError if the
+    schedule's config differs from this run's outside PROTOCOL_KEYS (the
+    message names those keys), or if the pass did not run params.
     """
+    config = run_config(topology, params, **settings)
     if schedule is None:
         schedule = record_schedule(topology, (params,), **settings)
-    else:
-        bound = inspect.signature(record_schedule).bind(topology, (params,), **settings)
-        bound.apply_defaults()
-        ran = next(iter(schedule.clocks))
-        differ = [name for name, value in schedule.kwargs.items()
-                  if bound.arguments[name] != value]
-        differ += [name for name in PASS_FIELDS if getattr(ran, name) != getattr(params, name)]
-        if differ:
-            raise ValueError(f"the schedule was recorded with other {', '.join(differ)}")
-        if params not in schedule.clocks:
-            raise ValueError(f"the schedule's pass did not run {params}")
+    if differ := _differing_pass_keys(config, schedule.config):
+        raise ValueError(f"the schedule was recorded with other {', '.join(differ)}")
+    if params not in schedule.clocks:
+        raise ValueError(f"the schedule's pass did not run {params}")
     clocks = schedule.clocks[params]
     if clocks.error is not None:  # raised afresh by each call, without earlier frames
         raise clocks.error.with_traceback(None)
-    kw = schedule.kwargs
-    osc_params, delay_model = kw["osc_params"], kw["delay_model"]
-    config = {
-        "protocol": params.kind.value,
-        "step_size": params.step_size,
-        "beacon_period_s": params.beacon_period_s,
-        "nominal_hz": params.nominal_hz,
-        "max_error_s": params.max_error_s,
-        "gather_wait_s": params.gather_wait_s,
-        "max_drift_hz": osc_params.max_drift_hz,
-        "drift_resample_interval_s": osc_params.resample_interval_s,
-        "quantize_ticks": osc_params.quantize_ticks,
-        "delay_std_s": delay_model.std_s,
-        "delay_floor_s": delay_model.floor_s,
-        "topology": topology.to_config(),
-        "duration_s": kw["duration_s"],
-        "sample_interval_s": kw["sample_interval_s"],
-        "boot_window_s": kw["boot_window_s"],
-        "seed": kw["seed"],
-        "initial_rate": kw["initial_rate"],
-        "initial_ticks": kw["initial_ticks"],
-    }
     return SimulationTrace(sample_times_s=schedule.sample_times, logical_s=clocks.logical_s,
                            pass_rounds=schedule.pass_rounds, round_outcomes=clocks.outcomes,
                            topology=topology,

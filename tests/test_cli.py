@@ -473,11 +473,10 @@ def test_too_many_drift_segments_are_refused_before_the_run(tmp_path: Path):
     assert line.startswith("error: duration_s / drift_resample_interval_s = 1e+08 exceeds")
 
 
-@pytest.mark.parametrize("command", ["run", "validate-analysis"])
-def test_an_oversized_seed_range_is_refused_before_it_is_built(tmp_path: Path, command):
-    # a list of 10^9 seeds would take about 40 GB, so the child caps its own
-    # address space at 1 GiB and its time at 20 s: a range built before it
-    # is counted fails fast with MemoryError, never exhausting the machine
+def _capped_main(*args: str) -> subprocess.CompletedProcess:
+    """cli.main(args) in a child that caps its own address space at 1 GiB
+    and its time at 20 s: a plan built before it is counted fails fast with
+    MemoryError, never exhausting the machine."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -488,14 +487,42 @@ def test_an_oversized_seed_range_is_refused_before_it_is_built(tmp_path: Path, c
         "import wsnsync.cli\n"
         "sys.exit(wsnsync.cli.main(sys.argv[1:]))\n"
     )
-    out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-c", probe, command, "--seed", "0..999999999",
-                           "--out-dir", str(out)],
+    return subprocess.run([sys.executable, "-c", probe, *args],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["run", "validate-analysis"])
+def test_an_oversized_seed_range_is_refused_before_it_is_built(tmp_path: Path, command):
+    # a list of 10^9 seeds would take about 40 GB
+    out = tmp_path / "out"
+    proc = _capped_main(command, "--seed", "0..999999999", "--out-dir", str(out))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ("error: --seed '0..999999999': 1000000000 seeds exceed the "
                            f"limit of {cli.MAX_SEEDS}\n")
     assert not out.exists()
+
+
+def test_a_sweeps_seeds_are_counted_over_its_values_before_any_is_planned(tmp_path: Path,
+                                                                          monkeypatch, capsys):
+    # each value's 10^5 seeds are within the limit, but 300 values plan
+    # 3 * 10^7 runs, which once took more than 1 GiB before any of them ran
+    out = tmp_path / "out"
+    values = ",".join(map(str, range(1, 301)))
+    proc = _capped_main("sweep", "--param", "mu", "--values", values, "--seed", "0..99999",
+                        "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: --seed '0..99999' x 300 values: 30000000 seeds exceed "
+                           f"the limit of {cli.MAX_SEEDS}\n")
+    assert not out.exists()
+    # the limit counts every value's seeds, and is reached exactly
+    monkeypatch.setattr(cli, "MAX_SEEDS", 4)
+    args = [*_FAST_SWEEP, "--values", "0.5,1.0"]
+    assert cli.main([*args, "--seed", "1..2", "--out-dir", str(tmp_path / "four")]) == 0
+    capsys.readouterr()
+    assert cli.main([*args, "--seed", "1..3", "--out-dir", str(tmp_path / "six")]) == 2
+    assert capsys.readouterr().err == ("error: --seed '1..3' x 2 values: 6 seeds exceed "
+                                       "the limit of 4\n")
+    assert not (tmp_path / "six").exists()
 
 
 def test_run_loads_neither_the_oracle_nor_a_pool(tmp_path: Path):
@@ -621,9 +648,9 @@ def test_each_seed_makes_one_event_pass(tmp_path: Path, monkeypatch, protocols):
 
     real = simulation._event_pass
 
-    def counted(topology, params_seq, **settings):
-        passes.append(settings["seed"])
-        return real(topology, params_seq, **settings)
+    def counted(topology, params_seq, config):
+        passes.append(config["seed"])
+        return real(topology, params_seq, config)
 
     monkeypatch.setattr(simulation, "_event_pass", counted)
     assert cli.main(_run_args(tmp_path, "--protocol", protocols, "--seed", "1..3")) == 0
@@ -1372,10 +1399,10 @@ _ROUND_PINS = {
 
 @pytest.mark.parametrize("name", sorted(_ROUND_RUNS))
 def test_round_columns_match_pinned_bytes(name):
-    groups, _ = cli._plan(cli._resolve(cli.build_parser().parse_args(
-        ["run", *_ROUND_RUNS[name]])))
+    (sim_kwargs, params_seq, *_), resolved = cli._plan(cli._resolve(
+        cli.build_parser().parse_args(["run", *_ROUND_RUNS[name]])))
     seen = {}
-    for sim_kwargs, params_seq, seed, *_ in groups:
+    for seed in resolved["seeds"]:
         schedule = simulation.record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
         for params in params_seq:
             cols = simulation.run_simulation(params=params, seed=seed, schedule=schedule,

@@ -245,6 +245,13 @@ def test_oscillator_and_protocols_share_one_nominal_frequency():
         record_schedule(params_seq=[_newton_params(f=1e6)], **run)
     with pytest.raises(ValueError, match=message):
         run_simulation(params=_newton_params(f=1e6), **run)
+    # a replay is refused the same way, before its config is compared
+    run["osc_params"] = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0)
+    schedule = record_schedule(params_seq=[_newton_params(f=1e6)], **run)
+    message = re.escape("osc_params.nominal_hz = 1000000.0 differs from the protocols' "
+                        "nominal_hz = 2000000.0")
+    with pytest.raises(ValueError, match=message):
+        run_simulation(params=_newton_params(f=2e6), schedule=schedule, **run)
 
 
 def test_run_simulation_rejects_runaway_schedules(monkeypatch):
@@ -743,13 +750,14 @@ _REFUSAL_RUN = {"topology": build_line_topology(4),
     ({"params": _newton_params(gather_wait_s=0.5)}, "gather_wait_s"),
     ({"topology": build_line_topology(5)}, "topology"),
     ({"topology": _STAR}, "topology"),
-    ({"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=20.0)}, "osc_params"),
-    ({"delay_model": DelayModel(std_s=2e-5)}, "delay_model"),
+    ({"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=20.0)}, "max_drift_hz"),
+    ({"delay_model": DelayModel(std_s=2e-5)}, "delay_std_s"),
     ({"duration_s": 330.0}, "duration_s"),
     ({"sample_interval_s": 5.0}, "sample_interval_s"),
     ({"boot_window_s": 30.0}, "boot_window_s"),
     ({"initial_ticks": 0.0}, "initial_ticks"),
-    ({"params": _newton_params(f=2e6)}, "nominal_hz"),
+    ({"params": _newton_params(f=2e6),
+      "osc_params": OscillatorParams(nominal_hz=2e6, max_drift_hz=25.0)}, "nominal_hz"),
 ])
 def test_replay_refuses_a_schedule_of_other_settings(change, setting):
     run = {**_REFUSAL_RUN, "params": _newton_params()}
@@ -765,8 +773,129 @@ def test_replay_refuses_a_schedule_of_other_settings(change, setting):
         run_simulation(**{**run, "params": other}, schedule=schedule)
 
 
+# Two values of each config key, for pairs of runs that differ in chosen
+# keys: the pass keys first, then simulation.PROTOCOL_KEYS. A step size is
+# a multiple of its protocol's default.
+_PASS_CHOICES = {
+    "topology": (build_line_topology(3), _STAR),
+    "beacon_period_s": (30.0, 20.0),
+    "nominal_hz": (1e6, 2e6),
+    "gather_wait_s": (1.0, 0.0),
+    "max_drift_hz": (25.0, 0.0),
+    "drift_resample_interval_s": (3600.0, 30.0),
+    "quantize_ticks": (False, True),
+    "delay_std_s": (1e-3, 0.0),
+    "delay_floor_s": (0.0, 2e-3),
+    "duration_s": (200.0, 150.0),
+    "sample_interval_s": (10.0, 15.0),
+    "boot_window_s": (30.0, 0.0),
+    "seed": (1, 2),
+    "initial_rate": (None, 1.01e-6),
+    "initial_ticks": (None, 5e5),
+}
+_CHOICES = {**_PASS_CHOICES, "protocol": ("newton", "grades"), "step_size": (1.0, 0.5),
+            "max_error_s": (6e-3, 1.0)}
+
+
+def _chosen_run(choice: dict) -> tuple[ProtocolParams, dict]:
+    """The params and settings of a run whose config holds ``choice``."""
+    kind, b, f = Protocol(choice["protocol"]), choice["beacon_period_s"], choice["nominal_hz"]
+    params = ProtocolParams(kind, default_step_size(kind, b, f) * choice["step_size"], b, f,
+                            choice["max_error_s"], choice["gather_wait_s"])
+    osc = OscillatorParams(f, choice["max_drift_hz"], choice["drift_resample_interval_s"],
+                           choice["quantize_ticks"])
+    return params, {
+        "topology": choice["topology"], "osc_params": osc,
+        "delay_model": DelayModel(choice["delay_std_s"], choice["delay_floor_s"]),
+        **{key: choice[key] for key in ("duration_s", "sample_interval_s", "boot_window_s",
+                                        "seed", "initial_rate", "initial_ticks")},
+    }
+
+
+@st.composite
+def _run_pairs(draw):
+    # a recorded run, and a replayed one that differs in some of its pass
+    # keys, some of its protocol keys, both or neither; the pass may also
+    # run the replayed run's protocol keys beside its own
+    recorded = {key: draw(st.sampled_from(values)) for key, values in _CHOICES.items()}
+    pass_flips = draw(st.sets(st.sampled_from(sorted(_PASS_CHOICES)), max_size=2))
+    protocol_flips = draw(st.sets(st.sampled_from(simulation.PROTOCOL_KEYS)))
+    replayed = dict(recorded)
+    for key in pass_flips | protocol_flips:
+        first, second = _CHOICES[key]
+        replayed[key] = second if recorded[key] == first else first
+    return recorded, replayed, pass_flips, protocol_flips, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run_pairs())
+def test_replay_is_refused_exactly_when_its_config_needs_another_pass(pair):
+    recorded, replayed, pass_flips, protocol_flips, sibling = pair
+    params, settings_ = _chosen_run(recorded)
+    other, replay = _chosen_run(replayed)
+    params_seq = [params]
+    if sibling and protocol_flips:  # replayed's protocol keys on recorded's pass
+        params_seq.append(_chosen_run({**recorded, **{k: replayed[k] for k in
+                                                     simulation.PROTOCOL_KEYS}})[0])
+    schedule = record_schedule(params_seq=params_seq, **settings_)
+    if pass_flips:  # every differing pass key is named, and only those
+        with pytest.raises(ValueError, match="^the schedule was recorded with other ") as exc:
+            run_simulation(params=other, schedule=schedule, **replay)
+        named = str(exc.value).removeprefix("the schedule was recorded with other ")
+        assert set(named.split(", ")) == pass_flips
+    elif other not in params_seq:
+        with pytest.raises(ValueError, match=re.escape(
+                f"the schedule's pass did not run {other}")):
+            run_simulation(params=other, schedule=schedule, **replay)
+    else:
+        shared = run_simulation(params=other, schedule=schedule, **replay)
+        live = run_simulation(params=other, **replay)
+        written = []
+        for trace in (shared, live):
+            out = io.StringIO()
+            trace.write_csv(out)
+            written.append(out.getvalue())
+        assert written[0] == written[1]
+        assert shared.round_columns.tobytes() == live.round_columns.tobytes()
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+@pytest.mark.parametrize("kind", list(Protocol))
+def test_a_traces_header_determines_its_rows(kind, quantize):
+    # every header key rebuilds the run, and the rerun writes the same bytes
+    params = ProtocolParams(kind, default_step_size(kind, 30.0, 1e6) * 0.5, max_error_s=1e-2,
+                            gather_wait_s=0.5)
+    run = {"osc_params": OscillatorParams(1e6, 25.0, 300.0, quantize),
+           "delay_model": DelayModel(1e-3, floor_s=2e-4), "duration_s": 900.0,
+           "sample_interval_s": 7.0, "boot_window_s": 90.0, "seed": 5,
+           "initial_rate": 0.999e-6, "initial_ticks": 123456.5}
+    topology, written = _STAR, []
+    for _ in range(2):
+        out = io.StringIO()
+        run_simulation(topology, params, **run).write_csv(out)
+        written.append(out.getvalue())
+        header = written[-1].partition("\n")[0]
+        assert header.startswith("# config = ")
+        config = json.loads(header.removeprefix("# config = "))
+        f = config.pop("nominal_hz")
+        params = ProtocolParams(Protocol(config.pop("protocol")), config.pop("step_size"),
+                                config.pop("beacon_period_s"), f, config.pop("max_error_s"),
+                                config.pop("gather_wait_s"))
+        topology = Topology.from_config(config.pop("topology"))
+        run = {"osc_params": OscillatorParams(f, config.pop("max_drift_hz"),
+                                              config.pop("drift_resample_interval_s"),
+                                              config.pop("quantize_ticks")),
+               "delay_model": DelayModel(config.pop("delay_std_s"), config.pop("delay_floor_s")),
+               **{key: config.pop(key) for key in ("duration_s", "sample_interval_s",
+                                                   "boot_window_s", "seed", "initial_rate",
+                                                   "initial_ticks")}}
+        assert config == {}  # the rerun reads every key
+    assert written[0] == written[1]
+    assert written[0].count("\n") > 100
+
+
 def test_replay_fills_record_schedules_defaults():
-    # a setting left out is compared at record_schedule's default
+    # a setting left out is compared at run_config's default
     schedule = record_schedule(params_seq=[_newton_params()],
                                **{**_REFUSAL_RUN, "duration_s": 330.0})
     run = {**_REFUSAL_RUN, "params": _newton_params()}
