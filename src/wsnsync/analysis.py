@@ -51,7 +51,9 @@ disagreement.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,22 +98,8 @@ class MomentParams:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
     @classmethod
-    def from_delay_std(
-        cls,
-        delay_std_s: float,
-        *,
-        beacon_period_s: float = 30.0,
-        nominal_hz: float = 1e6,
-        max_drift_hz: float = 100.0,
-        step_size: float = 1.0,
-    ) -> "MomentParams":
-        return cls(
-            beacon_period_s=beacon_period_s,
-            nominal_hz=nominal_hz,
-            max_drift_hz=max_drift_hz,
-            step_size=step_size,
-            delay_diff_var=2.0 * delay_std_s**2,
-        )
+    def from_delay_std(cls, delay_std_s: float, **settings) -> "MomentParams":
+        return cls(delay_diff_var=2.0 * delay_std_s**2, **settings)
 
     @property
     def delay_std_s(self) -> float:
@@ -407,5 +395,75 @@ def final_step_sigma(
 ) -> float:
     """|oracle mean - predicted mean| / stderr at the final round, the
     larger of the two state components. A single two-component comparison,
-    so a 4-sigma gate has a negligible false-alarm rate."""
+    so a 4-sigma gate (MEAN_GATE_SIGMA) has a negligible false-alarm rate."""
     return float(_mean_sigma_series(trace, p, state0)[-1])
+
+
+MEAN_GATE_SIGMA = 4.0
+
+
+def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps: int,
+                  tail: int, initial_rate: float) -> list[dict]:
+    """Check each model against its own oracle, started at E[e] = 0 and
+    rate ``initial_rate`` with seed ``seed + 7919 * its index``; one row
+    per model, in order: mu, final_sigma, worst_sigma, predicted_var,
+    empirical_var (E[e^2] over the last ``tail`` rounds), rel_err (None
+    where not computed), note, variants (variant_moment_predictions) and
+    failed (final_sigma above MEAN_GATE_SIGMA). Only mean-convergent models
+    run an oracle. ValueError before any kernel for a size that
+    check_oracle_size refuses or a ``tail`` outside [1, n_steps), and at a
+    model whose oracle variance is 0."""
+    check_oracle_size(n_runs, n_steps)
+    if not 1 <= tail < n_steps:
+        raise ValueError(f"tail = {tail} must be at least 1 and below n_steps = {n_steps}")
+    state0 = (0.0, initial_rate)
+    convergent = [k for k, p in enumerate(models) if is_mean_convergent(p)]
+    runs = set(convergent)
+
+    def kernel(k: int) -> OracleTrace:
+        return pairwise_oracle(models[k], seed=seed + 7919 * k, n_steps=n_steps,
+                               n_runs=n_runs, initial_rate=initial_rate)
+
+    # A kernel spends most of its time in numpy calls that release the GIL,
+    # so the kernels run concurrently on threads.
+    rows = []
+    with contextlib.ExitStack() as stack:
+        traces = map(kernel, [])
+        if convergent:
+            import concurrent.futures
+
+            pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=min(len(convergent), os.cpu_count() or 1))
+            # on a row that raises too: queued kernels are dropped
+            stack.callback(pool.shutdown, cancel_futures=True)
+            traces = pool.map(kernel, convergent)
+        for k, p in enumerate(models):
+            row = {"mu": p.step_size, "final_sigma": None, "worst_sigma": None,
+                   "predicted_var": None, "empirical_var": None, "rel_err": None,
+                   "note": "", "variants": {}, "failed": False}
+            rows.append(row)
+            if k not in runs:
+                row["note"] = ("marginal by design (|1 - mu| = 1)"
+                               if abs(1.0 - p.step_size) == 1.0 else "divergent by design")
+                continue
+            trace = next(traces)
+            final = final_step_sigma(trace, p, state0)
+            row.update(final_sigma=final, worst_sigma=mean_agreement_max_sigma(trace, p, state0),
+                       failed=final > MEAN_GATE_SIGMA)
+            notes = ["MEAN CHECK FAILED"] if row["failed"] else []
+            try:
+                predicted = asymptotic_error_variance(p)
+            except NonconvergentMomentError:
+                notes.append("moment nonconvergent")
+            else:
+                empirical = steady_state_stats(trace, tail)["mean_e2"]
+                if empirical == 0:  # rel_err and the variants divide by it
+                    raise ValueError(
+                        f"the oracle's error variance at mu {p.step_size} is 0: a drift "
+                        f"bound of {p.max_drift_hz} Hz and a delay std of {p.delay_std_s} s "
+                        "give noise below float resolution")
+                row.update(predicted_var=predicted, empirical_var=empirical,
+                           rel_err=abs(predicted - empirical) / empirical,
+                           variants=variant_moment_predictions(p))
+            row["note"] = "; ".join(notes)
+    return rows

@@ -4,8 +4,8 @@ Subcommands:
   run                simulate one or more (protocol, seed) pairs and write
                      per-run trace CSVs plus a summary CSV
   sweep              repeat `run` over a grid of one parameter and aggregate
-  validate-analysis  check the closed-form predictions against the Monte
-                     Carlo oracle and write analysis.csv
+  validate-analysis  run analysis.validate_grid (the closed forms against the
+                     Monte Carlo oracle), print its rows, write analysis.csv
 
 Every setting is one row of SETTINGS: its flag, config key, type, default,
 range and help. Precedence: command line flag, then JSON config file
@@ -302,8 +302,7 @@ def _make_dir(path: Path) -> Path:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    return _make_dir(Path(getattr(args, "out_dir", None)
-                          or os.environ.get("WSNSYNC_OUT_DIR") or "out"))
+    return Path(getattr(args, "out_dir", None) or os.environ.get("WSNSYNC_OUT_DIR") or "out")
 
 
 def _plan(cfg: dict) -> tuple[tuple, dict]:
@@ -464,8 +463,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_analysis(args: argparse.Namespace) -> int:
-    import concurrent.futures
-
     from . import analysis
 
     cfg = _resolve(args)
@@ -475,105 +472,49 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     grid = list(_parse_list("--mu-grid", "--mu-grid entry", cfg["mu_grid"], float))
     if not all(map(math.isfinite, grid)):
         raise ConfigError(f"--mu-grid {cfg['mu_grid']!r}: entries must be finite")
-    rate_offset = cfg["initial_rate_offset"]
-    n_runs, n_steps, tail = cfg["oracle_runs"], cfg["oracle_steps"], cfg["tail"]
-    if tail >= n_steps:
-        raise ConfigError("--tail must be smaller than --oracle-steps")
     # the mean check divides by the oracle's standard error, the variance
     # check by its empirical variance; both are 0 without two noisy runs
-    if n_runs < 2:
+    if cfg["oracle_runs"] < 2:
         raise ConfigError("--oracle-runs must be at least 2: one run has no standard error")
-    analysis.check_oracle_size(n_runs, n_steps)  # before any output or kernel
     if fmax == 0 and sigma_b == 0:
         raise ConfigError("--max-drift-hz and --delay-std are both 0: "
                           "a noiseless oracle has no standard error")
     seeds = _parse_seeds(cfg["seed"])
     if len(seeds) != 1:
         raise ConfigError(f"validate-analysis takes one seed, got {cfg['seed']!r}")
-    base_seed = seeds[0]
-    models = [analysis.MomentParams.from_delay_std(
-        sigma_b, beacon_period_s=b, nominal_hz=f, max_drift_hz=fmax, step_size=mu,
-    ) for mu in grid]
-    state0 = (0.0, (1.0 + rate_offset) / f)
-    out = _out_dir(args)
+    rows = analysis.validate_grid(
+        [analysis.MomentParams.from_delay_std(sigma_b, beacon_period_s=b, nominal_hz=f,
+                                              max_drift_hz=fmax, step_size=mu) for mu in grid],
+        seed=seeds[0], n_runs=cfg["oracle_runs"], n_steps=cfg["oracle_steps"],
+        tail=cfg["tail"], initial_rate=(1.0 + cfg["initial_rate_offset"]) / f,
+    )
+    out = _make_dir(_out_dir(args))
 
-    # Each convergent step size's oracle has its own seed, and its kernel
-    # spends most of its time in numpy calls that release the GIL, so the
-    # kernels run concurrently on threads. The rows are checked, printed
-    # and written here, in grid order.
-    convergent = [idx for idx, p in enumerate(models) if analysis.is_mean_convergent(p)]
     print(f"{'mu':>6}{'final sigma':>13}{'max sigma':>11}{'predicted_var':>16}"
           f"{'empirical_var':>16}{'rel_err':>10}  note")
-    rows = []
-    failed = False
-    with contextlib.ExitStack() as stack:
-        traces = {}
-        if convergent:
-            pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=min(len(convergent), os.cpu_count() or 1))
-            # on a row that raises too: queued kernels are dropped
-            stack.callback(pool.shutdown, cancel_futures=True)
-            traces = {idx: pool.submit(
-                analysis.pairwise_oracle, models[idx], seed=base_seed + 7919 * idx,
-                n_steps=n_steps, n_runs=n_runs, initial_rate=state0[1],
-            ) for idx in convergent}
-        for idx, p in enumerate(models):
-            row = {"mu": p.step_size, "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
-                   "predicted_var": None, "empirical_var": None, "rel_err": None}
-            rows.append(row)
-            final = worst = None
-            variants = {}
-            if idx not in traces:
-                note = ("marginal by design (|1 - mu| = 1)" if abs(1.0 - p.step_size) == 1.0
-                        else "divergent by design")
+    for r in rows:
+        print(f"{r['mu']:>6}{_cell(r['final_sigma'], '.2f'):>13}"
+              f"{_cell(r['worst_sigma'], '.2f'):>11}{_cell(r['predicted_var'], '.4e'):>16}"
+              f"{_cell(r['empirical_var'], '.4e'):>16}{_cell(r['rel_err'], '.2%'):>10}"
+              f"  {r['note']}")
+        for name, pred in r["variants"].items():
+            v = pred["var_e"]
+            if v != v:  # NaN: no finite fixed point
+                print(f"       variant {name}: no finite prediction")
             else:
-                trace = traces[idx].result()
-                # Pass/fail gates on the final-round ensemble means (one
-                # two-component comparison, so 4 sigma is a clean threshold);
-                # the max over every round is reported for context but would
-                # false-alarm a few percent of the time at the same threshold.
-                final = analysis.final_step_sigma(trace, p, state0)
-                worst = analysis.mean_agreement_max_sigma(trace, p, state0)
-                note = ""
-                if final > 4.0:
-                    note, failed = "MEAN CHECK FAILED", True
-                try:
-                    predicted = analysis.asymptotic_error_variance(p)
-                except analysis.NonconvergentMomentError:
-                    note = (note + "; " if note else "") + "moment nonconvergent"
-                else:
-                    empirical = analysis.steady_state_stats(trace, tail)["mean_e2"]
-                    if empirical == 0:  # rel_err and the variants divide by it
-                        raise ConfigError(
-                            f"the oracle's error variance at mu {p.step_size} is 0: "
-                            "--max-drift-hz and --delay-std give noise below float "
-                            "resolution")
-                    row.update(predicted_var=predicted, empirical_var=empirical,
-                               rel_err=abs(predicted - empirical) / empirical)
-                    variants = analysis.variant_moment_predictions(p)
-            print(f"{p.step_size:>6}{_cell(final, '.2f'):>13}{_cell(worst, '.2f'):>11}"
-                  f"{_cell(row['predicted_var'], '.4e'):>16}"
-                  f"{_cell(row['empirical_var'], '.4e'):>16}{_cell(row['rel_err'], '.2%'):>10}"
-                  f"  {note}")
-            for name, pred in variants.items():
-                v = pred["var_e"]
-                if v != v:  # NaN: no finite fixed point
-                    print(f"       variant {name}: no finite prediction")
-                else:
-                    dis = abs(v - row["empirical_var"]) / row["empirical_var"]
-                    print(f"       variant {name}: var {v:.4e} disagrees with oracle "
-                          f"by {dis:.0%}")
+                dis = abs(v - r["empirical_var"]) / r["empirical_var"]
+                print(f"       variant {name}: var {v:.4e} disagrees with oracle by {dis:.0%}")
 
-    resolved = {
-        "B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b,
-        "mu_grid": grid, "oracle_runs": n_runs, "oracle_steps": n_steps,
-        "tail": tail, "seed": base_seed,
-        "initial_rate_offset": rate_offset,
-    }
-    _write_csv(out / "analysis.csv", resolved, ANALYSIS_COLUMNS, rows)
+    constants = {"B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b}
+    resolved = {**constants, "mu_grid": grid, "oracle_runs": cfg["oracle_runs"],
+                "oracle_steps": cfg["oracle_steps"], "tail": cfg["tail"], "seed": seeds[0],
+                "initial_rate_offset": cfg["initial_rate_offset"]}
+    _write_csv(out / "analysis.csv", resolved, ANALYSIS_COLUMNS,
+               [{**r, **constants} for r in rows])
     print(f"wrote analysis.csv to {out}")
-    if failed:
-        print("mean-recursion check FAILED (> 4 standard errors)", file=sys.stderr)
+    if any(r["failed"] for r in rows):
+        print(f"mean-recursion check FAILED (> {analysis.MEAN_GATE_SIGMA:g} standard errors)",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -596,7 +537,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for v, raw in values.items():
         swept = _parse(setting, f"line:{v}" if param == "nodes" else v)
         plans.append((f"{param.replace('-', '_')}_{raw}", *_plan({**cfg, setting.key: swept})))
-    out = _out_dir(args)
+    out = _make_dir(_out_dir(args))
     results = _run_jobs([(out / name, *plan) for name, *plan in plans], cfg["jobs"])
 
     agg_rows = []

@@ -7,6 +7,7 @@ last 100 rounds. The closed forms must stay in agreement with them.
 from __future__ import annotations
 
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wsnsync import analysis
 from wsnsync.analysis import (
     _CHUNK,
     MAX_ORACLE_RUN_STEPS,
     MAX_ORACLE_RUNS,
+    MEAN_GATE_SIGMA,
     MomentParams,
     NonconvergentMomentError,
     asymptotic_error_variance,
@@ -31,6 +34,7 @@ from wsnsync.analysis import (
     second_moment_coefficients,
     second_moment_fixed_point,
     steady_state_stats,
+    validate_grid,
     variant_moment_predictions,
 )
 
@@ -371,3 +375,83 @@ def test_trace_derived_quantities():
     np.testing.assert_allclose(
         tr.stderr_e, np.sqrt(tr.var_e / tr.n_runs)
     )
+
+
+# ---------------------------------------------------------------------------
+# validation of a step-size grid
+
+_SMALL = {"seed": 1, "n_runs": 2000, "n_steps": 80, "tail": 20, "initial_rate": 1.05e-6}
+
+
+def _grid(*mus: float) -> list[MomentParams]:
+    return [MomentParams.from_delay_std(1e-5, step_size=mu) for mu in mus]
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("an oracle kernel ran")
+
+
+def test_validate_grid_runs_no_oracle_outside_the_mean_interval(monkeypatch):
+    monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
+    rows = validate_grid(_grid(0.0, 2.0, 2.2), **_SMALL)
+    assert [r["mu"] for r in rows] == [0.0, 2.0, 2.2]
+    assert [r["note"] for r in rows] == ["marginal by design (|1 - mu| = 1)"] * 2 + [
+        "divergent by design"]
+    for r in rows:
+        assert not r["failed"] and r["variants"] == {}
+        assert {r[k] for k in ("final_sigma", "worst_sigma", "predicted_var",
+                               "empirical_var", "rel_err")} == {None}
+
+
+@pytest.mark.parametrize("size", [{"tail": _SMALL["n_steps"]}, {"tail": 0},
+                                  {"n_runs": MAX_ORACLE_RUNS + 1}],
+                         ids=["tail-n_steps", "tail-0", "runs"])
+def test_validate_grid_refuses_before_any_kernel(monkeypatch, size):
+    monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
+    with pytest.raises(ValueError):
+        validate_grid(_grid(2.2, 1.0), **{**_SMALL, **size})
+
+
+def test_validate_grid_fails_a_mean_above_the_gate(monkeypatch):
+    monkeypatch.setattr(analysis, "final_step_sigma", lambda *a, **k: 9.9)
+    [row] = validate_grid(_grid(1.0), **_SMALL)
+    assert row["failed"] and row["note"] == "MEAN CHECK FAILED"
+    assert row["final_sigma"] == 9.9 > MEAN_GATE_SIGMA
+
+
+def test_validate_grid_row_failure_cancels_queued_kernels(monkeypatch):
+    real_oracle = analysis.pairwise_oracle
+    started = []
+
+    def oracle(p, **kwargs):
+        started.append(p.step_size)
+        if p.step_size != 0.25:
+            time.sleep(0.2)  # the first row raises meanwhile
+        return real_oracle(p, **kwargs)
+
+    def failing_sigma(*args, **kwargs):
+        raise ValueError("row failed")
+
+    monkeypatch.setattr(analysis, "pairwise_oracle", oracle)
+    monkeypatch.setattr(analysis, "final_step_sigma", failing_sigma)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)
+    with pytest.raises(ValueError, match="row failed"):
+        validate_grid(_grid(0.25, 0.5, 1.0, 1.5), **_SMALL)
+    assert started in ([0.25], [0.25, 0.5])  # 1.0 and 1.5 never start
+
+
+def test_validate_grid_refuses_a_zero_oracle_variance():
+    # a 1e-300 Hz drift rounds away inside the oracle: its error variance is 0
+    models = [MomentParams(max_drift_hz=1e-300, delay_diff_var=0.0)]
+    with pytest.raises(ValueError, match="below float resolution"):
+        validate_grid(models, **{**_SMALL, "n_runs": 500, "n_steps": 40, "tail": 10})
+
+
+def test_validate_grid_rows_do_not_depend_on_the_workers(monkeypatch):
+    rows = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda cpus=cpus: cpus)
+        rows[cpus] = validate_grid(_grid(0.5, 1.0, 2.2, 1.5), **_SMALL)
+    assert rows[1] == rows[4]
+    assert [r["note"] for r in rows[1]] == ["", "", "divergent by design", ""]
+    assert rows[1][1]["rel_err"] < 0.1  # mu 1.0 on the default parameter set

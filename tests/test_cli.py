@@ -671,6 +671,15 @@ def test_failed_run_leaves_no_trace(tmp_path: Path, capsys, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_run_removes_the_out_dir_it_made(tmp_path: Path, capsys, jobs):
+    # the directory the run made goes again; the parent made with it stays
+    out = tmp_path / "parent" / "new"
+    assert cli.main([*_OVERFLOW, "--jobs", jobs, "--out-dir", str(out)]) == 2
+    assert "out of float range" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [out.parent]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failed_rerun_leaves_the_earlier_files(tmp_path: Path, capsys, jobs):
     assert cli.main(_run_args(tmp_path, "--protocol", "newton,grades")) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -1088,6 +1097,19 @@ def test_validate_analysis_oracle_failure_cancels_queued_kernels(
     assert capsys.readouterr().err == "error: oracle failed\n"
     assert started in ([0.25], [0.25, 0.5])  # 1.0 and 1.5 never start
     assert not (tmp_path / "out" / "analysis.csv").exists()
+
+
+def test_validate_analysis_oracle_failure_leaves_no_out_dir(tmp_path: Path, monkeypatch,
+                                                            capsys):
+    def failing_oracle(*args, **kwargs):
+        raise ValueError("oracle failed")
+
+    monkeypatch.setattr(analysis, "pairwise_oracle", failing_oracle)
+    out = tmp_path / "new"
+    assert cli.main(["validate-analysis", "--mu-grid", "0.5,2.2", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: oracle failed\n")  # no partial table
+    assert not out.exists()
 
 
 def test_validate_analysis_starts_no_pool_without_a_convergent_step_size(
