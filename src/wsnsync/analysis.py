@@ -157,17 +157,16 @@ def second_moment_fixed_point(p: MomentParams) -> float:
     return c / (1.0 - a)
 
 
+def _error_variance(p: MomentParams, z2: float, ew2: float, delay_term: float) -> float:
+    """Var[e] = E[z^2] * (B^2 + E[w^2]/f^2) + E[w^2]/f^2 + the delay term."""
+    f, b = p.nominal_hz, p.beacon_period_s
+    return z2 * (b * b + ew2 / (f * f)) + ew2 / (f * f) + delay_term
+
+
 def asymptotic_error_variance(p: MomentParams) -> float:
     """Steady-state Var[e]. Raises NonconvergentMomentError when |a| >= 1."""
-    z2 = second_moment_fixed_point(p)
-    f = p.nominal_hz
-    b = p.beacon_period_s
-    ew2 = p.drift_integral_var()
-    return (
-        z2 * (b * b + ew2 / (f * f))
-        + ew2 / (f * f)
-        + (1.0 + p.step_size) * p.delay_diff_var
-    )
+    return _error_variance(p, second_moment_fixed_point(p), p.drift_integral_var(),
+                           (1.0 + p.step_size) * p.delay_diff_var)
 
 
 def variant_moment_predictions(p: MomentParams) -> dict[str, dict[str, float]]:
@@ -194,10 +193,7 @@ def variant_moment_predictions(p: MomentParams) -> dict[str, dict[str, float]]:
             out[name] = {"z2": float("nan"), "var_e": float("nan")}
             continue
         z2_v = c_v / (1.0 - a_v)
-        var_v = (
-            z2_v * (b * b + ew2_ut / (f * f)) + ew2_ut / (f * f) + p.delay_diff_var
-        )
-        out[name] = {"z2": z2_v, "var_e": var_v}
+        out[name] = {"z2": z2_v, "var_e": _error_variance(p, z2_v, ew2_ut, p.delay_diff_var)}
     return out
 
 
@@ -408,11 +404,11 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
     rate ``initial_rate`` with seed ``seed + 7919 * its index``; one row
     per model, in order: mu, final_sigma, worst_sigma, predicted_var,
     empirical_var (E[e^2] over the last ``tail`` rounds), rel_err (None
-    where not computed), note, variants (variant_moment_predictions) and
-    failed (final_sigma above MEAN_GATE_SIGMA). Only mean-convergent models
-    run an oracle. ValueError before any kernel for a size that
-    check_oracle_size refuses or a ``tail`` outside [1, n_steps), and at a
-    model whose oracle variance is 0."""
+    where not computed), note, variants (variant_moment_predictions, each
+    with its rel_err) and failed (final_sigma above MEAN_GATE_SIGMA). Only
+    mean-convergent models run an oracle. ValueError before any kernel for
+    a size that check_oracle_size refuses or a ``tail`` outside
+    [1, n_steps), and at a model whose oracle variance is 0."""
     check_oracle_size(n_runs, n_steps)
     if not 1 <= tail < n_steps:
         raise ValueError(f"tail = {tail} must be at least 1 and below n_steps = {n_steps}")
@@ -462,8 +458,10 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
                         f"the oracle's error variance at mu {p.step_size} is 0: a drift "
                         f"bound of {p.max_drift_hz} Hz and a delay std of {p.delay_std_s} s "
                         "give noise below float resolution")
+                variants = variant_moment_predictions(p)
+                for pred in variants.values():
+                    pred["rel_err"] = abs(pred["var_e"] - empirical) / empirical
                 row.update(predicted_var=predicted, empirical_var=empirical,
-                           rel_err=abs(predicted - empirical) / empirical,
-                           variants=variant_moment_predictions(p))
+                           rel_err=abs(predicted - empirical) / empirical, variants=variants)
             row["note"] = "; ".join(notes)
     return rows

@@ -502,8 +502,8 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
             if v != v:  # NaN: no finite fixed point
                 print(f"       variant {name}: no finite prediction")
             else:
-                dis = abs(v - r["empirical_var"]) / r["empirical_var"]
-                print(f"       variant {name}: var {v:.4e} disagrees with oracle by {dis:.0%}")
+                print(f"       variant {name}: var {v:.4e} disagrees with oracle by "
+                      f"{pred['rel_err']:.0%}")
 
     constants = {"B": b, "f_hat": f, "f_max": fmax, "sigma_beta": sigma_b}
     resolved = {**constants, "mu_grid": grid, "oracle_runs": cfg["oracle_runs"],

@@ -14,10 +14,10 @@ newton form divides the gradient by its known curvature (B*f)^2 up to the
 measured error, so its stable range 0 < mu < 2 is hardware independent and
 mu = 1 removes the measured rate error in a single round.
 
-Published sufficient bounds on mu (step_size_bound) keep the per-round error
-contraction factor |1 - gain| below 1, where gain = effective_gain(). For
-grades the published bound equals half the actual stability edge under the
-absorbed-constant form used here.
+Each rule's published sufficient bound and its default are per-round gains
+(_BOUND_GAIN, _DEFAULT_GAIN), gain = effective_gain(): the bound keeps the
+error contraction factor |1 - gain| below 1. For grades it equals half the
+actual stability edge under the absorbed-constant form used here.
 """
 from __future__ import annotations
 
@@ -91,17 +91,8 @@ def rate_update(rate: float, error_s: float, p: ProtocolParams) -> float:
     return rate - p.step_size * error_s
 
 
-def step_size_bound(
-    kind: Protocol, beacon_period_s: float, nominal_hz: float
-) -> tuple[float, float]:
-    """Published open interval (0, upper) of step sizes with guaranteed
-    mean convergence."""
-    bf = beacon_period_s * nominal_hz
-    if kind is Protocol.NEWTON:
-        return (0.0, 2.0)
-    if kind is Protocol.GRADES:
-        return (0.0, 1.0 / (bf * bf))
-    return (0.0, 2.0 / bf)
+_BOUND_GAIN = {Protocol.NEWTON: 2.0, Protocol.GRADES: 1.0, Protocol.AVGPISYNC: 2.0}
+_DEFAULT_GAIN = {Protocol.NEWTON: 1.0, Protocol.GRADES: 0.15, Protocol.AVGPISYNC: 0.2}
 
 
 def effective_gain(
@@ -117,6 +108,14 @@ def effective_gain(
     return step_size * bf
 
 
+def step_size_bound(
+    kind: Protocol, beacon_period_s: float, nominal_hz: float
+) -> tuple[float, float]:
+    """Published open interval (0, upper) of step sizes with guaranteed
+    mean convergence."""
+    return (0.0, _BOUND_GAIN[kind] / effective_gain(kind, 1.0, beacon_period_s, nominal_hz))
+
+
 def default_step_size(
     kind: Protocol, beacon_period_s: float, nominal_hz: float
 ) -> float:
@@ -127,10 +126,4 @@ def default_step_size(
     per round), standing in for the cautious adaptive steppers the original
     protocols use; both sit inside their published bounds.
     """
-    bf = beacon_period_s * nominal_hz
-    if kind is Protocol.NEWTON:
-        return 1.0
-    if kind is Protocol.GRADES:
-        return 0.15 / (bf * bf)
-    return 0.2 / bf
-
+    return _DEFAULT_GAIN[kind] / effective_gain(kind, 1.0, beacon_period_s, nominal_hz)

@@ -60,6 +60,12 @@ DELAY_BLOCK = 4096
 # Most sample frames, and most beacon rounds per node, that one run may
 # schedule; the defaults need 1224 and 408.
 MAX_PERIODS_PER_RUN = 10**6
+# Most readings (frames x nodes) of one run: each protocol holds them as
+# float64, 80 MB at the limit; the defaults on line:16 need 19,584.
+MAX_READINGS_PER_RUN = 10**7
+# Most nodes of a topology: line:10^5 builds in 0.5 s at 91 MB peak RSS, and
+# the cost grows linearly (line:2x10^5: 0.9 s, 154 MB; 2 vCPU Xeon).
+MAX_NODES = 10**5
 # Event kinds, which are also the priorities of simultaneous events (lower
 # runs first): the branches of _event_pass's loop. An event's data is the
 # message of a delivery, the node of a deadline or beacon, or a sample's row.
@@ -152,14 +158,21 @@ class Topology:
     def from_config(cls, config: dict) -> Topology:
         """The topology ``config``, in ``to_config``'s format, describes; else ValueError."""
         try:
+            _check_node_count(len(config["nodes"]))
             nodes, edges = tuple(config["nodes"]), tuple(map(tuple, config["edges"]))
             return cls(nodes, edges, config["gateway"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a topology config: {exc!r}")
 
 
+def _check_node_count(n: int) -> None:
+    if n > MAX_NODES:
+        raise ValueError(f"{n} nodes exceed the limit of {MAX_NODES}")
+
+
 def build_line_topology(n: int) -> Topology:
     """Chain 1-2-...-n with the gateway at node 1."""
+    _check_node_count(n)
     return Topology(tuple(range(1, n + 1)), tuple((i, i + 1) for i in range(1, n)), 1)
 
 
@@ -182,8 +195,9 @@ class EventQueue:
 
 
 # Not frozen: a frozen dataclass sets each field through object.__setattr__,
-# which makes a record about four times as slow to build, and a run builds
-# one per node and round (about 6,000 in one default line:16 run).
+# which makes a record about four times as slow to build, and trace.rounds
+# builds one per node and round (about 6,000 for a default line:16 run); a
+# CLI run reads no trace.rounds and builds none.
 @dataclass(slots=True)
 class RoundRecord:
     """Outcome of one averaging deadline at one node.
@@ -282,11 +296,10 @@ PROTOCOL_KEYS = ("protocol", "step_size", "max_error_s")
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """One seed's event pass, run by record_schedule with each params'
-    arithmetic in lock step: the run_config of its first params (every
-    params' config differs from it in PROTOCOL_KEYS alone), the pass's
-    sample times, boot times (in topology.node_ids order) and round columns
-    (a trace's pass_rounds), and each params' _Clocks."""
+    """One seed's event pass, as _event_pass returns it: the run_config of
+    its first params (every params' config differs from it in PROTOCOL_KEYS
+    alone), its sample times, boot times (in topology.node_ids order) and
+    round columns (a trace's pass_rounds), and each params' _Clocks."""
 
     config: dict
     sample_times: tuple[float, ...]
@@ -314,11 +327,9 @@ class _BootTickClock(LogicalClock):
 
 def _event_pass(
     topology: Topology, params_seq: Sequence[ProtocolParams], config: dict,
-) -> tuple[tuple[float, ...], list[float], tuple[array, array, array], list[_Clocks]]:
-    """The event pass of one run: boots, counters, messages, rounds and
-    sample frames. Returns its sample times, its boot times, its round
-    columns (each round's time, node and acks) and one _Clocks per params,
-    which it feeds in lock step.
+) -> Schedule:
+    """The event pass of one run (boots, counters, messages, rounds and
+    sample frames), returned as the Schedule it ran.
 
     It decides when each clock is read, reads the counter there with one
     advance call and hands the reading to every _Clocks in turn. It owns
@@ -456,7 +467,8 @@ def _event_pass(
                 c.frame(data, ticks)
             if data + 1 < len(sample_times):
                 queue.push(sample_times[data + 1], SAMPLE, data + 1)
-    return tuple(sample_times), boot_times, (round_times, round_nodes, round_acks), clocks
+    return Schedule(config, tuple(sample_times), tuple(boot_times),
+                    (round_times, round_nodes, round_acks), dict(zip(params_seq, clocks)))
 
 
 class _Clocks:
@@ -465,8 +477,8 @@ class _Clocks:
 
     The event pass feeds it readings through four methods; it starts from
     copies of the pass's boot clocks, and node_ids serve its error messages
-    only. error keeps its first ValueError: a correction out of float range
-    (from round) or a booted reading out of it (from record_schedule).
+    only. error keeps its first ValueError (fail): a correction out of float
+    range (from round) or a booted reading out of it (from record_schedule).
     Reads cannot raise, since no node's ticks fall below its clock's anchor
     (_BootTickClock covers the boot tick), so a failed _Clocks is fed to
     the end like the others. Its outcomes miss the round that failed, so
@@ -505,14 +517,18 @@ class _Clocks:
             new_rate = rate_update(lc.rate, -e_new, self.params)
         try:
             lc.apply_correction(ticks, offset_s=e_new, new_rate=new_rate)
-        except ValueError:  # keep the first
-            self.error = self.error or ValueError(
-                f"node {self.node_ids[i]} reads {lc.read(ticks)} at t = {t} s, where its "
-                f"correction is offset_s={e_new}, new_rate={new_rate}: the settings "
-                "drive its clock out of float range"
-            )
+        except ValueError:
+            self.fail(i, lc.read(ticks), t,
+                      f", where its correction is offset_s={e_new}, new_rate={new_rate}")
             return
         self.outcomes.extend((e_new, math.nan if new_rate is None else new_rate))
+
+    def fail(self, i: int, reading: float, t: float, where: str) -> None:
+        """Keep the first failure: node i reads ``reading`` at t, ``where``."""
+        self.error = self.error or ValueError(
+            f"node {self.node_ids[i]} reads {reading} at t = {t} s{where}: the settings "
+            "drive its clock out of float range"
+        )
 
     def frame(self, k: int, ticks: list[float | None]) -> None:
         """Row k of the readings, from each node's ticks (None: not booted)."""
@@ -534,7 +550,8 @@ def run_config(
     ValueError unless duration and sample interval are finite and positive,
     every node boots before the run ends, the run schedules at most
     MAX_PERIODS_PER_RUN sample frames, beacon rounds per node and drift
-    segments over all its nodes but the gateway, which reads true time,
+    segments over all its nodes but the gateway, which reads true time, and
+    at most MAX_READINGS_PER_RUN readings (sample frames x nodes),
     the initial rate and ticks are finite or None, and osc_params has the
     protocol's nominal frequency: the config records that one alone, and
     determines the run's rows.
@@ -547,17 +564,17 @@ def run_config(
         )
     if not 0 <= boot_window_s < duration_s:
         raise ValueError("boot_window_s must satisfy 0 <= window < duration")
-    drifting = len(topology.node_ids) - 1
-    for name, period, nodes in (("sample_interval_s", sample_interval_s, 1),
-                                ("beacon_period_s", params.beacon_period_s, 1),
-                                ("drift_resample_interval_s", osc_params.resample_interval_s,
-                                 drifting)):
-        if nodes * duration_s / period > MAX_PERIODS_PER_RUN:
+    n = len(topology.node_ids)
+    for name, period, nodes, limit in (
+            ("sample_interval_s", sample_interval_s, 1, MAX_PERIODS_PER_RUN),
+            ("sample_interval_s", sample_interval_s, n, MAX_READINGS_PER_RUN),
+            ("beacon_period_s", params.beacon_period_s, 1, MAX_PERIODS_PER_RUN),
+            ("drift_resample_interval_s", osc_params.resample_interval_s, n - 1,
+             MAX_PERIODS_PER_RUN)):
+        if nodes * duration_s / period > limit:
             per = "" if nodes == 1 else f" x {nodes} nodes"
-            raise ValueError(
-                f"duration_s / {name}{per} = {nodes * duration_s / period:.6g} exceeds "
-                f"the limit of {MAX_PERIODS_PER_RUN} per run"
-            )
+            raise ValueError(f"duration_s / {name}{per} = {nodes * duration_s / period:.6g} "
+                             f"exceeds the limit of {limit} per run")
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -601,8 +618,7 @@ def record_schedule(topology: Topology, params_seq: Sequence[ProtocolParams],
     The entries must differ, and their configs, which run_config checks,
     may differ only in PROTOCOL_KEYS; else ValueError. An entry whose
     arithmetic fails keeps the error in its _Clocks, however many entries
-    there are, and its run_simulation call raises it; the other entries
-    finish.
+    there are, for its run_simulation call to raise; the others finish.
     """
     if not params_seq:
         raise ValueError("params_seq is empty")
@@ -612,19 +628,13 @@ def record_schedule(topology: Topology, params_seq: Sequence[ProtocolParams],
             raise ValueError(f"params_seq holds {params} twice")
         if _differing_pass_keys(configs[k], configs[0]):
             raise ValueError(f"{params} needs another event pass than {params_seq[0]}")
-    sample_times, boot_times, pass_rounds, clocks = _event_pass(topology, params_seq, configs[0])
-    schedule = Schedule(configs[0], sample_times, tuple(boot_times), pass_rounds,
-                        dict(zip(params_seq, clocks)))
-    booted = np.array(sample_times).reshape(-1, 1) >= np.array(boot_times)
-    for c in clocks:
+    schedule = _event_pass(topology, params_seq, configs[0])
+    booted = np.array(schedule.sample_times).reshape(-1, 1) >= np.array(schedule.boot_times)
+    for c in schedule.clocks.values():
         overflowed = np.argwhere(booted & ~np.isfinite(c.logical_s))
-        if c.error is None and overflowed.size:
+        if overflowed.size:
             k, col = overflowed[0]
-            c.error = ValueError(
-                f"node {topology.node_ids[col]} reads {c.logical_s[k, col]} at "
-                f"t = {sample_times[k]} s: the settings drive its clock out of "
-                "float range"
-            )
+            c.fail(col, c.logical_s[k, col], schedule.sample_times[k], "")
     return schedule
 
 

@@ -7,6 +7,7 @@ last 100 rounds. The closed forms must stay in agreement with them.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 import tracemalloc
 
@@ -445,6 +446,17 @@ def test_validate_grid_refuses_a_zero_oracle_variance():
     models = [MomentParams(max_drift_hz=1e-300, delay_diff_var=0.0)]
     with pytest.raises(ValueError, match="below float resolution"):
         validate_grid(models, **{**_SMALL, "n_runs": 500, "n_steps": 40, "tail": 10})
+
+
+def test_validate_grid_gives_each_variant_its_disagreement(monkeypatch):
+    # the command only formats it; a variant with no fixed point reads NaN
+    variants = {"finite": {"z2": 1.0, "var_e": 2e-7}, "none": {"z2": math.nan, "var_e": math.nan}}
+    monkeypatch.setattr(analysis, "variant_moment_predictions", lambda p: variants)
+    [row] = validate_grid(_grid(1.0), **_SMALL)
+    empirical = row["empirical_var"]
+    assert row["variants"]["finite"]["rel_err"] == abs(2e-7 - empirical) / empirical
+    assert math.isnan(row["variants"]["none"]["rel_err"])
+    assert row["rel_err"] == abs(row["predicted_var"] - empirical) / empirical
 
 
 def test_validate_grid_rows_do_not_depend_on_the_workers(monkeypatch):

@@ -502,6 +502,40 @@ def test_an_oversized_seed_range_is_refused_before_it_is_built(tmp_path: Path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, stderr", [
+    (("--topology", "line:2000", "--sample-interval", "0.01", "--duration", "10000"),
+     "error: duration_s / sample_interval_s x 2000 nodes = 2e+09 exceeds the limit of "
+     f"{simulation.MAX_READINGS_PER_RUN} per run\n"),
+    (("--topology", "line:10000000", "--sample-interval", "1", "--duration", "1"),
+     "error: bad topology 'line:10000000': 10000000 nodes exceed the limit of "
+     f"{simulation.MAX_NODES}\n"),
+], ids=["readings", "nodes"])
+def test_an_oversized_run_is_refused_before_it_allocates(tmp_path: Path, args, stderr):
+    # the readings would take 14.9 GiB per protocol; the nodes' tuples alone
+    # more than 1 GiB
+    out = tmp_path / "out"
+    proc = _capped_main("run", *args, "--boot-window", "0", "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == stderr
+    assert not out.exists()
+
+
+def test_a_topology_file_past_max_nodes_is_refused(tmp_path: Path, monkeypatch, capsys):
+    files = {}
+    for n in (3, 4):
+        files[n] = tmp_path / f"line{n}.json"
+        files[n].write_text(json.dumps(simulation.build_line_topology(n).to_config()))
+    monkeypatch.setattr(simulation, "MAX_NODES", 3)
+    run = ["run", "--duration", "300", "--boot-window", "60", "--topology"]
+    assert cli.main([*run, str(files[3]), "--out-dir", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main([*run, str(files[4]), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: bad topology '{files[4]}': 4 nodes exceed "
+                                       "the limit of 3\n")
+    assert not out.exists()
+
+
 def test_a_sweeps_seeds_are_counted_over_its_values_before_any_is_planned(tmp_path: Path,
                                                                           monkeypatch, capsys):
     # each value's 10^5 seeds are within the limit, but 300 values plan

@@ -193,6 +193,26 @@ def test_published_bounds_imply_contraction():
             assert g == pytest.approx(2.0, rel=1e-12)
 
 
+# each protocol's published bound and default step size, written out per
+# protocol as closed forms in B*f
+_EXPLICIT_BOUNDS = {Protocol.NEWTON: lambda bf: 2.0, Protocol.GRADES: lambda bf: 1.0 / (bf * bf),
+                    Protocol.AVGPISYNC: lambda bf: 2.0 / bf}
+_EXPLICIT_DEFAULTS = {Protocol.NEWTON: lambda bf: 1.0,
+                      Protocol.GRADES: lambda bf: 0.15 / (bf * bf),
+                      Protocol.AVGPISYNC: lambda bf: 0.2 / bf}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(list(Protocol)),
+       b=st.floats(1e-6, 1e6, allow_subnormal=False),
+       f=st.floats(1e-3, 1e12, allow_subnormal=False))
+def test_bounds_and_defaults_equal_the_explicit_formulas_bit_for_bit(kind, b, f):
+    bf = b * f
+    lo, hi = step_size_bound(kind, b, f)
+    assert (lo.hex(), hi.hex()) == ((0.0).hex(), _EXPLICIT_BOUNDS[kind](bf).hex())
+    assert default_step_size(kind, b, f).hex() == _EXPLICIT_DEFAULTS[kind](bf).hex()
+
+
 def _noiseless_pairwise_errors(kind: Protocol, step: float, n: int) -> list[float]:
     p = _params(kind, step)
     rate = 1.05e-6

@@ -234,6 +234,19 @@ def test_a_reading_out_of_float_range_fails_its_run():
         run_simulation(params=params, schedule=schedule, **_SAMPLE_OVERFLOW_RUN)
 
 
+def test_a_failure_keeps_the_first_message():
+    # a round's correction and the readings scan report through _Clocks.fail,
+    # which keeps the first; the round names the correction that failed
+    params = ProtocolParams(kind=Protocol.GRADES, step_size=1e300, max_error_s=1e300)
+    clocks = record_schedule(params_seq=[params], **_OVERFLOWING_RUN).clocks[params]
+    first = ("node 2 reads 64.42433358067846 at t = 71.46013128238575 s, where its "
+             "correction is offset_s=7.035768056752403, new_rate=inf: the settings drive "
+             "its clock out of float range")
+    assert str(clocks.error) == first
+    clocks.fail(0, math.inf, 10.0, "")
+    assert str(clocks.error) == first
+
+
 def test_oscillator_and_protocols_share_one_nominal_frequency():
     # a trace's config records the protocol's frequency only, so an
     # oscillator at another one would write other rows under the same header
@@ -293,6 +306,41 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
     with pytest.raises(ValueError, match="drift_resample_interval_s x 16 nodes = 1.00002e"):
         run_simulation(line17, _newton_params(), osc_params=short_segments,
                        duration_s=limit / 16 + 1, sample_interval_s=limit / 160)
+
+
+def test_a_runs_readings_are_bounded_over_its_nodes():
+    # 10^6 frames (MAX_PERIODS_PER_RUN) of line:10 hold exactly
+    # MAX_READINGS_PER_RUN readings; line:11's are refused before any pass
+    run = {"osc_params": OscillatorParams(nominal_hz=1e6), "duration_s": 1e6,
+           "sample_interval_s": 1.0}
+    assert simulation.MAX_READINGS_PER_RUN == 10 * simulation.MAX_PERIODS_PER_RUN
+    simulation.run_config(build_line_topology(10), _newton_params(), **run)
+    message = ("^duration_s / sample_interval_s x 11 nodes = 1.1e\\+07 exceeds the limit "
+               f"of {simulation.MAX_READINGS_PER_RUN} per run$")
+    with pytest.raises(ValueError, match=message):
+        simulation.run_config(build_line_topology(11), _newton_params(), **run)
+
+
+class _Uncounted(list):
+    """A node list that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the node list was built before it was counted")
+
+
+def test_topologies_are_bounded_in_nodes_before_they_are_built(monkeypatch):
+    with pytest.raises(ValueError, match=f"^{simulation.MAX_NODES + 1} nodes exceed the "
+                                         f"limit of {simulation.MAX_NODES}$"):
+        build_line_topology(simulation.MAX_NODES + 1)
+    line5 = build_line_topology(5)
+    monkeypatch.setattr(simulation, "MAX_NODES", 5)
+    assert build_line_topology(5) == line5
+    assert Topology.from_config(line5.to_config()) == line5
+    with pytest.raises(ValueError, match="^6 nodes exceed the limit of 5$"):
+        build_line_topology(6)
+    config = {**build_line_topology(3).to_config(), "nodes": _Uncounted(range(1, 7))}
+    with pytest.raises(ValueError, match="^6 nodes exceed the limit of 5$"):
+        Topology.from_config(config)
 
 
 # ---------------------------------------------------------------------------
