@@ -398,6 +398,26 @@ def final_step_sigma(
 MEAN_GATE_SIGMA = 4.0
 
 
+def _finite_predictions(p: MomentParams) -> tuple[float | None, dict[str, dict[str, float]]]:
+    """asymptotic_error_variance of p, and its variant_moment_predictions,
+    or None and no variants where it does not converge; ValueError where
+    either leaves float range (a variant's NaN is its missing fixed point)."""
+    predicted = None
+    try:
+        with contextlib.suppress(NonconvergentMomentError):
+            predicted = asymptotic_error_variance(p)
+        variants = {} if predicted is None else variant_moment_predictions(p)
+        fixed = [v["var_e"] for v in variants.values() if v["var_e"] == v["var_e"]]
+        if all(map(math.isfinite, [predicted or 0.0, *fixed])):
+            return predicted, variants
+    except ArithmeticError:
+        pass
+    raise ValueError(
+        f"the closed forms at mu {p.step_size} leave float range at a beacon period of "
+        f"{p.beacon_period_s} s, nominal {p.nominal_hz} Hz, drift bound {p.max_drift_hz} Hz "
+        f"and delay std {p.delay_std_s} s")
+
+
 def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps: int,
                   tail: int, initial_rate: float) -> list[dict]:
     """Check each model against its own oracle, started at E[e] = 0 and
@@ -407,14 +427,15 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
     where not computed), note, variants (variant_moment_predictions, each
     with its rel_err) and failed (final_sigma above MEAN_GATE_SIGMA). Only
     mean-convergent models run an oracle. ValueError before any kernel for
-    a size that check_oracle_size refuses or a ``tail`` outside
-    [1, n_steps), and at a model whose oracle variance is 0."""
+    a size that check_oracle_size refuses, a ``tail`` outside [1, n_steps)
+    or such a model whose closed forms leave float range, and at a model
+    whose oracle variance is 0."""
     check_oracle_size(n_runs, n_steps)
     if not 1 <= tail < n_steps:
         raise ValueError(f"tail = {tail} must be at least 1 and below n_steps = {n_steps}")
     state0 = (0.0, initial_rate)
     convergent = [k for k, p in enumerate(models) if is_mean_convergent(p)]
-    runs = set(convergent)
+    predictions = {k: _finite_predictions(models[k]) for k in convergent}
 
     def kernel(k: int) -> OracleTrace:
         return pairwise_oracle(models[k], seed=seed + 7919 * k, n_steps=n_steps,
@@ -438,7 +459,7 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
                    "predicted_var": None, "empirical_var": None, "rel_err": None,
                    "note": "", "variants": {}, "failed": False}
             rows.append(row)
-            if k not in runs:
+            if k not in predictions:
                 row["note"] = ("marginal by design (|1 - mu| = 1)"
                                if abs(1.0 - p.step_size) == 1.0 else "divergent by design")
                 continue
@@ -447,9 +468,8 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
             row.update(final_sigma=final, worst_sigma=mean_agreement_max_sigma(trace, p, state0),
                        failed=final > MEAN_GATE_SIGMA)
             notes = ["MEAN CHECK FAILED"] if row["failed"] else []
-            try:
-                predicted = asymptotic_error_variance(p)
-            except NonconvergentMomentError:
+            predicted, variants = predictions[k]
+            if predicted is None:
                 notes.append("moment nonconvergent")
             else:
                 empirical = steady_state_stats(trace, tail)["mean_e2"]
@@ -458,7 +478,6 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
                         f"the oracle's error variance at mu {p.step_size} is 0: a drift "
                         f"bound of {p.max_drift_hz} Hz and a delay std of {p.delay_std_s} s "
                         "give noise below float resolution")
-                variants = variant_moment_predictions(p)
                 for pred in variants.values():
                     pred["rel_err"] = abs(pred["var_e"] - empirical) / empirical
                 row.update(predicted_var=predicted, empirical_var=empirical,

@@ -360,7 +360,7 @@ def _seed_job(job: tuple) -> list[dict]:
     for seed in seeds:
         schedule = record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
         for params in params_seq:
-            trace = run_simulation(params=params, seed=seed, schedule=schedule, **sim_kwargs)
+            trace = run_simulation(sim_kwargs["topology"], params, schedule=schedule)
             protocol = params.kind.value
             with open(_staged(_trace_path(out, protocol, seed)), "w", newline="\n") as fh:
                 trace.write_csv(fh)  # embeds its own resolved-config header

@@ -296,12 +296,13 @@ PROTOCOL_KEYS = ("protocol", "step_size", "max_error_s")
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """One seed's event pass, as _event_pass returns it: the run_config of
-    its first params (every params' config differs from it in PROTOCOL_KEYS
-    alone), its sample times, boot times (in topology.node_ids order) and
-    round columns (a trace's pass_rounds), and each params' _Clocks."""
+    """One seed's event pass, as _event_pass returns it: its topology, the
+    run_config of each params it ran (they differ in PROTOCOL_KEYS alone),
+    its sample times, boot times (in topology.node_ids order) and round
+    columns (a trace's pass_rounds), and each params' _Clocks."""
 
-    config: dict
+    topology: Topology
+    configs: dict[ProtocolParams, dict]
     sample_times: tuple[float, ...]
     boot_times: tuple[float, ...]
     pass_rounds: tuple[array, array, array]
@@ -325,9 +326,7 @@ class _BootTickClock(LogicalClock):
         return super().read(at_ticks)
 
 
-def _event_pass(
-    topology: Topology, params_seq: Sequence[ProtocolParams], config: dict,
-) -> Schedule:
+def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]) -> Schedule:
     """The event pass of one run (boots, counters, messages, rounds and
     sample frames), returned as the Schedule it ran.
 
@@ -337,9 +336,11 @@ def _event_pass(
     logical clock it boots with, who may answer, the acks of each open
     round, and the gateway, whose counter reads true time. Nothing a
     _Clocks computes flows back, so every protocol sees the same pass under
-    one seed. config alone, a run_config checked by record_schedule, shapes
-    the pass; nodes are indices into topology.node_ids.
+    one seed. configs, the run_config of each params as record_schedule
+    checked them, shape the pass through their keys outside PROTOCOL_KEYS,
+    which they share; nodes are indices into topology.node_ids.
     """
+    config = next(iter(configs.values()))
     beacon_period, gather_wait = config["beacon_period_s"], config["gather_wait_s"]
     duration_s, sample_interval_s = config["duration_s"], config["sample_interval_s"]
     nominal_hz, initial_ticks = config["nominal_hz"], config["initial_ticks"]
@@ -396,7 +397,7 @@ def _event_pass(
         t += sample_interval_s
     if sample_times:
         queue.push(sample_times[0], SAMPLE, 0)
-    clocks = [_Clocks(ids, params, boot_clocks, len(sample_times)) for params in params_seq]
+    clocks = [_Clocks(ids, params, boot_clocks, len(sample_times)) for params in configs]
     # Every round, as its deadline pops: time, node index and acks. "I" is
     # a C unsigned int, 32 bits wherever numpy runs: an index and an ack
     # count are below the node count, and an append out of range raises
@@ -467,8 +468,8 @@ def _event_pass(
                 c.frame(data, ticks)
             if data + 1 < len(sample_times):
                 queue.push(sample_times[data + 1], SAMPLE, data + 1)
-    return Schedule(config, tuple(sample_times), tuple(boot_times),
-                    (round_times, round_nodes, round_acks), dict(zip(params_seq, clocks)))
+    return Schedule(topology, configs, tuple(sample_times), tuple(boot_times),
+                    (round_times, round_nodes, round_acks), dict(zip(configs, clocks)))
 
 
 class _Clocks:
@@ -603,17 +604,11 @@ def run_config(
     }
 
 
-def _differing_pass_keys(config: dict, other: dict) -> list[str]:
-    """The keys outside PROTOCOL_KEYS where two run configs differ."""
-    return [key for key, value in config.items()
-            if key not in PROTOCOL_KEYS and other[key] != value]
-
-
 def record_schedule(topology: Topology, params_seq: Sequence[ProtocolParams],
                     **settings) -> Schedule:
     """Run the event pass of these settings, run_config's, once, with the
     arithmetic of each params in params_seq in lock step, for
-    run_simulation(..., schedule=) to build their traces from.
+    run_simulation(topology, params, schedule=) to build their traces from.
 
     The entries must differ, and their configs, which run_config checks,
     may differ only in PROTOCOL_KEYS; else ValueError. An entry whose
@@ -623,12 +618,12 @@ def record_schedule(topology: Topology, params_seq: Sequence[ProtocolParams],
     if not params_seq:
         raise ValueError("params_seq is empty")
     configs = [run_config(topology, params, **settings) for params in params_seq]
-    for k, params in enumerate(params_seq):
+    for k, (params, config) in enumerate(zip(params_seq, configs)):
         if params in params_seq[:k]:
             raise ValueError(f"params_seq holds {params} twice")
-        if _differing_pass_keys(configs[k], configs[0]):
+        if any(configs[0][k] != v for k, v in config.items() if k not in PROTOCOL_KEYS):
             raise ValueError(f"{params} needs another event pass than {params_seq[0]}")
-    schedule = _event_pass(topology, params_seq, configs[0])
+    schedule = _event_pass(topology, dict(zip(params_seq, configs)))
     booted = np.array(schedule.sample_times).reshape(-1, 1) >= np.array(schedule.boot_times)
     for c in schedule.clocks.values():
         overflowed = np.argwhere(booted & ~np.isfinite(c.logical_s))
@@ -649,15 +644,17 @@ def run_simulation(topology: Topology, params: ProtocolParams, *,
     a wide guard, say) raise ValueError instead of returning inf or NaN.
 
     With a schedule from record_schedule, the trace comes from the
-    arithmetic its pass ran for params, in the same bytes; ValueError if the
-    schedule's config differs from this run's outside PROTOCOL_KEYS (the
-    message names those keys), or if the pass did not run params.
+    arithmetic its pass ran for params, under the settings it was recorded
+    with, in the same bytes: TypeError for any setting given with it, and
+    ValueError for a topology other than its own or params its pass did
+    not run.
     """
-    config = run_config(topology, params, **settings)
     if schedule is None:
         schedule = record_schedule(topology, (params,), **settings)
-    if differ := _differing_pass_keys(config, schedule.config):
-        raise ValueError(f"the schedule was recorded with other {', '.join(differ)}")
+    elif settings:
+        raise TypeError(f"a schedule takes no settings, got {', '.join(map(repr, settings))}")
+    if topology != schedule.topology:
+        raise ValueError("the schedule's pass ran on another topology")
     if params not in schedule.clocks:
         raise ValueError(f"the schedule's pass did not run {params}")
     clocks = schedule.clocks[params]
@@ -667,4 +664,4 @@ def run_simulation(topology: Topology, params: ProtocolParams, *,
                            pass_rounds=schedule.pass_rounds, round_outcomes=clocks.outcomes,
                            topology=topology,
                            boot_times=dict(zip(topology.node_ids, schedule.boot_times)),
-                           config=config)
+                           config=schedule.configs[params])

@@ -194,8 +194,7 @@ def comparison():
         schedule = record_schedule(topo, [_comparison_params(kind) for kind in Protocol],
                                    seed=seed, **sim_kwargs)
         for kind in Protocol:
-            trace = run_simulation(topo, _comparison_params(kind), seed=seed,
-                                   schedule=schedule, **sim_kwargs)
+            trace = run_simulation(topo, _comparison_params(kind), schedule=schedule)
             summaries[kind].append(summarize(
                 trace.sample_times_s, trace.logical_s, 1000.0 / F_HAT, 5,
                 start_after=trace.boot_complete_time,

@@ -682,9 +682,10 @@ def test_each_seed_makes_one_event_pass(tmp_path: Path, monkeypatch, protocols):
 
     real = simulation._event_pass
 
-    def counted(topology, params_seq, config):
-        passes.append(config["seed"])
-        return real(topology, params_seq, config)
+    def counted(topology, configs):
+        [seed] = {config["seed"] for config in configs.values()}
+        passes.append(seed)
+        return real(topology, configs)
 
     monkeypatch.setattr(simulation, "_event_pass", counted)
     assert cli.main(_run_args(tmp_path, "--protocol", protocols, "--seed", "1..3")) == 0
@@ -1053,6 +1054,27 @@ def test_validate_analysis_rejects_noise_below_float_resolution(tmp_path: Path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "below float resolution" in err
     assert not (tmp_path / "analysis.csv").exists()
+
+
+@pytest.mark.parametrize("beacon_period", ["1e-200", "1e-160"])
+def test_validate_analysis_refuses_closed_forms_out_of_float_range(tmp_path: Path, monkeypatch,
+                                                                  capsys, beacon_period):
+    # B * B underflows: the delay term divides by 0 at 1e-200 and is inf at
+    # 1e-160; either is refused before any oracle runs
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the closed forms were checked")
+
+    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
+    out = tmp_path / "out"
+    args = ["validate-analysis", "--oracle-runs", "100", "--oracle-steps", "3", "--tail", "1",
+            "--beacon-period", beacon_period, "--out-dir", str(out)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: the closed forms at mu 0.25 leave float range at a "
+                           f"beacon period of {float(beacon_period)} s")
+    assert not out.exists()
 
 
 def test_validate_analysis_reports_a_variant_without_a_finite_prediction(tmp_path: Path,
@@ -1461,8 +1483,8 @@ def test_round_columns_match_pinned_bytes(name):
     for seed in resolved["seeds"]:
         schedule = simulation.record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
         for params in params_seq:
-            cols = simulation.run_simulation(params=params, seed=seed, schedule=schedule,
-                                             **sim_kwargs).round_columns
+            cols = simulation.run_simulation(sim_kwargs["topology"], params,
+                                             schedule=schedule).round_columns
             rates, acks = cols[3::5], cols[4::5]
             seen[f"{params.kind.value}_{seed}"] = (
                 _sha(cols.tobytes()), len(acks), acks.count(0.0),

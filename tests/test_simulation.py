@@ -208,7 +208,7 @@ def test_a_lone_failing_params_fails_at_its_run_not_its_pass():
     frames = []
     for _ in range(2):  # the kept error gathers no frames from earlier calls
         with pytest.raises(ValueError, match=f"^{re.escape(str(live.value))}$") as shared:
-            run_simulation(params=params, schedule=schedule, **_OVERFLOWING_RUN)
+            run_simulation(_OVERFLOWING_RUN["topology"], params, schedule=schedule)
         frames.append(len(traceback.extract_tb(shared.value.__traceback__)))
     assert frames[0] == frames[1]
 
@@ -231,7 +231,7 @@ def test_a_reading_out_of_float_range_fails_its_run():
         run_simulation(params=params, **_SAMPLE_OVERFLOW_RUN)
     schedule = record_schedule(params_seq=[params], **_SAMPLE_OVERFLOW_RUN)
     with pytest.raises(ValueError, match=message):
-        run_simulation(params=params, schedule=schedule, **_SAMPLE_OVERFLOW_RUN)
+        run_simulation(_SAMPLE_OVERFLOW_RUN["topology"], params, schedule=schedule)
 
 
 def test_a_failure_keeps_the_first_message():
@@ -258,13 +258,6 @@ def test_oscillator_and_protocols_share_one_nominal_frequency():
         record_schedule(params_seq=[_newton_params(f=1e6)], **run)
     with pytest.raises(ValueError, match=message):
         run_simulation(params=_newton_params(f=1e6), **run)
-    # a replay is refused the same way, before its config is compared
-    run["osc_params"] = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0)
-    schedule = record_schedule(params_seq=[_newton_params(f=1e6)], **run)
-    message = re.escape("osc_params.nominal_hz = 1000000.0 differs from the protocols' "
-                        "nominal_hz = 2000000.0")
-    with pytest.raises(ValueError, match=message):
-        run_simulation(params=_newton_params(f=2e6), schedule=schedule, **run)
 
 
 def test_run_simulation_rejects_runaway_schedules(monkeypatch):
@@ -725,9 +718,10 @@ _GATEWAY_STAR = Topology((1, 2, 3, 4, 5), ((1, 2), (1, 3), (1, 4), (1, 5)), 1)
 def _schedule_cases(draw):
     topo = draw(st.sampled_from([build_line_topology(n) for n in range(3, 9)]
                                 + [_STAR, _GATEWAY_STAR]))
+    f = draw(st.sampled_from([1e6, 2e6]))
     sim_kwargs = {
         "osc_params": OscillatorParams(
-            nominal_hz=1e6, max_drift_hz=25.0,
+            nominal_hz=f, max_drift_hz=draw(st.sampled_from([25.0, 0.0])),
             resample_interval_s=draw(st.sampled_from([30.0, 3600.0])),
             quantize_ticks=draw(st.booleans()),
         ),
@@ -735,12 +729,17 @@ def _schedule_cases(draw):
                                   floor_s=draw(st.sampled_from([0.0, 2e-3]))),
         # a horizon off the beacon grid cuts the last rounds' acks off
         "duration_s": draw(st.floats(min_value=150.0, max_value=700.0)),
+        "sample_interval_s": draw(st.sampled_from([10.0, 15.0])),
         "boot_window_s": draw(st.floats(min_value=0.0, max_value=120.0)),
         "seed": draw(_SEEDS),
+        "initial_rate": draw(st.none() | st.floats(min_value=0.9, max_value=1.1)
+                             .map(lambda r: r / f)),
         "initial_ticks": draw(st.none() | st.floats(min_value=0.0, max_value=1e9)),
     }
-    gather_wait_s = draw(st.sampled_from([0.0, 1.0]))
-    initial_rate = draw(st.none() | st.floats(min_value=0.9e-6, max_value=1.1e-6))
+    # the protocols' settings: the guard is arithmetic, the rest shape the pass
+    protocol_kwargs = {"b": draw(st.sampled_from([30.0, 20.0])), "f": f,
+                       "max_error_s": draw(st.sampled_from([6e-3, 1.0])),
+                       "gather_wait_s": draw(st.sampled_from([0.0, 1.0]))}
     # newton again at other step sizes, as a mu sweep's values would run
     default = default_step_size(Protocol.NEWTON, 30.0, 1e6)
     step_sizes = draw(st.lists(st.floats(min_value=0.25, max_value=1.5)
@@ -748,13 +747,12 @@ def _schedule_cases(draw):
                                min_size=1, max_size=3, unique=True))
     # where the failing params sits among the live ones
     failing_at = draw(st.integers(min_value=0, max_value=3 + len(step_sizes)))
-    return topo, sim_kwargs, gather_wait_s, initial_rate, step_sizes, failing_at
+    return topo, sim_kwargs, protocol_kwargs, step_sizes, failing_at
 
 
-def _replayable_params(kind: Protocol, gather_wait_s: float) -> ProtocolParams:
-    return ProtocolParams(kind=kind, step_size=default_step_size(kind, 30.0, 1e6),
-                          beacon_period_s=30.0, nominal_hz=1e6, max_error_s=6e-3,
-                          gather_wait_s=gather_wait_s)
+def _replayable_params(kind: Protocol, b: float = 30.0, f: float = 1e6,
+                       max_error_s: float = 6e-3, gather_wait_s: float = 1.0) -> ProtocolParams:
+    return ProtocolParams(kind, default_step_size(kind, b, f), b, f, max_error_s, gather_wait_s)
 
 
 @settings(max_examples=30, deadline=None)
@@ -764,22 +762,20 @@ def test_replayed_schedule_equals_the_live_run(case):
     # (params that differ only in step_size), and one more params whose
     # huge step drives its clocks out of float range once a round has acks;
     # the pass keeps feeding it, first, between or after the live ones
-    topo, sim_kwargs, gather_wait_s, initial_rate, step_sizes, failing_at = case
-    params_seq = [_replayable_params(kind, gather_wait_s) for kind in Protocol]
+    topo, sim_kwargs, protocol_kwargs, step_sizes, failing_at = case
+    params_seq = [_replayable_params(kind, **protocol_kwargs) for kind in Protocol]
     params_seq += [dataclasses.replace(params_seq[0], step_size=mu) for mu in step_sizes]
     params_seq.insert(failing_at, dataclasses.replace(params_seq[1], step_size=1e300,
                                                       max_error_s=1e300))
-    schedule = record_schedule(topo, params_seq, initial_rate=initial_rate, **sim_kwargs)
+    schedule = record_schedule(topo, params_seq, **sim_kwargs)
     for params in params_seq:
         try:
-            live = run_simulation(topo, params, initial_rate=initial_rate, **sim_kwargs)
+            live = run_simulation(topo, params, **sim_kwargs)
         except ValueError as exc:  # only this protocol fails, the same way
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                run_simulation(topo, params, initial_rate=initial_rate,
-                               schedule=schedule, **sim_kwargs)
+                run_simulation(topo, params, schedule=schedule)
             continue
-        shared = run_simulation(topo, params, initial_rate=initial_rate,
-                                schedule=schedule, **sim_kwargs)
+        shared = run_simulation(topo, params, schedule=schedule)
         assert shared.logical_s.tobytes() == live.logical_s.tobytes()
         assert shared.rounds == live.rounds
         assert shared.round_columns.tobytes() == live.round_columns.tobytes()
@@ -808,103 +804,40 @@ _REFUSAL_RUN = {"topology": build_line_topology(4),
       "osc_params": OscillatorParams(nominal_hz=2e6, max_drift_hz=25.0)}, "nominal_hz"),
 ])
 def test_replay_refuses_a_schedule_of_other_settings(change, setting):
+    # a run of the change has another config at `setting` than the one its
+    # schedule holds; the replay refuses the change: a setting given with
+    # the schedule, a topology other than its own, or params it did not run
     run = {**_REFUSAL_RUN, "params": _newton_params()}
     schedule = record_schedule(params_seq=[_newton_params()], **_REFUSAL_RUN)
-    with pytest.raises(ValueError, match=f"recorded with other {setting}$"):
-        run_simulation(**{**run, **change}, schedule=schedule)
-    # the initial rate is arithmetic, but the pass ran only its own
-    with pytest.raises(ValueError, match="recorded with other initial_rate$"):
-        run_simulation(**run, initial_rate=1.01e-6, schedule=schedule)
-    # so are the step size and guard, and the pass did not run these
+    assert simulation.run_config(**{**run, **change})[setting] != \
+        schedule.configs[_newton_params()][setting]
+    replay = {"topology": run["topology"], "params": run["params"], **change}
+    if given := [key for key in change if key not in ("topology", "params")]:
+        with pytest.raises(TypeError, match=re.escape(f"got {', '.join(map(repr, given))}")):
+            run_simulation(**replay, schedule=schedule)
+    elif "topology" in change:
+        with pytest.raises(ValueError, match="^the schedule's pass ran on another topology$"):
+            run_simulation(**replay, schedule=schedule)
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"the schedule's pass did not run {replay['params']}")):
+            run_simulation(**replay, schedule=schedule)
+
+
+def test_a_replay_takes_the_schedules_settings():
+    # its config is the live run's; a setting given with the schedule is
+    # refused even at its recorded value, and so are params whose config
+    # differs in the protocol's arithmetic alone, which the pass did not run
+    run = {**_REFUSAL_RUN, "params": _newton_params()}
+    schedule = record_schedule(params_seq=[_newton_params()], **_REFUSAL_RUN)
+    equal_topology = build_line_topology(4)  # compared by value
+    replayed = run_simulation(equal_topology, _newton_params(), schedule=schedule)
+    assert replayed.config == run_simulation(**run).config
+    with pytest.raises(TypeError, match="^a schedule takes no settings, got 'seed'$"):
+        run_simulation(equal_topology, _newton_params(), schedule=schedule, seed=11)
     other = _newton_params(step_size=0.5, max_error_s=1.0)
     with pytest.raises(ValueError, match=re.escape(f"the schedule's pass did not run {other}")):
-        run_simulation(**{**run, "params": other}, schedule=schedule)
-
-
-# Two values of each config key, for pairs of runs that differ in chosen
-# keys: the pass keys first, then simulation.PROTOCOL_KEYS. A step size is
-# a multiple of its protocol's default.
-_PASS_CHOICES = {
-    "topology": (build_line_topology(3), _STAR),
-    "beacon_period_s": (30.0, 20.0),
-    "nominal_hz": (1e6, 2e6),
-    "gather_wait_s": (1.0, 0.0),
-    "max_drift_hz": (25.0, 0.0),
-    "drift_resample_interval_s": (3600.0, 30.0),
-    "quantize_ticks": (False, True),
-    "delay_std_s": (1e-3, 0.0),
-    "delay_floor_s": (0.0, 2e-3),
-    "duration_s": (200.0, 150.0),
-    "sample_interval_s": (10.0, 15.0),
-    "boot_window_s": (30.0, 0.0),
-    "seed": (1, 2),
-    "initial_rate": (None, 1.01e-6),
-    "initial_ticks": (None, 5e5),
-}
-_CHOICES = {**_PASS_CHOICES, "protocol": ("newton", "grades"), "step_size": (1.0, 0.5),
-            "max_error_s": (6e-3, 1.0)}
-
-
-def _chosen_run(choice: dict) -> tuple[ProtocolParams, dict]:
-    """The params and settings of a run whose config holds ``choice``."""
-    kind, b, f = Protocol(choice["protocol"]), choice["beacon_period_s"], choice["nominal_hz"]
-    params = ProtocolParams(kind, default_step_size(kind, b, f) * choice["step_size"], b, f,
-                            choice["max_error_s"], choice["gather_wait_s"])
-    osc = OscillatorParams(f, choice["max_drift_hz"], choice["drift_resample_interval_s"],
-                           choice["quantize_ticks"])
-    return params, {
-        "topology": choice["topology"], "osc_params": osc,
-        "delay_model": DelayModel(choice["delay_std_s"], choice["delay_floor_s"]),
-        **{key: choice[key] for key in ("duration_s", "sample_interval_s", "boot_window_s",
-                                        "seed", "initial_rate", "initial_ticks")},
-    }
-
-
-@st.composite
-def _run_pairs(draw):
-    # a recorded run, and a replayed one that differs in some of its pass
-    # keys, some of its protocol keys, both or neither; the pass may also
-    # run the replayed run's protocol keys beside its own
-    recorded = {key: draw(st.sampled_from(values)) for key, values in _CHOICES.items()}
-    pass_flips = draw(st.sets(st.sampled_from(sorted(_PASS_CHOICES)), max_size=2))
-    protocol_flips = draw(st.sets(st.sampled_from(simulation.PROTOCOL_KEYS)))
-    replayed = dict(recorded)
-    for key in pass_flips | protocol_flips:
-        first, second = _CHOICES[key]
-        replayed[key] = second if recorded[key] == first else first
-    return recorded, replayed, pass_flips, protocol_flips, draw(st.booleans())
-
-
-@settings(max_examples=40, deadline=None)
-@given(_run_pairs())
-def test_replay_is_refused_exactly_when_its_config_needs_another_pass(pair):
-    recorded, replayed, pass_flips, protocol_flips, sibling = pair
-    params, settings_ = _chosen_run(recorded)
-    other, replay = _chosen_run(replayed)
-    params_seq = [params]
-    if sibling and protocol_flips:  # replayed's protocol keys on recorded's pass
-        params_seq.append(_chosen_run({**recorded, **{k: replayed[k] for k in
-                                                     simulation.PROTOCOL_KEYS}})[0])
-    schedule = record_schedule(params_seq=params_seq, **settings_)
-    if pass_flips:  # every differing pass key is named, and only those
-        with pytest.raises(ValueError, match="^the schedule was recorded with other ") as exc:
-            run_simulation(params=other, schedule=schedule, **replay)
-        named = str(exc.value).removeprefix("the schedule was recorded with other ")
-        assert set(named.split(", ")) == pass_flips
-    elif other not in params_seq:
-        with pytest.raises(ValueError, match=re.escape(
-                f"the schedule's pass did not run {other}")):
-            run_simulation(params=other, schedule=schedule, **replay)
-    else:
-        shared = run_simulation(params=other, schedule=schedule, **replay)
-        live = run_simulation(params=other, **replay)
-        written = []
-        for trace in (shared, live):
-            out = io.StringIO()
-            trace.write_csv(out)
-            written.append(out.getvalue())
-        assert written[0] == written[1]
-        assert shared.round_columns.tobytes() == live.round_columns.tobytes()
+        run_simulation(equal_topology, other, schedule=schedule)
 
 
 @pytest.mark.parametrize("quantize", [False, True])
@@ -942,25 +875,13 @@ def test_a_traces_header_determines_its_rows(kind, quantize):
     assert written[0].count("\n") > 100
 
 
-def test_replay_fills_record_schedules_defaults():
-    # a setting left out is compared at run_config's default
-    schedule = record_schedule(params_seq=[_newton_params()],
-                               **{**_REFUSAL_RUN, "duration_s": 330.0})
-    run = {**_REFUSAL_RUN, "params": _newton_params()}
-    del run["duration_s"]
-    with pytest.raises(ValueError, match="recorded with other duration_s$"):
-        run_simulation(**run, schedule=schedule)
-
 
 def test_run_simulation_takes_record_schedules_settings_alone():
     run = {**_REFUSAL_RUN, "params": _newton_params()}
-    schedule = record_schedule(params_seq=[_newton_params()], **_REFUSAL_RUN)
-    no_osc = {k: v for k, v in run.items() if k != "osc_params"}
-    for with_schedule in ({}, {"schedule": schedule}):
-        with pytest.raises(TypeError, match="'duration'"):
-            run_simulation(**run, duration=300.0, **with_schedule)
-        with pytest.raises(TypeError, match="'osc_params'"):
-            run_simulation(**no_osc, **with_schedule)
+    with pytest.raises(TypeError, match="'duration'"):
+        run_simulation(**run, duration=300.0)
+    with pytest.raises(TypeError, match="'osc_params'"):
+        run_simulation(**{k: v for k, v in run.items() if k != "osc_params"})
 
 
 def test_a_pass_holds_each_round_once():
@@ -969,9 +890,9 @@ def test_a_pass_holds_each_round_once():
     # mean offset and rate (8 bytes each) of the rounds with acks, where it
     # computed them. Five floats per round and protocol, as rounds were
     # once held, would be 40 * 3 * rounds bytes.
-    params_seq = [_replayable_params(kind, 1.0) for kind in Protocol]
+    params_seq = [_replayable_params(kind) for kind in Protocol]
     schedule = record_schedule(params_seq=params_seq, **_REFUSAL_RUN)
-    traces = [run_simulation(params=p, schedule=schedule, **_REFUSAL_RUN) for p in params_seq]
+    traces = [run_simulation(_REFUSAL_RUN["topology"], p, schedule=schedule) for p in params_seq]
     assert all(trace.pass_rounds is schedule.pass_rounds for trace in traces)
     times, _, acks = schedule.pass_rounds
     rounds, acked = len(times), sum(1 for n in acks if n)
@@ -993,14 +914,13 @@ def test_trace_builds_its_rounds_once_when_read(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(simulation, "RoundRecord", counted)
-    run = {**_REFUSAL_RUN, "params": _newton_params()}
     schedule = record_schedule(params_seq=[_newton_params(), _newton_params(step_size=0.5)],
                                **_REFUSAL_RUN)
-    trace = run_simulation(**run, schedule=schedule)
+    trace = run_simulation(_REFUSAL_RUN["topology"], _newton_params(), schedule=schedule)
     assert built == []
     assert trace.rounds is trace.rounds
     assert len(built) == len(trace.rounds) > 0
-    assert trace.rounds == run_simulation(**run).rounds
+    assert trace.rounds == run_simulation(params=_newton_params(), **_REFUSAL_RUN).rounds
 
 
 def test_record_schedule_refuses_params_one_pass_cannot_run():
@@ -1010,7 +930,7 @@ def test_record_schedule_refuses_params_one_pass_cannot_run():
     with pytest.raises(ValueError, match=re.escape(f"params_seq holds {newton} twice")):
         record_schedule(params_seq=[newton, _newton_params(step_size=0.5), newton],
                         **_REFUSAL_RUN)
-    slower = _newton_params(b=20.0)
-    with pytest.raises(ValueError, match=re.escape(
-            f"{slower} needs another event pass than {newton}")):
-        record_schedule(params_seq=[newton, slower], **_REFUSAL_RUN)
+    for other in (_newton_params(b=20.0), _newton_params(gather_wait_s=0.5)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{other} needs another event pass than {newton}")):
+            record_schedule(params_seq=[newton, other], **_REFUSAL_RUN)
