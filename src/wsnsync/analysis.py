@@ -80,6 +80,11 @@ class MomentParams:
     enters the measured offset; its match is
     delay_diff_var = 2*sigma^2*(1/2 - 1/(2*pi)), twice the variance of a
     clamped draw, not from_delay_std(sigma).
+
+    ValueError for a field that is not finite, B or f not positive, a drift
+    bound outside [0, f), a negative delay_diff_var, or a mean-convergent
+    model whose closed forms (Var[e] and the variants' fixed points) leave
+    float range.
     """
 
     beacon_period_s: float = 30.0
@@ -94,8 +99,22 @@ class MomentParams:
                 raise ValueError(f"{name} must be finite, got {value}")
             if name in ("beacon_period_s", "nominal_hz") and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            if name in ("max_drift_hz", "delay_diff_var") and not value >= 0:
+            if name == "max_drift_hz" and not 0 <= value < self.nominal_hz:
+                raise ValueError(f"{name} must satisfy 0 <= max_drift < nominal, got {value}")
+            if name == "delay_diff_var" and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+        if is_mean_convergent(self):
+            try:
+                predicted, variants = _predictions(self)
+                fixed = [v["var_e"] for v in variants.values() if v["var_e"] == v["var_e"]]
+                finite = all(map(math.isfinite, [predicted or 0.0, *fixed]))
+            except ArithmeticError:
+                finite = False
+            if not finite:
+                raise ValueError(
+                    f"the closed forms at mu {self.step_size} leave float range at a beacon "
+                    f"period of {self.beacon_period_s} s, nominal {self.nominal_hz} Hz, drift "
+                    f"bound {self.max_drift_hz} Hz and delay std {self.delay_std_s} s")
 
     @classmethod
     def from_delay_std(cls, delay_std_s: float, **settings) -> "MomentParams":
@@ -398,24 +417,13 @@ def final_step_sigma(
 MEAN_GATE_SIGMA = 4.0
 
 
-def _finite_predictions(p: MomentParams) -> tuple[float | None, dict[str, dict[str, float]]]:
-    """asymptotic_error_variance of p, and its variant_moment_predictions,
-    or None and no variants where it does not converge; ValueError where
-    either leaves float range (a variant's NaN is its missing fixed point)."""
-    predicted = None
-    try:
-        with contextlib.suppress(NonconvergentMomentError):
-            predicted = asymptotic_error_variance(p)
-        variants = {} if predicted is None else variant_moment_predictions(p)
-        fixed = [v["var_e"] for v in variants.values() if v["var_e"] == v["var_e"]]
-        if all(map(math.isfinite, [predicted or 0.0, *fixed])):
-            return predicted, variants
-    except ArithmeticError:
-        pass
-    raise ValueError(
-        f"the closed forms at mu {p.step_size} leave float range at a beacon period of "
-        f"{p.beacon_period_s} s, nominal {p.nominal_hz} Hz, drift bound {p.max_drift_hz} Hz "
-        f"and delay std {p.delay_std_s} s")
+def _predictions(p: MomentParams) -> tuple[float | None, dict[str, dict[str, float]]]:
+    """asymptotic_error_variance of p and its variant_moment_predictions, or
+    None and no variants where it does not converge; a variant's NaN is its
+    missing fixed point."""
+    with contextlib.suppress(NonconvergentMomentError):
+        return asymptotic_error_variance(p), variant_moment_predictions(p)
+    return None, {}
 
 
 def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps: int,
@@ -426,16 +434,15 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
     empirical_var (E[e^2] over the last ``tail`` rounds), rel_err (None
     where not computed), note, variants (variant_moment_predictions, each
     with its rel_err) and failed (final_sigma above MEAN_GATE_SIGMA). Only
-    mean-convergent models run an oracle. ValueError before any kernel for
-    a size that check_oracle_size refuses, a ``tail`` outside [1, n_steps)
-    or such a model whose closed forms leave float range, and at a model
-    whose oracle variance is 0."""
+    mean-convergent models run an oracle, and MomentParams keeps their
+    closed forms in float range. ValueError before any kernel for a size
+    that check_oracle_size refuses or a ``tail`` outside [1, n_steps), and
+    at a model whose oracle variance is 0."""
     check_oracle_size(n_runs, n_steps)
     if not 1 <= tail < n_steps:
         raise ValueError(f"tail = {tail} must be at least 1 and below n_steps = {n_steps}")
     state0 = (0.0, initial_rate)
     convergent = [k for k, p in enumerate(models) if is_mean_convergent(p)]
-    predictions = {k: _finite_predictions(models[k]) for k in convergent}
 
     def kernel(k: int) -> OracleTrace:
         return pairwise_oracle(models[k], seed=seed + 7919 * k, n_steps=n_steps,
@@ -459,7 +466,7 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
                    "predicted_var": None, "empirical_var": None, "rel_err": None,
                    "note": "", "variants": {}, "failed": False}
             rows.append(row)
-            if k not in predictions:
+            if k not in convergent:
                 row["note"] = ("marginal by design (|1 - mu| = 1)"
                                if abs(1.0 - p.step_size) == 1.0 else "divergent by design")
                 continue
@@ -468,7 +475,7 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
             row.update(final_sigma=final, worst_sigma=mean_agreement_max_sigma(trace, p, state0),
                        failed=final > MEAN_GATE_SIGMA)
             notes = ["MEAN CHECK FAILED"] if row["failed"] else []
-            predicted, variants = predictions[k]
+            predicted, variants = _predictions(p)
             if predicted is None:
                 notes.append("moment nonconvergent")
             else:

@@ -8,11 +8,14 @@ Subcommands:
                      Monte Carlo oracle), print its rows, write analysis.csv
 
 Every setting is one row of SETTINGS: its flag, config key, type, default,
-range and help. Precedence: command line flag, then JSON config file
-(--config), then the command's default. Output files embed the fully resolved
-configuration as a `# config = {...}` comment header and contain no
-timestamps, so identical invocations produce byte-identical files. The
-default output directory comes from $WSNSYNC_OUT_DIR, falling back to ./out.
+range and help. A default that the library declares too (ProtocolParams,
+OscillatorParams, DelayModel, run_config, metrics.summarize) is read from
+it; the others are declared here alone. Precedence: command line flag, then
+JSON config file (--config), then the command's default. Output files embed
+the fully resolved configuration as a `# config = {...}` comment header and
+contain no timestamps, so identical invocations produce byte-identical
+files. The default output directory comes from $WSNSYNC_OUT_DIR, falling
+back to ./out.
 
 analysis and concurrent.futures are imported where they are used, so
 importing this module, or running `run` with one worker, loads neither.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -59,6 +63,11 @@ MAX_SEEDS = 10**5
 MAX_JOBS = 1000
 
 
+def _default(func, name: str):
+    """The default that ``func`` declares for its parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
+
+
 @dataclasses.dataclass(frozen=True)
 class Setting:
     """One setting: config key (also the argparse dest), flag, type (float,
@@ -83,16 +92,16 @@ class Setting:
 SETTINGS = (
     Setting("seed", "seed", str, "1", None,
             "seed spec: N, N,M,... or A..B (validate-analysis takes one seed)", _ALL),
-    Setting("beacon_period_s", "beacon-period", float, 30.0, "positive",
+    Setting("beacon_period_s", "beacon-period", float, ProtocolParams.beacon_period_s, "positive",
             "seconds between sync rounds", _ALL, "beacon-period"),
-    Setting("nominal_hz", "nominal-hz", float, 1e6, "positive",
+    Setting("nominal_hz", "nominal-hz", float, ProtocolParams.nominal_hz, "positive",
             "nominal oscillator frequency in Hz", _ALL),
     # The closed-form model's canonical parameter set uses the worst-case
     # drift bound; the experiment default models deployed crystals.
     Setting("max_drift_hz", "max-drift-hz", float, 25.0, "nonnegative",
             "oscillator drift bound in Hz", _ALL, "max-drift",
             command_defaults={"validate-analysis": 100.0}),
-    Setting("delay_std_s", "delay-std", float, 1e-5, "nonnegative",
+    Setting("delay_std_s", "delay-std", float, DelayModel.std_s, "nonnegative",
             "message delay standard deviation, seconds", _ALL, "delay-std"),
     Setting("protocol", "protocol", str, "newton", None,
             "comma list: newton,grades,avgpisync"),
@@ -101,23 +110,25 @@ SETTINGS = (
             "line:N or JSON topology file", sweep="nodes"),
     Setting("mu", "mu", float, None, "positive",
             "step size for all protocols; unset, each protocol uses its own", sweep="mu"),
-    # Twice the error a bounded drift can build up between two rounds,
-    # 2*B*f_max/f: 6 ms at the 100 Hz drift bound, 6000 ticks at 1 MHz.
-    Setting("e_max_ticks", "e-max-ticks", float, 6000.0, "positive",
+    Setting("e_max_ticks", "e-max-ticks", float,
+            ProtocolParams.max_error_s * ProtocolParams.nominal_hz, "positive",
             "rate-update guard threshold in ticks"),
-    Setting("gather_wait_s", "gather-wait", float, 1.0, "nonnegative",
-            "seconds between requests and averaging"),
+    Setting("gather_wait_s", "gather-wait", float, ProtocolParams.gather_wait_s,
+            "nonnegative", "seconds between requests and averaging"),
     Setting("drift_resample_interval_s", "drift-resample-interval", float, 3600.0,
             "positive", "constant-drift segment length, seconds"),
-    Setting("duration_s", "duration", float, 12240.0, "positive", "simulated seconds"),
-    Setting("sample_interval_s", "sample-interval", float, 10.0, "positive",
+    Setting("duration_s", "duration", float, _default(run_config, "duration_s"), "positive",
+            "simulated seconds"),
+    Setting("sample_interval_s", "sample-interval", float,
+            _default(run_config, "sample_interval_s"), "positive",
             "trace sampling period, seconds"),
-    Setting("boot_window_s", "boot-window", float, 300.0, "nonnegative",
-            "nodes boot uniformly in [0, window) seconds"),
+    Setting("boot_window_s", "boot-window", float, _default(run_config, "boot_window_s"),
+            "nonnegative", "nodes boot uniformly in [0, window) seconds"),
     Setting("threshold_ticks", "threshold-ticks", float, 1000.0, "positive",
             "convergence threshold in ticks"),
-    Setting("window", "window", int, 5, "at least 1", "consecutive samples below threshold"),
-    Setting("quantize_ticks", "quantize-ticks", bool, False, None,
+    Setting("window", "window", int, _default(metrics.summarize, "window"), "at least 1",
+            "consecutive samples below threshold"),
+    Setting("quantize_ticks", "quantize-ticks", bool, OscillatorParams.quantize_ticks, None,
             "floor hardware tick readings to integers"),
     Setting("jobs", "jobs", int, 1, "at least 1", "parallel workers"),
     Setting("mu_grid", "mu-grid", str, "0.25,0.5,1.0,1.5,2.2", None,
@@ -137,25 +148,10 @@ SWEEPS = {s.sweep: s for s in SETTINGS if s.sweep}
 SUMMARY_COLUMNS = (
     "protocol", "seed", *(f.name for f in dataclasses.fields(metrics.TraceSummary))
 )
-SWEEP_COLUMNS = (
-    "param",
-    "value",
-    "protocol",
-    "n_runs",
-    "n_converged",
-    "median_convergence_time_s",
-    "median_steady_state_max_global_err_s",
-)
-ANALYSIS_COLUMNS = (
-    "mu",
-    "B",
-    "f_hat",
-    "f_max",
-    "sigma_beta",
-    "predicted_var",
-    "empirical_var",
-    "rel_err",
-)
+SWEEP_COLUMNS = ("param", "value", "protocol", "n_runs", "n_converged",
+                 "median_convergence_time_s", "median_steady_state_max_global_err_s")
+ANALYSIS_COLUMNS = ("mu", "B", "f_hat", "f_max", "sigma_beta", "predicted_var",
+                    "empirical_var", "rel_err")
 
 
 class ConfigError(ValueError):
@@ -468,7 +464,6 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
     fmax, sigma_b = cfg["max_drift_hz"], cfg["delay_std_s"]
-    OscillatorParams(nominal_hz=f, max_drift_hz=fmax)  # run's drift rule
     grid = list(_parse_list("--mu-grid", "--mu-grid entry", cfg["mu_grid"], float))
     if not all(map(math.isfinite, grid)):
         raise ConfigError(f"--mu-grid {cfg['mu_grid']!r}: entries must be finite")

@@ -31,11 +31,14 @@ class OscillatorParams:
         [nominal - max_drift, nominal + max_drift].
     resample_interval_s: length of each constant-drift segment.
     quantize_ticks: floor readings to whole ticks when True.
+
+    Drift and segment length have no default: results depend on both, so
+    every caller states them (the CLI's are 25 Hz redrawn every 3600 s).
     """
 
     nominal_hz: float
-    max_drift_hz: float = 0.0
-    resample_interval_s: float = 30.0
+    max_drift_hz: float
+    resample_interval_s: float
     quantize_ticks: bool = False
 
     def __post_init__(self) -> None:

@@ -52,6 +52,8 @@ class ProtocolParams:
     nominal_hz: f, nominal oscillator frequency.
     max_error_s: guard threshold; rate updates are skipped when the averaged
         offset magnitude is not below it (offset corrections always apply).
+        The default is twice the error a bounded drift can build up between
+        two rounds, 2*B*f_max/f: 6 ms at the 100 Hz drift bound.
     gather_wait_s: delay between broadcasting requests and averaging the
         replies. Zero is allowed for idealized runs with zero network delay.
     """

@@ -264,7 +264,7 @@ def test_criterion_7_small_instance_oracle_equivalence(capsys):
         kind=Protocol.NEWTON, step_size=1.0, beacon_period_s=b,
         nominal_hz=f, max_error_s=10.0, gather_wait_s=0.0,
     )
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0)
+    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0, resample_interval_s=30.0)
     trace = run_simulation(
         build_line_topology(2), params, osc_params=osc,
         delay_model=DelayModel(std_s=0.0), duration_s=50 * b,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import time
 import tracemalloc
 
@@ -38,6 +39,7 @@ from wsnsync.analysis import (
     validate_grid,
     variant_moment_predictions,
 )
+from wsnsync.clocks import OscillatorParams
 
 # frozen Monte Carlo pins (default parameters, mu = 1)
 ORACLE_MEAN_Z2 = 3.3330505443412652e-09
@@ -153,6 +155,16 @@ def test_moment_params_accept_the_edges():
         MomentParams(**kwargs)
     with pytest.raises(ValueError, match="delay_diff_var"):
         MomentParams.from_delay_std(np.inf)
+
+
+def test_moment_params_refuse_the_drift_an_oscillator_refuses():
+    # a drift bound at or above the nominal frequency, in the same words
+    for drift in (50.0, 100.0):
+        with pytest.raises(ValueError) as oscillator:
+            OscillatorParams(nominal_hz=50.0, max_drift_hz=drift, resample_interval_s=30.0)
+        with pytest.raises(ValueError) as model:
+            MomentParams(nominal_hz=50.0, max_drift_hz=drift)
+        assert str(model.value) == str(oscillator.value)
 
 
 def test_drift_integral_variance_formula():
@@ -411,6 +423,20 @@ def test_validate_grid_refuses_before_any_kernel(monkeypatch, size):
     monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
     with pytest.raises(ValueError):
         validate_grid(_grid(2.2, 1.0), **{**_SMALL, **size})
+
+
+@pytest.mark.parametrize("beacon_period", [1e-200, 1e-160])
+def test_moment_params_refuse_closed_forms_out_of_float_range(monkeypatch, beacon_period):
+    # B * B underflows: the delay term divides by 0 at 1e-200 and is inf at
+    # 1e-160. Only a mean-convergent model is refused; no oracle is run.
+    monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the closed forms at mu 1.0 leave float range at a beacon period of "
+            f"{beacon_period} s, nominal 1000000.0 Hz, drift bound 100.0 Hz")):
+        MomentParams(beacon_period_s=beacon_period)
+    divergent = MomentParams(beacon_period_s=beacon_period, step_size=2.2)
+    [row] = validate_grid([divergent], **_SMALL)
+    assert row["note"] == "divergent by design"
 
 
 def test_validate_grid_fails_a_mean_above_the_gate(monkeypatch):

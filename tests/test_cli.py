@@ -1013,6 +1013,18 @@ def test_validate_analysis_labels_marginal_step_sizes(tmp_path: Path, monkeypatc
     assert notes == ["marginal by design (|1 - mu| = 1)"] * 2 + ["divergent by design"]
 
 
+def test_validate_analysis_models_at_the_moment_params_defaults():
+    cfg = cli._resolve(cli.build_parser().parse_args(["validate-analysis"]))
+    model = analysis.MomentParams()
+    assert (cfg["beacon_period_s"], cfg["nominal_hz"], cfg["max_drift_hz"]) == (
+        model.beacon_period_s, model.nominal_hz, model.max_drift_hz)
+    # the delay std squares to one ulp above MomentParams' 2e-10; the
+    # command's models, and so analysis.csv, rest on that value
+    assert analysis.MomentParams.from_delay_std(cfg["delay_std_s"]).delay_diff_var == (
+        2.0000000000000003e-10)
+    assert model.delay_diff_var == 2e-10
+
+
 def test_validate_analysis_rejects_drift_at_or_above_nominal(tmp_path: Path,
                                                             monkeypatch, capsys):
     def no_oracle(*args, **kwargs):

@@ -31,31 +31,39 @@ def _gen(seed: int = 0) -> np.random.Generator:
 
 def test_params_reject_nonpositive_nominal():
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=0.0)
+        OscillatorParams(nominal_hz=0.0, max_drift_hz=0.0, resample_interval_s=30.0)
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=-1e6)
+        OscillatorParams(nominal_hz=-1e6, max_drift_hz=0.0, resample_interval_s=30.0)
 
 
 def test_params_reject_bad_drift_bound():
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=1e6, max_drift_hz=-1.0)
+        OscillatorParams(nominal_hz=1e6, max_drift_hz=-1.0, resample_interval_s=30.0)
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=1e6, max_drift_hz=1e6)
+        OscillatorParams(nominal_hz=1e6, max_drift_hz=1e6, resample_interval_s=30.0)
 
 
 def test_params_reject_nonpositive_resample():
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=1e6, resample_interval_s=0.0)
+        OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=0.0)
+
+
+def test_params_have_no_drift_or_segment_default():
+    # results depend on both, so every caller states them
+    with pytest.raises(TypeError):
+        OscillatorParams(1e6)
+    with pytest.raises(TypeError):
+        OscillatorParams(1e6, 25.0)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_params_reject_non_finite(bad):
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=bad)
+        OscillatorParams(nominal_hz=bad, max_drift_hz=0.0, resample_interval_s=30.0)
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=1e6, max_drift_hz=bad)
+        OscillatorParams(nominal_hz=1e6, max_drift_hz=bad, resample_interval_s=30.0)
     with pytest.raises(ValueError):
-        OscillatorParams(nominal_hz=1e6, resample_interval_s=bad)
+        OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +84,8 @@ def _assert_same_drift(a: HardwareClock, b: HardwareClock, now: float, dt: float
 
 
 def test_zero_drift_advance_is_exact():
-    hw = HardwareClock(OscillatorParams(nominal_hz=1e6), _gen())
+    hw = HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
+                                        resample_interval_s=30.0), _gen())
     hw.advance(2.5)
     assert hw.read_ticks() == 2.5e6
     hw.advance(2.5)  # the clock stands at 2.5 s
@@ -85,7 +94,8 @@ def test_zero_drift_advance_is_exact():
 
 
 def test_initial_ticks_offset_carried():
-    hw = HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), initial_ticks=123.0)
+    hw = HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
+                                        resample_interval_s=30.0), _gen(), initial_ticks=123.0)
     assert hw.read_ticks() == 123.0
     hw.advance(1.0)
     assert hw.read_ticks() == 123.0 + 1e6
@@ -93,7 +103,8 @@ def test_initial_ticks_offset_carried():
 
 def test_negative_initial_ticks_rejected():
     with pytest.raises(ValueError):
-        HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), initial_ticks=-1.0)
+        HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
+                                       resample_interval_s=30.0), _gen(), initial_ticks=-1.0)
 
 
 @pytest.mark.parametrize("field,bad", [
@@ -102,11 +113,13 @@ def test_negative_initial_ticks_rejected():
 ])
 def test_non_finite_start_rejected(field: str, bad: float):
     with pytest.raises(ValueError, match=field):
-        HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), **{field: bad})
+        HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
+                                       resample_interval_s=30.0), _gen(), **{field: bad})
 
 
 def test_nan_advance_raises_and_leaves_the_clock_usable():
-    hw = HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), start_time=5.0)
+    hw = HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
+                                        resample_interval_s=30.0), _gen(), start_time=5.0)
     with pytest.raises(ClockRegressionError):
         hw.advance(math.nan)
     hw.advance(6.0)
@@ -119,7 +132,8 @@ import numpy as np
 from wsnsync.clocks import HardwareClock, OscillatorParams
 
 def clock():
-    return HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=1.0),
+    return HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=1.0,
+                                          resample_interval_s=30.0),
                          np.random.default_rng(0))
 
 untouched = clock()
@@ -149,7 +163,8 @@ def test_advance_too_far_to_count_segments_raises():
 
 
 def test_advance_backwards_raises():
-    hw = HardwareClock(OscillatorParams(nominal_hz=1e6), _gen(), start_time=5.0)
+    hw = HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
+                                        resample_interval_s=30.0), _gen(), start_time=5.0)
     with pytest.raises(ClockRegressionError):
         hw.advance(4.999)
 
@@ -243,7 +258,8 @@ def test_ticks_never_decrease(times: list[float]):
 
 
 def test_quantized_readings_are_floored():
-    params = OscillatorParams(nominal_hz=10.0, quantize_ticks=True)
+    params = OscillatorParams(nominal_hz=10.0, max_drift_hz=0.0,
+                              resample_interval_s=30.0, quantize_ticks=True)
     hw = HardwareClock(params, _gen())
     hw.advance(0.25)
     assert hw.read_ticks() == 2.0  # 2.5 raw ticks -> floor 2

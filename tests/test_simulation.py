@@ -165,7 +165,7 @@ def test_event_queue_fifo_within_class():
 
 def test_run_simulation_validates_arguments():
     topo = build_line_topology(2)
-    osc = OscillatorParams(nominal_hz=1e6)
+    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=30.0)
     with pytest.raises(ValueError):
         run_simulation(topo, _newton_params(), osc_params=osc, duration_s=0.0)
     with pytest.raises(ValueError):
@@ -186,7 +186,8 @@ def test_run_simulation_validates_arguments():
 
 
 _OVERFLOWING_RUN = {"topology": build_line_topology(3),
-                    "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0),
+                    "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
+                                                   resample_interval_s=30.0),
                     "duration_s": 300.0, "boot_window_s": 60.0, "seed": 1}
 
 
@@ -216,7 +217,7 @@ def test_a_lone_failing_params_fails_at_its_run_not_its_pass():
 # a rate so large that the first sample reads inf, while no round's
 # correction fails: the guard skips the rate update at that error
 _SAMPLE_OVERFLOW_RUN = {"topology": build_line_topology(2),
-                        "osc_params": OscillatorParams(1e6, 0.0),
+                        "osc_params": OscillatorParams(1e6, 0.0, 30.0),
                         "delay_model": DelayModel(0.0), "duration_s": 15.0,
                         "boot_window_s": 0.0, "seed": 1, "initial_rate": 1e302,
                         "initial_ticks": 0.0}
@@ -251,7 +252,8 @@ def test_oscillator_and_protocols_share_one_nominal_frequency():
     # a trace's config records the protocol's frequency only, so an
     # oscillator at another one would write other rows under the same header
     run = {"topology": build_line_topology(3), "duration_s": 600.0, "seed": 1,
-           "osc_params": OscillatorParams(nominal_hz=1.001e6, max_drift_hz=25.0)}
+           "osc_params": OscillatorParams(nominal_hz=1.001e6, max_drift_hz=25.0,
+                                          resample_interval_s=30.0)}
     message = re.escape("osc_params.nominal_hz = 1001000.0 differs from the protocols' "
                         "nominal_hz = 1000000.0")
     with pytest.raises(ValueError, match=message):
@@ -271,7 +273,7 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
 
     monkeypatch.setattr(simulation, "_event_pass", refuse)
     topo = build_line_topology(2)
-    osc = OscillatorParams(nominal_hz=1e6)
+    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=30.0)
     limit = simulation.MAX_PERIODS_PER_RUN
     with pytest.raises(Started):
         run_simulation(topo, _newton_params(), osc_params=osc,
@@ -284,7 +286,7 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
         run_simulation(topo, fast_beacons, osc_params=osc, duration_s=2000.0,
                        sample_interval_s=10.0)
     # each drift segment is one draw per node
-    short_segments = OscillatorParams(nominal_hz=1e6, resample_interval_s=1.0)
+    short_segments = OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=1.0)
     with pytest.raises(Started):
         run_simulation(topo, _newton_params(), osc_params=short_segments,
                        duration_s=float(limit), sample_interval_s=limit / 10)
@@ -304,7 +306,8 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
 def test_a_runs_readings_are_bounded_over_its_nodes():
     # 10^6 frames (MAX_PERIODS_PER_RUN) of line:10 hold exactly
     # MAX_READINGS_PER_RUN readings; line:11's are refused before any pass
-    run = {"osc_params": OscillatorParams(nominal_hz=1e6), "duration_s": 1e6,
+    run = {"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
+                                          resample_interval_s=30.0), "duration_s": 1e6,
            "sample_interval_s": 1.0}
     assert simulation.MAX_READINGS_PER_RUN == 10 * simulation.MAX_PERIODS_PER_RUN
     simulation.run_config(build_line_topology(10), _newton_params(), **run)
@@ -345,7 +348,7 @@ def test_ideal_run_has_exactly_zero_error():
     # logical reading reproduces true time bit for bit, forever.
     f = float(2**20)
     params = _newton_params(b=32.0, f=f, gather_wait_s=0.0, max_error_s=10.0)
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0)
+    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0, resample_interval_s=30.0)
     trace = run_simulation(
         build_line_topology(2), params, osc_params=osc,
         delay_model=DelayModel(std_s=0.0), duration_s=512.0,
@@ -363,7 +366,7 @@ def test_two_node_ideal_run_follows_mean_recursion():
     # reproduces one application of the mean recursion.
     b, f, d0 = 30.0, 1e6, 1.05e-6
     params = _newton_params(b=b, f=f, gather_wait_s=0.0, max_error_s=10.0)
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0)
+    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0, resample_interval_s=30.0)
     trace = run_simulation(
         build_line_topology(2), params, osc_params=osc,
         delay_model=DelayModel(std_s=0.0), duration_s=40 * b,
@@ -784,7 +787,8 @@ def test_replayed_schedule_equals_the_live_run(case):
 
 
 _REFUSAL_RUN = {"topology": build_line_topology(4),
-                "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0),
+                "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
+                                               resample_interval_s=30.0),
                 "duration_s": 300.0, "boot_window_s": 60.0, "seed": 11}
 
 
@@ -794,14 +798,16 @@ _REFUSAL_RUN = {"topology": build_line_topology(4),
     ({"params": _newton_params(gather_wait_s=0.5)}, "gather_wait_s"),
     ({"topology": build_line_topology(5)}, "topology"),
     ({"topology": _STAR}, "topology"),
-    ({"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=20.0)}, "max_drift_hz"),
+    ({"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=20.0,
+                                     resample_interval_s=30.0)}, "max_drift_hz"),
     ({"delay_model": DelayModel(std_s=2e-5)}, "delay_std_s"),
     ({"duration_s": 330.0}, "duration_s"),
     ({"sample_interval_s": 5.0}, "sample_interval_s"),
     ({"boot_window_s": 30.0}, "boot_window_s"),
     ({"initial_ticks": 0.0}, "initial_ticks"),
     ({"params": _newton_params(f=2e6),
-      "osc_params": OscillatorParams(nominal_hz=2e6, max_drift_hz=25.0)}, "nominal_hz"),
+      "osc_params": OscillatorParams(nominal_hz=2e6, max_drift_hz=25.0,
+                                     resample_interval_s=30.0)}, "nominal_hz"),
 ])
 def test_replay_refuses_a_schedule_of_other_settings(change, setting):
     # a run of the change has another config at `setting` than the one its
