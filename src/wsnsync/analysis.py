@@ -58,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .protocols import WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size
+
 
 class NonconvergentMomentError(ValueError):
     """Second-moment recursion has |a| >= 1; no finite fixed point exists."""
@@ -70,7 +72,9 @@ class NonconvergentMomentError(ValueError):
 @dataclass(frozen=True)
 class MomentParams:
     """Parameters of the pairwise model: the mean recursion reads B, f and
-    mu, the second-moment recursion all five.
+    mu, the second-moment recursion all five. The defaults are the
+    protocol's own: ProtocolParams' B and f, newton's default step and the
+    worst-case drift bound WORST_CASE_DRIFT_HZ.
 
     delay_diff_var: sigma_D^2, variance of the difference of two successive
     message delays. With i.i.d. delays of standard deviation sigma_b this is
@@ -87,10 +91,11 @@ class MomentParams:
     float range.
     """
 
-    beacon_period_s: float = 30.0
-    nominal_hz: float = 1e6
-    max_drift_hz: float = 100.0
-    step_size: float = 1.0
+    beacon_period_s: float = ProtocolParams.beacon_period_s
+    nominal_hz: float = ProtocolParams.nominal_hz
+    max_drift_hz: float = WORST_CASE_DRIFT_HZ
+    step_size: float = default_step_size(Protocol.NEWTON, beacon_period_s, nominal_hz)
+    # one ulp below from_delay_std(DelayModel.std_s); see NOTES.md
     delay_diff_var: float = 2e-10
 
     def __post_init__(self) -> None:
@@ -436,13 +441,23 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
     with its rel_err) and failed (final_sigma above MEAN_GATE_SIGMA). Only
     mean-convergent models run an oracle, and MomentParams keeps their
     closed forms in float range. ValueError before any kernel for a size
-    that check_oracle_size refuses or a ``tail`` outside [1, n_steps), and
-    at a model whose oracle variance is 0."""
+    that check_oracle_size refuses, fewer than 2 runs, a ``tail`` outside
+    [1, n_steps) or a mean-convergent model with no drift and no delay,
+    and at a model whose oracle variance is 0 (noise below float
+    resolution)."""
     check_oracle_size(n_runs, n_steps)
     if not 1 <= tail < n_steps:
         raise ValueError(f"tail = {tail} must be at least 1 and below n_steps = {n_steps}")
-    state0 = (0.0, initial_rate)
+    # the mean check divides by the oracle's standard error, the variance
+    # check by its empirical variance; both are 0 without two noisy runs
+    if n_runs < 2:
+        raise ValueError(f"n_runs = {n_runs} must be at least 2: one run has no standard error")
     convergent = [k for k, p in enumerate(models) if is_mean_convergent(p)]
+    for k in convergent:
+        if models[k].max_drift_hz == models[k].delay_diff_var == 0:
+            raise ValueError(f"the model at mu {models[k].step_size} has no drift and no "
+                             "delay: a noiseless oracle has no standard error")
+    state0 = (0.0, initial_rate)
 
     def kernel(k: int) -> OracleTrace:
         return pairwise_oracle(models[k], seed=seed + 7919 * k, n_steps=n_steps,

@@ -34,7 +34,9 @@ from pathlib import Path
 
 from . import metrics
 from .clocks import OscillatorParams
-from .protocols import Protocol, ProtocolParams, default_step_size, step_size_bound
+from .protocols import (
+    WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size, step_size_bound,
+)
 from .simulation import (
     DelayModel, Topology, build_line_topology, record_schedule, run_config, run_simulation,
     write_csv_preamble,
@@ -47,6 +49,7 @@ RANGES = {
     "positive": lambda v: v > 0,
     "nonnegative": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
+    "at least 2": lambda v: v >= 2,
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 # Seeds per invocation, over all of a sweep's values. summary.csv's header
@@ -100,7 +103,7 @@ SETTINGS = (
     # drift bound; the experiment default models deployed crystals.
     Setting("max_drift_hz", "max-drift-hz", float, 25.0, "nonnegative",
             "oscillator drift bound in Hz", _ALL, "max-drift",
-            command_defaults={"validate-analysis": 100.0}),
+            command_defaults={"validate-analysis": WORST_CASE_DRIFT_HZ}),
     Setting("delay_std_s", "delay-std", float, DelayModel.std_s, "nonnegative",
             "message delay standard deviation, seconds", _ALL, "delay-std"),
     Setting("protocol", "protocol", str, "newton", None,
@@ -133,7 +136,7 @@ SETTINGS = (
     Setting("jobs", "jobs", int, 1, "at least 1", "parallel workers"),
     Setting("mu_grid", "mu-grid", str, "0.25,0.5,1.0,1.5,2.2", None,
             "comma list of step sizes; 2.2 diverges by design", _VALIDATE),
-    Setting("oracle_runs", "oracle-runs", int, 20000, "at least 1",
+    Setting("oracle_runs", "oracle-runs", int, 20000, "at least 2",
             "Monte Carlo runs per step size", _VALIDATE),
     Setting("oracle_steps", "oracle-steps", int, 300, "at least 1",
             "rounds per oracle run", _VALIDATE),
@@ -469,8 +472,6 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
         raise ConfigError(f"--mu-grid {cfg['mu_grid']!r}: entries must be finite")
     # the mean check divides by the oracle's standard error, the variance
     # check by its empirical variance; both are 0 without two noisy runs
-    if cfg["oracle_runs"] < 2:
-        raise ConfigError("--oracle-runs must be at least 2: one run has no standard error")
     if fmax == 0 and sigma_b == 0:
         raise ConfigError("--max-drift-hz and --delay-std are both 0: "
                           "a noiseless oracle has no standard error")

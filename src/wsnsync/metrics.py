@@ -44,7 +44,7 @@ def convergence_time(
     times_s: Sequence[float],
     errors_s: np.ndarray,
     threshold_s: float,
-    window: int = 5,
+    window: int,
     *,
     start_after: float = 0.0,
 ) -> float | None:

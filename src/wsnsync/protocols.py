@@ -25,6 +25,12 @@ import enum
 import math
 from dataclasses import dataclass
 
+# The worst-case oscillator drift bound, in Hz, that the default guard
+# threshold and the pairwise analysis (analysis.MomentParams and
+# validate-analysis) are stated for. Deployed crystals drift less, so `run`
+# defaults to a lower bound.
+WORST_CASE_DRIFT_HZ = 100.0
+
 
 class Protocol(enum.Enum):
     NEWTON = "newton"
@@ -53,7 +59,7 @@ class ProtocolParams:
     max_error_s: guard threshold; rate updates are skipped when the averaged
         offset magnitude is not below it (offset corrections always apply).
         The default is twice the error a bounded drift can build up between
-        two rounds, 2*B*f_max/f: 6 ms at the 100 Hz drift bound.
+        two rounds, 2*B*f_max/f at f_max = WORST_CASE_DRIFT_HZ: 6 ms.
     gather_wait_s: delay between broadcasting requests and averaging the
         replies. Zero is allowed for idealized runs with zero network delay.
     """
@@ -62,7 +68,7 @@ class ProtocolParams:
     step_size: float
     beacon_period_s: float = 30.0
     nominal_hz: float = 1e6
-    max_error_s: float = 6e-3
+    max_error_s: float = 2.0 * beacon_period_s * WORST_CASE_DRIFT_HZ / nominal_hz
     gather_wait_s: float = 1.0
 
     def __post_init__(self) -> None:

@@ -417,12 +417,24 @@ def test_validate_grid_runs_no_oracle_outside_the_mean_interval(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [{"tail": _SMALL["n_steps"]}, {"tail": 0},
-                                  {"n_runs": MAX_ORACLE_RUNS + 1}],
-                         ids=["tail-n_steps", "tail-0", "runs"])
+                                  {"n_runs": MAX_ORACLE_RUNS + 1}, {"n_runs": 1}],
+                         ids=["tail-n_steps", "tail-0", "runs", "one-run"])
 def test_validate_grid_refuses_before_any_kernel(monkeypatch, size):
     monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
     with pytest.raises(ValueError):
         validate_grid(_grid(2.2, 1.0), **{**_SMALL, **size})
+
+
+def test_validate_grid_refuses_a_noiseless_oracle_before_any_kernel(monkeypatch):
+    # no drift and no delay leave the oracle's standard error 0; a model
+    # that runs no oracle is still reported
+    monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
+    with pytest.raises(ValueError, match="the model at mu 1.0 has no drift and no delay"):
+        validate_grid([*_grid(0.5), MomentParams(max_drift_hz=0.0, delay_diff_var=0.0)],
+                      **_SMALL)
+    [row] = validate_grid([MomentParams(max_drift_hz=0.0, delay_diff_var=0.0, step_size=2.2)],
+                          **_SMALL)
+    assert row["note"] == "divergent by design"
 
 
 @pytest.mark.parametrize("beacon_period", [1e-200, 1e-160])

@@ -186,9 +186,11 @@ def test_convergence_run_broken_by_undefined_frames():
 def test_convergence_validates_inputs():
     series = _series([0.125, 0.125])
     with pytest.raises(ValueError):
-        convergence_time(*series, 0.0)
+        convergence_time(*series, 0.0, window=5)
     with pytest.raises(ValueError):
         convergence_time(*series, 1.0, window=0)
+    with pytest.raises(TypeError):  # summarize declares the one default window
+        convergence_time(*series, 1.0)
 
 
 @settings(max_examples=80, deadline=None)
