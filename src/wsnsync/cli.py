@@ -9,13 +9,13 @@ Subcommands:
 
 Every setting is one row of SETTINGS: its flag, config key, type, default,
 range and help. A default that the library declares too (ProtocolParams,
-OscillatorParams, DelayModel, run_config, metrics.summarize) is read from
-it; the others are declared here alone. Precedence: command line flag, then
-JSON config file (--config), then the command's default. Output files embed
-the fully resolved configuration as a `# config = {...}` comment header and
-contain no timestamps, so identical invocations produce byte-identical
-files. The default output directory comes from $WSNSYNC_OUT_DIR, falling
-back to ./out.
+run_config, metrics.summarize) is read from it; the others are declared
+here alone. Precedence: command line flag, then JSON config file
+(--config), then the command's default. Output files embed the fully
+resolved configuration as a `# config = {...}` comment header and contain
+no timestamps, so identical invocations produce byte-identical files. The
+default output directory comes from $WSNSYNC_OUT_DIR, falling back to
+./out.
 
 analysis and concurrent.futures are imported where they are used, so
 importing this module, or running `run` with one worker, loads neither.
@@ -33,13 +33,11 @@ import sys
 from pathlib import Path
 
 from . import metrics
-from .clocks import OscillatorParams
 from .protocols import (
     WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size, step_size_bound,
 )
 from .simulation import (
-    DelayModel, Topology, build_line_topology, record_schedule, run_config, run_simulation,
-    write_csv_preamble,
+    Topology, build_line_topology, record_schedule, run_config, run_simulation, write_csv_preamble,
 )
 
 _RUN = ("run", "sweep")
@@ -104,8 +102,8 @@ SETTINGS = (
     Setting("max_drift_hz", "max-drift-hz", float, 25.0, "nonnegative",
             "oscillator drift bound in Hz", _ALL, "max-drift",
             command_defaults={"validate-analysis": WORST_CASE_DRIFT_HZ}),
-    Setting("delay_std_s", "delay-std", float, DelayModel.std_s, "nonnegative",
-            "message delay standard deviation, seconds", _ALL, "delay-std"),
+    Setting("delay_std_s", "delay-std", float, _default(run_config, "delay_std_s"),
+            "nonnegative", "message delay standard deviation, seconds", _ALL, "delay-std"),
     Setting("protocol", "protocol", str, "newton", None,
             "comma list: newton,grades,avgpisync"),
     # `sweep --param nodes` sets the topology to line:N
@@ -131,8 +129,8 @@ SETTINGS = (
             "convergence threshold in ticks"),
     Setting("window", "window", int, _default(metrics.summarize, "window"), "at least 1",
             "consecutive samples below threshold"),
-    Setting("quantize_ticks", "quantize-ticks", bool, OscillatorParams.quantize_ticks, None,
-            "floor hardware tick readings to integers"),
+    Setting("quantize_ticks", "quantize-ticks", bool, _default(run_config, "quantize_ticks"),
+            None, "floor hardware tick readings to integers"),
     Setting("jobs", "jobs", int, 1, "at least 1", "parallel workers"),
     Setting("mu_grid", "mu-grid", str, "0.25,0.5,1.0,1.5,2.2", None,
             "comma list of step sizes; 2.2 diverges by design", _VALIDATE),
@@ -311,19 +309,10 @@ def _plan(cfg: dict) -> tuple[tuple, dict]:
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p) for p in protocols}
-    sim_kwargs = {
-        "topology": _parse_topology(cfg["topology"]),
-        "osc_params": OscillatorParams(
-            nominal_hz=cfg["nominal_hz"],
-            max_drift_hz=cfg["max_drift_hz"],
-            resample_interval_s=cfg["drift_resample_interval_s"],
-            quantize_ticks=cfg["quantize_ticks"],
-        ),
-        "delay_model": DelayModel(std_s=cfg["delay_std_s"]),
-        "duration_s": cfg["duration_s"],
-        "sample_interval_s": cfg["sample_interval_s"],
-        "boot_window_s": cfg["boot_window_s"],
-    }
+    # run_config's settings under their config keys; the seeds run per job
+    sim_kwargs = {key: cfg[key] for key in inspect.signature(run_config).parameters
+                  if key in cfg and key != "seed"}
+    sim_kwargs["topology"] = _parse_topology(cfg["topology"])
     for p in protocols:
         run_config(params=params[p], **sim_kwargs)
         if not params[p].within_bound():

@@ -538,25 +538,29 @@ class _Clocks:
 
 
 def run_config(
-    topology: Topology, params: ProtocolParams, *, osc_params: OscillatorParams,
-    delay_model: DelayModel = DelayModel(), duration_s: float = 12240.0,
-    sample_interval_s: float = 10.0, boot_window_s: float = 300.0, seed: int = 0,
-    initial_rate: float | None = None, initial_ticks: float | None = None,
+    topology: Topology, params: ProtocolParams, *, max_drift_hz: float,
+    drift_resample_interval_s: float, quantize_ticks: bool = OscillatorParams.quantize_ticks,
+    delay_std_s: float = DelayModel.std_s, delay_floor_s: float = DelayModel.floor_s,
+    duration_s: float = 12240.0, sample_interval_s: float = 10.0, boot_window_s: float = 300.0,
+    seed: int = 0, initial_rate: float | None = None, initial_ticks: float | None = None,
 ) -> dict:
-    """The config of one run of params, its trace's `# config` header. Its
-    keyword settings and their defaults, declared here alone, are those of
-    record_schedule and run_simulation; TypeError for one it does not take
-    or a missing osc_params.
+    """The config of one run of params, its trace's `# config` header: the
+    topology, the params' fields and these keyword settings, each under its
+    own name. Its keyword settings and their defaults, declared here alone,
+    are those of record_schedule and run_simulation; TypeError for one it
+    does not take or a missing drift bound or segment length.
 
-    ValueError unless duration and sample interval are finite and positive,
-    every node boots before the run ends, the run schedules at most
-    MAX_PERIODS_PER_RUN sample frames, beacon rounds per node and drift
-    segments over all its nodes but the gateway, which reads true time, and
-    at most MAX_READINGS_PER_RUN readings (sample frames x nodes),
-    the initial rate and ticks are finite or None, and osc_params has the
-    protocol's nominal frequency: the config records that one alone, and
-    determines the run's rows.
+    ValueError where OscillatorParams (at the protocol's nominal frequency)
+    or DelayModel refuses the settings, and unless duration and sample
+    interval are finite and positive, every node boots before the run ends,
+    the run schedules at most MAX_PERIODS_PER_RUN sample frames, beacon
+    rounds per node and drift segments over all its nodes but the gateway,
+    which reads true time, and at most MAX_READINGS_PER_RUN readings
+    (sample frames x nodes), and the initial rate and ticks are finite or
+    None.
     """
+    OscillatorParams(params.nominal_hz, max_drift_hz, drift_resample_interval_s, quantize_ticks)
+    DelayModel(delay_std_s, delay_floor_s)
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     if not 0 < sample_interval_s < math.inf:
@@ -570,7 +574,7 @@ def run_config(
             ("sample_interval_s", sample_interval_s, 1, MAX_PERIODS_PER_RUN),
             ("sample_interval_s", sample_interval_s, n, MAX_READINGS_PER_RUN),
             ("beacon_period_s", params.beacon_period_s, 1, MAX_PERIODS_PER_RUN),
-            ("drift_resample_interval_s", osc_params.resample_interval_s, n - 1,
+            ("drift_resample_interval_s", drift_resample_interval_s, n - 1,
              MAX_PERIODS_PER_RUN)):
         if nodes * duration_s / period > limit:
             per = "" if nodes == 1 else f" x {nodes} nodes"
@@ -579,9 +583,6 @@ def run_config(
     for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if osc_params.nominal_hz != params.nominal_hz:
-        raise ValueError(f"osc_params.nominal_hz = {osc_params.nominal_hz} differs from the "
-                         f"protocols' nominal_hz = {params.nominal_hz}")
     return {
         "protocol": params.kind.value,
         "step_size": params.step_size,
@@ -589,11 +590,11 @@ def run_config(
         "nominal_hz": params.nominal_hz,
         "max_error_s": params.max_error_s,
         "gather_wait_s": params.gather_wait_s,
-        "max_drift_hz": osc_params.max_drift_hz,
-        "drift_resample_interval_s": osc_params.resample_interval_s,
-        "quantize_ticks": osc_params.quantize_ticks,
-        "delay_std_s": delay_model.std_s,
-        "delay_floor_s": delay_model.floor_s,
+        "max_drift_hz": max_drift_hz,
+        "drift_resample_interval_s": drift_resample_interval_s,
+        "quantize_ticks": quantize_ticks,
+        "delay_std_s": delay_std_s,
+        "delay_floor_s": delay_floor_s,
         "topology": topology.to_config(),
         "duration_s": duration_s,
         "sample_interval_s": sample_interval_s,

@@ -35,15 +35,9 @@ from wsnsync.analysis import (
     steady_state_stats,
 )
 from wsnsync.cli import main as cli_main
-from wsnsync.clocks import OscillatorParams
 from wsnsync.metrics import summarize
 from wsnsync.protocols import Protocol, ProtocolParams, default_step_size
-from wsnsync.simulation import (
-    DelayModel,
-    build_line_topology,
-    record_schedule,
-    run_simulation,
-)
+from wsnsync.simulation import build_line_topology, record_schedule, run_simulation
 
 B = 30.0
 F_HAT = 1e6
@@ -183,10 +177,8 @@ def comparison():
     # same traces as three full runs (test_replayed_schedule_equals_the_live_run).
     t0 = time.perf_counter()
     sim_kwargs = {
-        "osc_params": OscillatorParams(nominal_hz=F_HAT, max_drift_hz=25.0,
-                                       resample_interval_s=3600.0),
-        "delay_model": DelayModel(std_s=1e-5), "duration_s": 12240.0,
-        "sample_interval_s": 10.0, "boot_window_s": 300.0,
+        "max_drift_hz": 25.0, "drift_resample_interval_s": 3600.0, "delay_std_s": 1e-5,
+        "duration_s": 12240.0, "sample_interval_s": 10.0, "boot_window_s": 300.0,
     }
     topo = build_line_topology(16)
     summaries = {kind: [] for kind in Protocol}
@@ -264,10 +256,9 @@ def test_criterion_7_small_instance_oracle_equivalence(capsys):
         kind=Protocol.NEWTON, step_size=1.0, beacon_period_s=b,
         nominal_hz=f, max_error_s=10.0, gather_wait_s=0.0,
     )
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0, resample_interval_s=30.0)
     trace = run_simulation(
-        build_line_topology(2), params, osc_params=osc,
-        delay_model=DelayModel(std_s=0.0), duration_s=50 * b,
+        build_line_topology(2), params, max_drift_hz=0.0, drift_resample_interval_s=30.0,
+        delay_std_s=0.0, duration_s=50 * b,
         sample_interval_s=50 * b, boot_window_s=0.0, seed=1,
         initial_rate=d0, initial_ticks=0.0,
     )

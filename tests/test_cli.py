@@ -536,6 +536,20 @@ def test_a_topology_file_past_max_nodes_is_refused(tmp_path: Path, monkeypatch, 
     assert not out.exists()
 
 
+def test_run_refuses_drift_at_or_above_nominal(tmp_path: Path, monkeypatch, capsys):
+    # the default 25 Hz drift bound at a 20 Hz oscillator, refused by
+    # run_config in OscillatorParams' words before any pass or output directory
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the event pass ran before the settings were checked")
+
+    monkeypatch.setattr(simulation, "_event_pass", no_pass)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--nominal-hz", "20", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: max_drift_hz must satisfy 0 <= max_drift < nominal, got 25.0\n")
+    assert not out.exists()
+
+
 def test_a_sweeps_seeds_are_counted_over_its_values_before_any_is_planned(tmp_path: Path,
                                                                           monkeypatch, capsys):
     # each value's 10^5 seeds are within the limit, but 300 values plan

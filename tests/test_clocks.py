@@ -162,6 +162,20 @@ def test_advance_too_far_to_count_segments_raises():
     assert (proc.returncode, proc.stdout) == (0, "True\nTrue\n"), proc.stderr
 
 
+def test_advance_refuses_segments_it_cannot_count_in_process():
+    # ulp(1e17) is 16 s, past twice a 1 s segment: refused on the first
+    # boundary, naming the segment length, with the clock left as it was
+    params = OscillatorParams(nominal_hz=1e6, max_drift_hz=1.0, resample_interval_s=1.0)
+    hw, twin = HardwareClock(params, _gen(4)), HardwareClock(params, _gen(4))
+    ticks = hw.advance(2.5)
+    twin.advance(2.5)
+    with pytest.raises(ValueError, match=r"^advance to 1e\+17: drift segments of 1\.0 s "
+                                         r"cannot be counted that far$"):
+        hw.advance(1e17)
+    assert hw.read_ticks() == ticks
+    assert hw.advance(3.5) == twin.advance(3.5)  # same time, drift and segment
+
+
 def test_advance_backwards_raises():
     hw = HardwareClock(OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
                                         resample_interval_s=30.0), _gen(), start_time=5.0)

@@ -19,7 +19,6 @@ from wsnsync.analysis import (
     asymptotic_error_variance,
     mean_trace,
 )
-from wsnsync.clocks import OscillatorParams
 from wsnsync.protocols import Protocol, ProtocolParams, default_step_size, effective_gain
 from wsnsync.simulation import (
     BEACON,
@@ -45,6 +44,11 @@ def _newton_params(b: float = 30.0, f: float = 1e6, **kw) -> ProtocolParams:
     kw.setdefault("max_error_s", 6e-3)
     return ProtocolParams(kind=Protocol.NEWTON, beacon_period_s=b,
                           nominal_hz=f, **kw)
+
+
+# a run's drift settings: none at all, or the CLI's 25 Hz redrawn hourly
+_NO_DRIFT = {"max_drift_hz": 0.0, "drift_resample_interval_s": 30.0}
+_HOURLY_DRIFT = {"max_drift_hz": 25.0, "drift_resample_interval_s": 3600.0}
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +169,27 @@ def test_event_queue_fifo_within_class():
 
 def test_run_simulation_validates_arguments():
     topo = build_line_topology(2)
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=30.0)
     with pytest.raises(ValueError):
-        run_simulation(topo, _newton_params(), osc_params=osc, duration_s=0.0)
+        run_simulation(topo, _newton_params(), **_NO_DRIFT, duration_s=0.0)
     with pytest.raises(ValueError):
-        run_simulation(topo, _newton_params(), osc_params=osc,
+        run_simulation(topo, _newton_params(), **_NO_DRIFT,
                        duration_s=100.0, sample_interval_s=0.0)
     with pytest.raises(ValueError):
-        run_simulation(topo, _newton_params(), osc_params=osc,
+        run_simulation(topo, _newton_params(), **_NO_DRIFT,
                        duration_s=100.0, boot_window_s=100.0)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
-            run_simulation(topo, _newton_params(), osc_params=osc, duration_s=bad)
+            run_simulation(topo, _newton_params(), **_NO_DRIFT, duration_s=bad)
         with pytest.raises(ValueError, match="finite"):
-            run_simulation(topo, _newton_params(), osc_params=osc,
+            run_simulation(topo, _newton_params(), **_NO_DRIFT,
                            duration_s=100.0, sample_interval_s=bad)
         with pytest.raises(ValueError, match="finite"):
-            run_simulation(topo, _newton_params(), osc_params=osc,
+            run_simulation(topo, _newton_params(), **_NO_DRIFT,
                            duration_s=1000.0, initial_rate=bad)
 
 
 _OVERFLOWING_RUN = {"topology": build_line_topology(3),
-                    "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                                                   resample_interval_s=30.0),
+                    "max_drift_hz": 25.0, "drift_resample_interval_s": 30.0,
                     "duration_s": 300.0, "boot_window_s": 60.0, "seed": 1}
 
 
@@ -217,8 +219,7 @@ def test_a_lone_failing_params_fails_at_its_run_not_its_pass():
 # a rate so large that the first sample reads inf, while no round's
 # correction fails: the guard skips the rate update at that error
 _SAMPLE_OVERFLOW_RUN = {"topology": build_line_topology(2),
-                        "osc_params": OscillatorParams(1e6, 0.0, 30.0),
-                        "delay_model": DelayModel(0.0), "duration_s": 15.0,
+                        **_NO_DRIFT, "delay_std_s": 0.0, "duration_s": 15.0,
                         "boot_window_s": 0.0, "seed": 1, "initial_rate": 1e302,
                         "initial_ticks": 0.0}
 
@@ -248,20 +249,6 @@ def test_a_failure_keeps_the_first_message():
     assert str(clocks.error) == first
 
 
-def test_oscillator_and_protocols_share_one_nominal_frequency():
-    # a trace's config records the protocol's frequency only, so an
-    # oscillator at another one would write other rows under the same header
-    run = {"topology": build_line_topology(3), "duration_s": 600.0, "seed": 1,
-           "osc_params": OscillatorParams(nominal_hz=1.001e6, max_drift_hz=25.0,
-                                          resample_interval_s=30.0)}
-    message = re.escape("osc_params.nominal_hz = 1001000.0 differs from the protocols' "
-                        "nominal_hz = 1000000.0")
-    with pytest.raises(ValueError, match=message):
-        record_schedule(params_seq=[_newton_params(f=1e6)], **run)
-    with pytest.raises(ValueError, match=message):
-        run_simulation(params=_newton_params(f=1e6), **run)
-
-
 def test_run_simulation_rejects_runaway_schedules(monkeypatch):
     # too many sample frames or beacon rounds per node is refused before
     # the event pass starts; exactly the limit is accepted
@@ -273,42 +260,39 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
 
     monkeypatch.setattr(simulation, "_event_pass", refuse)
     topo = build_line_topology(2)
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=30.0)
     limit = simulation.MAX_PERIODS_PER_RUN
     with pytest.raises(Started):
-        run_simulation(topo, _newton_params(), osc_params=osc,
+        run_simulation(topo, _newton_params(), **_NO_DRIFT,
                        duration_s=float(limit), sample_interval_s=1.0)
     with pytest.raises(ValueError, match="sample_interval_s"):
-        run_simulation(topo, _newton_params(), osc_params=osc,
+        run_simulation(topo, _newton_params(), **_NO_DRIFT,
                        duration_s=float(limit + 1), sample_interval_s=1.0)
     fast_beacons = _newton_params(b=1e-3, gather_wait_s=0.0)
     with pytest.raises(ValueError, match="beacon_period_s"):
-        run_simulation(topo, fast_beacons, osc_params=osc, duration_s=2000.0,
+        run_simulation(topo, fast_beacons, **_NO_DRIFT, duration_s=2000.0,
                        sample_interval_s=10.0)
     # each drift segment is one draw per node
-    short_segments = OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0, resample_interval_s=1.0)
+    short_segments = {"max_drift_hz": 0.0, "drift_resample_interval_s": 1.0}
     with pytest.raises(Started):
-        run_simulation(topo, _newton_params(), osc_params=short_segments,
+        run_simulation(topo, _newton_params(), **short_segments,
                        duration_s=float(limit), sample_interval_s=limit / 10)
     with pytest.raises(ValueError, match="drift_resample_interval_s"):
-        run_simulation(topo, _newton_params(), osc_params=short_segments,
+        run_simulation(topo, _newton_params(), **short_segments,
                        duration_s=float(limit + 1), sample_interval_s=limit / 10)
     # over every node but the gateway, whose counter reads true time
     line17 = build_line_topology(17)
     with pytest.raises(Started):
-        run_simulation(line17, _newton_params(), osc_params=short_segments,
+        run_simulation(line17, _newton_params(), **short_segments,
                        duration_s=limit / 16, sample_interval_s=limit / 160)
     with pytest.raises(ValueError, match="drift_resample_interval_s x 16 nodes = 1.00002e"):
-        run_simulation(line17, _newton_params(), osc_params=short_segments,
+        run_simulation(line17, _newton_params(), **short_segments,
                        duration_s=limit / 16 + 1, sample_interval_s=limit / 160)
 
 
 def test_a_runs_readings_are_bounded_over_its_nodes():
     # 10^6 frames (MAX_PERIODS_PER_RUN) of line:10 hold exactly
     # MAX_READINGS_PER_RUN readings; line:11's are refused before any pass
-    run = {"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=0.0,
-                                          resample_interval_s=30.0), "duration_s": 1e6,
-           "sample_interval_s": 1.0}
+    run = {**_NO_DRIFT, "duration_s": 1e6, "sample_interval_s": 1.0}
     assert simulation.MAX_READINGS_PER_RUN == 10 * simulation.MAX_PERIODS_PER_RUN
     simulation.run_config(build_line_topology(10), _newton_params(), **run)
     message = ("^duration_s / sample_interval_s x 11 nodes = 1.1e\\+07 exceeds the limit "
@@ -348,10 +332,9 @@ def test_ideal_run_has_exactly_zero_error():
     # logical reading reproduces true time bit for bit, forever.
     f = float(2**20)
     params = _newton_params(b=32.0, f=f, gather_wait_s=0.0, max_error_s=10.0)
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0, resample_interval_s=30.0)
     trace = run_simulation(
-        build_line_topology(2), params, osc_params=osc,
-        delay_model=DelayModel(std_s=0.0), duration_s=512.0,
+        build_line_topology(2), params, **_NO_DRIFT,
+        delay_std_s=0.0, duration_s=512.0,
         sample_interval_s=8.0, boot_window_s=0.0, seed=3,
         initial_ticks=0.0,
     )
@@ -366,10 +349,9 @@ def test_two_node_ideal_run_follows_mean_recursion():
     # reproduces one application of the mean recursion.
     b, f, d0 = 30.0, 1e6, 1.05e-6
     params = _newton_params(b=b, f=f, gather_wait_s=0.0, max_error_s=10.0)
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=0.0, resample_interval_s=30.0)
     trace = run_simulation(
-        build_line_topology(2), params, osc_params=osc,
-        delay_model=DelayModel(std_s=0.0), duration_s=40 * b,
+        build_line_topology(2), params, **_NO_DRIFT,
+        delay_std_s=0.0, duration_s=40 * b,
         sample_interval_s=40 * b, boot_window_s=0.0, seed=1,
         initial_rate=d0, initial_ticks=0.0,
     )
@@ -396,15 +378,14 @@ def test_noisy_drift_error_variance_matches_closed_form(kind):
     # the run does, one round fewer.
     b, f, f_max = 30.0, 1e6, 100.0
     mu = default_step_size(kind, b, f)
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=f_max, resample_interval_s=b)
     for sigma, gather_wait_s, n_rounds in ((0.0, 0.0, 63), (1e-3, 0.5, 62)):
         params = ProtocolParams(kind=kind, step_size=mu, beacon_period_s=b, nominal_hz=f,
                                 max_error_s=1.0, gather_wait_s=gather_wait_s)
         per_seed = []
         for seed in range(100):
             trace = run_simulation(
-                build_line_topology(2), params, osc_params=osc,
-                delay_model=DelayModel(std_s=sigma), duration_s=3060.0,
+                build_line_topology(2), params, max_drift_hz=f_max,
+                drift_resample_interval_s=b, delay_std_s=sigma, duration_s=3060.0,
                 sample_interval_s=3060.0, boot_window_s=0.0, seed=seed,
                 initial_ticks=0.0,
             )
@@ -425,9 +406,7 @@ def test_noisy_drift_error_variance_matches_closed_form(kind):
 
 def test_gateway_error_is_identically_zero():
     params = _newton_params()
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
-    trace = run_simulation(build_line_topology(4), params, osc_params=osc,
+    trace = run_simulation(build_line_topology(4), params, **_HOURLY_DRIFT,
                            duration_s=900.0, boot_window_s=100.0, seed=5)
     gateway = trace.topology.node_ids.index(1)
     for t, row in zip(trace.sample_times_s, trace.logical_s.tolist()):
@@ -444,10 +423,8 @@ def test_valid_time_spreads_one_hop_per_beacon():
     # first answered round k-1 beacon periods after node 2 does: unsynced
     # neighbors stay silent, so acks appear hop by hop.
     params = _newton_params(gather_wait_s=1.0)
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
-    trace = run_simulation(build_line_topology(4), params, osc_params=osc,
-                           delay_model=DelayModel(std_s=1e-5),
+    trace = run_simulation(build_line_topology(4), params, **_HOURLY_DRIFT,
+                           delay_std_s=1e-5,
                            duration_s=200.0, boot_window_s=0.0, seed=2)
     first_answered = {}
     for r in trace.rounds:
@@ -465,10 +442,8 @@ def test_first_answered_round_adopts_neighborhood_mean():
     # cold-booted clocks start seconds off true time; the first answered
     # round must wipe that offset while the guard blocks the rate update.
     params = _newton_params(gather_wait_s=1.0, max_error_s=6e-3)
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
-    trace = run_simulation(build_line_topology(2), params, osc_params=osc,
-                           delay_model=DelayModel(std_s=1e-5),
+    trace = run_simulation(build_line_topology(2), params, **_HOURLY_DRIFT,
+                           delay_std_s=1e-5,
                            duration_s=120.0, boot_window_s=0.0, seed=4)
     first = next(r for r in trace.rounds if r.n_acks > 0)
     assert abs(first.mean_offset_s) > 1.0  # cold-boot offset is seconds-scale
@@ -479,17 +454,15 @@ def test_first_answered_round_adopts_neighborhood_mean():
 
 
 def test_guard_threshold_gates_rate_updates():
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
     tiny = _newton_params(max_error_s=1e-12)
-    trace = run_simulation(build_line_topology(3), tiny, osc_params=osc,
+    trace = run_simulation(build_line_topology(3), tiny, **_HOURLY_DRIFT,
                            duration_s=300.0, boot_window_s=0.0, seed=6)
     answered = [r for r in trace.rounds if r.n_acks > 0]
     assert answered
     assert all(r.new_rate is None for r in answered)
 
     huge = _newton_params(max_error_s=1e9)
-    trace2 = run_simulation(build_line_topology(3), huge, osc_params=osc,
+    trace2 = run_simulation(build_line_topology(3), huge, **_HOURLY_DRIFT,
                             duration_s=300.0, boot_window_s=0.0, seed=6)
     answered2 = [r for r in trace2.rounds if r.n_acks > 0]
     assert answered2
@@ -498,9 +471,7 @@ def test_guard_threshold_gates_rate_updates():
 
 def test_ack_counts_bounded_by_degree():
     params = _newton_params()
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
-    trace = run_simulation(build_line_topology(5), params, osc_params=osc,
+    trace = run_simulation(build_line_topology(5), params, **_HOURLY_DRIFT,
                            duration_s=600.0, boot_window_s=120.0, seed=7)
     degree = {nid: len(trace.topology.neighbors[nid])
               for nid in trace.topology.node_ids}
@@ -508,9 +479,9 @@ def test_ack_counts_bounded_by_degree():
 
 
 @st.composite
-def _connected_topologies(draw):
+def _connected_topologies(draw, max_nodes: int = 6):
     # a random tree (node k hangs off an earlier node) plus random extra edges
-    n = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
     edges = [(k, draw(st.integers(min_value=1, max_value=k - 1))) for k in range(2, n + 1)]
     node = st.integers(min_value=1, max_value=n)
     extra = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
@@ -525,10 +496,9 @@ _BOOT_WINDOWS = st.floats(min_value=0.0, max_value=200.0)
 
 
 def _property_run(topo: Topology, seed: int, delay_std: float, boot_window: float):
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0, resample_interval_s=60.0)
-    return run_simulation(topo, _newton_params(gather_wait_s=1.0), osc_params=osc,
-                          delay_model=DelayModel(std_s=delay_std), duration_s=400.0,
-                          boot_window_s=boot_window, seed=seed)
+    return run_simulation(topo, _newton_params(gather_wait_s=1.0), max_drift_hz=25.0,
+                          drift_resample_interval_s=60.0, delay_std_s=delay_std,
+                          duration_s=400.0, boot_window_s=boot_window, seed=seed)
 
 
 def _assert_finite_exactly_after_boot(trace) -> None:
@@ -553,6 +523,7 @@ def test_rounds_and_frames_are_well_formed(topo, seed, delay_std, boot_window):
 
 # Valid values of every setting of a run, over ranges that keep one run to
 # milliseconds; a drawn subset of settings is then replaced by a bad value.
+# Each is a ProtocolParams field or a run_config keyword, by name.
 _VALID_SETTINGS = {
     "step_size": st.floats(min_value=1e-3, max_value=4.0),
     "beacon_period_s": st.floats(min_value=5.0, max_value=60.0),
@@ -560,9 +531,9 @@ _VALID_SETTINGS = {
     "max_error_s": st.floats(min_value=1e-6, max_value=1.0),
     "gather_wait_s": st.floats(min_value=0.0, max_value=2.0),
     "max_drift_hz": st.floats(min_value=0.0, max_value=100.0),
-    "resample_interval_s": st.floats(min_value=1.0, max_value=4000.0),
-    "std_s": st.floats(min_value=0.0, max_value=1.0),
-    "floor_s": st.floats(min_value=0.0, max_value=0.1),
+    "drift_resample_interval_s": st.floats(min_value=1.0, max_value=4000.0),
+    "delay_std_s": st.floats(min_value=0.0, max_value=1.0),
+    "delay_floor_s": st.floats(min_value=0.0, max_value=0.1),
     "duration_s": st.floats(min_value=1.0, max_value=400.0),
     "sample_interval_s": st.floats(min_value=1.0, max_value=100.0),
     "boot_window_s": st.floats(min_value=0.0, max_value=400.0),
@@ -584,26 +555,13 @@ def _run_settings(draw):
 @given(st.sampled_from(Protocol), st.integers(min_value=2, max_value=4), _SEEDS,
        st.booleans(), _run_settings())
 def test_settings_raise_or_give_finite_readings(kind, n, seed, quantize, cfg):
-    # every constructor on the way to a trace either refuses its input with
+    # ProtocolParams and run_simulation either refuse the input with
     # ValueError or the run's readings are finite exactly where booted
-    # (the oscillator runs at the protocols' nominal frequency, as a run must)
+    fields = {f.name for f in dataclasses.fields(ProtocolParams)}
     try:
-        params = ProtocolParams(
-            kind=kind, step_size=cfg["step_size"],
-            beacon_period_s=cfg["beacon_period_s"], nominal_hz=cfg["nominal_hz"],
-            max_error_s=cfg["max_error_s"], gather_wait_s=cfg["gather_wait_s"],
-        )
-        osc = OscillatorParams(
-            nominal_hz=cfg["nominal_hz"], max_drift_hz=cfg["max_drift_hz"],
-            resample_interval_s=cfg["resample_interval_s"], quantize_ticks=quantize,
-        )
-        delay = DelayModel(std_s=cfg["std_s"], floor_s=cfg["floor_s"])
-        trace = run_simulation(
-            build_line_topology(n), params, osc_params=osc, delay_model=delay,
-            duration_s=cfg["duration_s"], sample_interval_s=cfg["sample_interval_s"],
-            boot_window_s=cfg["boot_window_s"], seed=seed,
-            initial_rate=cfg["initial_rate"], initial_ticks=cfg["initial_ticks"],
-        )
+        params = ProtocolParams(kind, **{k: v for k, v in cfg.items() if k in fields})
+        trace = run_simulation(build_line_topology(n), params, seed=seed, quantize_ticks=quantize,
+                               **{k: v for k, v in cfg.items() if k not in fields})
     except ValueError:
         return
     _assert_finite_exactly_after_boot(trace)
@@ -629,9 +587,7 @@ def test_messages_to_powered_off_nodes_are_lost():
     # staggered boots leave early riser requests unanswered: rounds with
     # zero acks appear and carry no correction.
     params = _newton_params()
-    osc = OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
-    trace = run_simulation(build_line_topology(3), params, osc_params=osc,
+    trace = run_simulation(build_line_topology(3), params, **_HOURLY_DRIFT,
                            duration_s=500.0, boot_window_s=200.0, seed=8)
     empty = [r for r in trace.rounds if r.n_acks == 0]
     assert empty
@@ -653,10 +609,8 @@ def _small_run(protocol: Protocol, seed: int = 11):
                             step_size=default_step_size(protocol, b, f),
                             beacon_period_s=b, nominal_hz=f,
                             max_error_s=6e-3, gather_wait_s=1.0)
-    osc = OscillatorParams(nominal_hz=f, max_drift_hz=25.0,
-                           resample_interval_s=3600.0)
-    return run_simulation(build_line_topology(4), params, osc_params=osc,
-                          delay_model=DelayModel(std_s=1e-5),
+    return run_simulation(build_line_topology(4), params, **_HOURLY_DRIFT,
+                          delay_std_s=1e-5,
                           duration_s=600.0, boot_window_s=100.0, seed=seed)
 
 
@@ -723,13 +677,11 @@ def _schedule_cases(draw):
                                 + [_STAR, _GATEWAY_STAR]))
     f = draw(st.sampled_from([1e6, 2e6]))
     sim_kwargs = {
-        "osc_params": OscillatorParams(
-            nominal_hz=f, max_drift_hz=draw(st.sampled_from([25.0, 0.0])),
-            resample_interval_s=draw(st.sampled_from([30.0, 3600.0])),
-            quantize_ticks=draw(st.booleans()),
-        ),
-        "delay_model": DelayModel(std_s=draw(_DELAY_STDS),
-                                  floor_s=draw(st.sampled_from([0.0, 2e-3]))),
+        "max_drift_hz": draw(st.sampled_from([25.0, 0.0])),
+        "drift_resample_interval_s": draw(st.sampled_from([30.0, 3600.0])),
+        "quantize_ticks": draw(st.booleans()),
+        "delay_std_s": draw(_DELAY_STDS),
+        "delay_floor_s": draw(st.sampled_from([0.0, 2e-3])),
         # a horizon off the beacon grid cuts the last rounds' acks off
         "duration_s": draw(st.floats(min_value=150.0, max_value=700.0)),
         "sample_interval_s": draw(st.sampled_from([10.0, 15.0])),
@@ -787,8 +739,7 @@ def test_replayed_schedule_equals_the_live_run(case):
 
 
 _REFUSAL_RUN = {"topology": build_line_topology(4),
-                "osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=25.0,
-                                               resample_interval_s=30.0),
+                "max_drift_hz": 25.0, "drift_resample_interval_s": 30.0,
                 "duration_s": 300.0, "boot_window_s": 60.0, "seed": 11}
 
 
@@ -798,16 +749,13 @@ _REFUSAL_RUN = {"topology": build_line_topology(4),
     ({"params": _newton_params(gather_wait_s=0.5)}, "gather_wait_s"),
     ({"topology": build_line_topology(5)}, "topology"),
     ({"topology": _STAR}, "topology"),
-    ({"osc_params": OscillatorParams(nominal_hz=1e6, max_drift_hz=20.0,
-                                     resample_interval_s=30.0)}, "max_drift_hz"),
-    ({"delay_model": DelayModel(std_s=2e-5)}, "delay_std_s"),
+    ({"max_drift_hz": 20.0}, "max_drift_hz"),
+    ({"delay_std_s": 2e-5}, "delay_std_s"),
     ({"duration_s": 330.0}, "duration_s"),
     ({"sample_interval_s": 5.0}, "sample_interval_s"),
     ({"boot_window_s": 30.0}, "boot_window_s"),
     ({"initial_ticks": 0.0}, "initial_ticks"),
-    ({"params": _newton_params(f=2e6),
-      "osc_params": OscillatorParams(nominal_hz=2e6, max_drift_hz=25.0,
-                                     resample_interval_s=30.0)}, "nominal_hz"),
+    ({"params": _newton_params(f=2e6)}, "nominal_hz"),
 ])
 def test_replay_refuses_a_schedule_of_other_settings(change, setting):
     # a run of the change has another config at `setting` than the one its
@@ -846,15 +794,36 @@ def test_a_replay_takes_the_schedules_settings():
         run_simulation(equal_topology, other, schedule=schedule)
 
 
+@settings(max_examples=20, deadline=None)
+@given(_connected_topologies(max_nodes=5), _SEEDS, st.booleans(),
+       st.floats(min_value=1e-9, max_value=2.0, exclude_max=True))
+def test_three_protocols_are_one_rule_at_one_gain(topo, seed, quantize, gain):
+    # at B = 30 s and f = 1 MHz each rule at per-round gain g is
+    # rate' = rate - g * e / (B * f): the three make the same guard decisions
+    # and read the same clocks up to rounding, since rate_update's three
+    # expressions can differ in the last bit
+    b, f = 30.0, 1e6
+    params_seq = [ProtocolParams(kind, gain / effective_gain(kind, 1.0, b, f), b, f)
+                  for kind in Protocol]
+    schedule = record_schedule(topo, params_seq, **_HOURLY_DRIFT, quantize_ticks=quantize,
+                               duration_s=1200.0, boot_window_s=60.0, seed=seed)
+    newton, *others = (run_simulation(topo, p, schedule=schedule) for p in params_seq)
+    skipped = np.isnan(newton.round_outcomes)
+    assert not skipped[1::2].all()  # the guard lets some rate updates through
+    for trace in others:
+        assert np.array_equal(np.isnan(trace.round_outcomes), skipped)
+        np.testing.assert_allclose(trace.logical_s, newton.logical_s, rtol=1e-12)
+
+
 @pytest.mark.parametrize("quantize", [False, True])
 @pytest.mark.parametrize("kind", list(Protocol))
 def test_a_traces_header_determines_its_rows(kind, quantize):
     # every header key rebuilds the run, and the rerun writes the same bytes
     params = ProtocolParams(kind, default_step_size(kind, 30.0, 1e6) * 0.5, max_error_s=1e-2,
                             gather_wait_s=0.5)
-    run = {"osc_params": OscillatorParams(1e6, 25.0, 300.0, quantize),
-           "delay_model": DelayModel(1e-3, floor_s=2e-4), "duration_s": 900.0,
-           "sample_interval_s": 7.0, "boot_window_s": 90.0, "seed": 5,
+    run = {"max_drift_hz": 25.0, "drift_resample_interval_s": 300.0,
+           "quantize_ticks": quantize, "delay_std_s": 1e-3, "delay_floor_s": 2e-4,
+           "duration_s": 900.0, "sample_interval_s": 7.0, "boot_window_s": 90.0, "seed": 5,
            "initial_rate": 0.999e-6, "initial_ticks": 123456.5}
     topology, written = _STAR, []
     for _ in range(2):
@@ -864,30 +833,39 @@ def test_a_traces_header_determines_its_rows(kind, quantize):
         header = written[-1].partition("\n")[0]
         assert header.startswith("# config = ")
         config = json.loads(header.removeprefix("# config = "))
-        f = config.pop("nominal_hz")
-        params = ProtocolParams(Protocol(config.pop("protocol")), config.pop("step_size"),
-                                config.pop("beacon_period_s"), f, config.pop("max_error_s"),
-                                config.pop("gather_wait_s"))
+        _, *fields = dataclasses.fields(ProtocolParams)
+        params = ProtocolParams(Protocol(config.pop("protocol")),
+                                **{f.name: config.pop(f.name) for f in fields})
         topology = Topology.from_config(config.pop("topology"))
-        run = {"osc_params": OscillatorParams(f, config.pop("max_drift_hz"),
-                                              config.pop("drift_resample_interval_s"),
-                                              config.pop("quantize_ticks")),
-               "delay_model": DelayModel(config.pop("delay_std_s"), config.pop("delay_floor_s")),
-               **{key: config.pop(key) for key in ("duration_s", "sample_interval_s",
-                                                   "boot_window_s", "seed", "initial_rate",
-                                                   "initial_ticks")}}
-        assert config == {}  # the rerun reads every key
+        assert config == run  # the rest is exactly the run's keywords
+        run = config
     assert written[0] == written[1]
     assert written[0].count("\n") > 100
-
 
 
 def test_run_simulation_takes_record_schedules_settings_alone():
     run = {**_REFUSAL_RUN, "params": _newton_params()}
     with pytest.raises(TypeError, match="'duration'"):
         run_simulation(**run, duration=300.0)
-    with pytest.raises(TypeError, match="'osc_params'"):
-        run_simulation(**{k: v for k, v in run.items() if k != "osc_params"})
+    with pytest.raises(TypeError, match="'max_drift_hz' and 'drift_resample_interval_s'"):
+        run_simulation(**{k: v for k, v in run.items() if "drift" not in k})
+    with pytest.raises(TypeError, match="'osc_params'"):  # a model is no setting
+        run_simulation(**run, osc_params=None)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"max_drift_hz": 1e6}, "max_drift_hz must satisfy 0 <= max_drift < nominal, got 1000000.0"),
+    ({"drift_resample_interval_s": 0.0}, "resample_interval_s must be finite and positive, "
+                                         "got 0.0"),
+    ({"delay_std_s": -1.0}, "std_s must be finite and nonnegative, got -1.0"),
+    ({"delay_floor_s": math.inf}, "floor_s must be finite and nonnegative, got inf"),
+])
+def test_run_config_refuses_what_its_models_refuse(setting, message):
+    # in the models' own words, before the schedule budget divides by a
+    # segment length
+    run = {**_REFUSAL_RUN, "params": _newton_params(), **setting}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulation.run_config(**run)
 
 
 def test_a_pass_holds_each_round_once():
