@@ -339,9 +339,9 @@ def _seed_job(job: tuple) -> list[dict]:
     return only their summary rows, one per protocol, seed by seed; in
     process or in a worker.
 
-    A seed's protocols share one event pass (record_schedule). Their traces
-    are built from it one at a time: each is written to its ``_staged``
-    path, summarized and dropped before the next is built.
+    A seed's protocols share one event pass (record_schedule), which
+    returns their traces; each is written to its ``_staged`` path and
+    summarized in turn.
     """
     out, (sim_kwargs, params_seq, threshold_s, window), seeds = job
     rows = []
@@ -354,7 +354,6 @@ def _seed_job(job: tuple) -> list[dict]:
                 trace.write_csv(fh)  # embeds its own resolved-config header
             summ = metrics.summarize(trace.sample_times_s, trace.logical_s, threshold_s, window,
                                      start_after=trace.boot_complete_time)
-            del trace  # before the next trace is built
             rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
     return rows
 

@@ -33,9 +33,9 @@ read, reads the hardware clock there and records each round's time, node
 and acks; the protocol arithmetic (_Clocks) turns those readings into
 logical clocks, round outcomes and trace rows. Nothing the arithmetic
 computes flows back into the pass, so record_schedule runs one
-seed's pass once with several protocols' arithmetic in lock step, and
-run_simulation(..., schedule=) builds each protocol's trace from it, in the
-same bytes as a run of that protocol alone.
+seed's pass once with several protocols' arithmetic in lock step and returns
+each protocol's trace, in the same bytes as a run of that protocol alone;
+run_simulation(..., schedule=) looks one up.
 """
 from __future__ import annotations
 
@@ -294,21 +294,6 @@ class SimulationTrace:
 PROTOCOL_KEYS = ("protocol", "step_size", "max_error_s")
 
 
-@dataclass(frozen=True, eq=False)
-class Schedule:
-    """One seed's event pass, as _event_pass returns it: its topology, the
-    run_config of each params it ran (they differ in PROTOCOL_KEYS alone),
-    its sample times, boot times (in topology.node_ids order) and round
-    columns (a trace's pass_rounds), and each params' _Clocks."""
-
-    topology: Topology
-    configs: dict[ProtocolParams, dict]
-    sample_times: tuple[float, ...]
-    boot_times: tuple[float, ...]
-    pass_rounds: tuple[array, array, array]
-    clocks: dict[ProtocolParams, _Clocks]
-
-
 class _TrueTime:
     """The gateway's counter: advancing it to a true time reads that time."""
 
@@ -326,9 +311,11 @@ class _BootTickClock(LogicalClock):
         return super().read(at_ticks)
 
 
-def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]) -> Schedule:
+def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
+                ) -> dict[ProtocolParams, SimulationTrace | ValueError]:
     """The event pass of one run (boots, counters, messages, rounds and
-    sample frames), returned as the Schedule it ran.
+    sample frames), returned as each params' trace, or the error its
+    arithmetic kept, in configs order.
 
     It decides when each clock is read, reads the counter there with one
     advance call and hands the reading to every _Clocks in turn. It owns
@@ -468,8 +455,18 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]) -> Sche
                 c.frame(data, ticks)
             if data + 1 < len(sample_times):
                 queue.push(sample_times[data + 1], SAMPLE, data + 1)
-    return Schedule(topology, configs, tuple(sample_times), tuple(boot_times),
-                    (round_times, round_nodes, round_acks), dict(zip(configs, clocks)))
+    # A booted reading out of float range fails its run, as a failed round
+    # does; the first such reading names the failure. The delay stream's
+    # block of unused draws is freed before the scan.
+    del normals
+    booted = np.array(sample_times).reshape(-1, 1) >= np.array(boot_times)
+    for c in clocks:
+        for k, col in np.argwhere(booted & ~np.isfinite(c.logical_s))[:1]:
+            c.fail(col, c.logical_s[k, col], sample_times[k], "")
+    times, pass_rounds = tuple(sample_times), (round_times, round_nodes, round_acks)
+    return {params: c.error or SimulationTrace(times, c.logical_s, pass_rounds, c.outcomes,
+                                               topology, dict(zip(ids, boot_times)), config)
+            for (params, config), c in zip(configs.items(), clocks)}
 
 
 class _Clocks:
@@ -479,12 +476,12 @@ class _Clocks:
     The event pass feeds it readings through four methods; it starts from
     copies of the pass's boot clocks, and node_ids serve its error messages
     only. error keeps its first ValueError (fail): a correction out of float
-    range (from round) or a booted reading out of it (from record_schedule).
-    Reads cannot raise, since no node's ticks fall below its clock's anchor
-    (_BootTickClock covers the boot tick), so a failed _Clocks is fed to
-    the end like the others. Its outcomes miss the round that failed, so
-    they no longer line up with the pass's rounds; run_simulation raises
-    its error and builds no trace from them.
+    range (from round) or a booted reading out of it (from the pass's
+    readings scan). Reads cannot raise, since no node's ticks fall below
+    its clock's anchor (_BootTickClock covers the boot tick), so a failed
+    _Clocks is fed to the end like the others. Its outcomes miss the round
+    that failed, so they no longer line up with the pass's rounds; the
+    pass keeps its error in place of a trace.
     """
 
     def __init__(self, node_ids: tuple[int, ...], params: ProtocolParams,
@@ -550,15 +547,20 @@ def run_config(
     are those of record_schedule and run_simulation; TypeError for one it
     does not take or a missing drift bound or segment length.
 
-    ValueError where OscillatorParams (at the protocol's nominal frequency)
-    or DelayModel refuses the settings, and unless duration and sample
-    interval are finite and positive, every node boots before the run ends,
-    the run schedules at most MAX_PERIODS_PER_RUN sample frames, beacon
-    rounds per node and drift segments over all its nodes but the gateway,
-    which reads true time, and at most MAX_READINGS_PER_RUN readings
-    (sample frames x nodes), and the initial rate and ticks are finite or
-    None.
+    ValueError unless quantize_ticks is a bool and seed a nonnegative int
+    (not a bool), where OscillatorParams (at the protocol's nominal
+    frequency) or DelayModel refuses the settings, and unless duration and
+    sample interval are finite and positive, every node boots before the run
+    ends, the run schedules at most MAX_PERIODS_PER_RUN sample frames,
+    beacon rounds per node and drift segments over all its nodes but the
+    gateway, which reads true time, and at most MAX_READINGS_PER_RUN
+    readings (sample frames x nodes), the initial rate is finite or None
+    and the initial ticks finite and nonnegative or None.
     """
+    if not isinstance(quantize_ticks, bool):
+        raise ValueError(f"quantize_ticks must be a bool, got {quantize_ticks!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
     OscillatorParams(params.nominal_hz, max_drift_hz, drift_resample_interval_s, quantize_ticks)
     DelayModel(delay_std_s, delay_floor_s)
     if not 0 < duration_s < math.inf:
@@ -580,9 +582,10 @@ def run_config(
             per = "" if nodes == 1 else f" x {nodes} nodes"
             raise ValueError(f"duration_s / {name}{per} = {nodes * duration_s / period:.6g} "
                              f"exceeds the limit of {limit} per run")
-    for name, value in (("initial_rate", initial_rate), ("initial_ticks", initial_ticks)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if initial_rate is not None and not math.isfinite(initial_rate):
+        raise ValueError(f"initial_rate must be finite, got {initial_rate}")
+    if initial_ticks is not None and not 0 <= initial_ticks < math.inf:
+        raise ValueError(f"initial_ticks must be finite and nonnegative, got {initial_ticks}")
     return {
         "protocol": params.kind.value,
         "step_size": params.step_size,
@@ -606,15 +609,16 @@ def run_config(
 
 
 def record_schedule(topology: Topology, params_seq: Sequence[ProtocolParams],
-                    **settings) -> Schedule:
+                    **settings) -> dict[ProtocolParams, SimulationTrace | ValueError]:
     """Run the event pass of these settings, run_config's, once, with the
-    arithmetic of each params in params_seq in lock step, for
-    run_simulation(topology, params, schedule=) to build their traces from.
+    arithmetic of each params in params_seq in lock step, and map each, in
+    params_seq order, to its trace, or to the ValueError its arithmetic
+    kept; run_simulation(topology, params, schedule=) looks one up.
 
     The entries must differ, and their configs, which run_config checks,
     may differ only in PROTOCOL_KEYS; else ValueError. An entry whose
-    arithmetic fails keeps the error in its _Clocks, however many entries
-    there are, for its run_simulation call to raise; the others finish.
+    arithmetic fails keeps its error, however many entries there are, for
+    its run_simulation call to raise; the others finish.
     """
     if not params_seq:
         raise ValueError("params_seq is empty")
@@ -624,18 +628,12 @@ def record_schedule(topology: Topology, params_seq: Sequence[ProtocolParams],
             raise ValueError(f"params_seq holds {params} twice")
         if any(configs[0][k] != v for k, v in config.items() if k not in PROTOCOL_KEYS):
             raise ValueError(f"{params} needs another event pass than {params_seq[0]}")
-    schedule = _event_pass(topology, dict(zip(params_seq, configs)))
-    booted = np.array(schedule.sample_times).reshape(-1, 1) >= np.array(schedule.boot_times)
-    for c in schedule.clocks.values():
-        overflowed = np.argwhere(booted & ~np.isfinite(c.logical_s))
-        if overflowed.size:
-            k, col = overflowed[0]
-            c.fail(col, c.logical_s[k, col], schedule.sample_times[k], "")
-    return schedule
+    return _event_pass(topology, dict(zip(params_seq, configs)))
 
 
 def run_simulation(topology: Topology, params: ProtocolParams, *,
-                   schedule: Schedule | None = None, **settings) -> SimulationTrace:
+                   schedule: dict[ProtocolParams, SimulationTrace | ValueError] | None = None,
+                   **settings) -> SimulationTrace:
     """Simulate one protocol run over the given topology.
 
     settings are run_config's keyword arguments, with its defaults. The
@@ -644,25 +642,21 @@ def run_simulation(topology: Topology, params: ProtocolParams, *,
     settings that drive a clock out of float range (a huge step size under
     a wide guard, say) raise ValueError instead of returning inf or NaN.
 
-    With a schedule from record_schedule, the trace comes from the
-    arithmetic its pass ran for params, under the settings it was recorded
-    with, in the same bytes: TypeError for any setting given with it, and
-    ValueError for a topology other than its own or params its pass did
-    not run.
+    With a schedule from record_schedule, the trace is the one its pass
+    recorded for params, under the settings it was recorded with:
+    TypeError for any setting given with it, and ValueError for params its
+    pass did not run, the error their arithmetic kept, or a topology other
+    than its own.
     """
     if schedule is None:
         schedule = record_schedule(topology, (params,), **settings)
     elif settings:
         raise TypeError(f"a schedule takes no settings, got {', '.join(map(repr, settings))}")
-    if topology != schedule.topology:
-        raise ValueError("the schedule's pass ran on another topology")
-    if params not in schedule.clocks:
+    if params not in schedule:
         raise ValueError(f"the schedule's pass did not run {params}")
-    clocks = schedule.clocks[params]
-    if clocks.error is not None:  # raised afresh by each call, without earlier frames
-        raise clocks.error.with_traceback(None)
-    return SimulationTrace(sample_times_s=schedule.sample_times, logical_s=clocks.logical_s,
-                           pass_rounds=schedule.pass_rounds, round_outcomes=clocks.outcomes,
-                           topology=topology,
-                           boot_times=dict(zip(topology.node_ids, schedule.boot_times)),
-                           config=schedule.configs[params])
+    trace = schedule[params]
+    if isinstance(trace, ValueError):  # raised afresh by each call, without earlier frames
+        raise trace.with_traceback(None)
+    if topology != trace.topology:
+        raise ValueError("the schedule's pass ran on another topology")
+    return trace

@@ -618,36 +618,34 @@ def test_rerun_is_byte_identical(tmp_path: Path):
 
 
 def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
-    # each trace is written, to its staged path, and released before the
-    # next run starts; each seed's event pass is released before the next
+    # each trace is written, to its staged path, before the next one is
+    # requested; each seed's traces are released before the next seed's
+    # event pass
     real_pass = cli.record_schedule
     passes: list[weakref.ref] = []
 
     def tracked_pass(*args, **kwargs):
         assert all(ref() is None for ref in passes)
         schedule = real_pass(*args, **kwargs)
-        passes.append(weakref.ref(schedule))
+        passes.extend(weakref.ref(trace) for trace in schedule.values())
         return schedule
 
     monkeypatch.setattr(cli, "record_schedule", tracked_pass)
     real = cli.run_simulation
-    made: list[tuple[weakref.ref, Path]] = []
+    made: list[Path] = []
 
     def tracked(*args, **kwargs):
-        for ref, path in made:
-            assert ref() is None
-            assert path.exists()
+        assert all(path.exists() for path in made)
         trace = real(*args, **kwargs)
-        name = f"trace_{trace.config['protocol']}_{trace.config['seed']}.csv"
-        made.append((weakref.ref(trace), cli._staged(tmp_path / name)))
+        made.append(cli._staged(
+            tmp_path / f"trace_{trace.config['protocol']}_{trace.config['seed']}.csv"))
         return trace
 
     monkeypatch.setattr(cli, "run_simulation", tracked)
     args = _run_args(tmp_path, "--protocol", "newton,grades", "--seed", "1..2")
     assert cli.main(args) == 0
     assert len(made) == 4
-    assert made[-1][0]() is None
-    assert len(passes) == 2
+    assert len(passes) == 4 and all(ref() is None for ref in passes)
 
 
 def test_parallel_jobs_write_the_same_bytes(tmp_path: Path):

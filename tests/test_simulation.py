@@ -205,7 +205,7 @@ def test_a_lone_failing_params_fails_at_its_run_not_its_pass():
     # the pass keeps the error of a lone params as it does among several
     params = ProtocolParams(kind=Protocol.GRADES, step_size=1e300, max_error_s=1e300)
     schedule = record_schedule(params_seq=[params], **_OVERFLOWING_RUN)
-    assert isinstance(schedule, simulation.Schedule)
+    assert list(schedule) == [params] and isinstance(schedule[params], ValueError)
     with pytest.raises(ValueError) as live:
         run_simulation(params=params, **_OVERFLOWING_RUN)
     frames = []
@@ -236,17 +236,23 @@ def test_a_reading_out_of_float_range_fails_its_run():
         run_simulation(_SAMPLE_OVERFLOW_RUN["topology"], params, schedule=schedule)
 
 
-def test_a_failure_keeps_the_first_message():
+def test_a_failure_keeps_the_first_message(monkeypatch):
     # a round's correction and the readings scan report through _Clocks.fail,
     # which keeps the first; the round names the correction that failed
+    real_fail, reports = simulation._Clocks.fail, []
+
+    def fail(self, i, reading, t, where):
+        reports.append(where)
+        real_fail(self, i, reading, t, where)
+
+    monkeypatch.setattr(simulation._Clocks, "fail", fail)
     params = ProtocolParams(kind=Protocol.GRADES, step_size=1e300, max_error_s=1e300)
-    clocks = record_schedule(params_seq=[params], **_OVERFLOWING_RUN).clocks[params]
+    error = record_schedule(params_seq=[params], **_OVERFLOWING_RUN)[params]
     first = ("node 2 reads 64.42433358067846 at t = 71.46013128238575 s, where its "
              "correction is offset_s=7.035768056752403, new_rate=inf: the settings drive "
              "its clock out of float range")
-    assert str(clocks.error) == first
-    clocks.fail(0, math.inf, 10.0, "")
-    assert str(clocks.error) == first
+    assert str(error) == first
+    assert reports[0] != "" and reports[-1] == ""  # the scan reported after the round
 
 
 def test_run_simulation_rejects_runaway_schedules(monkeypatch):
@@ -764,7 +770,7 @@ def test_replay_refuses_a_schedule_of_other_settings(change, setting):
     run = {**_REFUSAL_RUN, "params": _newton_params()}
     schedule = record_schedule(params_seq=[_newton_params()], **_REFUSAL_RUN)
     assert simulation.run_config(**{**run, **change})[setting] != \
-        schedule.configs[_newton_params()][setting]
+        schedule[_newton_params()].config[setting]
     replay = {"topology": run["topology"], "params": run["params"], **change}
     if given := [key for key in change if key not in ("topology", "params")]:
         with pytest.raises(TypeError, match=re.escape(f"got {', '.join(map(repr, given))}")):
@@ -868,6 +874,24 @@ def test_run_config_refuses_what_its_models_refuse(setting, message):
         simulation.run_config(**run)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"quantize_ticks": "no"}, "quantize_ticks must be a bool, got 'no'"),
+    ({"quantize_ticks": 1}, "quantize_ticks must be a bool, got 1"),
+    ({"seed": True}, "seed must be a nonnegative int, got True"),
+    ({"seed": 1.5}, "seed must be a nonnegative int, got 1.5"),
+    ({"seed": -1}, "seed must be a nonnegative int, got -1"),
+    ({"initial_ticks": -1.0}, "initial_ticks must be finite and nonnegative, got -1.0"),
+])
+def test_run_config_refuses_mistyped_settings(monkeypatch, setting, message):
+    # at the boundary, naming the key, before any event pass starts
+    def no_pass(*args, **kwargs):
+        raise AssertionError("an event pass started")
+
+    monkeypatch.setattr(simulation, "_event_pass", no_pass)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_simulation(params=_newton_params(), **{**_REFUSAL_RUN, **setting})
+
+
 def test_a_pass_holds_each_round_once():
     # the pass holds every round's time (8 bytes), node index and acks (4
     # bytes each) once, shared by every trace; each protocol holds only the
@@ -877,11 +901,13 @@ def test_a_pass_holds_each_round_once():
     params_seq = [_replayable_params(kind) for kind in Protocol]
     schedule = record_schedule(params_seq=params_seq, **_REFUSAL_RUN)
     traces = [run_simulation(_REFUSAL_RUN["topology"], p, schedule=schedule) for p in params_seq]
-    assert all(trace.pass_rounds is schedule.pass_rounds for trace in traces)
-    times, _, acks = schedule.pass_rounds
+    assert traces == list(schedule.values())
+    pass_rounds = traces[0].pass_rounds
+    assert all(trace.pass_rounds is pass_rounds for trace in traces)
+    times, _, acks = pass_rounds
     rounds, acked = len(times), sum(1 for n in acks if n)
     assert 0 < acked < rounds
-    held = [*schedule.pass_rounds, *(trace.round_outcomes for trace in traces)]
+    held = [*pass_rounds, *(trace.round_outcomes for trace in traces)]
     assert sum(a.buffer_info()[1] * a.itemsize for a in held) == (
         rounds * (8 + 4 + 4) + 3 * acked * (8 + 8))
     for trace in traces:  # the five-float layout is built on first read
