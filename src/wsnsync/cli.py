@@ -257,14 +257,14 @@ def _resolve(args: argparse.Namespace, swept: Setting | None = None) -> dict:
     return cfg
 
 
-def _protocol_params(cfg: dict, kind: Protocol) -> ProtocolParams:
+def _protocol_params(cfg: dict, kind: Protocol, max_error_s: float) -> ProtocolParams:
     b, f, mu = cfg["beacon_period_s"], cfg["nominal_hz"], cfg["mu"]
     return ProtocolParams(
         kind=kind,
         step_size=mu if mu is not None else default_step_size(kind, b, f),
         beacon_period_s=b,
         nominal_hz=f,
-        max_error_s=cfg["e_max_ticks"] / f,
+        max_error_s=max_error_s,
         gather_wait_s=cfg["gather_wait_s"],
     )
 
@@ -306,9 +306,15 @@ def _plan(cfg: dict) -> tuple[tuple, dict]:
     """The run ``cfg`` asks for, as (simulation kwargs, protocol params,
     threshold in seconds, window), checked by run_config, and the summary
     header that records it, whose "seeds" are the seeds to run it at."""
+    f = cfg["nominal_hz"]
+    seconds = {key: cfg[key] / f for key in ("threshold_ticks", "e_max_ticks")}
+    for key, s in seconds.items():
+        if not 0 < s < math.inf:  # ticks that convert to 0 s or to inf
+            raise ConfigError(f"{key} (--{key.replace('_', '-')}) must be finite and positive "
+                              f"in seconds, got {cfg[key]} ticks / {f} Hz = {s} s")
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
-    params = {p: _protocol_params(cfg, p) for p in protocols}
+    params = {p: _protocol_params(cfg, p, seconds["e_max_ticks"]) for p in protocols}
     # run_config's settings under their config keys; the seeds run per job
     sim_kwargs = {key: cfg[key] for key in inspect.signature(run_config).parameters
                   if key in cfg and key != "seed"}
@@ -321,8 +327,7 @@ def _plan(cfg: dict) -> tuple[tuple, dict]:
                   f"the convergence bound ({lo}, {hi})", file=sys.stderr)
     resolved = {**cfg, "protocols": [p.value for p in protocols], "seeds": seeds,
                 "per_protocol_step_size": {p.value: params[p].step_size for p in protocols}}
-    threshold_s = cfg["threshold_ticks"] / cfg["nominal_hz"]
-    return (sim_kwargs, list(params.values()), threshold_s, cfg["window"]), resolved
+    return (sim_kwargs, list(params.values()), seconds["threshold_ticks"], cfg["window"]), resolved
 
 
 def _staged(path: Path) -> Path:

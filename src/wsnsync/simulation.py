@@ -4,8 +4,8 @@ Each non-gateway node runs the same round protocol: every beacon period it
 broadcasts a clock request to its one-hop neighbors, collects the clock
 values carried by the acks, and after a fixed gather wait averages the
 observed offsets (neighbor value minus own value at ack receipt). An ack
-that arrives after the deadline of the round that asked for it is dropped,
-so every round averages at most one ack per neighbor. The
+that would arrive after the deadline of the round that asked for it is
+never queued, so every round averages at most one ack per neighbor. The
 average is always applied as an offset correction; the rate update is
 applied only when the average magnitude is below the guard threshold, and
 consumes the node's own error (the negated average). The gateway answers
@@ -27,6 +27,15 @@ deliveries, then averaging deadlines, then beacons, then trace samples) with
 insertion order inside each class. Reruns with identical inputs produce
 identical traces; runs that differ only in protocol arithmetic see identical
 boot times, drift trajectories and delay draws.
+
+Each delivery is decided once, when its message is sent. Every message
+draws its delay, so the draws do not depend on what is queued; then a
+request is queued only if it arrives by the end of the run, at or after its
+receiver's boot, and while the receiver holds a valid time or after its
+next deadline, the first time it can gain one. An ack is queued only if it
+arrives by the end of the run and by the deadline of the round that asked
+for it. On arrival the one check left is the one that can change in
+flight: a request whose receiver is still unsynced is dropped.
 
 A run is two parts. The event pass (_event_pass) decides when each clock is
 read, reads the hardware clock there and records each round's time, node
@@ -326,6 +335,15 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
     one seed. configs, the run_config of each params as record_schedule
     checked them, shape the pass through their keys outside PROTOCOL_KEYS,
     which they share; nodes are indices into topology.node_ids.
+
+    Each delivery is admitted once, where its message is sent, after the
+    message draws its delay. The BEACON branch queues a request arriving at
+    a only if a <= duration_s, boot_times[j] <= a and (synced[j] or a >
+    next_sync[j]); the request branch queues an ack only if a <=
+    round_deadline and a <= duration_s. On arrival a request to a receiver
+    still unsynced is dropped before its clock is read, since an extra
+    advance would split the float sum of ticks and change the trace bytes;
+    every other delivery is handled.
     """
     config = next(iter(configs.values()))
     beacon_period, gather_wait = config["beacon_period_s"], config["gather_wait_s"]
@@ -368,7 +386,7 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
     # its open deadline (gather_wait < beacon_period, so it has at most
     # one), else its next beacon's, the same float sum the BEACON branch
     # pushes. A delivery pops before a deadline at the same time, so a
-    # request that reaches an unsynced node by then is dropped on arrival.
+    # request that reaches an unsynced node by then is not queued.
     next_beacon = list(boot_times)
     next_sync = [boot + gather_wait for boot in boot_times]
 
@@ -391,43 +409,22 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
     # OverflowError instead of wrapping.
     round_times, round_nodes, round_acks = array("d"), array("I"), array("I")
 
-    def send(t: float, sender: int, receiver: int, answer: object, round_deadline: float) -> None:
-        """Schedule a delivery that carries the deadline of the requester's
-        round: a request (answer None), or its ack with one answer per protocol.
-
-        Every message draws its delay, so the draws do not depend on what is
-        queued. A delivery the arrival checks would drop is not queued: an
-        ack after its round's deadline, or a request that reaches an unsynced
-        node by its next_sync. The checks stay, since a request that arrives
-        later may still find its receiver unsynced."""
-        a = t + delay_model.sample(normals)
-        if answer is None:
-            if not synced[receiver] and a <= next_sync[receiver]:
-                return
-        elif a > round_deadline:
-            return
-        if a <= duration_s:
-            queue.push(a, DELIVERY, (receiver, sender, answer, round_deadline))
-
     pop = queue.pop
     while queue:
         t, kind, data = pop()
         if kind == DELIVERY:
             receiver, sender, answer, round_deadline = data
-            # Every skip comes before the clock is read: an extra advance
-            # would split the float sum of ticks and change the trace bytes.
-            if t < boot_times[receiver]:
-                continue  # powered off; message lost
-            if answer is None:
-                if synced[receiver]:  # else no valid time to answer with
-                    ticks = hws[receiver].advance(t)
-                    send(t, receiver, sender, [c.answer(receiver, ticks) for c in clocks],
-                         round_deadline)
-            elif t <= round_deadline:  # else the round that asked has averaged
+            if answer is not None:  # an ack, queued by its round's deadline
                 ticks = hws[receiver].advance(t)
                 for c, payload in zip(clocks, answer):
                     c.ack(receiver, ticks, payload)
                 pending_acks[receiver] += 1
+            elif synced[receiver]:  # else no valid time to answer with
+                ticks = hws[receiver].advance(t)
+                a = t + delay_model.sample(normals)
+                if a <= round_deadline and a <= duration_s:
+                    answers = [c.answer(receiver, ticks) for c in clocks]
+                    queue.push(a, DELIVERY, (sender, receiver, answers, round_deadline))
         elif kind == DEADLINE:
             n_acks = pending_acks[data]
             next_sync[data] = next_beacon[data] + gather_wait
@@ -444,7 +441,9 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
             deadline = t + gather_wait
             next_beacon[data] = t + beacon_period
             for j in neighbors[data]:
-                send(t, data, j, None, deadline)
+                a = t + delay_model.sample(normals)
+                if a <= duration_s and boot_times[j] <= a and (synced[j] or a > next_sync[j]):
+                    queue.push(a, DELIVERY, (j, data, None, deadline))
             if deadline <= duration_s:
                 queue.push(deadline, DEADLINE, data)
             if next_beacon[data] <= duration_s:
@@ -554,8 +553,8 @@ def run_config(
     ends, the run schedules at most MAX_PERIODS_PER_RUN sample frames,
     beacon rounds per node and drift segments over all its nodes but the
     gateway, which reads true time, and at most MAX_READINGS_PER_RUN
-    readings (sample frames x nodes), the initial rate is finite or None
-    and the initial ticks finite and nonnegative or None.
+    readings (sample frames x nodes), the initial rate is finite and
+    positive or None and the initial ticks finite and nonnegative or None.
     """
     if not isinstance(quantize_ticks, bool):
         raise ValueError(f"quantize_ticks must be a bool, got {quantize_ticks!r}")
@@ -582,8 +581,8 @@ def run_config(
             per = "" if nodes == 1 else f" x {nodes} nodes"
             raise ValueError(f"duration_s / {name}{per} = {nodes * duration_s / period:.6g} "
                              f"exceeds the limit of {limit} per run")
-    if initial_rate is not None and not math.isfinite(initial_rate):
-        raise ValueError(f"initial_rate must be finite, got {initial_rate}")
+    if initial_rate is not None and not 0 < initial_rate < math.inf:
+        raise ValueError(f"initial_rate must be finite and positive, got {initial_rate}")
     if initial_ticks is not None and not 0 <= initial_ticks < math.inf:
         raise ValueError(f"initial_ticks must be finite and nonnegative, got {initial_ticks}")
     return {

@@ -550,6 +550,25 @@ def test_run_refuses_drift_at_or_above_nominal(tmp_path: Path, monkeypatch, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "mu", "--values", "0.5,1"]])
+@pytest.mark.parametrize("key", ["threshold_ticks", "e_max_ticks"])
+def test_ticks_that_convert_to_zero_seconds_are_refused_before_any_pass(
+        tmp_path: Path, monkeypatch, capsys, command, key):
+    # 1e-320 ticks at 1 MHz is 0.0 s: refused naming the tick setting and
+    # its flag, before any pass or output directory
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the event pass ran before the settings were checked")
+
+    monkeypatch.setattr(simulation, "_event_pass", no_pass)
+    out, flag = tmp_path / "out", key.replace("_", "-")
+    assert cli.main([*command, "--topology", "line:4", "--duration", "3000",
+                     f"--{flag}", "1e-320", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {key} (--{flag}) must be finite and positive in seconds, "
+            "got 1e-320 ticks / 1000000.0 Hz = 0.0 s\n")
+    assert not out.exists()
+
+
 def test_a_sweeps_seeds_are_counted_over_its_values_before_any_is_planned(tmp_path: Path,
                                                                           monkeypatch, capsys):
     # each value's 10^5 seeds are within the limit, but 300 values plan

@@ -177,13 +177,16 @@ def test_run_simulation_validates_arguments():
     with pytest.raises(ValueError):
         run_simulation(topo, _newton_params(), **_NO_DRIFT,
                        duration_s=100.0, boot_window_s=100.0)
-    for bad in (float("inf"), float("nan")):
+    # 0 and a negative initial rate: a clock that stands still or runs
+    # backwards is refused, not simulated
+    for bad in (float("inf"), float("nan"), 0.0, -1e-6):
         with pytest.raises(ValueError, match="finite"):
             run_simulation(topo, _newton_params(), **_NO_DRIFT, duration_s=bad)
         with pytest.raises(ValueError, match="finite"):
             run_simulation(topo, _newton_params(), **_NO_DRIFT,
                            duration_s=100.0, sample_interval_s=bad)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError,
+                           match=f"^initial_rate must be finite and positive, got {bad}$"):
             run_simulation(topo, _newton_params(), **_NO_DRIFT,
                            duration_s=1000.0, initial_rate=bad)
 
@@ -501,10 +504,12 @@ _DELAY_STDS = st.sampled_from([0.0, 1e-5, 1e-2, 0.5])
 _BOOT_WINDOWS = st.floats(min_value=0.0, max_value=200.0)
 
 
-def _property_run(topo: Topology, seed: int, delay_std: float, boot_window: float):
+def _property_run(topo: Topology, seed: int, delay_std: float, boot_window: float,
+                  quantize_ticks: bool = False):
     return run_simulation(topo, _newton_params(gather_wait_s=1.0), max_drift_hz=25.0,
-                          drift_resample_interval_s=60.0, delay_std_s=delay_std,
-                          duration_s=400.0, boot_window_s=boot_window, seed=seed)
+                          drift_resample_interval_s=60.0, quantize_ticks=quantize_ticks,
+                          delay_std_s=delay_std, duration_s=400.0, boot_window_s=boot_window,
+                          seed=seed)
 
 
 def _assert_finite_exactly_after_boot(trace) -> None:
@@ -516,6 +521,34 @@ def _assert_finite_exactly_after_boot(trace) -> None:
     assert np.array_equal(np.isfinite(trace.logical_s), up)
     assert np.isfinite(trace.logical_s - times[:, None])[up].all()
     assert np.isnan(trace.logical_s[~up]).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(_connected_topologies(), _SEEDS, _DELAY_STDS, _BOOT_WINDOWS, st.booleans())
+def test_each_delivery_is_queued_only_if_its_receiver_can_take_it(topo, seed, delay_std,
+                                                                   boot_window, quantize):
+    # the pass admits a delivery once, when it is sent: every queued request
+    # lands at or after its receiver's boot, every queued ack by the deadline
+    # of a round whose request it answers, and every delivery by the horizon
+    pushed, push = [], EventQueue.push
+
+    def recorded(queue, time, kind, data=None):
+        if kind == DELIVERY:
+            pushed.append((time, data))
+        push(queue, time, kind, data)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EventQueue, "push", recorded)
+        trace = _property_run(topo, seed, delay_std, boot_window, quantize)
+    boots = [trace.boot_times[nid] for nid in topo.node_ids]
+    requests = {(sender, receiver, deadline)
+                for _, (receiver, sender, answer, deadline) in pushed if answer is None}
+    for time, (receiver, sender, answer, deadline) in pushed:
+        assert time <= trace.config["duration_s"]
+        if answer is None:
+            assert time >= boots[receiver]
+        else:
+            assert time <= deadline and (receiver, sender, deadline) in requests
 
 
 @settings(max_examples=25, deadline=None)
@@ -543,7 +576,7 @@ _VALID_SETTINGS = {
     "duration_s": st.floats(min_value=1.0, max_value=400.0),
     "sample_interval_s": st.floats(min_value=1.0, max_value=100.0),
     "boot_window_s": st.floats(min_value=0.0, max_value=400.0),
-    "initial_rate": st.none() | st.floats(min_value=-1.0, max_value=1.0),
+    "initial_rate": st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     "initial_ticks": st.none() | st.floats(min_value=0.0, max_value=1e9),
 }
 _BAD_VALUES = st.sampled_from([0.0, -1.0, 1e300, math.nan, math.inf, -math.inf])
