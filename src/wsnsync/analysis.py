@@ -225,15 +225,22 @@ def variant_moment_predictions(p: MomentParams) -> dict[str, dict[str, float]]:
 # Monte Carlo oracle
 
 
-# Elements per slice of pairwise_oracle's per-element arithmetic: its five
-# 64 KB slices stay in cache. No output bit depends on the value.
-_CHUNK = 8192
+# pairwise_oracle's per-element arithmetic runs in blocks of _BLOCK
+# elements, each turning its uniforms into rate * (B*f + w), and within a
+# block in slices of _CHUNK for the delays. Every numpy call releases the
+# GIL and takes it back, and validate-analysis's kernel threads contend for
+# it on each, so the pieces are large: 50k runs are one block and five
+# slices, 54 calls a step. A block's two 480 KB operands still fit a 2 MB
+# L2 at 4M runs. No output bit depends on either value.
+_CHUNK = 10_000
+_BLOCK = 6 * _CHUNK
 # The largest oracle, per step size. Runs set memory: a kernel holds three
 # float64 arrays of n_runs, and validate-analysis runs one kernel per core,
 # so the limit holds 96 MB per kernel, 192 MB on two cores. Runs x steps set
-# time: about 31 ns per run and step (2 vCPU Xeon, numpy 2.4.6), so the
-# limit is about 30 s per kernel. A step of few runs still costs its numpy
-# calls, so fewer runs than a slice count as a slice.
+# time: 36-43 ns per run and step at 4M runs as the host's speed swings (2
+# vCPU Xeon, numpy 2.4.6), so the limit is about 40 s per kernel. A step of
+# few runs still costs its numpy calls, so fewer runs than a slice count as
+# a slice.
 MAX_ORACLE_RUNS = 4 * 10**6
 MAX_ORACLE_RUN_STEPS = 10**9
 
@@ -319,39 +326,43 @@ def pairwise_oracle(
     # only in the sign of a zero that b + beta (b > 0) then loses. Three
     # n_runs buffers: rate, x (the uniforms, then e, then the variance
     # scratch) and beta, which holds the previous round's delays until its
-    # slice draws the new ones. A fill in slices draws what one fill draws;
-    # the reductions stay whole-array, since a pairwise sum's rounding
-    # depends on the length. See NOTES.md, "The oracle kernel".
+    # slice draws the new ones. A fill in pieces draws what one fill draws,
+    # and all of a round's uniforms are drawn before its first normal; the
+    # reductions stay whole-array, since a pairwise sum's rounding depends
+    # on the length. See NOTES.md, "The oracle kernel".
     rate = np.full(n_runs, 1.0 / f if initial_rate is None else initial_rate, dtype=float)
     x = np.empty(n_runs)
     beta = gen.standard_normal(n_runs)
     beta *= sigma_b
     w = np.empty(min(_CHUNK, n_runs))
     d = np.empty_like(w)
-    chunks = [
-        (x[i:i + _CHUNK], rate[i:i + _CHUNK], beta[i:i + _CHUNK],
-         w[:min(_CHUNK, n_runs - i)], d[:min(_CHUNK, n_runs - i)])
-        for i in range(0, n_runs, _CHUNK)
-    ]
+    blocks = []
+    for i in range(0, n_runs, _BLOCK):
+        end = min(i + _BLOCK, n_runs)
+        bounds = [(lo, min(lo + _CHUNK, end)) for lo in range(i, end, _CHUNK)]
+        blocks.append((x[i:end], rate[i:end], [
+            (x[lo:hi], rate[lo:hi], beta[lo:hi], w[:hi - lo], d[:hi - lo])
+            for lo, hi in bounds]))
 
     # rows mean_e, var_e, mean_rate, var_rate; each var as np.var computes it
     stats = np.empty((4, n_steps))
     for k in range(n_steps):
         gen.random(out=x)
-        for xc, rc, bc, wc, dc in chunks:
-            xc *= 2.0 * f_max
-            xc += -f_max
-            xc *= b
-            xc += b * f
-            xc *= rc
-            gen.standard_normal(out=wc)
-            wc *= sigma_b
-            np.add(wc, b, out=dc)
-            dc -= bc
-            bc[...] = wc
-            xc -= dc  # e
-            np.multiply(xc, gain, out=dc)
-            rc -= dc
+        for xb, rb, slices in blocks:
+            xb *= 2.0 * f_max
+            xb += -f_max
+            xb *= b
+            xb += b * f
+            xb *= rb
+            for xc, rc, bc, wc, dc in slices:
+                gen.standard_normal(out=wc)
+                wc *= sigma_b
+                np.add(wc, b, out=dc)
+                dc -= bc
+                bc[...] = wc
+                xc -= dc  # e
+                np.multiply(xc, gain, out=dc)
+                rc -= dc
         for row, v in ((0, x), (2, rate)):  # e's pass leaves x free for rate's
             m = np.add.reduce(v) / n_runs
             np.subtract(v, m, out=x)
@@ -464,7 +475,9 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
                                n_runs=n_runs, initial_rate=initial_rate)
 
     # A kernel spends most of its time in numpy calls that release the GIL,
-    # so the kernels run concurrently on threads.
+    # so the kernels run concurrently on threads. Each call also takes the
+    # GIL back, so a kernel's calls per step set how often the threads trade
+    # it; hence pairwise_oracle's large blocks and slices.
     rows = []
     with contextlib.ExitStack() as stack:
         traces = map(kernel, [])

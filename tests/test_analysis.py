@@ -352,6 +352,16 @@ def test_oracle_equals_array_expressions_bit_for_bit(
     assert _oracle_bytes(tr) == _reference_oracle(p, **kwargs).astype("<f8").tobytes()
 
 
+@pytest.mark.parametrize("size", [1, 7, 8192, analysis._CHUNK, analysis._BLOCK, 20_004])
+@pytest.mark.parametrize("name", ["_CHUNK", "_BLOCK"])
+def test_oracle_bytes_do_not_depend_on_the_block_or_slice_size(monkeypatch, name, size):
+    # a ragged run count: the last block and slice are short at most sizes
+    kwargs = dict(seed=9, n_steps=2, n_runs=20_003, initial_rate=1.03e-6)
+    default = _oracle_bytes(pairwise_oracle(MomentParams(), **kwargs))
+    monkeypatch.setattr(analysis, name, size)
+    assert _oracle_bytes(pairwise_oracle(MomentParams(), **kwargs)) == default
+
+
 def test_oracle_memory_is_three_run_buffers():
     # rate, x and beta of 50k float64 runs are 400 KB each; the chunk
     # scratches and the per-step statistics fit in the remaining half buffer

@@ -985,7 +985,7 @@ def test_validate_analysis_gate_failure_exits_nonzero(tmp_path: Path,
      "error: oracle runs = 1000000000000 exceeds the limit of 4000000 per step size"),
     # 10^8 rounds of two runs: about 45 minutes of per-round numpy calls
     (("--oracle-runs", "2", "--oracle-steps", "100000000"),
-     "error: oracle runs x steps = 8.192e+11 exceeds the limit of 1000000000"),
+     "error: oracle runs x steps = 1e+12 exceeds the limit of 1000000000"),
 ], ids=["runs", "runs-x-steps"])
 def test_validate_analysis_refuses_an_oversized_oracle(tmp_path: Path, monkeypatch,
                                                        capsys, size, message):
