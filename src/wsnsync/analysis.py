@@ -58,7 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocols import WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size
+from .protocols import (
+    WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size, ticks_per_round,
+)
+from .ranges import require
 
 
 class NonconvergentMomentError(ValueError):
@@ -99,11 +102,10 @@ class MomentParams:
     delay_diff_var: float = 2e-10
 
     def __post_init__(self) -> None:
+        ticks_per_round(self.beacon_period_s, self.nominal_hz)
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if name in ("beacon_period_s", "nominal_hz") and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
             if name == "max_drift_hz" and not 0 <= value < self.nominal_hz:
                 raise ValueError(f"{name} must satisfy 0 <= max_drift < nominal, got {value}")
             if name == "delay_diff_var" and not value >= 0:
@@ -123,7 +125,14 @@ class MomentParams:
 
     @classmethod
     def from_delay_std(cls, delay_std_s: float, **settings) -> "MomentParams":
-        return cls(delay_diff_var=2.0 * delay_std_s**2, **settings)
+        """The model of i.i.d. delays of standard deviation delay_std_s;
+        ValueError unless it is finite and nonnegative."""
+        require("nonnegative", delay_std_s=delay_std_s)
+        try:
+            delay_diff_var = 2.0 * delay_std_s**2
+        except OverflowError:  # a square past float range, which MomentParams refuses
+            delay_diff_var = math.inf
+        return cls(delay_diff_var=delay_diff_var, **settings)
 
     @property
     def delay_std_s(self) -> float:

@@ -8,9 +8,11 @@ Subcommands:
                      Monte Carlo oracle), print its rows, write analysis.csv
 
 Every setting is one row of SETTINGS: its flag, config key, type, default,
-range and help. A default that the library declares too (ProtocolParams,
+minimum and help. A default that the library declares too (ProtocolParams,
 run_config, metrics.summarize) is read from it; the others are declared
-here alone. Precedence: command line flag, then JSON config file
+here alone. The library owns the range of every setting it takes, and its
+refusal of one starts "<name> must"; main alone names the setting's flag
+in it. Precedence: command line flag, then JSON config file
 (--config), then the command's default. Output files embed the fully
 resolved configuration as a `# config = {...}` comment header and contain
 no timestamps, so identical invocations produce byte-identical files. The
@@ -35,6 +37,7 @@ from pathlib import Path
 from . import metrics
 from .protocols import (
     WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size, step_size_bound,
+    ticks_per_round,
 )
 from .simulation import (
     Topology, build_line_topology, record_schedule, run_config, run_simulation, write_csv_preamble,
@@ -43,12 +46,6 @@ from .simulation import (
 _RUN = ("run", "sweep")
 _ALL = ("run", "sweep", "validate-analysis")
 _VALIDATE = ("validate-analysis",)
-RANGES = {
-    "positive": lambda v: v > 0,
-    "nonnegative": lambda v: v >= 0,
-    "at least 1": lambda v: v >= 1,
-    "at least 2": lambda v: v >= 2,
-}
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 # Seeds per invocation, over all of a sweep's values. summary.csv's header
 # lists every seed (0.69 MB at 10^5), and the cheapest run (line:2 over 1 s)
@@ -72,19 +69,22 @@ def _default(func, name: str):
 @dataclasses.dataclass(frozen=True)
 class Setting:
     """One setting: config key (also the argparse dest), flag, type (float,
-    int, bool or str), default, allowed range (a RANGES key), help text,
-    the commands that take it and its `sweep --param` name. A --config file
-    may set exactly the settings that `run` takes."""
+    int, bool or str), default, minimum (an integer setting that only the
+    CLI checks), help text, the commands that take it, its `sweep --param`
+    name and the name the library's refusals give it where that differs
+    from the key. A --config file may set exactly the settings that `run`
+    takes."""
 
     key: str
     flag: str
     type: type
     default: object
-    check: str | None
+    minimum: int | None
     help: str
     commands: tuple[str, ...] = _RUN
     sweep: str | None = None
     command_defaults: dict = dataclasses.field(default_factory=dict)
+    alias: str | None = None
 
     def default_for(self, command: str):
         return self.command_defaults.get(command, self.default)
@@ -93,52 +93,53 @@ class Setting:
 SETTINGS = (
     Setting("seed", "seed", str, "1", None,
             "seed spec: N, N,M,... or A..B (validate-analysis takes one seed)", _ALL),
-    Setting("beacon_period_s", "beacon-period", float, ProtocolParams.beacon_period_s, "positive",
+    Setting("beacon_period_s", "beacon-period", float, ProtocolParams.beacon_period_s, None,
             "seconds between sync rounds", _ALL, "beacon-period"),
-    Setting("nominal_hz", "nominal-hz", float, ProtocolParams.nominal_hz, "positive",
+    Setting("nominal_hz", "nominal-hz", float, ProtocolParams.nominal_hz, None,
             "nominal oscillator frequency in Hz", _ALL),
     # The closed-form model's canonical parameter set uses the worst-case
     # drift bound; the experiment default models deployed crystals.
-    Setting("max_drift_hz", "max-drift-hz", float, 25.0, "nonnegative",
+    Setting("max_drift_hz", "max-drift-hz", float, 25.0, None,
             "oscillator drift bound in Hz", _ALL, "max-drift",
             command_defaults={"validate-analysis": WORST_CASE_DRIFT_HZ}),
     Setting("delay_std_s", "delay-std", float, _default(run_config, "delay_std_s"),
-            "nonnegative", "message delay standard deviation, seconds", _ALL, "delay-std"),
+            None, "message delay standard deviation, seconds", _ALL, "delay-std", alias="std_s"),
     Setting("protocol", "protocol", str, "newton", None,
             "comma list: newton,grades,avgpisync"),
     # `sweep --param nodes` sets the topology to line:N
     Setting("topology", "topology", str, "line:16", None,
             "line:N or JSON topology file", sweep="nodes"),
-    Setting("mu", "mu", float, None, "positive",
-            "step size for all protocols; unset, each protocol uses its own", sweep="mu"),
+    Setting("mu", "mu", float, None, None,
+            "step size for all protocols; unset, each protocol uses its own", sweep="mu",
+            alias="step_size"),
     Setting("e_max_ticks", "e-max-ticks", float,
-            ProtocolParams.max_error_s * ProtocolParams.nominal_hz, "positive",
+            ProtocolParams.max_error_s * ProtocolParams.nominal_hz, None,
             "rate-update guard threshold in ticks"),
     Setting("gather_wait_s", "gather-wait", float, ProtocolParams.gather_wait_s,
-            "nonnegative", "seconds between requests and averaging"),
+            None, "seconds between requests and averaging"),
     Setting("drift_resample_interval_s", "drift-resample-interval", float, 3600.0,
-            "positive", "constant-drift segment length, seconds"),
-    Setting("duration_s", "duration", float, _default(run_config, "duration_s"), "positive",
+            None, "constant-drift segment length, seconds", alias="resample_interval_s"),
+    Setting("duration_s", "duration", float, _default(run_config, "duration_s"), None,
             "simulated seconds"),
     Setting("sample_interval_s", "sample-interval", float,
-            _default(run_config, "sample_interval_s"), "positive",
+            _default(run_config, "sample_interval_s"), None,
             "trace sampling period, seconds"),
     Setting("boot_window_s", "boot-window", float, _default(run_config, "boot_window_s"),
-            "nonnegative", "nodes boot uniformly in [0, window) seconds"),
-    Setting("threshold_ticks", "threshold-ticks", float, 1000.0, "positive",
+            None, "nodes boot uniformly in [0, window) seconds"),
+    Setting("threshold_ticks", "threshold-ticks", float, 1000.0, None,
             "convergence threshold in ticks"),
-    Setting("window", "window", int, _default(metrics.summarize, "window"), "at least 1",
+    Setting("window", "window", int, _default(metrics.summarize, "window"), 1,
             "consecutive samples below threshold"),
     Setting("quantize_ticks", "quantize-ticks", bool, _default(run_config, "quantize_ticks"),
             None, "floor hardware tick readings to integers"),
-    Setting("jobs", "jobs", int, 1, "at least 1", "parallel workers"),
+    Setting("jobs", "jobs", int, 1, 1, "parallel workers"),
     Setting("mu_grid", "mu-grid", str, "0.25,0.5,1.0,1.5,2.2", None,
-            "comma list of step sizes; 2.2 diverges by design", _VALIDATE),
-    Setting("oracle_runs", "oracle-runs", int, 20000, "at least 2",
+            "comma list of step sizes; 2.2 diverges by design", _VALIDATE, alias="step_size"),
+    Setting("oracle_runs", "oracle-runs", int, 20000, 2,
             "Monte Carlo runs per step size", _VALIDATE),
-    Setting("oracle_steps", "oracle-steps", int, 300, "at least 1",
+    Setting("oracle_steps", "oracle-steps", int, 300, 1,
             "rounds per oracle run", _VALIDATE),
-    Setting("tail", "tail", int, 100, "at least 1",
+    Setting("tail", "tail", int, 100, 1,
             "steady-state averaging window in rounds, below oracle-steps", _VALIDATE),
     Setting("initial_rate_offset", "initial-rate-offset", float, 0.05, None,
             "relative initial rate error fed to the oracle", _VALIDATE),
@@ -214,18 +215,17 @@ def _parse_topology(spec: str) -> Topology:
 
 def _parse(s: Setting, value):
     """``value`` as setting ``s``: of its type (a JSON integer is a float too),
-    finite and in range, else ConfigError naming the setting."""
+    finite and at least its minimum, else ConfigError naming the setting."""
     if value is None and s.default is None:
         return None
-    name = f"{s.key} (--{s.flag})"
     # exact types, since bool is an int subclass
     if type(value) is not s.type and not (s.type is float and type(value) is int):
-        raise ConfigError(f"{name} must be {_TYPE_NAMES[s.type]}, got {json.dumps(value)}")
+        raise ConfigError(f"{s.key} must be {_TYPE_NAMES[s.type]}, got {json.dumps(value)}")
     value = s.type(value)
     if s.type is float and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    if s.check and not RANGES[s.check](value):
-        raise ConfigError(f"{name} must be {s.check}, got {value}")
+        raise ConfigError(f"{s.key} must be finite, got {value}")
+    if s.minimum is not None and value < s.minimum:
+        raise ConfigError(f"{s.key} must be at least {s.minimum}, got {value}")
     return value
 
 
@@ -307,11 +307,12 @@ def _plan(cfg: dict) -> tuple[tuple, dict]:
     threshold in seconds, window), checked by run_config, and the summary
     header that records it, whose "seeds" are the seeds to run it at."""
     f = cfg["nominal_hz"]
+    ticks_per_round(cfg["beacon_period_s"], f)  # refuses B and f before f divides below
     seconds = {key: cfg[key] / f for key in ("threshold_ticks", "e_max_ticks")}
     for key, s in seconds.items():
         if not 0 < s < math.inf:  # ticks that convert to 0 s or to inf
-            raise ConfigError(f"{key} (--{key.replace('_', '-')}) must be finite and positive "
-                              f"in seconds, got {cfg[key]} ticks / {f} Hz = {s} s")
+            raise ConfigError(f"{key} must be finite and positive in seconds, "
+                              f"got {cfg[key]} ticks / {f} Hz = {s} s")
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
     params = {p: _protocol_params(cfg, p, seconds["e_max_ticks"]) for p in protocols}
@@ -461,8 +462,6 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
     fmax, sigma_b = cfg["max_drift_hz"], cfg["delay_std_s"]
     grid = list(_parse_list("--mu-grid", "--mu-grid entry", cfg["mu_grid"], float))
-    if not all(map(math.isfinite, grid)):
-        raise ConfigError(f"--mu-grid {cfg['mu_grid']!r}: entries must be finite")
     # the mean check divides by the oracle's standard error, the variance
     # check by its empirical variance; both are 0 without two noisy runs
     if fmax == 0 and sigma_b == 0:
@@ -597,7 +596,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError included
-        print(f"error: {exc}", file=sys.stderr)
+        # "<name> must ...": the key or alias of a setting of this command
+        # becomes "key (--flag)"
+        name, _, rule = str(exc).partition(" must ")
+        flagged = {n: f"{s.key} (--{s.flag}) must {rule}" for s in SETTINGS
+                   if args.command in s.commands for n in (s.key, s.alias)}
+        print(f"error: {flagged.get(name, exc)}", file=sys.stderr)
         return 2
 
 

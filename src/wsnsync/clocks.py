@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ranges import require
+
 
 class ClockRegressionError(ValueError):
     """Raised when a clock is asked to move backwards in time or ticks."""
@@ -42,20 +44,11 @@ class OscillatorParams:
     quantize_ticks: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.nominal_hz < math.inf:
-            raise ValueError(
-                f"nominal_hz must be finite and positive, got {self.nominal_hz}"
-            )
+        require("positive", nominal_hz=self.nominal_hz,
+                resample_interval_s=self.resample_interval_s)
         if not 0 <= self.max_drift_hz < self.nominal_hz:
             raise ValueError(
-                "max_drift_hz must satisfy 0 <= max_drift < nominal, got "
-                f"{self.max_drift_hz}"
-            )
-        if not 0 < self.resample_interval_s < math.inf:
-            raise ValueError(
-                "resample_interval_s must be finite and positive, got "
-                f"{self.resample_interval_s}"
-            )
+                f"max_drift_hz must satisfy 0 <= max_drift < nominal, got {self.max_drift_hz}")
 
 
 class HardwareClock:
@@ -79,10 +72,7 @@ class HardwareClock:
     ) -> None:
         if not math.isfinite(start_time):
             raise ValueError(f"start_time must be finite, got {start_time}")
-        if not 0 <= initial_ticks < math.inf:
-            raise ValueError(
-                f"initial_ticks must be finite and nonnegative, got {initial_ticks}"
-            )
+        require("nonnegative", initial_ticks=initial_ticks)
         self.params = params
         # Read on every advance and read_ticks; params is frozen, so cache
         # the fields here.

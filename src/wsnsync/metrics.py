@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .ranges import require
+
 
 def max_global_error(times_s: Sequence[float], readings: np.ndarray) -> np.ndarray:
     """Per sample, the spread between the fastest and slowest clock that is
@@ -56,10 +58,9 @@ def convergence_time(
     excluded. An undefined (NaN) error breaks any run in progress. Returns
     None when no qualifying window exists.
     """
-    if threshold_s <= 0:
-        raise ValueError("threshold_s must be positive")
+    require("positive", threshold_s=threshold_s)
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise ValueError(f"window must be at least 1, got {window}")
     below = (np.asarray(times_s) >= start_after) & (errors_s < threshold_s)
     counts = np.concatenate(([0], np.cumsum(below)))
     starts = np.flatnonzero(counts[window:] - counts[:-window] == window)

@@ -22,8 +22,9 @@ actual stability edge under the absorbed-constant form used here.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+
+from .ranges import require
 
 # The worst-case oscillator drift bound, in Hz, that the default guard
 # threshold and the pairwise analysis (analysis.MomentParams and
@@ -72,18 +73,24 @@ class ProtocolParams:
     gather_wait_s: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("beacon_period_s", "nominal_hz", "max_error_s", "step_size"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not self.beacon_period_s * self.nominal_hz < math.inf:
-            raise ValueError("beacon_period_s * nominal_hz (ticks per round) must be finite")
+        ticks_per_round(self.beacon_period_s, self.nominal_hz)
+        require("positive", max_error_s=self.max_error_s, step_size=self.step_size)
         if not 0 <= self.gather_wait_s < self.beacon_period_s:
-            raise ValueError("gather_wait_s must satisfy 0 <= wait < beacon period")
+            raise ValueError("gather_wait_s must satisfy 0 <= wait < beacon period, "
+                             f"got {self.gather_wait_s}")
 
     def within_bound(self) -> bool:
         low, high = step_size_bound(self.kind, self.beacon_period_s, self.nominal_hz)
         return low < self.step_size < high
+
+
+def ticks_per_round(beacon_period_s: float, nominal_hz: float) -> float:
+    """B * f, the nominal ticks of one round. ValueError unless B, f and
+    their product are finite and positive."""
+    bf = beacon_period_s * nominal_hz
+    require("positive", beacon_period_s=beacon_period_s, nominal_hz=nominal_hz,
+            **{"beacon_period_s * nominal_hz (ticks per round)": bf})
+    return bf
 
 
 def rate_update(rate: float, error_s: float, p: ProtocolParams) -> float:
@@ -107,8 +114,9 @@ def effective_gain(
     kind: Protocol, step_size: float, beacon_period_s: float, nominal_hz: float
 ) -> float:
     """Per-round gain on the rate error; the noiseless pairwise mean error
-    contracts by (1 - gain) each round, so stability requires 0 < gain < 2."""
-    bf = beacon_period_s * nominal_hz
+    contracts by (1 - gain) each round, so stability requires 0 < gain < 2.
+    ValueError for a B or f that ticks_per_round refuses."""
+    bf = ticks_per_round(beacon_period_s, nominal_hz)
     if kind is Protocol.NEWTON:
         return step_size
     if kind is Protocol.GRADES:

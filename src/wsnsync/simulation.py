@@ -61,6 +61,7 @@ import numpy as np
 
 from .clocks import HardwareClock, LogicalClock, OscillatorParams
 from .protocols import ProtocolParams, rate_update
+from .ranges import require
 
 TRACE_COLUMNS = ("sample_time", "node_id", "logical_value", "true_time", "error_seconds")
 # Delay draws are made this many at a time; a block of normal draws holds
@@ -89,10 +90,7 @@ class DelayModel:
     floor_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.std_s < math.inf:
-            raise ValueError(f"std_s must be finite and nonnegative, got {self.std_s}")
-        if not 0 <= self.floor_s < math.inf:
-            raise ValueError(f"floor_s must be finite and nonnegative, got {self.floor_s}")
+        require("nonnegative", std_s=self.std_s, floor_s=self.floor_s)
 
     def normals(self, gen: np.random.Generator) -> Iterator[float]:
         """Endless N(0, std^2) draws from ``gen``, made DELAY_BLOCK at a time."""
@@ -562,14 +560,10 @@ def run_config(
         raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
     OscillatorParams(params.nominal_hz, max_drift_hz, drift_resample_interval_s, quantize_ticks)
     DelayModel(delay_std_s, delay_floor_s)
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
-    if not 0 < sample_interval_s < math.inf:
-        raise ValueError(
-            f"sample_interval_s must be finite and positive, got {sample_interval_s}"
-        )
+    require("positive", duration_s=duration_s, sample_interval_s=sample_interval_s)
     if not 0 <= boot_window_s < duration_s:
-        raise ValueError("boot_window_s must satisfy 0 <= window < duration")
+        raise ValueError(
+            f"boot_window_s must satisfy 0 <= window < duration, got {boot_window_s}")
     n = len(topology.node_ids)
     for name, period, nodes, limit in (
             ("sample_interval_s", sample_interval_s, 1, MAX_PERIODS_PER_RUN),

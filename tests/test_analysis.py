@@ -153,8 +153,22 @@ def test_moment_params_accept_the_edges():
     for kwargs in ({"max_drift_hz": 0.0, "delay_diff_var": 0.0},
                    {"step_size": 0.0}, {"step_size": -1.0}, {"step_size": 2.5}):
         MomentParams(**kwargs)
-    with pytest.raises(ValueError, match="delay_diff_var"):
+    with pytest.raises(ValueError, match="^delay_std_s must be finite and nonnegative, got inf$"):
         MomentParams.from_delay_std(np.inf)
+
+
+@pytest.mark.parametrize("bad", [-1e-5, -5e-324, math.nan, -math.inf])
+def test_moment_params_from_delay_std_refuse_a_bad_std_by_its_name(bad):
+    # the square once lost the sign: -1e-5 gave a model whose delay std read 1e-05
+    with pytest.raises(ValueError, match=f"^delay_std_s must be finite and nonnegative, "
+                                         f"got {bad}$"):
+        MomentParams.from_delay_std(bad)
+
+
+def test_moment_params_from_delay_std_refuse_a_square_past_float_range():
+    # 1e200 squared once raised OverflowError, a traceback from the CLI
+    with pytest.raises(ValueError, match="^delay_diff_var must be finite, got inf$"):
+        MomentParams.from_delay_std(1e200)
 
 
 def test_moment_params_refuse_the_drift_an_oscillator_refuses():

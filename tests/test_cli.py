@@ -538,7 +538,8 @@ def test_a_topology_file_past_max_nodes_is_refused(tmp_path: Path, monkeypatch, 
 
 def test_run_refuses_drift_at_or_above_nominal(tmp_path: Path, monkeypatch, capsys):
     # the default 25 Hz drift bound at a 20 Hz oscillator, refused by
-    # run_config in OscillatorParams' words before any pass or output directory
+    # run_config in OscillatorParams' words, with the flag main names, before
+    # any pass or output directory
     def no_pass(*args, **kwargs):
         raise AssertionError("the event pass ran before the settings were checked")
 
@@ -546,7 +547,8 @@ def test_run_refuses_drift_at_or_above_nominal(tmp_path: Path, monkeypatch, caps
     out = tmp_path / "out"
     assert cli.main(["run", "--nominal-hz", "20", "--out-dir", str(out)]) == 2
     assert capsys.readouterr() == (
-        "", "error: max_drift_hz must satisfy 0 <= max_drift < nominal, got 25.0\n")
+        "", "error: max_drift_hz (--max-drift-hz) must satisfy 0 <= max_drift < nominal, "
+            "got 25.0\n")
     assert not out.exists()
 
 
@@ -834,9 +836,22 @@ def test_sweep_names_traces_each_value_did_not_write(tmp_path: Path, capsys):
 
 # ---------------------------------------------------------------------------
 # every `run` setting: inside its range it runs or is refused, outside it is
-# refused (the SETTINGS table owns the ranges, so these properties read it)
+# refused. The library owns the ranges of the settings it takes, and the CLI
+# only the integer minimums, so the table of ranges is this file's own.
 
 _RUN_SETTINGS = [s for s in cli.SETTINGS if "run" in s.commands]
+_RANGES = {
+    "beacon_period_s": "positive", "nominal_hz": "positive", "max_drift_hz": "nonnegative",
+    "delay_std_s": "nonnegative", "mu": "positive", "e_max_ticks": "positive",
+    "gather_wait_s": "nonnegative", "drift_resample_interval_s": "positive",
+    "duration_s": "positive", "sample_interval_s": "positive", "boot_window_s": "nonnegative",
+    "threshold_ticks": "positive", "window": "at least 1", "jobs": "at least 1",
+}
+_IN_RANGE = {
+    "positive": lambda v: 0 < v < math.inf,
+    "nonnegative": lambda v: 0 <= v < math.inf,
+    "at least 1": lambda v: v >= 1,
+}
 
 
 def _up_to(limit: float) -> st.SearchStrategy:
@@ -900,8 +915,8 @@ def test_every_in_range_setting_runs_or_is_refused(values):
     argv = ["run"]
     for s in _RUN_SETTINGS:
         value = values[s.key]
-        if s.check and value is not None:
-            assert cli.RANGES[s.check](value), s.key
+        if s.key in _RANGES and value is not None:
+            assert _IN_RANGE[_RANGES[s.key]](value), s.key
         if s.type is bool:
             argv += [f"--{s.flag}"] if value else []
         elif value is not None:
@@ -916,26 +931,86 @@ def test_every_in_range_setting_runs_or_is_refused(values):
     assert rc == 0 or lines[0].startswith("error: ")
 
 
-def _just_outside(s: cli.Setting) -> st.SearchStrategy:
-    if s.type is int:  # "at least 1"
+def _just_outside(key: str) -> st.SearchStrategy:
+    if _RANGES[key] == "at least 1":
         return st.integers(-2, 0)
     edge = st.sampled_from([math.inf, -math.inf, math.nan, -5e-324])
-    if s.check == "positive":
+    if _RANGES[key] == "positive":
         return edge | st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 0.0)
     return edge | st.floats(-1.0, -5e-324)  # "nonnegative"
+
+
+def _refused_alone(argv: list[str], s: cli.Setting) -> None:
+    """``argv`` exits 2 with one stderr line that names ``s`` by its key and
+    flag, and creates no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "out")
+        rc, lines = _main(argv, out)
+        assert not out.exists()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {s.key} (--{s.flag}) must "), lines
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_every_setting_just_outside_its_range_is_refused(data):
-    s = data.draw(st.sampled_from([s for s in _RUN_SETTINGS if s.check]), label="setting")
-    value = data.draw(_just_outside(s), label="value")
-    argv = ["run", "--topology", "line:2", "--duration", "60", "--boot-window", "0",
-            f"--{s.flag}={value}"]
-    with tempfile.TemporaryDirectory() as tmp:
-        rc, lines = _main(argv, Path(tmp, "out"))
-    assert rc == 2
-    assert len(lines) == 1 and lines[0].startswith(f"error: {s.key} (--{s.flag}) must be")
+    s = data.draw(st.sampled_from([s for s in _RUN_SETTINGS if s.key in _RANGES]),
+                  label="setting")
+    value = data.draw(_just_outside(s.key), label="value")
+    protocol = data.draw(st.sampled_from([p.value for p in Protocol]), label="protocol")
+    _refused_alone(["run", "--topology", "line:2", "--duration", "60", "--boot-window", "0",
+                    "--protocol", protocol, f"--{s.flag}={value}"], s)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_every_validate_setting_just_outside_its_range_is_refused(data):
+    # refused by MomentParams before any oracle runs
+    keys = ("beacon_period_s", "nominal_hz", "max_drift_hz", "delay_std_s")
+    s = data.draw(st.sampled_from([s for s in cli.SETTINGS if s.key in keys]), label="setting")
+    value = data.draw(_just_outside(s.key), label="value")
+    _refused_alone(["validate-analysis", "--mu-grid", "1.0", "--oracle-runs", "2",
+                    "--oracle-steps", "2", "--tail", "1", f"--{s.flag}={value}"], s)
+
+
+def test_a_sweep_value_outside_its_range_is_refused_before_any_run():
+    _refused_alone(["sweep", "--param", "beacon-period", "--values", "30,-5",
+                    "--topology", "line:2", "--duration", "60", "--boot-window", "0"],
+                   cli.SWEEPS["beacon-period"])
+
+
+_SETTING = {s.flag: s for s in cli.SETTINGS}
+
+
+_LIBRARY_REFUSALS = [
+    (["run", "--nominal-hz", "0"], "nominal-hz", "must be finite and positive, got 0.0"),
+    (["run", "--nominal-hz", "-0.0"], "nominal-hz", "must be finite and positive, got -0.0"),
+    (["run", "--nominal-hz", "-1"], "nominal-hz", "must be finite and positive, got -1.0"),
+    (["run", "--beacon-period", "0", "--protocol", "grades"], "beacon-period",
+     "must be finite and positive, got 0.0"),
+    (["run", "--beacon-period", "0", "--protocol", "avgpisync"], "beacon-period",
+     "must be finite and positive, got 0.0"),
+    (["run", "--mu", "-1"], "mu", "must be finite and positive, got -1.0"),
+    (["run", "--delay-std", "-1"], "delay-std", "must be finite and nonnegative, got -1.0"),
+    (["run", "--drift-resample-interval", "0"], "drift-resample-interval",
+     "must be finite and positive, got 0.0"),
+    (["run", "--gather-wait", "40"], "gather-wait",
+     "must satisfy 0 <= wait < beacon period, got 40.0"),
+    (["validate-analysis", "--delay-std=-1e-5"], "delay-std",
+     "must be finite and nonnegative, got -1e-05"),
+    (["validate-analysis", "--mu-grid", "inf"], "mu-grid", "must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, rule", _LIBRARY_REFUSALS,
+                         ids=[" ".join(argv) for argv, *_ in _LIBRARY_REFUSALS])
+def test_a_library_refusal_names_its_setting_and_flag(tmp_path: Path, capsys, argv, flag, rule):
+    # the library refuses each, in its own words, before any pass, oracle or
+    # output directory; main names the key's flag
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {_SETTING[flag].key} (--{flag}) {rule}\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,12 @@ def test_convergence_validates_inputs():
     series = _series([0.125, 0.125])
     with pytest.raises(ValueError):
         convergence_time(*series, 0.0, window=5)
+    # a NaN threshold once read as "never converges", an infinite one as
+    # converged at the first sample
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^threshold_s must be finite and positive, "
+                                             f"got {bad}$"):
+            convergence_time(*series, bad, window=5)
     with pytest.raises(ValueError):
         convergence_time(*series, 1.0, window=0)
     with pytest.raises(TypeError):  # summarize declares the one default window
