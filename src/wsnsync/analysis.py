@@ -126,12 +126,16 @@ class MomentParams:
     @classmethod
     def from_delay_std(cls, delay_std_s: float, **settings) -> "MomentParams":
         """The model of i.i.d. delays of standard deviation delay_std_s;
-        ValueError unless it is finite and nonnegative."""
+        ValueError unless it is finite and nonnegative and its
+        delay_diff_var, 2 * delay_std_s**2, is finite."""
         require("nonnegative", delay_std_s=delay_std_s)
         try:
             delay_diff_var = 2.0 * delay_std_s**2
-        except OverflowError:  # a square past float range, which MomentParams refuses
+        except OverflowError:  # a square past float range
             delay_diff_var = math.inf
+        if delay_diff_var == math.inf:
+            raise ValueError(f"delay_std_s must keep delay_diff_var = 2 * delay_std_s**2 "
+                             f"finite, got {delay_std_s}")
         return cls(delay_diff_var=delay_diff_var, **settings)
 
     @property

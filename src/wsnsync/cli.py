@@ -7,8 +7,9 @@ Subcommands:
   validate-analysis  run analysis.validate_grid (the closed forms against the
                      Monte Carlo oracle), print its rows, write analysis.csv
 
-Every setting is one row of SETTINGS: its flag, config key, type, default,
-minimum and help. A default that the library declares too (ProtocolParams,
+Every setting is one row of SETTINGS: its config key, type, default,
+minimum and help; its flag is the key without a trailing "_s", with "-"
+for "_". A default that the library declares too (ProtocolParams,
 run_config, metrics.summarize) is read from it; the others are declared
 here alone. The library owns the range of every setting it takes, and its
 refusal of one starts "<name> must"; main alone names the setting's flag
@@ -36,8 +37,7 @@ from pathlib import Path
 
 from . import metrics
 from .protocols import (
-    WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size, step_size_bound,
-    ticks_per_round,
+    WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, step_size_bound, ticks_per_round,
 )
 from .simulation import (
     Topology, build_line_topology, record_schedule, run_config, run_simulation, write_csv_preamble,
@@ -68,15 +68,13 @@ def _default(func, name: str):
 
 @dataclasses.dataclass(frozen=True)
 class Setting:
-    """One setting: config key (also the argparse dest), flag, type (float,
-    int, bool or str), default, minimum (an integer setting that only the
-    CLI checks), help text, the commands that take it, its `sweep --param`
-    name and the name the library's refusals give it where that differs
-    from the key. A --config file may set exactly the settings that `run`
-    takes."""
+    """One setting: config key (also the argparse dest), type (float, int,
+    bool or str), default, minimum (an integer setting that only the CLI
+    checks), help text, the commands that take it, its `sweep --param` name
+    and the name the library's refusals give it where that differs from the
+    key. A --config file may set exactly the settings that `run` takes."""
 
     key: str
-    flag: str
     type: type
     default: object
     minimum: int | None
@@ -86,62 +84,58 @@ class Setting:
     command_defaults: dict = dataclasses.field(default_factory=dict)
     alias: str | None = None
 
+    @property
+    def flag(self) -> str:
+        """The key without a trailing "_s", "_" read as "-"."""
+        return self.key.removesuffix("_s").replace("_", "-")
+
     def default_for(self, command: str):
         return self.command_defaults.get(command, self.default)
 
 
 SETTINGS = (
-    Setting("seed", "seed", str, "1", None,
+    Setting("seed", str, "1", None,
             "seed spec: N, N,M,... or A..B (validate-analysis takes one seed)", _ALL),
-    Setting("beacon_period_s", "beacon-period", float, ProtocolParams.beacon_period_s, None,
+    Setting("beacon_period_s", float, ProtocolParams.beacon_period_s, None,
             "seconds between sync rounds", _ALL, "beacon-period"),
-    Setting("nominal_hz", "nominal-hz", float, ProtocolParams.nominal_hz, None,
+    Setting("nominal_hz", float, ProtocolParams.nominal_hz, None,
             "nominal oscillator frequency in Hz", _ALL),
     # The closed-form model's canonical parameter set uses the worst-case
     # drift bound; the experiment default models deployed crystals.
-    Setting("max_drift_hz", "max-drift-hz", float, 25.0, None,
-            "oscillator drift bound in Hz", _ALL, "max-drift",
+    Setting("max_drift_hz", float, 25.0, None, "oscillator drift bound in Hz", _ALL, "max-drift",
             command_defaults={"validate-analysis": WORST_CASE_DRIFT_HZ}),
-    Setting("delay_std_s", "delay-std", float, _default(run_config, "delay_std_s"),
+    Setting("delay_std_s", float, _default(run_config, "delay_std_s"),
             None, "message delay standard deviation, seconds", _ALL, "delay-std", alias="std_s"),
-    Setting("protocol", "protocol", str, "newton", None,
-            "comma list: newton,grades,avgpisync"),
+    Setting("protocol", str, "newton", None, "comma list: newton,grades,avgpisync"),
     # `sweep --param nodes` sets the topology to line:N
-    Setting("topology", "topology", str, "line:16", None,
-            "line:N or JSON topology file", sweep="nodes"),
-    Setting("mu", "mu", float, None, None,
+    Setting("topology", str, "line:16", None, "line:N or JSON topology file", sweep="nodes"),
+    Setting("mu", float, None, None,
             "step size for all protocols; unset, each protocol uses its own", sweep="mu",
             alias="step_size"),
-    Setting("e_max_ticks", "e-max-ticks", float,
-            ProtocolParams.max_error_s * ProtocolParams.nominal_hz, None,
+    Setting("e_max_ticks", float, ProtocolParams.max_error_s * ProtocolParams.nominal_hz, None,
             "rate-update guard threshold in ticks"),
-    Setting("gather_wait_s", "gather-wait", float, ProtocolParams.gather_wait_s,
+    Setting("gather_wait_s", float, ProtocolParams.gather_wait_s,
             None, "seconds between requests and averaging"),
-    Setting("drift_resample_interval_s", "drift-resample-interval", float, 3600.0,
+    Setting("drift_resample_interval_s", float, 3600.0,
             None, "constant-drift segment length, seconds", alias="resample_interval_s"),
-    Setting("duration_s", "duration", float, _default(run_config, "duration_s"), None,
-            "simulated seconds"),
-    Setting("sample_interval_s", "sample-interval", float,
-            _default(run_config, "sample_interval_s"), None,
+    Setting("duration_s", float, _default(run_config, "duration_s"), None, "simulated seconds"),
+    Setting("sample_interval_s", float, _default(run_config, "sample_interval_s"), None,
             "trace sampling period, seconds"),
-    Setting("boot_window_s", "boot-window", float, _default(run_config, "boot_window_s"),
+    Setting("boot_window_s", float, _default(run_config, "boot_window_s"),
             None, "nodes boot uniformly in [0, window) seconds"),
-    Setting("threshold_ticks", "threshold-ticks", float, 1000.0, None,
-            "convergence threshold in ticks"),
-    Setting("window", "window", int, _default(metrics.summarize, "window"), 1,
+    Setting("threshold_ticks", float, 1000.0, None, "convergence threshold in ticks"),
+    Setting("window", int, _default(metrics.summarize, "window"), 1,
             "consecutive samples below threshold"),
-    Setting("quantize_ticks", "quantize-ticks", bool, _default(run_config, "quantize_ticks"),
+    Setting("quantize_ticks", bool, _default(run_config, "quantize_ticks"),
             None, "floor hardware tick readings to integers"),
-    Setting("jobs", "jobs", int, 1, 1, "parallel workers"),
-    Setting("mu_grid", "mu-grid", str, "0.25,0.5,1.0,1.5,2.2", None,
+    Setting("jobs", int, 1, 1, "parallel workers"),
+    Setting("mu_grid", str, "0.25,0.5,1.0,1.5,2.2", None,
             "comma list of step sizes; 2.2 diverges by design", _VALIDATE, alias="step_size"),
-    Setting("oracle_runs", "oracle-runs", int, 20000, 2,
-            "Monte Carlo runs per step size", _VALIDATE),
-    Setting("oracle_steps", "oracle-steps", int, 300, 1,
-            "rounds per oracle run", _VALIDATE),
-    Setting("tail", "tail", int, 100, 1,
+    Setting("oracle_runs", int, 20000, 2, "Monte Carlo runs per step size", _VALIDATE),
+    Setting("oracle_steps", int, 300, 1, "rounds per oracle run", _VALIDATE),
+    Setting("tail", int, 100, 1,
             "steady-state averaging window in rounds, below oracle-steps", _VALIDATE),
-    Setting("initial_rate_offset", "initial-rate-offset", float, 0.05, None,
+    Setting("initial_rate_offset", float, 0.05, None,
             "relative initial rate error fed to the oracle", _VALIDATE),
 )
 CONFIG_KEYS = frozenset(s.key for s in SETTINGS if "run" in s.commands)
@@ -156,13 +150,9 @@ ANALYSIS_COLUMNS = ("mu", "B", "f_hat", "f_max", "sigma_beta", "predicted_var",
                     "empirical_var", "rel_err")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _parse_list(flag: str, what: str, spec: str, convert) -> dict:
     """Comma list ``spec`` as {converted entry: its text}, in order, skipping
-    empty entries. ConfigError naming ``flag`` (and ``what``, one entry) if
+    empty entries. ValueError naming ``flag`` (and ``what``, one entry) if
     none is left, ``convert`` raises ValueError, or two entries are equal."""
     values: dict = {}
     try:
@@ -175,7 +165,7 @@ def _parse_list(flag: str, what: str, spec: str, convert) -> dict:
         if not values:
             raise ValueError(f"empty {what} list")
     except ValueError as exc:
-        raise ConfigError(f"{flag} {spec!r}: {exc}")
+        raise ValueError(f"{flag} {spec!r}: {exc}")
     return values
 
 
@@ -190,15 +180,15 @@ def _parse_seeds(spec: str) -> list[int]:
         try:
             seeds = range(int(lo), int(hi) + 1)
         except ValueError as exc:
-            raise ConfigError(f"--seed {spec!r}: {exc}")
+            raise ValueError(f"--seed {spec!r}: {exc}")
     if not seeds:
-        raise ConfigError(f"--seed {spec!r}: empty seed range")
+        raise ValueError(f"--seed {spec!r}: empty seed range")
     # not len(): a range's length past sys.maxsize raises OverflowError
     count = seeds[-1] - seeds[0] + 1 if isinstance(seeds, range) else len(seeds)
     if count > MAX_SEEDS:
-        raise ConfigError(f"--seed {spec!r}: {count} seeds exceed the limit of {MAX_SEEDS}")
+        raise ValueError(f"--seed {spec!r}: {count} seeds exceed the limit of {MAX_SEEDS}")
     if min(seeds) < 0:
-        raise ConfigError(f"--seed {spec!r}: seeds must be nonnegative")
+        raise ValueError(f"--seed {spec!r}: seeds must be nonnegative")
     return list(seeds)
 
 
@@ -210,42 +200,42 @@ def _parse_topology(spec: str) -> Topology:
             return build_line_topology(int(spec[len("line:"):]))
         return Topology.from_config(json.loads(Path(spec).read_text()))
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad topology {spec!r}: {exc}")
+        raise ValueError(f"bad topology {spec!r}: {exc}")
 
 
 def _parse(s: Setting, value):
     """``value`` as setting ``s``: of its type (a JSON integer is a float too),
-    finite and at least its minimum, else ConfigError naming the setting."""
+    finite and at least its minimum, else ValueError naming the setting."""
     if value is None and s.default is None:
         return None
     # exact types, since bool is an int subclass
     if type(value) is not s.type and not (s.type is float and type(value) is int):
-        raise ConfigError(f"{s.key} must be {_TYPE_NAMES[s.type]}, got {json.dumps(value)}")
+        raise ValueError(f"{s.key} must be {_TYPE_NAMES[s.type]}, got {json.dumps(value)}")
     value = s.type(value)
     if s.type is float and not math.isfinite(value):
-        raise ConfigError(f"{s.key} must be finite, got {value}")
+        raise ValueError(f"{s.key} must be finite, got {value}")
     if s.minimum is not None and value < s.minimum:
-        raise ConfigError(f"{s.key} must be at least {s.minimum}, got {value}")
+        raise ValueError(f"{s.key} must be at least {s.minimum}, got {value}")
     return value
 
 
 def _resolve(args: argparse.Namespace, swept: Setting | None = None) -> dict:
     """Every config key and every setting of ``args.command``: its flag, else
-    its --config file entry, else the command's default. ConfigError if the
+    its --config file entry, else the command's default. ValueError if the
     ``swept`` setting, which a sweep sets per value, is given too."""
     loaded = {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}")
+            raise ValueError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = sorted(set(loaded) - CONFIG_KEYS)
         if unknown:
-            raise ConfigError(f"unknown config file keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
     if swept and (getattr(args, swept.key) is not None or swept.key in loaded):
-        raise ConfigError(f"sweep --param {swept.sweep} sets {swept.key} "
+        raise ValueError(f"sweep --param {swept.sweep} sets {swept.key} "
                           f"(--{swept.flag}) per value; do not give it too")
     cfg = {}
     for s in SETTINGS:
@@ -255,18 +245,6 @@ def _resolve(args: argparse.Namespace, swept: Setting | None = None) -> dict:
                 value = loaded.get(s.key, s.default_for(args.command))
             cfg[s.key] = _parse(s, value)
     return cfg
-
-
-def _protocol_params(cfg: dict, kind: Protocol, max_error_s: float) -> ProtocolParams:
-    b, f, mu = cfg["beacon_period_s"], cfg["nominal_hz"], cfg["mu"]
-    return ProtocolParams(
-        kind=kind,
-        step_size=mu if mu is not None else default_step_size(kind, b, f),
-        beacon_period_s=b,
-        nominal_hz=f,
-        max_error_s=max_error_s,
-        gather_wait_s=cfg["gather_wait_s"],
-    )
 
 
 def _csv_field(value) -> str:
@@ -294,7 +272,7 @@ def _make_dir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}")
+        raise ValueError(f"cannot create output directory {path}: {exc}")
     return path
 
 
@@ -306,24 +284,26 @@ def _plan(cfg: dict) -> tuple[tuple, dict]:
     """The run ``cfg`` asks for, as (simulation kwargs, protocol params,
     threshold in seconds, window), checked by run_config, and the summary
     header that records it, whose "seeds" are the seeds to run it at."""
-    f = cfg["nominal_hz"]
-    ticks_per_round(cfg["beacon_period_s"], f)  # refuses B and f before f divides below
+    b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
+    ticks_per_round(b, f)  # refuses B and f before f divides below
     seconds = {key: cfg[key] / f for key in ("threshold_ticks", "e_max_ticks")}
     for key, s in seconds.items():
         if not 0 < s < math.inf:  # ticks that convert to 0 s or to inf
-            raise ConfigError(f"{key} must be finite and positive in seconds, "
+            raise ValueError(f"{key} must be finite and positive in seconds, "
                               f"got {cfg[key]} ticks / {f} Hz = {s} s")
     protocols = list(_parse_list("--protocol", "protocol", cfg["protocol"], Protocol.parse))
     seeds = _parse_seeds(cfg["seed"])
-    params = {p: _protocol_params(cfg, p, seconds["e_max_ticks"]) for p in protocols}
+    # an unset mu (None) is each protocol's own default step
+    params = {p: ProtocolParams(p, cfg["mu"], b, f, seconds["e_max_ticks"], cfg["gather_wait_s"])
+              for p in protocols}
     # run_config's settings under their config keys; the seeds run per job
     sim_kwargs = {key: cfg[key] for key in inspect.signature(run_config).parameters
                   if key in cfg and key != "seed"}
     sim_kwargs["topology"] = _parse_topology(cfg["topology"])
     for p in protocols:
         run_config(params=params[p], **sim_kwargs)
-        if not params[p].within_bound():
-            lo, hi = step_size_bound(p, params[p].beacon_period_s, params[p].nominal_hz)
+        lo, hi = step_size_bound(p, b, f)
+        if not lo < params[p].step_size < hi:
             print(f"warning: {p.value} step size {params[p].step_size} is outside "
                   f"the convergence bound ({lo}, {hi})", file=sys.stderr)
     resolved = {**cfg, "protocols": [p.value for p in protocols], "seeds": seeds,
@@ -465,11 +445,11 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     # the mean check divides by the oracle's standard error, the variance
     # check by its empirical variance; both are 0 without two noisy runs
     if fmax == 0 and sigma_b == 0:
-        raise ConfigError("--max-drift-hz and --delay-std are both 0: "
+        raise ValueError("--max-drift-hz and --delay-std are both 0: "
                           "a noiseless oracle has no standard error")
     seeds = _parse_seeds(cfg["seed"])
     if len(seeds) != 1:
-        raise ConfigError(f"validate-analysis takes one seed, got {cfg['seed']!r}")
+        raise ValueError(f"validate-analysis takes one seed, got {cfg['seed']!r}")
     rows = analysis.validate_grid(
         [analysis.MomentParams.from_delay_std(sigma_b, beacon_period_s=b, nominal_hz=f,
                                               max_drift_hz=fmax, step_size=mu) for mu in grid],
@@ -511,14 +491,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     param = args.param
     if param not in SWEEPS:
         choices = ", ".join(sorted(SWEEPS))
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {choices}")
+        raise ValueError(f"unknown sweep parameter {param!r}; choose from {choices}")
     setting = SWEEPS[param]
     cfg = _resolve(args, setting)
     values = _parse_list("--values", "sweep value", args.values,
                          int if param == "nodes" else setting.type)
     count = len(values) * len(_parse_seeds(cfg["seed"]))
     if count > MAX_SEEDS:  # before any value is planned
-        raise ConfigError(f"--seed {cfg['seed']!r} x {len(values)} values: {count} seeds "
+        raise ValueError(f"--seed {cfg['seed']!r} x {len(values)} values: {count} seeds "
                           f"exceed the limit of {MAX_SEEDS}")
     # one resolved config per value, each checked before any run
     plans = []
@@ -595,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError included
+    except ValueError as exc:
         # "<name> must ...": the key or alias of a setting of this command
         # becomes "key (--flag)"
         name, _, rule = str(exc).partition(" must ")

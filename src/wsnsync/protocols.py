@@ -22,6 +22,7 @@ actual stability edge under the absorbed-constant form used here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .ranges import require
@@ -54,7 +55,9 @@ class Protocol(enum.Enum):
 class ProtocolParams:
     """Per-node protocol configuration.
 
-    step_size: mu in the update rules above.
+    step_size: mu in the update rules above; unset (None), the kind's
+        default_step_size at this B and f, refused unless finite and
+        positive.
     beacon_period_s: B, seconds between a node's sync rounds.
     nominal_hz: f, nominal oscillator frequency.
     max_error_s: guard threshold; rate updates are skipped when the averaged
@@ -66,7 +69,7 @@ class ProtocolParams:
     """
 
     kind: Protocol
-    step_size: float
+    step_size: float | None = None
     beacon_period_s: float = 30.0
     nominal_hz: float = 1e6
     max_error_s: float = 2.0 * beacon_period_s * WORST_CASE_DRIFT_HZ / nominal_hz
@@ -74,14 +77,17 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         ticks_per_round(self.beacon_period_s, self.nominal_hz)
+        if self.step_size is None:
+            b, f = self.beacon_period_s, self.nominal_hz
+            step = default_step_size(self.kind, b, f)
+            # refused under B and f, which chose it, not under step_size
+            require("positive", **{f"{self.kind.value}'s default step size at beacon_period_s "
+                                   f"= {b:g} and nominal_hz = {f:g}": step})
+            object.__setattr__(self, "step_size", step)  # frozen
         require("positive", max_error_s=self.max_error_s, step_size=self.step_size)
         if not 0 <= self.gather_wait_s < self.beacon_period_s:
             raise ValueError("gather_wait_s must satisfy 0 <= wait < beacon period, "
                              f"got {self.gather_wait_s}")
-
-    def within_bound(self) -> bool:
-        low, high = step_size_bound(self.kind, self.beacon_period_s, self.nominal_hz)
-        return low < self.step_size < high
 
 
 def ticks_per_round(beacon_period_s: float, nominal_hz: float) -> float:
@@ -128,8 +134,10 @@ def step_size_bound(
     kind: Protocol, beacon_period_s: float, nominal_hz: float
 ) -> tuple[float, float]:
     """Published open interval (0, upper) of step sizes with guaranteed
-    mean convergence."""
-    return (0.0, _BOUND_GAIN[kind] / effective_gain(kind, 1.0, beacon_period_s, nominal_hz))
+    mean convergence; upper is inf where the gain of step size 1
+    underflows to 0 (grades, (B*f)^2 below the smallest float)."""
+    unit = effective_gain(kind, 1.0, beacon_period_s, nominal_hz)
+    return (0.0, _BOUND_GAIN[kind] / unit if unit else math.inf)
 
 
 def default_step_size(
@@ -140,6 +148,8 @@ def default_step_size(
     newton runs at its design point mu=1 (single-round rate correction). The
     reconstructed baselines run at conservative fixed gains (0.15 and 0.2
     per round), standing in for the cautious adaptive steppers the original
-    protocols use; both sit inside their published bounds.
+    protocols use; both sit inside their published bounds. Like the
+    bound, inf where the gain of step size 1 underflows to 0.
     """
-    return _DEFAULT_GAIN[kind] / effective_gain(kind, 1.0, beacon_period_s, nominal_hz)
+    unit = effective_gain(kind, 1.0, beacon_period_s, nominal_hz)
+    return _DEFAULT_GAIN[kind] / unit if unit else math.inf

@@ -36,7 +36,7 @@ from wsnsync.analysis import (
 )
 from wsnsync.cli import main as cli_main
 from wsnsync.metrics import summarize
-from wsnsync.protocols import Protocol, ProtocolParams, default_step_size
+from wsnsync.protocols import Protocol, ProtocolParams
 from wsnsync.simulation import build_line_topology, record_schedule, run_simulation
 
 B = 30.0
@@ -163,7 +163,6 @@ def test_criterion_4_moment_and_variance_validation(tmp_path: Path, capsys):
 def _comparison_params(kind: Protocol) -> ProtocolParams:
     return ProtocolParams(
         kind=kind,
-        step_size=default_step_size(kind, B, F_HAT),
         beacon_period_s=B,
         nominal_hz=F_HAT,
         max_error_s=6000.0 / F_HAT,

@@ -166,9 +166,13 @@ def test_moment_params_from_delay_std_refuse_a_bad_std_by_its_name(bad):
 
 
 def test_moment_params_from_delay_std_refuse_a_square_past_float_range():
-    # 1e200 squared once raised OverflowError, a traceback from the CLI
-    with pytest.raises(ValueError, match="^delay_diff_var must be finite, got inf$"):
-        MomentParams.from_delay_std(1e200)
+    # 1e200 squared once raised OverflowError, a traceback from the CLI; 1e154
+    # squares to a float, but twice that does not. Either is refused by the
+    # std's name, which the CLI turns into its flag
+    for std in (1e200, 1e154):
+        rule = f"delay_std_s must keep delay_diff_var = 2 * delay_std_s**2 finite, got {std}"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            MomentParams.from_delay_std(std)
 
 
 def test_moment_params_refuse_the_drift_an_oscillator_refuses():

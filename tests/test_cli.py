@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,22 +52,22 @@ def test_parse_seed_specs():
 
 
 def test_parse_seed_spec_errors():
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError):
         cli._parse_seeds("6..3")
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError):
         cli._parse_seeds("x")
     # one seed past the limit, as a range or as a list
     for spec in (f"0..{cli.MAX_SEEDS}", ",".join(map(str, range(cli.MAX_SEEDS + 1)))):
-        with pytest.raises(cli.ConfigError, match=f"exceed the limit of {cli.MAX_SEEDS}$"):
+        with pytest.raises(ValueError, match=f"exceed the limit of {cli.MAX_SEEDS}$"):
             cli._parse_seeds(spec)
 
 
 def test_parse_topology_line_and_errors(tmp_path: Path):
     topo = cli._parse_topology("line:5")
     assert topo.node_ids == (1, 2, 3, 4, 5)
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError):
         cli._parse_topology("line:1")
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError):
         cli._parse_topology(str(tmp_path / "missing.json"))
 
 
@@ -424,9 +425,15 @@ def test_an_interrupt_leaves_no_staged_file(tmp_path: Path, monkeypatch, jobs):
         "mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_newton_1.csv"]
 
 
-def test_out_of_bound_step_size_warns(tmp_path: Path, capsys):
-    assert cli.main(_run_args(tmp_path, "--mu", "2.5")) == 0
-    assert "outside the convergence bound" in capsys.readouterr().err
+@pytest.mark.parametrize("protocol, mu, warns", [
+    ("newton", "1.0", False), ("newton", "2.0", True),
+    ("avgpisync", "1e-8", False), ("avgpisync", "1e-6", True),
+], ids=["newton-1.0-silent", "newton-2.0-warns", "avgpisync-1e-8-silent",
+        "avgpisync-1e-6-warns"])
+def test_out_of_bound_step_size_warns(tmp_path: Path, capsys, protocol, mu, warns):
+    # the bound is open: newton's 2.0 is outside it
+    assert cli.main(_run_args(tmp_path, "--protocol", protocol, "--mu", mu)) == 0
+    assert ("outside the convergence bound" in capsys.readouterr().err) is warns
 
 
 def test_out_dir_env_fallback(tmp_path: Path, monkeypatch):
@@ -999,6 +1006,8 @@ _LIBRARY_REFUSALS = [
     (["validate-analysis", "--delay-std=-1e-5"], "delay-std",
      "must be finite and nonnegative, got -1e-05"),
     (["validate-analysis", "--mu-grid", "inf"], "mu-grid", "must be finite, got inf"),
+    (["validate-analysis", "--delay-std", "1e200"], "delay-std",
+     "must keep delay_diff_var = 2 * delay_std_s**2 finite, got 1e+200"),
 ]
 
 
@@ -1011,6 +1020,21 @@ def test_a_library_refusal_names_its_setting_and_flag(tmp_path: Path, capsys, ar
     assert cli.main([*argv, "--out-dir", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {_SETTING[flag].key} (--{flag}) {rule}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "grades", "--beacon-period", "1e100", "--nominal-hz", "1e100"],
+    ["--protocol", "avgpisync", "--beacon-period", "1e-300", "--nominal-hz", "1e-10"],
+], ids=["grades-underflow", "avgpisync-overflow"])
+def test_a_default_step_out_of_float_range_names_b_and_f(tmp_path: Path, argv):
+    # each setting is in range, but the protocol's default step at their B
+    # and f is 0 or inf: the refusal names B and f, not the unset --mu
+    out = tmp_path / "out"
+    rc, lines = _main(["run", *argv], out)
+    assert rc == 2 and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "beacon_period_s" in lines[0] and "nominal_hz" in lines[0]
+    assert not re.search(r"\bmu\b", lines[0])
 
 
 # ---------------------------------------------------------------------------

@@ -235,11 +235,24 @@ def test_grades_actual_stability_edge_is_twice_published_bound():
     assert diverging[-1] > 1e6 * diverging[0]
 
 
-def test_within_bound_flags_out_of_range_steps():
-    assert _params(Protocol.NEWTON, 1.0).within_bound()
-    assert not _params(Protocol.NEWTON, 2.0).within_bound()
-    assert _params(Protocol.AVGPISYNC, 1e-8).within_bound()
-    assert not _params(Protocol.AVGPISYNC, 1e-6).within_bound()
+@pytest.mark.parametrize("kind", list(Protocol))
+@pytest.mark.parametrize("b, f", [(B, F), (20.0, 32768.0)])
+def test_an_unset_step_size_is_the_default(kind, b, f):
+    unset = ProtocolParams(kind, beacon_period_s=b, nominal_hz=f)
+    given = ProtocolParams(kind, default_step_size(kind, b, f), b, f)
+    assert unset == given and hash(unset) == hash(given)
+
+
+@pytest.mark.parametrize("kind, b, f", [
+    (Protocol.GRADES, 1e100, 1e100),   # (B*f)^2 is inf: the default is 0
+    (Protocol.AVGPISYNC, 1e-300, 1e-10),  # B*f is subnormal: the default is inf
+    (Protocol.GRADES, 1e-200, 1e6),    # (B*f)^2 underflows to 0: the default is inf
+])
+def test_a_default_step_out_of_float_range_is_refused(kind, b, f):
+    with pytest.raises(ValueError, match=r"^\w+'s default step size at beacon_period_s = "):
+        ProtocolParams(kind, beacon_period_s=b, nominal_hz=f, gather_wait_s=0.0)
+    assert ProtocolParams(kind, 1.0, b, f, gather_wait_s=0.0).step_size == 1.0
+    assert step_size_bound(kind, b, f)[1] in (0.0, math.inf)
 
 
 def test_default_step_sizes_sit_inside_bounds():

@@ -386,9 +386,8 @@ def test_noisy_drift_error_variance_matches_closed_form(kind):
     # 2*sigma^2 (see NOTES.md). The gather wait ends the last round after
     # the run does, one round fewer.
     b, f, f_max = 30.0, 1e6, 100.0
-    mu = default_step_size(kind, b, f)
     for sigma, gather_wait_s, n_rounds in ((0.0, 0.0, 63), (1e-3, 0.5, 62)):
-        params = ProtocolParams(kind=kind, step_size=mu, beacon_period_s=b, nominal_hz=f,
+        params = ProtocolParams(kind=kind, beacon_period_s=b, nominal_hz=f,
                                 max_error_s=1.0, gather_wait_s=gather_wait_s)
         per_seed = []
         for seed in range(100):
@@ -406,7 +405,7 @@ def test_noisy_drift_error_variance_matches_closed_form(kind):
         std_err = float(np.std(per_seed, ddof=1)) / math.sqrt(len(per_seed))
         predicted = asymptotic_error_variance(MomentParams(
             beacon_period_s=b, nominal_hz=f, max_drift_hz=f_max,
-            step_size=effective_gain(kind, mu, b, f),
+            step_size=effective_gain(kind, params.step_size, b, f),
             delay_diff_var=2.0 * sigma**2 * (0.5 - 1.0 / (2.0 * math.pi)),
         ))
         assert std_err < 0.05 * predicted
@@ -644,9 +643,7 @@ def test_messages_to_powered_off_nodes_are_lost():
 
 def _small_run(protocol: Protocol, seed: int = 11):
     b, f = 30.0, 1e6
-    params = ProtocolParams(kind=protocol,
-                            step_size=default_step_size(protocol, b, f),
-                            beacon_period_s=b, nominal_hz=f,
+    params = ProtocolParams(kind=protocol, beacon_period_s=b, nominal_hz=f,
                             max_error_s=6e-3, gather_wait_s=1.0)
     return run_simulation(build_line_topology(4), params, **_HOURLY_DRIFT,
                           delay_std_s=1e-5,
@@ -746,7 +743,8 @@ def _schedule_cases(draw):
 
 def _replayable_params(kind: Protocol, b: float = 30.0, f: float = 1e6,
                        max_error_s: float = 6e-3, gather_wait_s: float = 1.0) -> ProtocolParams:
-    return ProtocolParams(kind, default_step_size(kind, b, f), b, f, max_error_s, gather_wait_s)
+    return ProtocolParams(kind, beacon_period_s=b, nominal_hz=f, max_error_s=max_error_s,
+                          gather_wait_s=gather_wait_s)
 
 
 @settings(max_examples=30, deadline=None)
