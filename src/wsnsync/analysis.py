@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clocks import OscillatorParams
 from .protocols import (
     WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size, ticks_per_round,
 )
@@ -103,13 +104,11 @@ class MomentParams:
 
     def __post_init__(self) -> None:
         ticks_per_round(self.beacon_period_s, self.nominal_hz)
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name == "max_drift_hz" and not 0 <= value < self.nominal_hz:
-                raise ValueError(f"{name} must satisfy 0 <= max_drift < nominal, got {value}")
-            if name == "delay_diff_var" and not value >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+        # the drift rule of a clock whose drift is redrawn every round
+        OscillatorParams(self.nominal_hz, self.max_drift_hz, self.beacon_period_s)
+        require("nonnegative", delay_diff_var=self.delay_diff_var)
+        if not math.isfinite(self.step_size):
+            raise ValueError(f"step_size must be finite, got {self.step_size}")
         if is_mean_convergent(self):
             try:
                 predicted, variants = _predictions(self)
@@ -261,16 +260,12 @@ MAX_ORACLE_RUN_STEPS = 10**9
 def check_oracle_size(n_runs: int, n_steps: int) -> None:
     """ValueError unless 1 <= n_runs <= MAX_ORACLE_RUNS, n_steps >= 1 and
     max(n_runs, one slice) x n_steps <= MAX_ORACLE_RUN_STEPS."""
-    if n_steps < 1 or n_runs < 1:
-        raise ValueError("n_steps and n_runs must be >= 1")
-    if n_runs > MAX_ORACLE_RUNS:
-        raise ValueError(f"oracle runs = {n_runs} exceeds the limit of {MAX_ORACLE_RUNS} "
-                         "per step size")
-    if max(n_runs, _CHUNK) * n_steps > MAX_ORACLE_RUN_STEPS:
-        raise ValueError(
-            f"oracle runs x steps = {max(n_runs, _CHUNK) * n_steps:.6g} exceeds the limit "
-            f"of {MAX_ORACLE_RUN_STEPS} per step size (fewer runs than {_CHUNK} count as {_CHUNK})"
-        )
+    if not 1 <= n_runs <= MAX_ORACLE_RUNS:
+        raise ValueError(f"n_runs must be at least 1 and at most {MAX_ORACLE_RUNS}, got {n_runs}")
+    most = MAX_ORACLE_RUN_STEPS // max(n_runs, _CHUNK)
+    if not 1 <= n_steps <= most:
+        raise ValueError(f"n_steps must be at least 1 and at most {most} at n_runs = {n_runs}, "
+                         f"the limit of runs x steps per step size, got {n_steps}")
 
 
 @dataclass(frozen=True)
@@ -464,25 +459,29 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
     where not computed), note, variants (variant_moment_predictions, each
     with its rel_err) and failed (final_sigma above MEAN_GATE_SIGMA). Only
     mean-convergent models run an oracle, and MomentParams keeps their
-    closed forms in float range. ValueError before any kernel for a size
-    that check_oracle_size refuses, fewer than 2 runs, a ``tail`` outside
-    [1, n_steps) or a mean-convergent model with no drift and no delay,
-    and at a model whose oracle variance is 0 (noise below float
-    resolution)."""
-    check_oracle_size(n_runs, n_steps)
-    if not 1 <= tail < n_steps:
-        raise ValueError(f"tail = {tail} must be at least 1 and below n_steps = {n_steps}")
+    closed forms in float range. ValueError before any kernel for fewer
+    than 2 runs, a size that check_oracle_size refuses, a ``tail`` outside
+    [1, n_steps), an ``initial_rate`` that is not finite and positive or a
+    mean-convergent model with no drift and no delay; and at a model whose
+    oracle statistics leave float range or whose oracle variance is 0
+    (noise below float resolution)."""
     # the mean check divides by the oracle's standard error, the variance
     # check by its empirical variance; both are 0 without two noisy runs
     if n_runs < 2:
-        raise ValueError(f"n_runs = {n_runs} must be at least 2: one run has no standard error")
+        raise ValueError(f"n_runs must be at least 2 for a standard error, got {n_runs}")
+    check_oracle_size(n_runs, n_steps)
+    if not 1 <= tail < n_steps:
+        raise ValueError(f"tail must be at least 1 and below n_steps = {n_steps}, got {tail}")
+    require("positive", initial_rate=initial_rate)
+    for p in models:
+        if is_mean_convergent(p) and p.max_drift_hz == p.delay_diff_var == 0:
+            raise ValueError(f"max_drift_hz must be positive at mu {p.step_size} where "
+                             "delay_std_s is 0: a noiseless oracle has no standard error, "
+                             f"got {p.max_drift_hz}")
     convergent = [k for k, p in enumerate(models) if is_mean_convergent(p)]
-    for k in convergent:
-        if models[k].max_drift_hz == models[k].delay_diff_var == 0:
-            raise ValueError(f"the model at mu {models[k].step_size} has no drift and no "
-                             "delay: a noiseless oracle has no standard error")
     state0 = (0.0, initial_rate)
 
+    @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned of
     def kernel(k: int) -> OracleTrace:
         return pairwise_oracle(models[k], seed=seed + 7919 * k, n_steps=n_steps,
                                n_runs=n_runs, initial_rate=initial_rate)
@@ -512,6 +511,10 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
                                if abs(1.0 - p.step_size) == 1.0 else "divergent by design")
                 continue
             trace = next(traces)
+            # a mean out of float range makes its variance NaN or inf too; the
+            # gate below would read NaN as a pass
+            if not np.isfinite(trace.var_e + trace.var_rate).all():
+                raise ValueError(f"the oracle's statistics at mu {p.step_size} leave float range")
             final = final_step_sigma(trace, p, state0)
             row.update(final_sigma=final, worst_sigma=mean_agreement_max_sigma(trace, p, state0),
                        failed=final > MEAN_GATE_SIGMA)

@@ -131,9 +131,10 @@ SETTINGS = (
     Setting("jobs", int, 1, 1, "parallel workers"),
     Setting("mu_grid", str, "0.25,0.5,1.0,1.5,2.2", None,
             "comma list of step sizes; 2.2 diverges by design", _VALIDATE, alias="step_size"),
-    Setting("oracle_runs", int, 20000, 2, "Monte Carlo runs per step size", _VALIDATE),
-    Setting("oracle_steps", int, 300, 1, "rounds per oracle run", _VALIDATE),
-    Setting("tail", int, 100, 1,
+    Setting("oracle_runs", int, 20000, None, "Monte Carlo runs per step size", _VALIDATE,
+            alias="n_runs"),
+    Setting("oracle_steps", int, 300, None, "rounds per oracle run", _VALIDATE, alias="n_steps"),
+    Setting("tail", int, 100, None,
             "steady-state averaging window in rounds, below oracle-steps", _VALIDATE),
     Setting("initial_rate_offset", float, 0.05, None,
             "relative initial rate error fed to the oracle", _VALIDATE),
@@ -442,14 +443,9 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     b, f = cfg["beacon_period_s"], cfg["nominal_hz"]
     fmax, sigma_b = cfg["max_drift_hz"], cfg["delay_std_s"]
     grid = list(_parse_list("--mu-grid", "--mu-grid entry", cfg["mu_grid"], float))
-    # the mean check divides by the oracle's standard error, the variance
-    # check by its empirical variance; both are 0 without two noisy runs
-    if fmax == 0 and sigma_b == 0:
-        raise ValueError("--max-drift-hz and --delay-std are both 0: "
-                          "a noiseless oracle has no standard error")
     seeds = _parse_seeds(cfg["seed"])
     if len(seeds) != 1:
-        raise ValueError(f"validate-analysis takes one seed, got {cfg['seed']!r}")
+        raise ValueError(f"seed must be one seed for validate-analysis, got {cfg['seed']!r}")
     rows = analysis.validate_grid(
         [analysis.MomentParams.from_delay_std(sigma_b, beacon_period_s=b, nominal_hz=f,
                                               max_drift_hz=fmax, step_size=mu) for mu in grid],

@@ -573,8 +573,8 @@ def run_config(
              MAX_PERIODS_PER_RUN)):
         if nodes * duration_s / period > limit:
             per = "" if nodes == 1 else f" x {nodes} nodes"
-            raise ValueError(f"duration_s / {name}{per} = {nodes * duration_s / period:.6g} "
-                             f"exceeds the limit of {limit} per run")
+            raise ValueError(f"{name} must keep duration_s / {name}{per} at most {limit} per "
+                             f"run, got {period}, which makes it {nodes * duration_s / period:.6g}")
     if initial_rate is not None and not 0 < initial_rate < math.inf:
         raise ValueError(f"initial_rate must be finite and positive, got {initial_rate}")
     if initial_ticks is not None and not 0 <= initial_ticks < math.inf:

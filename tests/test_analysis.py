@@ -266,13 +266,16 @@ def test_oracle_size_limits():
     for n_runs, n_steps in ((20_000, 300), (50_000, 300), (200_000, 300)):
         check_oracle_size(n_runs, n_steps)
     check_oracle_size(MAX_ORACLE_RUNS, MAX_ORACLE_RUN_STEPS // MAX_ORACLE_RUNS)
-    with pytest.raises(ValueError, match="oracle runs = "):
+    with pytest.raises(ValueError, match=f"^n_runs must be at least 1 and at most "
+                                         f"{MAX_ORACLE_RUNS}, got {MAX_ORACLE_RUNS + 1}$"):
         check_oracle_size(MAX_ORACLE_RUNS + 1, 1)
-    with pytest.raises(ValueError, match="oracle runs x steps = "):
+    with pytest.raises(ValueError, match="^n_steps must be at least 1 and at most 250 at "
+                                         f"n_runs = {MAX_ORACLE_RUNS}, .*, got 251$"):
         check_oracle_size(MAX_ORACLE_RUNS, MAX_ORACLE_RUN_STEPS // MAX_ORACLE_RUNS + 1)
     # a step of few runs counts as a slice's runs
     check_oracle_size(2, MAX_ORACLE_RUN_STEPS // _CHUNK)
-    with pytest.raises(ValueError, match="oracle runs x steps = "):
+    with pytest.raises(ValueError, match="^n_steps must be at least 1 and at most 100000 at "
+                                         "n_runs = 2, .*, got 100001$"):
         check_oracle_size(2, MAX_ORACLE_RUN_STEPS // _CHUNK + 1)
 
 
@@ -444,20 +447,33 @@ def test_validate_grid_runs_no_oracle_outside_the_mean_interval(monkeypatch):
                                "empirical_var", "rel_err")} == {None}
 
 
+# a stopped or reversed clock, and NaN or inf, would be checked as if valid
 @pytest.mark.parametrize("size", [{"tail": _SMALL["n_steps"]}, {"tail": 0},
-                                  {"n_runs": MAX_ORACLE_RUNS + 1}, {"n_runs": 1}],
-                         ids=["tail-n_steps", "tail-0", "runs", "one-run"])
+                                  {"n_runs": MAX_ORACLE_RUNS + 1}, {"n_runs": 1},
+                                  *({"initial_rate": r} for r in (0.0, -1e-6, math.inf, math.nan))],
+                         ids=["tail-n_steps", "tail-0", "runs", "one-run", "stopped-clock",
+                              "reversed-clock", "inf-rate", "nan-rate"])
 def test_validate_grid_refuses_before_any_kernel(monkeypatch, size):
     monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
-    with pytest.raises(ValueError):
+    name, value = next(iter(size.items()))
+    with pytest.raises(ValueError, match=f"^{name} must .*, got {value}$"):
         validate_grid(_grid(2.2, 1.0), **{**_SMALL, **size})
+
+
+@pytest.mark.filterwarnings("error")  # refused, not warned of
+def test_validate_grid_refuses_oracle_statistics_out_of_float_range():
+    # a finite initial rate whose first round's error variance overflows,
+    # leaving a NaN that the gate would read as a pass
+    with pytest.raises(ValueError, match="^the oracle's statistics at mu 1.0 leave float range$"):
+        validate_grid(_grid(1.0), **{**_SMALL, "initial_rate": 1e294})
 
 
 def test_validate_grid_refuses_a_noiseless_oracle_before_any_kernel(monkeypatch):
     # no drift and no delay leave the oracle's standard error 0; a model
     # that runs no oracle is still reported
     monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
-    with pytest.raises(ValueError, match="the model at mu 1.0 has no drift and no delay"):
+    with pytest.raises(ValueError, match="^max_drift_hz must be positive at mu 1.0 where "
+                                         "delay_std_s is 0: .*, got 0.0$"):
         validate_grid([*_grid(0.5), MomentParams(max_drift_hz=0.0, delay_diff_var=0.0)],
                       **_SMALL)
     [row] = validate_grid([MomentParams(max_drift_hz=0.0, delay_diff_var=0.0, step_size=2.2)],

@@ -18,7 +18,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsnsync import analysis, cli, simulation
@@ -313,7 +313,8 @@ def test_validate_analysis_rejects_more_than_one_seed(tmp_path: Path, capsys):
     args = ["validate-analysis", "--out-dir", str(tmp_path), "--seed", "5..9",
             "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
     assert cli.main(args) == 2
-    assert "validate-analysis takes one seed" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: seed (--seed) must be one seed for "
+                                       "validate-analysis, got '5..9'\n")
     assert not (tmp_path / "analysis.csv").exists()
 
 
@@ -477,7 +478,9 @@ def test_too_many_drift_segments_are_refused_before_the_run(tmp_path: Path):
         env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
-    assert line.startswith("error: duration_s / drift_resample_interval_s = 1e+08 exceeds")
+    assert line == ("error: drift_resample_interval_s (--drift-resample-interval) must keep "
+                    "duration_s / drift_resample_interval_s at most 1000000 per run, got 1e-06, "
+                    "which makes it 1e+08")
 
 
 def _capped_main(*args: str) -> subprocess.CompletedProcess:
@@ -511,8 +514,9 @@ def test_an_oversized_seed_range_is_refused_before_it_is_built(tmp_path: Path, c
 
 @pytest.mark.parametrize("args, stderr", [
     (("--topology", "line:2000", "--sample-interval", "0.01", "--duration", "10000"),
-     "error: duration_s / sample_interval_s x 2000 nodes = 2e+09 exceeds the limit of "
-     f"{simulation.MAX_READINGS_PER_RUN} per run\n"),
+     "error: sample_interval_s (--sample-interval) must keep duration_s / sample_interval_s "
+     f"x 2000 nodes at most {simulation.MAX_READINGS_PER_RUN} per run, got 0.01, which makes "
+     "it 2e+09\n"),
     (("--topology", "line:10000000", "--sample-interval", "1", "--duration", "1"),
      "error: bad topology 'line:10000000': 10000000 nodes exceed the limit of "
      f"{simulation.MAX_NODES}\n"),
@@ -632,8 +636,9 @@ def test_drift_segments_are_bounded_over_the_run(tmp_path: Path, monkeypatch, ca
                      "--duration", "100", "--boot-window", "0",
                      "--out-dir", str(tmp_path)]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: duration_s / drift_resample_interval_s x 16 nodes = "
-                           "1.6e+07 exceeds")
+    assert line == ("error: drift_resample_interval_s (--drift-resample-interval) must keep "
+                    "duration_s / drift_resample_interval_s x 16 nodes at most 1000000 per run, "
+                    "got 0.0001, which makes it 1.6e+07")
 
 
 def test_rerun_is_byte_identical(tmp_path: Path):
@@ -969,13 +974,29 @@ def test_every_setting_just_outside_its_range_is_refused(data):
                     "--protocol", protocol, f"--{s.flag}={value}"], s)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_every_validate_setting_just_outside_its_range_is_refused(data):
-    # refused by MomentParams before any oracle runs
-    keys = ("beacon_period_s", "nominal_hz", "max_drift_hz", "delay_std_s")
-    s = data.draw(st.sampled_from([s for s in cli.SETTINGS if s.key in keys]), label="setting")
-    value = data.draw(_just_outside(s.key), label="value")
+# oracle sizes outside their range beside --oracle-runs 2 --oracle-steps 2
+# --tail 1, where two runs count as a slice's runs
+_ORACLE_SIZES_OUTSIDE = {
+    "oracle_runs": st.integers(-2, 1) | st.integers(analysis.MAX_ORACLE_RUNS + 1, 10**13),
+    "oracle_steps": st.integers(-2, 0) | st.integers(
+        analysis.MAX_ORACLE_RUN_STEPS // analysis._CHUNK + 1, 10**13),
+    "tail": st.integers(-2, 0) | st.integers(2, 10**13),  # at or above --oracle-steps
+}
+_VALIDATE_KEYS = ("beacon_period_s", "nominal_hz", "max_drift_hz", "delay_std_s",
+                  *_ORACLE_SIZES_OUTSIDE)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_VALIDATE_KEYS).flatmap(lambda key: st.tuples(
+    st.just(key), _ORACLE_SIZES_OUTSIDE[key] if key in _ORACLE_SIZES_OUTSIDE
+    else _just_outside(key))))
+@example(("tail", 2))
+@example(("oracle_runs", analysis.MAX_ORACLE_RUNS + 1))
+def test_every_validate_setting_just_outside_its_range_is_refused(drawn):
+    # MomentParams refuses the model's settings, and validate_grid the oracle
+    # sizes, before any oracle runs
+    key, value = drawn
+    [s] = [s for s in cli.SETTINGS if s.key == key]
     _refused_alone(["validate-analysis", "--mu-grid", "1.0", "--oracle-runs", "2",
                     "--oracle-steps", "2", "--tail", "1", f"--{s.flag}={value}"], s)
 
@@ -1081,10 +1102,12 @@ def test_validate_analysis_gate_failure_exits_nonzero(tmp_path: Path,
 @pytest.mark.parametrize("size,message", [
     # 7 TiB of buffers per kernel
     (("--oracle-runs", "1000000000000", "--oracle-steps", "10"),
-     "error: oracle runs = 1000000000000 exceeds the limit of 4000000 per step size"),
+     "error: oracle_runs (--oracle-runs) must be at least 1 and at most 4000000, "
+     "got 1000000000000"),
     # 10^8 rounds of two runs: about 45 minutes of per-round numpy calls
     (("--oracle-runs", "2", "--oracle-steps", "100000000"),
-     "error: oracle runs x steps = 1e+12 exceeds the limit of 1000000000"),
+     "error: oracle_steps (--oracle-steps) must be at least 1 and at most 100000 at n_runs = 2, "
+     "the limit of runs x steps per step size, got 100000000"),
 ], ids=["runs", "runs-x-steps"])
 def test_validate_analysis_refuses_an_oversized_oracle(tmp_path: Path, monkeypatch,
                                                        capsys, size, message):
@@ -1098,8 +1121,7 @@ def test_validate_analysis_refuses_an_oversized_oracle(tmp_path: Path, monkeypat
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # no table either
-    [line] = captured.err.splitlines()
-    assert line.startswith(message)
+    assert captured.err == message + "\n"
     assert not out.exists()
 
 
@@ -1175,16 +1197,35 @@ def test_validate_analysis_rejects_zero_standard_error(tmp_path: Path, monkeypat
 
     monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
     base = ["validate-analysis", "--out-dir", str(tmp_path)]
-    for extra, flags in (
-        (["--oracle-runs", "1"], ["--oracle-runs"]),
-        (["--max-drift-hz", "0", "--delay-std", "0"], ["--max-drift-hz", "--delay-std"]),
+    for extra, names in (
+        (["--oracle-runs", "1"], ["oracle_runs (--oracle-runs) must"]),
+        (["--max-drift-hz", "0", "--delay-std", "0"],
+         ["max_drift_hz (--max-drift-hz) must", "delay_std_s"]),
     ):
         assert cli.main([*base, *extra]) == 2, extra
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-        assert all(flag in captured.err for flag in flags), captured.err
+        assert all(name in captured.err for name in names), captured.err
     assert not (tmp_path / "analysis.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+@pytest.mark.parametrize("offset, stderr", [
+    (["-1"], "error: initial_rate must be finite and positive, got 0.0"),
+    (["1e300"], "error: the oracle's statistics at mu 0.25 leave float range"),
+    (["1e300", "--nominal-hz", "1e-10", "--max-drift-hz", "0"],
+     "error: initial_rate must be finite and positive, got inf"),
+], ids=["stopped-clock", "variance-overflow", "infinite-rate"])
+def test_validate_analysis_refuses_an_initial_rate_it_cannot_check(tmp_path: Path, offset,
+                                                                   stderr):
+    # a stopped clock, an infinite rate, or oracle statistics out of float
+    # range, whose NaN final sigma the gate would read as a pass
+    out = tmp_path / "out"
+    rc, lines = _main(["validate-analysis", "--oracle-runs", "200", "--oracle-steps", "10",
+                       "--tail", "5", "--initial-rate-offset", *offset], out)
+    assert (rc, lines) == (2, [stderr])
+    assert not out.exists()
 
 
 def test_validate_analysis_rejects_noise_below_float_resolution(tmp_path: Path, capsys):
@@ -1316,9 +1357,13 @@ def test_validate_analysis_starts_no_pool_without_a_convergent_step_size(
         raise AssertionError("a pool started with no oracle to run")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    args = ["validate-analysis", "--out-dir", str(tmp_path), "--mu-grid", "0,2,2.2"]
-    assert cli.main(args) == 0
-    assert (tmp_path / "analysis.csv").exists()
+    # without an oracle nothing divides by a standard error, so the noiseless
+    # model runs too
+    for extra in (["--mu-grid", "0,2,2.2"], ["--mu-grid", "2.2", "--max-drift-hz", "0",
+                                              "--delay-std", "0"]):
+        out = tmp_path / str(len(extra))
+        assert cli.main(["validate-analysis", "--out-dir", str(out), *extra]) == 0
+        assert (out / "analysis.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,9 @@ def test_run_simulation_rejects_runaway_schedules(monkeypatch):
     with pytest.raises(Started):
         run_simulation(line17, _newton_params(), **short_segments,
                        duration_s=limit / 16, sample_interval_s=limit / 160)
-    with pytest.raises(ValueError, match="drift_resample_interval_s x 16 nodes = 1.00002e"):
+    with pytest.raises(ValueError, match="^drift_resample_interval_s must keep duration_s / "
+                                         "drift_resample_interval_s x 16 nodes at most "
+                                         "1000000 per run, got 1.0, which makes it 1.00002e"):
         run_simulation(line17, _newton_params(), **short_segments,
                        duration_s=limit / 16 + 1, sample_interval_s=limit / 160)
 
@@ -304,8 +306,8 @@ def test_a_runs_readings_are_bounded_over_its_nodes():
     run = {**_NO_DRIFT, "duration_s": 1e6, "sample_interval_s": 1.0}
     assert simulation.MAX_READINGS_PER_RUN == 10 * simulation.MAX_PERIODS_PER_RUN
     simulation.run_config(build_line_topology(10), _newton_params(), **run)
-    message = ("^duration_s / sample_interval_s x 11 nodes = 1.1e\\+07 exceeds the limit "
-               f"of {simulation.MAX_READINGS_PER_RUN} per run$")
+    message = ("^sample_interval_s must keep duration_s / sample_interval_s x 11 nodes at most "
+               f"{simulation.MAX_READINGS_PER_RUN} per run, got 1.0, which makes it 1.1e\\+07$")
     with pytest.raises(ValueError, match=message):
         simulation.run_config(build_line_topology(11), _newton_params(), **run)
 
