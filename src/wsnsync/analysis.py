@@ -59,9 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import OscillatorParams
-from .protocols import (
-    WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size, ticks_per_round,
-)
+from .protocols import (WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, default_step_size,
+                        ticks_per_round)
 from .ranges import require
 
 
@@ -394,7 +393,7 @@ def steady_state_stats(trace: OracleTrace, tail: int) -> dict[str, float]:
     and mean_rate over the tail.
     """
     if not 1 <= tail <= len(trace.mean_e):
-        raise ValueError("tail must be within the trace length")
+        raise ValueError(f"tail must be at least 1 and at most {len(trace.mean_e)}, got {tail}")
     sl = slice(len(trace.mean_e) - tail, None)
     return {
         "mean_e": float(trace.mean_e[sl].mean()),
@@ -451,9 +450,10 @@ def _predictions(p: MomentParams) -> tuple[float | None, dict[str, dict[str, flo
 
 
 def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps: int,
-                  tail: int, initial_rate: float) -> list[dict]:
+                  tail: int, initial_rate_offset: float) -> list[dict]:
     """Check each model against its own oracle, started at E[e] = 0 and
-    rate ``initial_rate`` with seed ``seed + 7919 * its index``; one row
+    rate (1 + ``initial_rate_offset``) / its nominal_hz with seed
+    ``seed + 7919 * its index``; one row
     per model, in order: mu, final_sigma, worst_sigma, predicted_var,
     empirical_var (E[e^2] over the last ``tail`` rounds), rel_err (None
     where not computed), note, variants (variant_moment_predictions, each
@@ -461,7 +461,7 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
     mean-convergent models run an oracle, and MomentParams keeps their
     closed forms in float range. ValueError before any kernel for fewer
     than 2 runs, a size that check_oracle_size refuses, a ``tail`` outside
-    [1, n_steps), an ``initial_rate`` that is not finite and positive or a
+    [1, n_steps), an offset that makes a rate 0, negative, inf or NaN, or a
     mean-convergent model with no drift and no delay; and at a model whose
     oracle statistics leave float range or whose oracle variance is 0
     (noise below float resolution)."""
@@ -472,19 +472,21 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
     check_oracle_size(n_runs, n_steps)
     if not 1 <= tail < n_steps:
         raise ValueError(f"tail must be at least 1 and below n_steps = {n_steps}, got {tail}")
-    require("positive", initial_rate=initial_rate)
+    rates = [(1.0 + initial_rate_offset) / p.nominal_hz for p in models]
+    if not all(0 < rate < math.inf for rate in rates):
+        raise ValueError("initial_rate_offset must keep (1 + initial_rate_offset) / nominal_hz "
+                         f"finite and positive, got {initial_rate_offset}")
     for p in models:
         if is_mean_convergent(p) and p.max_drift_hz == p.delay_diff_var == 0:
             raise ValueError(f"max_drift_hz must be positive at mu {p.step_size} where "
                              "delay_std_s is 0: a noiseless oracle has no standard error, "
                              f"got {p.max_drift_hz}")
     convergent = [k for k, p in enumerate(models) if is_mean_convergent(p)]
-    state0 = (0.0, initial_rate)
 
     @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned of
     def kernel(k: int) -> OracleTrace:
         return pairwise_oracle(models[k], seed=seed + 7919 * k, n_steps=n_steps,
-                               n_runs=n_runs, initial_rate=initial_rate)
+                               n_runs=n_runs, initial_rate=rates[k])
 
     # A kernel spends most of its time in numpy calls that release the GIL,
     # so the kernels run concurrently on threads. Each call also takes the
@@ -510,7 +512,7 @@ def validate_grid(models: list[MomentParams], *, seed: int, n_runs: int, n_steps
                 row["note"] = ("marginal by design (|1 - mu| = 1)"
                                if abs(1.0 - p.step_size) == 1.0 else "divergent by design")
                 continue
-            trace = next(traces)
+            trace, state0 = next(traces), (0.0, rates[k])
             # a mean out of float range makes its variance NaN or inf too; the
             # gate below would read NaN as a pass
             if not np.isfinite(trace.var_e + trace.var_rate).all():

@@ -450,8 +450,7 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
         [analysis.MomentParams.from_delay_std(sigma_b, beacon_period_s=b, nominal_hz=f,
                                               max_drift_hz=fmax, step_size=mu) for mu in grid],
         seed=seeds[0], n_runs=cfg["oracle_runs"], n_steps=cfg["oracle_steps"],
-        tail=cfg["tail"], initial_rate=(1.0 + cfg["initial_rate_offset"]) / f,
-    )
+        tail=cfg["tail"], initial_rate_offset=cfg["initial_rate_offset"])
     out = _make_dir(_out_dir(args))
 
     print(f"{'mu':>6}{'final sigma':>13}{'max sigma':>11}{'predicted_var':>16}"

@@ -376,8 +376,9 @@ def test_oracle_equals_array_expressions_bit_for_bit(
 @pytest.mark.parametrize("size", [1, 7, 8192, analysis._CHUNK, analysis._BLOCK, 20_004])
 @pytest.mark.parametrize("name", ["_CHUNK", "_BLOCK"])
 def test_oracle_bytes_do_not_depend_on_the_block_or_slice_size(monkeypatch, name, size):
-    # a ragged run count: the last block and slice are short at most sizes
-    kwargs = dict(seed=9, n_steps=2, n_runs=20_003, initial_rate=1.03e-6)
+    # a ragged run count: the last block and slice are short at most sizes.
+    # Sizes 1 and 7 take 23 runs, which 7 cuts into 7, 7, 7 and 2
+    kwargs = dict(seed=9, n_steps=2, n_runs=23 if size <= 7 else 20_003, initial_rate=1.03e-6)
     default = _oracle_bytes(pairwise_oracle(MomentParams(), **kwargs))
     monkeypatch.setattr(analysis, name, size)
     assert _oracle_bytes(pairwise_oracle(MomentParams(), **kwargs)) == default
@@ -407,10 +408,10 @@ def test_oracle_matches_pinned_bytes():
 
 def test_steady_state_stats_validates_tail():
     tr = pairwise_oracle(MomentParams(), seed=3, n_steps=10, n_runs=50)
-    with pytest.raises(ValueError):
-        steady_state_stats(tr, 0)
-    with pytest.raises(ValueError):
-        steady_state_stats(tr, 11)
+    for tail in (0, 11):
+        with pytest.raises(ValueError,
+                           match=f"^tail must be at least 1 and at most 10, got {tail}$"):
+            steady_state_stats(tr, tail)
 
 
 def test_trace_derived_quantities():
@@ -424,7 +425,7 @@ def test_trace_derived_quantities():
 # ---------------------------------------------------------------------------
 # validation of a step-size grid
 
-_SMALL = {"seed": 1, "n_runs": 2000, "n_steps": 80, "tail": 20, "initial_rate": 1.05e-6}
+_SMALL = {"seed": 1, "n_runs": 2000, "n_steps": 80, "tail": 20, "initial_rate_offset": 0.05}
 
 
 def _grid(*mus: float) -> list[MomentParams]:
@@ -450,7 +451,8 @@ def test_validate_grid_runs_no_oracle_outside_the_mean_interval(monkeypatch):
 # a stopped or reversed clock, and NaN or inf, would be checked as if valid
 @pytest.mark.parametrize("size", [{"tail": _SMALL["n_steps"]}, {"tail": 0},
                                   {"n_runs": MAX_ORACLE_RUNS + 1}, {"n_runs": 1},
-                                  *({"initial_rate": r} for r in (0.0, -1e-6, math.inf, math.nan))],
+                                  *({"initial_rate_offset": r} for r in (-1.0, -2.0, math.inf,
+                                                                         math.nan))],
                          ids=["tail-n_steps", "tail-0", "runs", "one-run", "stopped-clock",
                               "reversed-clock", "inf-rate", "nan-rate"])
 def test_validate_grid_refuses_before_any_kernel(monkeypatch, size):
@@ -460,12 +462,33 @@ def test_validate_grid_refuses_before_any_kernel(monkeypatch, size):
         validate_grid(_grid(2.2, 1.0), **{**_SMALL, **size})
 
 
+def test_validate_grid_starts_each_oracle_at_its_own_nominal_rate(monkeypatch):
+    # (1 + offset) / nominal_hz per model; an offset is refused by its name
+    # where one model's rate leaves float range, though another's does not
+    real, rates = analysis.pairwise_oracle, {}
+
+    def oracle(p, **kwargs):
+        rates[p.nominal_hz] = kwargs["initial_rate"]
+        return real(p, **kwargs)
+
+    monkeypatch.setattr(analysis, "pairwise_oracle", oracle)
+    validate_grid([MomentParams(), MomentParams(nominal_hz=32768.0, max_drift_hz=10.0)],
+                  **_SMALL)
+    assert rates == {1e6: (1 + 0.05) / 1e6, 32768.0: (1 + 0.05) / 32768.0}
+    monkeypatch.setattr(analysis, "pairwise_oracle", _no_kernel)
+    with pytest.raises(ValueError, match=r"^initial_rate_offset must keep \(1 \+ "
+                                         r"initial_rate_offset\) / nominal_hz finite and "
+                                         r"positive, got 1e\+300$"):
+        validate_grid([MomentParams(), MomentParams(nominal_hz=1e-10, max_drift_hz=0.0)],
+                      **{**_SMALL, "initial_rate_offset": 1e300})
+
+
 @pytest.mark.filterwarnings("error")  # refused, not warned of
 def test_validate_grid_refuses_oracle_statistics_out_of_float_range():
     # a finite initial rate whose first round's error variance overflows,
     # leaving a NaN that the gate would read as a pass
     with pytest.raises(ValueError, match="^the oracle's statistics at mu 1.0 leave float range$"):
-        validate_grid(_grid(1.0), **{**_SMALL, "initial_rate": 1e294})
+        validate_grid(_grid(1.0), **{**_SMALL, "initial_rate_offset": 1e300})
 
 
 def test_validate_grid_refuses_a_noiseless_oracle_before_any_kernel(monkeypatch):

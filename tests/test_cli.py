@@ -4,12 +4,12 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
 import pickle
-import re
 import subprocess
 import sys
 import tempfile
@@ -32,6 +32,13 @@ def _run_args(out: Path, *extra: str) -> list[str]:
         "--duration", "300", "--boot-window", "60", "--seed", "1",
         *extra,
     ]
+
+
+def _src_env() -> dict[str, str]:
+    """The environment, with this package first on PYTHONPATH, for a child."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def _read_config_header(path: Path) -> dict:
@@ -282,42 +289,6 @@ def test_list_flags_skip_empty_entries(tmp_path: Path):
         assert _read_config_header(out / output)[key] == expected, flag
 
 
-@pytest.mark.parametrize("command,seed", [
-    ("run", "1,-1"), ("run", "-1..2"), ("validate-analysis", "-1"),
-    ("validate-analysis", "-2..-1"),
-])
-def test_negative_seeds_exit_before_any_run(tmp_path: Path, monkeypatch, capsys, command,
-                                            seed):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a run started before the seeds were checked")
-
-    monkeypatch.setattr(cli, "run_simulation", no_run)
-    monkeypatch.setattr(analysis, "pairwise_oracle", no_run)
-    assert cli.main([command, "--out-dir", str(tmp_path), f"--seed={seed}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: --seed {seed!r}: ")
-    assert "nonnegative" in captured.err
-    assert not list(tmp_path.iterdir())
-
-
-def test_validate_analysis_rejects_empty_seed_list(tmp_path: Path, capsys):
-    args = ["validate-analysis", "--out-dir", str(tmp_path), "--seed", ",",
-            "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
-    assert cli.main(args) == 2
-    assert "empty seed list" in capsys.readouterr().err
-    assert not (tmp_path / "analysis.csv").exists()
-
-
-def test_validate_analysis_rejects_more_than_one_seed(tmp_path: Path, capsys):
-    args = ["validate-analysis", "--out-dir", str(tmp_path), "--seed", "5..9",
-            "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
-    assert cli.main(args) == 2
-    assert capsys.readouterr().err == ("error: seed (--seed) must be one seed for "
-                                       "validate-analysis, got '5..9'\n")
-    assert not (tmp_path / "analysis.csv").exists()
-
-
 def _inline_pool(monkeypatch) -> type:
     """A process pool stand-in, on a 64-core machine, whose map runs each
     job in this process when its result is taken, and which records the
@@ -465,72 +436,6 @@ def test_quantized_read_within_the_boot_tick(tmp_path: Path):
     assert trace == (tmp_path / "b" / "trace_newton_1.csv").read_bytes()
 
 
-def test_too_many_drift_segments_are_refused_before_the_run(tmp_path: Path):
-    # a counter draws once per drift segment: 1e8 segments per node ran for
-    # hours, so this runs in a child that a timeout can stop
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "wsnsync.cli", "run", "--topology", "line:2",
-         "--drift-resample-interval", "1e-6", "--duration", "100", "--boot-window", "0",
-         "--out-dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 2, proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert line == ("error: drift_resample_interval_s (--drift-resample-interval) must keep "
-                    "duration_s / drift_resample_interval_s at most 1000000 per run, got 1e-06, "
-                    "which makes it 1e+08")
-
-
-def _capped_main(*args: str) -> subprocess.CompletedProcess:
-    """cli.main(args) in a child that caps its own address space at 1 GiB
-    and its time at 20 s: a plan built before it is counted fails fast with
-    MemoryError, never exhausting the machine."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = (
-        "import resource, signal, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "signal.alarm(20)\n"
-        "import wsnsync.cli\n"
-        "sys.exit(wsnsync.cli.main(sys.argv[1:]))\n"
-    )
-    return subprocess.run([sys.executable, "-c", probe, *args],
-                          env=env, capture_output=True, text=True, timeout=60)
-
-
-@pytest.mark.parametrize("command", ["run", "validate-analysis"])
-def test_an_oversized_seed_range_is_refused_before_it_is_built(tmp_path: Path, command):
-    # a list of 10^9 seeds would take about 40 GB
-    out = tmp_path / "out"
-    proc = _capped_main(command, "--seed", "0..999999999", "--out-dir", str(out))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == ("error: --seed '0..999999999': 1000000000 seeds exceed the "
-                           f"limit of {cli.MAX_SEEDS}\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("args, stderr", [
-    (("--topology", "line:2000", "--sample-interval", "0.01", "--duration", "10000"),
-     "error: sample_interval_s (--sample-interval) must keep duration_s / sample_interval_s "
-     f"x 2000 nodes at most {simulation.MAX_READINGS_PER_RUN} per run, got 0.01, which makes "
-     "it 2e+09\n"),
-    (("--topology", "line:10000000", "--sample-interval", "1", "--duration", "1"),
-     "error: bad topology 'line:10000000': 10000000 nodes exceed the limit of "
-     f"{simulation.MAX_NODES}\n"),
-], ids=["readings", "nodes"])
-def test_an_oversized_run_is_refused_before_it_allocates(tmp_path: Path, args, stderr):
-    # the readings would take 14.9 GiB per protocol; the nodes' tuples alone
-    # more than 1 GiB
-    out = tmp_path / "out"
-    proc = _capped_main("run", *args, "--boot-window", "0", "--out-dir", str(out))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == stderr
-    assert not out.exists()
-
-
 def test_a_topology_file_past_max_nodes_is_refused(tmp_path: Path, monkeypatch, capsys):
     files = {}
     for n in (3, 4):
@@ -547,54 +452,11 @@ def test_a_topology_file_past_max_nodes_is_refused(tmp_path: Path, monkeypatch, 
     assert not out.exists()
 
 
-def test_run_refuses_drift_at_or_above_nominal(tmp_path: Path, monkeypatch, capsys):
-    # the default 25 Hz drift bound at a 20 Hz oscillator, refused by
-    # run_config in OscillatorParams' words, with the flag main names, before
-    # any pass or output directory
-    def no_pass(*args, **kwargs):
-        raise AssertionError("the event pass ran before the settings were checked")
-
-    monkeypatch.setattr(simulation, "_event_pass", no_pass)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--nominal-hz", "20", "--out-dir", str(out)]) == 2
-    assert capsys.readouterr() == (
-        "", "error: max_drift_hz (--max-drift-hz) must satisfy 0 <= max_drift < nominal, "
-            "got 25.0\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "mu", "--values", "0.5,1"]])
-@pytest.mark.parametrize("key", ["threshold_ticks", "e_max_ticks"])
-def test_ticks_that_convert_to_zero_seconds_are_refused_before_any_pass(
-        tmp_path: Path, monkeypatch, capsys, command, key):
-    # 1e-320 ticks at 1 MHz is 0.0 s: refused naming the tick setting and
-    # its flag, before any pass or output directory
-    def no_pass(*args, **kwargs):
-        raise AssertionError("the event pass ran before the settings were checked")
-
-    monkeypatch.setattr(simulation, "_event_pass", no_pass)
-    out, flag = tmp_path / "out", key.replace("_", "-")
-    assert cli.main([*command, "--topology", "line:4", "--duration", "3000",
-                     f"--{flag}", "1e-320", "--out-dir", str(out)]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: {key} (--{flag}) must be finite and positive in seconds, "
-            "got 1e-320 ticks / 1000000.0 Hz = 0.0 s\n")
-    assert not out.exists()
-
-
 def test_a_sweeps_seeds_are_counted_over_its_values_before_any_is_planned(tmp_path: Path,
                                                                           monkeypatch, capsys):
-    # each value's 10^5 seeds are within the limit, but 300 values plan
-    # 3 * 10^7 runs, which once took more than 1 GiB before any of them ran
-    out = tmp_path / "out"
-    values = ",".join(map(str, range(1, 301)))
-    proc = _capped_main("sweep", "--param", "mu", "--values", values, "--seed", "0..99999",
-                        "--out-dir", str(out))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == ("error: --seed '0..99999' x 300 values: 30000000 seeds exceed "
-                           f"the limit of {cli.MAX_SEEDS}\n")
-    assert not out.exists()
-    # the limit counts every value's seeds, and is reached exactly
+    # the limit counts every value's seeds, and is reached exactly. The
+    # refusals table holds 300 values of 10^5 seeds each, within the limit,
+    # whose 3 * 10^7 runs once took more than 1 GiB before any of them ran
     monkeypatch.setattr(cli, "MAX_SEEDS", 4)
     args = [*_FAST_SWEEP, "--values", "0.5,1.0"]
     assert cli.main([*args, "--seed", "1..2", "--out-dir", str(tmp_path / "four")]) == 0
@@ -608,9 +470,6 @@ def test_a_sweeps_seeds_are_counted_over_its_values_before_any_is_planned(tmp_pa
 def test_run_loads_neither_the_oracle_nor_a_pool(tmp_path: Path):
     # importing the CLI, and a one-worker run, leave the oracle, the worker
     # pools and statistics unloaded; only validate-analysis and --jobs use them
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     probe = (
         "import sys\n"
         "unused = ('wsnsync.analysis', 'concurrent.futures', 'statistics')\n"
@@ -620,25 +479,10 @@ def test_run_loads_neither_the_oracle_nor_a_pool(tmp_path: Path):
         "print(sorted(m for m in unused if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe, *_run_args(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[]")
-
-
-def test_drift_segments_are_bounded_over_the_run(tmp_path: Path, monkeypatch, capsys):
-    # 10^6 segments per node is the limit of one run, not of each of 16 nodes
-    def no_pass(*args, **kwargs):
-        raise AssertionError("a pass started before its drift segments were counted")
-
-    monkeypatch.setattr(cli, "record_schedule", no_pass)
-    assert cli.main(["run", "--topology", "line:17", "--drift-resample-interval", "1e-4",
-                     "--duration", "100", "--boot-window", "0",
-                     "--out-dir", str(tmp_path)]) == 2
-    [line] = capsys.readouterr().err.splitlines()
-    assert line == ("error: drift_resample_interval_s (--drift-resample-interval) must keep "
-                    "duration_s / drift_resample_interval_s x 16 nodes at most 1000000 per run, "
-                    "got 0.0001, which makes it 1.6e+07")
 
 
 def test_rerun_is_byte_identical(tmp_path: Path):
@@ -1007,55 +851,96 @@ def test_a_sweep_value_outside_its_range_is_refused_before_any_run():
                    cli.SWEEPS["beacon-period"])
 
 
-_SETTING = {s.flag: s for s in cli.SETTINGS}
+# ---------------------------------------------------------------------------
+# refusals: every row of tests/refusals.jsonl through cli.main, with the
+# checks tools/check_entry_point.py makes through the installed command
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_entry_point.py"
+_spec = importlib.util.spec_from_file_location("check_entry_point", _TOOL)
+check_entry_point = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_entry_point)
+_REFUSALS = check_entry_point.refusals()
+
+# cli.main on each row in one child that caps its address space at 1 GiB
+# and each row at 20 s, so that a plan built before it is counted fails fast
+# with MemoryError, never exhausting the machine: 10^9 seeds take 40 GB as a
+# list, a sweep of 300 values x 10^5 seeds once took more than 1 GiB, the
+# readings of line:2000 at 0.01 s 14.9 GiB and line:10^7's node tuples more
+# than 1 GiB, and 10^8 drift segments per node ran for hours. The child
+# watches the passes, the oracle and the output directory to tell the stage
+# at which each row was refused; a `before` row's passes and oracle raise.
+_REFUSE = """\
+import contextlib, io, json, os, resource, signal, sys, traceback, warnings
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from wsnsync import analysis, cli, simulation
+warnings.simplefilter("error")
+
+def timeout(*args):
+    raise TimeoutError("the row ran past 20 s")
+
+def watch(module, name, real):
+    def call(*args, **kwargs):
+        seen.add(name)
+        if stage == "before" and name != "_make_dir":
+            raise AssertionError(f"{name} ran before the settings were checked")
+        return real(*args, **kwargs)
+    setattr(module, name, call)
+
+signal.signal(signal.SIGALRM, timeout)
+for module, name in [(cli, "record_schedule"), (simulation, "_event_pass"),
+                     (analysis, "pairwise_oracle"), (cli, "_make_dir")]:
+    watch(module, name, getattr(module, name))
+results = []
+for n, row in enumerate(json.load(sys.stdin)):
+    out, stdout, stderr = os.path.join(sys.argv[1], str(n)), io.StringIO(), io.StringIO()
+    stage, seen = row["stage"], set()
+    signal.alarm(20)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main([*row["argv"], "--out-dir", out])
+        except BaseException:
+            rc = None
+            traceback.print_exc()
+    signal.alarm(0)
+    reached = "midway" if "_make_dir" in seen else "after-kernel" if seen else "before"
+    results.append([rc, stdout.getvalue(), stderr.getvalue(), os.path.exists(out), reached])
+json.dump(results, sys.stdout)
+"""
 
 
-_LIBRARY_REFUSALS = [
-    (["run", "--nominal-hz", "0"], "nominal-hz", "must be finite and positive, got 0.0"),
-    (["run", "--nominal-hz", "-0.0"], "nominal-hz", "must be finite and positive, got -0.0"),
-    (["run", "--nominal-hz", "-1"], "nominal-hz", "must be finite and positive, got -1.0"),
-    (["run", "--beacon-period", "0", "--protocol", "grades"], "beacon-period",
-     "must be finite and positive, got 0.0"),
-    (["run", "--beacon-period", "0", "--protocol", "avgpisync"], "beacon-period",
-     "must be finite and positive, got 0.0"),
-    (["run", "--mu", "-1"], "mu", "must be finite and positive, got -1.0"),
-    (["run", "--delay-std", "-1"], "delay-std", "must be finite and nonnegative, got -1.0"),
-    (["run", "--drift-resample-interval", "0"], "drift-resample-interval",
-     "must be finite and positive, got 0.0"),
-    (["run", "--gather-wait", "40"], "gather-wait",
-     "must satisfy 0 <= wait < beacon period, got 40.0"),
-    (["validate-analysis", "--delay-std=-1e-5"], "delay-std",
-     "must be finite and nonnegative, got -1e-05"),
-    (["validate-analysis", "--mu-grid", "inf"], "mu-grid", "must be finite, got inf"),
-    (["validate-analysis", "--delay-std", "1e200"], "delay-std",
-     "must keep delay_diff_var = 2 * delay_std_s**2 finite, got 1e+200"),
-]
+@pytest.fixture(scope="module")
+def refused(tmp_path_factory) -> list[list[str]]:
+    """Each row's faults, in table order; a row's warnings are errors."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSE, str(tmp_path_factory.mktemp("refused"))],
+        input=json.dumps(_REFUSALS), env=_src_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    faults = []
+    for row, (*result, reached) in zip(_REFUSALS, json.loads(proc.stdout)):
+        found = check_entry_point.faults(row, *result)
+        faults.append(found + [f"refused {reached}"] * (reached != row["stage"]))
+    return faults
 
 
-@pytest.mark.parametrize("argv, flag, rule", _LIBRARY_REFUSALS,
-                         ids=[" ".join(argv) for argv, *_ in _LIBRARY_REFUSALS])
-def test_a_library_refusal_names_its_setting_and_flag(tmp_path: Path, capsys, argv, flag, rule):
-    # the library refuses each, in its own words, before any pass, oracle or
-    # output directory; main names the key's flag
-    out = tmp_path / "out"
-    assert cli.main([*argv, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: {_SETTING[flag].key} (--{flag}) {rule}\n")
-    assert not out.exists()
+def _table_test(cases: dict[str, list[int]]):
+    """A test of the rows of ``cases``, each case a list of row indices:
+    one unparametrized test for the one case "", else one per case id."""
+    def check(refused, rows):
+        argvs = [" ".join(_REFUSALS[i]["argv"]) for i in rows]
+        assert dict(zip(argvs, (refused[i] for i in rows))) == dict.fromkeys(argvs, [])
+
+    if list(cases) == [""]:
+        return lambda refused: check(refused, cases[""])
+    return pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))(check)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--protocol", "grades", "--beacon-period", "1e100", "--nominal-hz", "1e100"],
-    ["--protocol", "avgpisync", "--beacon-period", "1e-300", "--nominal-hz", "1e-10"],
-], ids=["grades-underflow", "avgpisync-overflow"])
-def test_a_default_step_out_of_float_range_names_b_and_f(tmp_path: Path, argv):
-    # each setting is in range, but the protocol's default step at their B
-    # and f is 0 or inf: the refusal names B and f, not the unset --mu
-    out = tmp_path / "out"
-    rc, lines = _main(["run", *argv], out)
-    assert rc == 2 and not out.exists()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "beacon_period_s" in lines[0] and "nominal_hz" in lines[0]
-    assert not re.search(r"\bmu\b", lines[0])
+# each row runs under the test case its "test" names, by default
+# test_refused[<its argv>]; the rows of one case run in one test
+_CASES: dict[str, dict[str, list[int]]] = {}
+for _i, _row in enumerate(_REFUSALS):
+    _name, _, _case = _row.get("test", f"test_refused[{' '.join(_row['argv'])}]").partition("[")
+    _CASES.setdefault(_name, {}).setdefault(_case.removesuffix("]"), []).append(_i)
+globals().update({name: _table_test(cases) for name, cases in _CASES.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1099,59 +984,6 @@ def test_validate_analysis_gate_failure_exits_nonzero(tmp_path: Path,
     assert "FAILED" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("size,message", [
-    # 7 TiB of buffers per kernel
-    (("--oracle-runs", "1000000000000", "--oracle-steps", "10"),
-     "error: oracle_runs (--oracle-runs) must be at least 1 and at most 4000000, "
-     "got 1000000000000"),
-    # 10^8 rounds of two runs: about 45 minutes of per-round numpy calls
-    (("--oracle-runs", "2", "--oracle-steps", "100000000"),
-     "error: oracle_steps (--oracle-steps) must be at least 1 and at most 100000 at n_runs = 2, "
-     "the limit of runs x steps per step size, got 100000000"),
-], ids=["runs", "runs-x-steps"])
-def test_validate_analysis_refuses_an_oversized_oracle(tmp_path: Path, monkeypatch,
-                                                       capsys, size, message):
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before its size was checked")
-
-    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
-    out = tmp_path / "out"
-    args = ["validate-analysis", *size, "--tail", "5", "--mu-grid", "1.0",
-            "--out-dir", str(out)]
-    assert cli.main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""  # no table either
-    assert captured.err == message + "\n"
-    assert not out.exists()
-
-
-def test_validate_analysis_rejects_bad_tail(tmp_path: Path, monkeypatch):
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before the arguments were checked")
-
-    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
-    base = ["validate-analysis", "--out-dir", str(tmp_path)]
-    for extra in (
-        ["--oracle-steps", "50", "--tail", "50"],
-        ["--tail", "0"],
-        ["--mu-grid", "2.2", "--oracle-runs", "0"],
-        ["--mu-grid", "2.2", "--oracle-steps", "0", "--tail", "-3"],
-    ):
-        assert cli.main([*base, *extra]) == 2, extra
-    assert not (tmp_path / "analysis.csv").exists()
-
-
-def test_validate_analysis_rejects_repeated_mu(tmp_path: Path, monkeypatch, capsys):
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before the arguments were checked")
-
-    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
-    args = ["validate-analysis", "--out-dir", str(tmp_path), "--mu-grid", "0.5,1.0,1"]
-    assert cli.main(args) == 2
-    assert "duplicate --mu-grid entry: 1.0" in capsys.readouterr().err
-    assert not (tmp_path / "analysis.csv").exists()
-
-
 def test_validate_analysis_labels_marginal_step_sizes(tmp_path: Path, monkeypatch,
                                                      capsys):
     # at |1 - mu| = 1 the mean recursion neither converges nor diverges
@@ -1177,89 +1009,6 @@ def test_validate_analysis_models_at_the_moment_params_defaults():
     assert model.delay_diff_var == 2e-10
 
 
-def test_validate_analysis_rejects_drift_at_or_above_nominal(tmp_path: Path,
-                                                            monkeypatch, capsys):
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before the arguments were checked")
-
-    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
-    args = ["validate-analysis", "--out-dir", str(tmp_path), "--nominal-hz", "50"]
-    assert cli.main(args) == 2
-    assert "max_drift_hz" in capsys.readouterr().err
-    assert not (tmp_path / "analysis.csv").exists()
-
-
-def test_validate_analysis_rejects_zero_standard_error(tmp_path: Path, monkeypatch,
-                                                      capsys):
-    # one run, or no drift and no delay, leaves the oracle's standard error 0
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before the arguments were checked")
-
-    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
-    base = ["validate-analysis", "--out-dir", str(tmp_path)]
-    for extra, names in (
-        (["--oracle-runs", "1"], ["oracle_runs (--oracle-runs) must"]),
-        (["--max-drift-hz", "0", "--delay-std", "0"],
-         ["max_drift_hz (--max-drift-hz) must", "delay_std_s"]),
-    ):
-        assert cli.main([*base, *extra]) == 2, extra
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert all(name in captured.err for name in names), captured.err
-    assert not (tmp_path / "analysis.csv").exists()
-
-
-@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
-@pytest.mark.parametrize("offset, stderr", [
-    (["-1"], "error: initial_rate must be finite and positive, got 0.0"),
-    (["1e300"], "error: the oracle's statistics at mu 0.25 leave float range"),
-    (["1e300", "--nominal-hz", "1e-10", "--max-drift-hz", "0"],
-     "error: initial_rate must be finite and positive, got inf"),
-], ids=["stopped-clock", "variance-overflow", "infinite-rate"])
-def test_validate_analysis_refuses_an_initial_rate_it_cannot_check(tmp_path: Path, offset,
-                                                                   stderr):
-    # a stopped clock, an infinite rate, or oracle statistics out of float
-    # range, whose NaN final sigma the gate would read as a pass
-    out = tmp_path / "out"
-    rc, lines = _main(["validate-analysis", "--oracle-runs", "200", "--oracle-steps", "10",
-                       "--tail", "5", "--initial-rate-offset", *offset], out)
-    assert (rc, lines) == (2, [stderr])
-    assert not out.exists()
-
-
-def test_validate_analysis_rejects_noise_below_float_resolution(tmp_path: Path, capsys):
-    # a 1e-300 Hz drift rounds away inside the oracle: its error variance is 0
-    args = ["validate-analysis", "--out-dir", str(tmp_path), "--max-drift-hz", "1e-300",
-            "--delay-std", "0", "--mu-grid", "1.0", "--oracle-runs", "500",
-            "--oracle-steps", "40", "--tail", "10"]
-    assert cli.main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "below float resolution" in err
-    assert not (tmp_path / "analysis.csv").exists()
-
-
-@pytest.mark.parametrize("beacon_period", ["1e-200", "1e-160"])
-def test_validate_analysis_refuses_closed_forms_out_of_float_range(tmp_path: Path, monkeypatch,
-                                                                  capsys, beacon_period):
-    # B * B underflows: the delay term divides by 0 at 1e-200 and is inf at
-    # 1e-160; either is refused before any oracle runs
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before the closed forms were checked")
-
-    monkeypatch.setattr(analysis, "pairwise_oracle", no_oracle)
-    out = tmp_path / "out"
-    args = ["validate-analysis", "--oracle-runs", "100", "--oracle-steps", "3", "--tail", "1",
-            "--beacon-period", beacon_period, "--out-dir", str(out)]
-    assert cli.main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith(f"error: the closed forms at mu 0.25 leave float range at a "
-                           f"beacon period of {float(beacon_period)} s")
-    assert not out.exists()
-
-
 def test_validate_analysis_reports_a_variant_without_a_finite_prediction(tmp_path: Path,
                                                                        capsys):
     # without drift, the variant that drops the unit constant has no finite
@@ -1270,16 +1019,6 @@ def test_validate_analysis_reports_a_variant_without_a_finite_prediction(tmp_pat
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
     row = next(k for k, line in enumerate(lines) if line.split()[:1] == ["1.0"])
     assert "variant dropped_unit_constant: no finite prediction" in lines[row + 1:row + 3]
-
-
-def test_validate_analysis_rejects_non_finite_inputs(tmp_path: Path):
-    base = ["validate-analysis", "--out-dir", str(tmp_path),
-            "--oracle-runs", "200", "--oracle-steps", "40", "--tail", "10"]
-    assert cli.main([*base, "--mu-grid", "1.0,nan"]) == 2
-    assert cli.main([*base, "--mu-grid", "inf"]) == 2
-    assert cli.main([*base, "--initial-rate-offset", "nan"]) == 2
-    assert cli.main([*base, "--delay-std", "inf"]) == 2
-    assert not (tmp_path / "analysis.csv").exists()
 
 
 _POOL_ARGS = ["validate-analysis", "--mu-grid", "0.25,0.5,2.2,1.0,1.5",
