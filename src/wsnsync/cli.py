@@ -20,13 +20,15 @@ no timestamps, so identical invocations produce byte-identical files. The
 default output directory comes from $WSNSYNC_OUT_DIR, falling back to
 ./out.
 
-analysis and concurrent.futures are imported where they are used, so
+`run` and `sweep` hand their planned output directories to
+outputs.run_and_commit, the output transaction, and print each
+directory's table once it is committed. analysis is imported where it is
+used, and outputs imports concurrent.futures only when a pool starts, so
 importing this module, or running `run` with one worker, loads neither.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import inspect
 import json
@@ -35,13 +37,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import metrics
+from . import metrics, outputs
 from .protocols import (
     WORST_CASE_DRIFT_HZ, Protocol, ProtocolParams, step_size_bound, ticks_per_round,
 )
-from .simulation import (
-    Topology, build_line_topology, record_schedule, run_config, run_simulation, write_csv_preamble,
-)
+from .simulation import Topology, build_line_topology, run_config
 
 _RUN = ("run", "sweep")
 _ALL = ("run", "sweep", "validate-analysis")
@@ -52,13 +52,6 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str:
 # takes about 1.1 ms a seed, so 10^5 is about two minutes of the cheapest
 # runs; a list of 10^9 would take 40 GB.
 MAX_SEEDS = 10**5
-# About how many jobs a job list holds. pool.map submits every job at once,
-# and the main process holds a future and a work item per job, about 2 KB,
-# until its rows are taken. Up to this many seeds a job is one seed; beyond
-# it, a run of consecutive seeds of one directory, so that the futures stop
-# growing with the seeds, a failure waits for at most one run per other
-# worker, and a failing run never takes an earlier directory's rows with it.
-MAX_JOBS = 1000
 
 
 def _default(func, name: str):
@@ -142,9 +135,6 @@ SETTINGS = (
 CONFIG_KEYS = frozenset(s.key for s in SETTINGS if "run" in s.commands)
 SWEEPS = {s.sweep: s for s in SETTINGS if s.sweep}
 
-SUMMARY_COLUMNS = (
-    "protocol", "seed", *(f.name for f in dataclasses.fields(metrics.TraceSummary))
-)
 SWEEP_COLUMNS = ("param", "value", "protocol", "n_runs", "n_converged",
                  "median_convergence_time_s", "median_steady_state_max_global_err_s")
 ANALYSIS_COLUMNS = ("mu", "B", "f_hat", "f_max", "sigma_beta", "predicted_var",
@@ -248,33 +238,9 @@ def _resolve(args: argparse.Namespace, swept: Setting | None = None) -> dict:
     return cfg
 
 
-def _csv_field(value) -> str:
-    """Empty for None, shortest round-trip repr for floats, str otherwise."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # float() drops numpy's repr wrapper
-    return str(value)
-
-
-def _write_csv(path: Path, config: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        write_csv_preamble(fh, config, columns)
-        for r in rows:
-            fh.write(",".join(_csv_field(r[c]) for c in columns) + "\n")
-
-
 def _cell(value, spec: str, scale: float = 1.0) -> str:
     """Table cell: '-' for a missing value, else value * scale formatted by spec."""
     return "-" if value is None else format(value * scale, spec)
-
-
-def _make_dir(path: Path) -> Path:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot create output directory {path}: {exc}")
-    return path
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -312,112 +278,8 @@ def _plan(cfg: dict) -> tuple[tuple, dict]:
     return (sim_kwargs, list(params.values()), seconds["threshold_ticks"], cfg["window"]), resolved
 
 
-def _staged(path: Path) -> Path:
-    """Where ``path`` is written until every run of its set has succeeded."""
-    return path.with_name(path.name + ".partial")
-
-
-def _trace_path(out: Path, protocol: str, seed: int) -> Path:
-    return out / f"trace_{protocol}_{seed}.csv"
-
-
-def _seed_job(job: tuple) -> list[dict]:
-    """Run one output directory's run at consecutive seeds end to end and
-    return only their summary rows, one per protocol, seed by seed; in
-    process or in a worker.
-
-    A seed's protocols share one event pass (record_schedule), which
-    returns their traces; each is written to its ``_staged`` path and
-    summarized in turn.
-    """
-    out, (sim_kwargs, params_seq, threshold_s, window), seeds = job
-    rows = []
-    for seed in seeds:
-        schedule = record_schedule(params_seq=params_seq, seed=seed, **sim_kwargs)
-        for params in params_seq:
-            trace = run_simulation(sim_kwargs["topology"], params, schedule=schedule)
-            protocol = params.kind.value
-            with open(_staged(_trace_path(out, protocol, seed)), "w", newline="\n") as fh:
-                trace.write_csv(fh)  # embeds its own resolved-config header
-            summ = metrics.summarize(trace.sample_times_s, trace.logical_s, threshold_s, window,
-                                     start_after=trace.boot_complete_time)
-            rows.append({"protocol": protocol, "seed": seed, **dataclasses.asdict(summ)})
-    return rows
-
-
-def _run_jobs(plans: list[tuple[Path, tuple, dict]], jobs: int) -> list[list[dict]]:
-    """Run one job list, a _seed_job per run of seeds of every planned
-    (output directory, run, resolved config) from _plan, and commit the
-    directories in order (_commit_dir); return each one's summary rows.
-
-    A job runs one seed; past MAX_JOBS seeds in all, it runs up to
-    ceil(seeds / MAX_JOBS) consecutive seeds of one directory. Every
-    planned directory is created first. With more than one worker,
-    one pool runs the whole list, and each worker sends back only summary
-    rows; the jobs cap the workers, so a one-job list starts no pool. On
-    any failure the queued jobs are dropped and the running ones waited
-    for. Then every staged path planned for a directory not yet committed
-    is deleted, and such a directory is removed if this call created it
-    and it is empty: the earlier directories stay complete, and the others
-    are left as they were.
-    """
-    size = math.ceil(sum(len(resolved["seeds"]) for *_, resolved in plans) / MAX_JOBS)
-    runs = [[(out, run, resolved["seeds"][i:i + size])
-             for i in range(0, len(resolved["seeds"]), size)] for out, run, resolved in plans]
-    todo = [job for plan_jobs in runs for job in plan_jobs]
-    workers = min(jobs, len(todo), os.cpu_count() or 1)
-    created = [out for out, _, _ in plans if not out.exists()]
-    made: list[Path] = []
-    committed: list[list[dict]] = []
-    try:
-        with contextlib.ExitStack() as stack:
-            for out, _, _ in plans:
-                made.append(_make_dir(out))
-            run = map
-            if workers > 1:
-                import concurrent.futures
-
-                pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-                # on a failure too, before the cleanup below: queued jobs are
-                # dropped, and running ones finish writing their staged files
-                stack.callback(pool.shutdown, cancel_futures=True)
-                run = pool.map
-            job_rows = run(_seed_job, todo)
-            for (out, _, resolved), plan_jobs in zip(plans, runs):
-                rows = [row for _ in plan_jobs for row in next(job_rows)]
-                committed.append(_commit_dir(out, rows, resolved))
-        return committed
-    except BaseException:  # interrupts too: leave no staged file behind
-        for out, _, resolved in plans[len(committed):len(made)]:
-            for seed in resolved["seeds"]:
-                for protocol in resolved["protocols"]:
-                    _staged(_trace_path(out, protocol, seed)).unlink(missing_ok=True)
-            _staged(out / "summary.csv").unlink(missing_ok=True)
-            if out in created:
-                with contextlib.suppress(OSError):  # only an empty directory goes
-                    out.rmdir()
-        raise
-
-
-def _commit_dir(out: Path, rows: list[dict], resolved: dict) -> list[dict]:
-    """Commit ``out``, whose seed jobs have all succeeded and returned
-    ``rows``: write summary.csv, its rows protocol by protocol, then seed by
-    seed, rename every staged file into place, print the summary table and
-    return the rows. Traces in ``out`` that this run did not write are kept
-    and named in a warning.
-    """
-    protocols = resolved["protocols"]
-    # stable: within a protocol, the rows stay in seed order
-    rows.sort(key=lambda r: protocols.index(r["protocol"]))
-    written = [*(_trace_path(out, r["protocol"], r["seed"]) for r in rows), out / "summary.csv"]
-    _write_csv(_staged(written[-1]), resolved, SUMMARY_COLUMNS, rows)
-    for path in written:
-        _staged(path).replace(path)
-    stale = sorted(p.name for p in set(out.glob("trace_*.csv")).difference(written))
-    if stale:  # left in place: never delete what this run did not write
-        print(f"warning: {out} also holds trace files this run did not write: "
-              f"{', '.join(stale)}", file=sys.stderr)
-
+def _show_runs(out: Path, rows: list[dict], resolved: dict) -> None:
+    """Print the table of a committed directory's runs."""
     print(f"{'protocol':<12}{'seed':>6}{'mu':>14}{'conv_time_s':>14}"
           f"{'steady_err_us':>15}{'peak_err_us':>14}")
     for r in rows:
@@ -427,12 +289,11 @@ def _commit_dir(out: Path, rows: list[dict], resolved: dict) -> list[dict]:
         peak = _cell(r["peak_err_after_convergence_s"], ".1f", 1e6)
         print(f"{r['protocol']:<12}{r['seed']:>6}{mu:>14.3g}{conv:>14}{med:>15}{peak:>14}")
     print(f"wrote {len(rows)} trace file(s) and summary.csv to {out}")
-    return rows
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     run, resolved = _plan(_resolve(args))
-    _run_jobs([(_out_dir(args), run, resolved)], resolved["jobs"])
+    outputs.run_and_commit([(_out_dir(args), run, resolved)], resolved["jobs"], _show_runs)
     return 0
 
 
@@ -451,7 +312,7 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
                                               max_drift_hz=fmax, step_size=mu) for mu in grid],
         seed=seeds[0], n_runs=cfg["oracle_runs"], n_steps=cfg["oracle_steps"],
         tail=cfg["tail"], initial_rate_offset=cfg["initial_rate_offset"])
-    out = _make_dir(_out_dir(args))
+    out = outputs.make_dir(_out_dir(args))
 
     print(f"{'mu':>6}{'final sigma':>13}{'max sigma':>11}{'predicted_var':>16}"
           f"{'empirical_var':>16}{'rel_err':>10}  note")
@@ -472,8 +333,8 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     resolved = {**constants, "mu_grid": grid, "oracle_runs": cfg["oracle_runs"],
                 "oracle_steps": cfg["oracle_steps"], "tail": cfg["tail"], "seed": seeds[0],
                 "initial_rate_offset": cfg["initial_rate_offset"]}
-    _write_csv(out / "analysis.csv", resolved, ANALYSIS_COLUMNS,
-               [{**r, **constants} for r in rows])
+    outputs.write_csv(out / "analysis.csv", resolved, ANALYSIS_COLUMNS,
+                   [{**r, **constants} for r in rows])
     print(f"wrote analysis.csv to {out}")
     if any(r["failed"] for r in rows):
         print(f"mean-recursion check FAILED (> {analysis.MEAN_GATE_SIGMA:g} standard errors)",
@@ -496,12 +357,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed {cfg['seed']!r} x {len(values)} values: {count} seeds "
                           f"exceed the limit of {MAX_SEEDS}")
     # one resolved config per value, each checked before any run
+    out = _out_dir(args)
     plans = []
     for v, raw in values.items():
         swept = _parse(setting, f"line:{v}" if param == "nodes" else v)
-        plans.append((f"{param.replace('-', '_')}_{raw}", *_plan({**cfg, setting.key: swept})))
-    out = _make_dir(_out_dir(args))
-    results = _run_jobs([(out / name, *plan) for name, *plan in plans], cfg["jobs"])
+        plans.append((out / f"{param.replace('-', '_')}_{raw}",
+                      *_plan({**cfg, setting.key: swept})))
+    outputs.make_dir(out)
+    outputs.refuse_non_files([out / "sweep.csv"])
+    results = outputs.run_and_commit(plans, cfg["jobs"], _show_runs)
 
     agg_rows = []
     for value, rows in zip(values, results):
@@ -517,7 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             })
 
     resolved = {**cfg, "sweep_param": param, "sweep_values": list(values)}
-    _write_csv(out / "sweep.csv", resolved, SWEEP_COLUMNS, agg_rows)
+    outputs.write_csv(out / "sweep.csv", resolved, SWEEP_COLUMNS, agg_rows)
     print(f"{'value':>10}{'protocol':>12}{'conv_time_s':>14}{'steady_err_us':>15}")
     for r in agg_rows:
         conv = _cell(r["median_convergence_time_s"], ".1f")
@@ -570,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         # "<name> must ...": the key or alias of a setting of this command
         # becomes "key (--flag)"
         name, _, rule = str(exc).partition(" must ")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsnsync import analysis, cli, simulation
+from wsnsync import analysis, cli, metrics, outputs, simulation
 from wsnsync.protocols import Protocol
 
 
@@ -96,7 +97,7 @@ def test_run_writes_traces_and_summary(tmp_path: Path, capsys):
     assert (tmp_path / "trace_newton_1.csv").exists()
     assert (tmp_path / "summary.csv").exists()
     lines = (tmp_path / "summary.csv").read_text().splitlines()
-    assert lines[1] == ",".join(cli.SUMMARY_COLUMNS)
+    assert lines[1] == ",".join(outputs.SUMMARY_COLUMNS)
     assert lines[2].startswith("newton,1,")
     out = capsys.readouterr().out
     assert "protocol" in out and "conv_time_s" in out
@@ -312,7 +313,7 @@ def _inline_pool(monkeypatch) -> type:
             self.shutdowns.append((wait, cancel_futures))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(outputs.os, "cpu_count", lambda: 64)
     return InlinePool
 
 
@@ -325,12 +326,12 @@ def test_jobs_capped_by_run_count(tmp_path: Path, monkeypatch):
     args += ["--seed", "1..2"]
     assert cli.main(args) == 0
     assert requested == [2]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(outputs.os, "cpu_count", lambda: 1)
     assert cli.main(args) == 0
     assert requested == [2]  # one core: runs in-process, no pool
     # a sweep is one job list: one pool for all its values, capped by the
     # seed groups of all of them
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(outputs.os, "cpu_count", lambda: 64)
     args = [*_FAST_SWEEP, "--values", "0.5,1.0,1.5", "--jobs", "64",
             "--out-dir", str(tmp_path / "sweep")]
     assert cli.main(args) == 0
@@ -342,7 +343,7 @@ def test_past_max_jobs_a_job_runs_seeds_of_one_directory(tmp_path: Path, monkeyp
     # seeds a job runs several, never those of two directories
     pool = _inline_pool(monkeypatch)
     assert cli.main(_run_args(tmp_path / "a", "--seed", "1..20", "--jobs", "2")) == 0
-    monkeypatch.setattr(cli, "MAX_JOBS", 4)
+    monkeypatch.setattr(outputs, "MAX_JOBS", 4)
     assert cli.main(_run_args(tmp_path / "b", "--seed", "1..10", "--jobs", "2")) == 0
     args = [*_FAST_SWEEP, "--values", "0.5,1.0", "--seed", "1..5", "--jobs", "64",
             "--out-dir", str(tmp_path / "c")]
@@ -365,7 +366,7 @@ def test_workers_send_back_only_summary_rows(tmp_path: Path, monkeypatch):
     assert [[(r["protocol"], r["seed"]) for r in rows] for rows in pool.returned] == [
         [("newton", 1), ("grades", 1)], [("newton", 2), ("grades", 2)]] * 2
     for row in (row for rows in pool.returned for row in rows):
-        assert tuple(row) == cli.SUMMARY_COLUMNS
+        assert tuple(row) == outputs.SUMMARY_COLUMNS
         assert all(type(v) in (str, int, float, type(None)) for v in row.values()), row
     assert len(pickle.dumps(pool.returned)) < 2000
 
@@ -375,7 +376,7 @@ def test_an_interrupt_leaves_no_staged_file(tmp_path: Path, monkeypatch, jobs):
     # the second trace's summary, mu 1.0's, is interrupted after its trace
     # is staged: in process, and in a job of the pool stand-in
     pool = _inline_pool(monkeypatch)
-    real = cli.metrics.summarize
+    real = outputs.metrics.summarize
     calls: list[None] = []
 
     def interrupted(*args, **kwargs):
@@ -386,7 +387,7 @@ def test_an_interrupt_leaves_no_staged_file(tmp_path: Path, monkeypatch, jobs):
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli.metrics, "summarize", interrupted)
+    monkeypatch.setattr(outputs.metrics, "summarize", interrupted)
     args = [*_FAST_SWEEP, "--values", "0.5,1.0", "--jobs", jobs, "--out-dir", str(tmp_path)]
     with pytest.raises(KeyboardInterrupt):
         cli.main(args)
@@ -498,7 +499,7 @@ def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
     # each trace is written, to its staged path, before the next one is
     # requested; each seed's traces are released before the next seed's
     # event pass
-    real_pass = cli.record_schedule
+    real_pass = outputs.record_schedule
     passes: list[weakref.ref] = []
 
     def tracked_pass(*args, **kwargs):
@@ -507,18 +508,18 @@ def test_runs_stream_one_trace_at_a_time(tmp_path: Path, monkeypatch):
         passes.extend(weakref.ref(trace) for trace in schedule.values())
         return schedule
 
-    monkeypatch.setattr(cli, "record_schedule", tracked_pass)
-    real = cli.run_simulation
+    monkeypatch.setattr(outputs, "record_schedule", tracked_pass)
+    real = outputs.run_simulation
     made: list[Path] = []
 
     def tracked(*args, **kwargs):
         assert all(path.exists() for path in made)
         trace = real(*args, **kwargs)
-        made.append(cli._staged(
+        made.append(outputs._staged(
             tmp_path / f"trace_{trace.config['protocol']}_{trace.config['seed']}.csv"))
         return trace
 
-    monkeypatch.setattr(cli, "run_simulation", tracked)
+    monkeypatch.setattr(outputs, "run_simulation", tracked)
     args = _run_args(tmp_path, "--protocol", "newton,grades", "--seed", "1..2")
     assert cli.main(args) == 0
     assert len(made) == 4
@@ -629,9 +630,9 @@ _MU_05 = ["mu_0.5", "mu_0.5/summary.csv", "mu_0.5/trace_grades_1.csv",
 
 
 @pytest.mark.parametrize("values,jobs,max_jobs,kept", [
-    pytest.param("0.5,1", "1", cli.MAX_JOBS, _MU_05, id="1"),
-    pytest.param("0.5,1", "2", cli.MAX_JOBS, _MU_05, id="2"),
-    pytest.param("1,0.5", "2", cli.MAX_JOBS, [], id="2-failing-first"),
+    pytest.param("0.5,1", "1", outputs.MAX_JOBS, _MU_05, id="1"),
+    pytest.param("0.5,1", "2", outputs.MAX_JOBS, _MU_05, id="2"),
+    pytest.param("1,0.5", "2", outputs.MAX_JOBS, [], id="2-failing-first"),
     pytest.param("0.5,1", "1", 1, _MU_05, id="1-one-job-a-value"),
     pytest.param("0.5,1", "2", 1, _MU_05, id="2-one-job-a-value"),
 ])
@@ -644,7 +645,7 @@ def test_sweep_failing_at_a_later_seed_keeps_only_earlier_values(tmp_path: Path,
     # their staged traces go too when mu 1 comes first. With MAX_JOBS at 1,
     # each value's two seeds are one job, and mu 1's failing job takes none
     # of mu 0.5's rows with it, though the workers run both at once
-    monkeypatch.setattr(cli, "MAX_JOBS", max_jobs)
+    monkeypatch.setattr(outputs, "MAX_JOBS", max_jobs)
     args = ["sweep", "--param", "mu", "--values", values, "--protocol", "grades",
             "--e-max-ticks", "1e300", "--topology", "line:3", "--boot-window", "60",
             "--duration", "600", "--seed", "2,1", "--jobs", jobs, "--out-dir", str(tmp_path)]
@@ -688,6 +689,150 @@ def test_sweep_names_traces_each_value_did_not_write(tmp_path: Path, capsys):
     for warning, sub_dir in zip(warnings, ("mu_0.5", "mu_1.0")):
         assert sub_dir in warning and warning.endswith(": trace_newton_2.csv")
         assert (tmp_path / sub_dir / "trace_newton_2.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the output transaction (wsnsync.outputs): README's rules for runs and
+# sweeps that succeed, fail or are interrupted, and paths in the way
+
+# two protocols over 1 s of line:2, about a millisecond a seed
+_CHEAP_SWEEP = ("sweep", "--param", "mu", "--protocol", "newton,grades", "--topology", "line:2",
+                "--duration", "1", "--boot-window", "0", "--sample-interval", "1")
+_FAULTS = {"ValueError": lambda: ValueError("injected"), "KeyboardInterrupt": KeyboardInterrupt,
+           "OSError": lambda: OSError(errno.ENOSPC, "No space left on device")}
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, relative: a file's bytes, else None."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_output_transaction_keeps_readmes_rules(data):
+    draw = data.draw
+    values = ["0.5", "1.0", "1.5"][:draw(st.integers(1, 3), label="directories")]
+    n_seeds, max_jobs = draw(st.integers(1, 6), label="seeds"), draw(st.integers(1, 4))
+    jobs = draw(st.sampled_from(["1", "2"]), label="--jobs")
+    dirs = [f"mu_{v}" for v in values]
+    # each directory absent, empty, or with an earlier run's files at two
+    # planned paths and a stale trace that no run of these seeds writes
+    state = {d: draw(st.sampled_from(["absent", "empty", "earlier", "stale"]), label=d)
+             for d in dirs}
+    planned = ["sweep.csv", *(f"{d}/{name}{partial}" for d in dirs for partial in ("", ".partial")
+                              for name in ["summary.csv", *(f"trace_{p}_{s}.csv"
+                                           for s in range(1, n_seeds + 1)
+                                           for p in ("newton", "grades"))])]
+    blocked = draw(st.none() | st.sampled_from(planned), label="a directory at")
+    runs = [(d, s, p) for d in dirs for s in range(1, n_seeds + 1) for p in ("newton", "grades")]
+    fault = draw(st.none() | st.tuples(st.sampled_from(runs), st.sampled_from(list(_FAULTS))),
+                 label="fault at")
+    argv = [*_CHEAP_SWEEP, "--values", ",".join(values), "--seed", f"1..{n_seeds}",
+            "--jobs", jobs]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root, ref = Path(tmp, "out"), Path(tmp, "ref")
+        for d in dirs:
+            if state[d] != "absent":
+                (root / d).mkdir(parents=True)
+            if state[d] in ("earlier", "stale"):
+                for name in ("summary.csv", "trace_newton_1.csv"):
+                    (root / d / name).write_bytes(b"earlier\n")
+            if state[d] == "stale":
+                (root / d / "trace_newton_9.csv").write_bytes(b"stale\n")
+        if blocked:  # in place of an earlier file, if one is there
+            (root / blocked).unlink(missing_ok=True)
+            (root / blocked).mkdir(parents=True)
+        root.mkdir(exist_ok=True)
+        before = _tree(root)
+        pool = _inline_pool(mp)
+        mp.setattr(outputs, "MAX_JOBS", max_jobs)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([*argv, "--out-dir", str(ref)]) == 0
+        reference = _tree(ref)
+        for log in (pool.requested, pool.returned, pool.shutdowns):
+            log.clear()
+
+        real, summarized = metrics.summarize, []
+
+        def summarize(*args, **kwargs):
+            summarized.append(runs[len(summarized)])
+            if fault and summarized[-1] == fault[0]:
+                raise _FAULTS[fault[1]]()
+            return real(*args, **kwargs)
+
+        mp.setattr(metrics, "summarize", summarize)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main([*argv, "--out-dir", str(root)])
+            except KeyboardInterrupt:  # main reports errors, not interrupts
+                rc = None
+        after = _tree(root)
+
+    out, err = out.getvalue().splitlines(), err.getvalue()
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert "Traceback" not in err
+    if blocked:  # refused before any run: nothing made, run or changed
+        assert (rc, errors) == (2, [f"error: cannot write {root / blocked}: it is not a "
+                                    "regular file"])
+        assert (after, summarized, out, pool.requested) == (before, [], [], [])
+        return
+    # the directories before the failing one are committed, each the bytes
+    # of a run that did not fail beside the files it did not write; the
+    # failing one and every later one are left as they were: no staged
+    # file, and a directory the sweep made is gone again
+    kept = dirs.index(fault[0][0]) if fault else len(dirs)
+    assert after == {**before, **{path: data for path, data in reference.items()
+                                  if path.split("/")[0] in dirs[:kept] or not fault}}
+    assert rc == (0 if not fault else None if fault[1] == "KeyboardInterrupt" else 2)
+    if rc == 2:
+        assert errors == [f"error: {_FAULTS[fault[1]]()}"]
+    else:
+        assert errors == []
+    # a committed directory's stale trace is kept and named in one warning
+    assert [line for line in err.splitlines() if "also holds" in line] == [
+        f"warning: {root / d} also holds trace files this run did not write: trace_newton_9.csv"
+        for d in dirs[:kept] if state[d] == "stale"]
+    assert sum(line.startswith("wrote ") for line in out) == kept + (rc == 0)
+    # past MAX_JOBS seeds in all, a job is a run of consecutive seeds of one
+    # directory; the jobs cap the workers, and a failure drops the queued
+    # jobs and waits for the running ones
+    size = math.ceil(len(dirs) * n_seeds / max_jobs)
+    groups = [list(range(1, n_seeds + 1))[i:i + size] for _ in dirs
+              for i in range(0, n_seeds, size)]
+    pooled = jobs == "2" and len(groups) > 1
+    assert (pool.requested, pool.shutdowns) == (([2], [(True, True)]) if pooled else ([], []))
+    if pooled and not fault:
+        assert [[row["seed"] for row in rows[::2]] for rows in pool.returned] == groups
+
+
+_SMALL_RUN = ("run", "--topology", "line:3", "--duration", "300", "--boot-window", "60")
+
+
+@pytest.mark.parametrize("argv,earlier,in_the_way", [
+    # a rerun at another mu, where a trace of the earlier run went
+    ((*_SMALL_RUN, "--seed", "1..2", "--mu", "0.5"), (*_SMALL_RUN, "--seed", "1..2"),
+     "trace_newton_2.csv"),
+    ((*_SMALL_RUN,), (), "trace_newton_1.csv.partial"),
+    (("validate-analysis", "--oracle-runs", "200", "--oracle-steps", "20", "--tail", "5",
+      "--mu-grid", "1.0"), (), "analysis.csv"),
+], ids=["run-trace", "run-partial", "validate-analysis"])
+def test_a_directory_in_the_way_exits_two(tmp_path: Path, capsys, argv, earlier, in_the_way):
+    # run refuses one before any run and changes nothing; validate-analysis
+    # meets it as an OSError once its oracles have run
+    if earlier:
+        assert cli.main([*earlier, "--out-dir", str(tmp_path)]) == 0
+        (tmp_path / in_the_way).unlink()
+    (tmp_path / in_the_way).mkdir()
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: [Errno 21] Is a directory: '{tmp_path / in_the_way}'\n"
+                   if argv[0] == "validate-analysis" else
+                   f"error: cannot write {tmp_path / in_the_way}: it is not a regular file\n")
+    assert _tree(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +1017,7 @@ _REFUSALS = check_entry_point.refusals()
 _REFUSE = """\
 import contextlib, io, json, os, resource, signal, sys, traceback, warnings
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from wsnsync import analysis, cli, simulation
+from wsnsync import analysis, cli, outputs, simulation
 warnings.simplefilter("error")
 
 def timeout(*args):
@@ -881,14 +1026,14 @@ def timeout(*args):
 def watch(module, name, real):
     def call(*args, **kwargs):
         seen.add(name)
-        if stage == "before" and name != "_make_dir":
+        if stage == "before" and name != "make_dir":
             raise AssertionError(f"{name} ran before the settings were checked")
         return real(*args, **kwargs)
     setattr(module, name, call)
 
 signal.signal(signal.SIGALRM, timeout)
-for module, name in [(cli, "record_schedule"), (simulation, "_event_pass"),
-                     (analysis, "pairwise_oracle"), (cli, "_make_dir")]:
+for module, name in [(outputs, "record_schedule"), (simulation, "_event_pass"),
+                     (analysis, "pairwise_oracle"), (outputs, "make_dir")]:
     watch(module, name, getattr(module, name))
 results = []
 for n, row in enumerate(json.load(sys.stdin)):
@@ -902,7 +1047,7 @@ for n, row in enumerate(json.load(sys.stdin)):
             rc = None
             traceback.print_exc()
     signal.alarm(0)
-    reached = "midway" if "_make_dir" in seen else "after-kernel" if seen else "before"
+    reached = "midway" if "make_dir" in seen else "after-kernel" if seen else "before"
     results.append([rc, stdout.getvalue(), stderr.getvalue(), os.path.exists(out), reached])
 json.dump(results, sys.stdout)
 """
@@ -1043,7 +1188,7 @@ def test_validate_analysis_reports_concurrent_oracles_in_grid_order(
     monkeypatch.setattr(analysis, "pairwise_oracle", slow_oracle)
     outputs = []
     for cpus in (4, 1, None):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda cpus=cpus: cpus)
         finished.clear()
         (tmp_path / f"cpus_{cpus}").mkdir()
         monkeypatch.chdir(tmp_path / f"cpus_{cpus}")
@@ -1069,7 +1214,7 @@ def test_validate_analysis_oracle_failure_cancels_queued_kernels(
         return real_oracle(p, **kwargs)
 
     monkeypatch.setattr(analysis, "pairwise_oracle", failing_oracle)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)
     monkeypatch.chdir(tmp_path)
     assert cli.main(_POOL_ARGS) == 2
     assert capsys.readouterr().err == "error: oracle failed\n"

@@ -1,6 +1,7 @@
 """Check the `wsnsync` command as README's examples use it: help, runs,
 sweeps, byte-identical reruns across --jobs, failed runs that leave no
-partial output, and every refusal of tests/refusals.jsonl.
+partial output, a directory in the way of a rerun's trace, and every
+refusal of tests/refusals.jsonl.
 
     python3 tools/check_entry_point.py                    # the installed script
     PYTHONPATH=src WSNSYNC="python3 -m wsnsync.cli" python3 tools/check_entry_point.py
@@ -135,7 +136,7 @@ def same_bytes(tmp: Path) -> None:
     # a seed is one job: its protocols share one event pass, and its traces
     # are written where the job runs, in process or in a worker; with --jobs
     # 2 and three seeds, one worker takes two seeds, past 1,000 seeds
-    # (cli.MAX_JOBS) a job runs several, here three of 2,500 cheap ones, and
+    # (outputs.MAX_JOBS) a job runs several, here three of 2,500 cheap ones, and
     # with one seed --jobs 4 is capped at one worker, in process
     for seeds, jobs, flags in (
         ("1..3", ("1", "2"), ()),
@@ -206,6 +207,23 @@ def a_failed_rerun_keeps_the_earlier_files(tmp: Path) -> None:
     wsnsync(*run, "--mu", "1", "--e-max-ticks", "1e300", rc=2)
     if not before or files(tmp) != before:
         raise Failed("the failed rerun changed the earlier run's files")
+
+
+@step
+def a_directory_in_the_way_is_refused_before_any_run(tmp: Path) -> None:
+    # a directory where a rerun's trace goes: refused before any run, with
+    # one error line, and the earlier run's files stay as they were
+    run = ("run", "--topology", "line:3", "--duration", "300", "--boot-window", "60",
+           "--seed", "1..2", "--out-dir", str(tmp))
+    wsnsync(*run)
+    (tmp / "trace_newton_2.csv").unlink()
+    (tmp / "trace_newton_2.csv").mkdir()
+    before = files(tmp)
+    err = wsnsync(*run, "--mu", "0.5", rc=2).stderr
+    if sum(line.startswith("error: ") for line in err.splitlines()) != 1 or "Traceback" in err:
+        raise Failed(f"not one error line: {err!r}")
+    if files(tmp) != before or not (tmp / "trace_newton_2.csv").is_dir():
+        raise Failed("the refused rerun changed the out-dir")
 
 
 @step
