@@ -22,7 +22,9 @@ default output directory comes from $WSNSYNC_OUT_DIR, falling back to
 
 `run` and `sweep` hand their planned output directories to
 outputs.run_and_commit, the output transaction, and print each
-directory's table once it is committed. analysis is imported where it is
+directory's table once it is committed; sweep.csv and analysis.csv go
+through outputs.write_table, each refused before any run or oracle where
+a path in the way would stop its write. analysis is imported where it is
 used, and outputs imports concurrent.futures only when a pool starts, so
 importing this module, or running `run` with one worker, loads neither.
 """
@@ -307,6 +309,7 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(cfg["seed"])
     if len(seeds) != 1:
         raise ValueError(f"seed must be one seed for validate-analysis, got {cfg['seed']!r}")
+    outputs.refuse_non_files([_out_dir(args) / "analysis.csv"])  # before any oracle runs
     rows = analysis.validate_grid(
         [analysis.MomentParams.from_delay_std(sigma_b, beacon_period_s=b, nominal_hz=f,
                                               max_drift_hz=fmax, step_size=mu) for mu in grid],
@@ -333,8 +336,8 @@ def cmd_validate_analysis(args: argparse.Namespace) -> int:
     resolved = {**constants, "mu_grid": grid, "oracle_runs": cfg["oracle_runs"],
                 "oracle_steps": cfg["oracle_steps"], "tail": cfg["tail"], "seed": seeds[0],
                 "initial_rate_offset": cfg["initial_rate_offset"]}
-    outputs.write_csv(out / "analysis.csv", resolved, ANALYSIS_COLUMNS,
-                   [{**r, **constants} for r in rows])
+    outputs.write_table([out / "analysis.csv"], resolved, ANALYSIS_COLUMNS,
+                        [{**r, **constants} for r in rows])
     print(f"wrote analysis.csv to {out}")
     if any(r["failed"] for r in rows):
         print(f"mean-recursion check FAILED (> {analysis.MEAN_GATE_SIGMA:g} standard errors)",
@@ -381,7 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             })
 
     resolved = {**cfg, "sweep_param": param, "sweep_values": list(values)}
-    outputs.write_csv(out / "sweep.csv", resolved, SWEEP_COLUMNS, agg_rows)
+    outputs.write_table([out / "sweep.csv"], resolved, SWEEP_COLUMNS, agg_rows)
     print(f"{'value':>10}{'protocol':>12}{'conv_time_s':>14}{'steady_err_us':>15}")
     for r in agg_rows:
         conv = _cell(r["median_convergence_time_s"], ".1f")

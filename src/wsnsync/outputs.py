@@ -1,4 +1,4 @@
-"""The output transaction of `run` and `sweep`.
+"""The output transaction of `run` and `sweep`, and the one writer of table files.
 
 ``run_and_commit`` takes the planned output directories, each with its run
 and resolved config (cli._plan), and names each directory's files once: a
@@ -15,6 +15,12 @@ one list drives the whole transaction:
 - on any failure or interrupt, every ``.partial`` name on the list of a
   directory not yet committed is unlinked, and such a directory is removed
   if this call made it and it is empty.
+
+``write_table`` stages summary.csv, and writes sweep.csv and analysis.csv
+the same way: under the ``.partial`` name, renamed into place once whole,
+so a failed write leaves an earlier table as it was and no ``.partial``
+name behind. Their callers refuse a path in the way (``refuse_non_files``)
+before any run or oracle.
 
 concurrent.futures is imported only when a pool starts.
 """
@@ -51,11 +57,22 @@ def _csv_field(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, config: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        write_csv_preamble(fh, config, columns)
-        for r in rows:
-            fh.write(",".join(_csv_field(r[c]) for c in columns) + "\n")
+def write_table(paths: list[Path], cfg: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Write the table file ``paths[-1]`` (summary.csv, sweep.csv or
+    analysis.csv), with ``cfg`` as its config header, under its ``.partial``
+    name, then rename the ``.partial`` name of every path into place, in
+    order. On any failure the table's ``.partial`` name is unlinked, so an
+    earlier table stays as it was."""
+    try:
+        with open(_staged(paths[-1]), "w", newline="\n") as fh:
+            write_csv_preamble(fh, cfg, columns)
+            for r in rows:
+                fh.write(",".join(_csv_field(r[c]) for c in columns) + "\n")
+        for path in paths:
+            _staged(path).replace(path)
+    except BaseException:
+        _staged(paths[-1]).unlink(missing_ok=True)
+        raise
 
 
 def make_dir(path: Path) -> Path:
@@ -67,11 +84,13 @@ def make_dir(path: Path) -> Path:
 
 
 def refuse_non_files(paths) -> None:
-    """ValueError naming the first of ``paths`` that exists and is not a
-    regular file, such as a directory, which no write or rename can replace."""
+    """ValueError naming the first of ``paths``, each followed by its
+    ``.partial`` name, that exists and is not a regular file, such as a
+    directory, which no write or rename can replace."""
     for path in paths:
-        if path.exists() and not path.is_file():
-            raise ValueError(f"cannot write {path}: it is not a regular file")
+        for p in (path, _staged(path)):
+            if p.exists() and not p.is_file():
+                raise ValueError(f"cannot write {p}: it is not a regular file")
 
 
 def _staged(path: Path) -> Path:
@@ -125,7 +144,7 @@ def run_and_commit(plans: list[tuple[Path, tuple, dict]], workers: int,
         paths = [*(path for _, seed_paths in seeds for path in seed_paths), out / "summary.csv"]
         dirs.append((out, paths, [(run, seeds[i:i + size]) for i in range(0, len(seeds), size)],
                      resolved))
-    refuse_non_files(q for _, paths, *_ in dirs for p in paths for q in (p, _staged(p)))
+    refuse_non_files(p for _, paths, *_ in dirs for p in paths)
     todo = [job for _, _, dir_jobs, _ in dirs for job in dir_jobs]
     workers = min(workers, len(todo), os.cpu_count() or 1)
     created = [out for out, *_ in dirs if not out.exists()]
@@ -148,9 +167,7 @@ def run_and_commit(plans: list[tuple[Path, tuple, dict]], workers: int,
                 rows = [row for _ in dir_jobs for row in next(job_rows)]
                 # stable: within a protocol, the rows stay in seed order
                 rows.sort(key=lambda r: resolved["protocols"].index(r["protocol"]))
-                write_csv(_staged(paths[-1]), resolved, SUMMARY_COLUMNS, rows)
-                for path in paths:
-                    _staged(path).replace(path)
+                write_table(paths, resolved, SUMMARY_COLUMNS, rows)
                 results.append(rows)
                 stale = sorted(p.name for p in set(out.glob("trace_*.csv")).difference(paths))
                 if stale:  # left in place: never delete what this run did not write

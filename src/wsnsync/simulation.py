@@ -38,13 +38,14 @@ for it. On arrival the one check left is the one that can change in
 flight: a request whose receiver is still unsynced is dropped.
 
 A run is two parts. The event pass (_event_pass) decides when each clock is
-read, reads the hardware clock there and records each round's time, node
-and acks; the protocol arithmetic (_Clocks) turns those readings into
-logical clocks, round outcomes and trace rows. Nothing the arithmetic
-computes flows back into the pass, so record_schedule runs one
-seed's pass once with several protocols' arithmetic in lock step and returns
-each protocol's trace, in the same bytes as a run of that protocol alone;
-run_simulation(..., schedule=) looks one up.
+read, reads the hardware clock there, reads every protocol's logical clocks
+for answers, acks and sample frames, and records each round's time, node
+and acks; what differs between protocols (_Clocks) is each one's clock
+state and its round step, which turns a round's acks into a correction and
+a round outcome. Nothing a round step computes flows back into the pass,
+so record_schedule runs one seed's pass once with several protocols'
+clocks in lock step and returns each protocol's trace, in the same bytes as
+a run of that protocol alone; run_simulation(..., schedule=) looks one up.
 """
 from __future__ import annotations
 
@@ -324,13 +325,16 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
     sample frames), returned as each params' trace, or the error its
     arithmetic kept, in configs order.
 
-    It decides when each clock is read, reads the counter there with one
-    advance call and hands the reading to every _Clocks in turn. It owns
-    every fact the protocols share: boot times, each node's counter and the
-    logical clock it boots with, who may answer, the acks of each open
-    round, and the gateway, whose counter reads true time. Nothing a
-    _Clocks computes flows back, so every protocol sees the same pass under
-    one seed. configs, the run_config of each params as record_schedule
+    It decides when each clock is read and reads the counter there with one
+    advance call. With that reading it reads every protocol's logical clock
+    of the node itself: for an answer, for an ack's offset, which it adds
+    to that protocol's err_acc, and for a sample frame's row of its
+    logical_s. A round with acks is one _Clocks.round step per protocol.
+    It owns every fact the protocols share: boot times, each node's counter
+    and the logical clock it boots with, who may answer, the acks of each
+    open round, and the gateway, whose counter reads true time. Nothing a
+    round step computes flows back, so every protocol sees the same pass
+    under one seed. configs, the run_config of each params as record_schedule
     checked them, shape the pass through their keys outside PROTOCOL_KEYS,
     which they share; nodes are indices into topology.node_ids.
 
@@ -415,13 +419,13 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
             if answer is not None:  # an ack, queued by its round's deadline
                 ticks = hws[receiver].advance(t)
                 for c, payload in zip(clocks, answer):
-                    c.ack(receiver, ticks, payload)
+                    c.err_acc[receiver] += payload - c.lcs[receiver].read(ticks)
                 pending_acks[receiver] += 1
             elif synced[receiver]:  # else no valid time to answer with
                 ticks = hws[receiver].advance(t)
                 a = t + delay_model.sample(normals)
                 if a <= round_deadline and a <= duration_s:
-                    answers = [c.answer(receiver, ticks) for c in clocks]
+                    answers = [c.lcs[receiver].read(ticks) for c in clocks]
                     queue.push(a, DELIVERY, (sender, receiver, answers, round_deadline))
         elif kind == DEADLINE:
             n_acks = pending_acks[data]
@@ -449,7 +453,8 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
         else:  # SAMPLE
             ticks = [hw.advance(t) if t >= boot else None for hw, boot in zip(hws, boot_times)]
             for c in clocks:
-                c.frame(data, ticks)
+                c.logical_s[data] = [math.nan if x is None else lc.read(x)
+                                     for lc, x in zip(c.lcs, ticks)]
             if data + 1 < len(sample_times):
                 queue.push(sample_times[data + 1], SAMPLE, data + 1)
     # A booted reading out of float range fails its run, as a failed round
@@ -467,18 +472,20 @@ def _event_pass(topology: Topology, configs: dict[ProtocolParams, dict]
 
 
 class _Clocks:
-    """The protocol arithmetic of one run: each node's logical clock, ack
-    sums, round outcomes and the readings array.
+    """What differs between the protocols of one pass: each node's logical
+    clock, ack sums, round outcomes and the readings array of one protocol.
 
-    The event pass feeds it readings through four methods; it starts from
-    copies of the pass's boot clocks, and node_ids serve its error messages
-    only. error keeps its first ValueError (fail): a correction out of float
-    range (from round) or a booted reading out of it (from the pass's
-    readings scan). Reads cannot raise, since no node's ticks fall below
-    its clock's anchor (_BootTickClock covers the boot tick), so a failed
-    _Clocks is fed to the end like the others. Its outcomes miss the round
-    that failed, so they no longer line up with the pass's rounds; the
-    pass keeps its error in place of a trace.
+    The event pass reads its clocks, adds acks to err_acc and fills
+    logical_s itself; round (the guard, the rate update and the correction)
+    is the one step that differs. It starts from copies of the pass's boot
+    clocks, and node_ids serve its error messages only. error keeps its
+    first ValueError (fail): a correction out of float range (from round)
+    or a booted reading out of it (from the pass's readings scan). Reads
+    cannot raise, since no node's ticks fall below its clock's anchor
+    (_BootTickClock covers the boot tick), so the pass reads a failed
+    _Clocks to the end like the others. Its outcomes miss the round that
+    failed, so they no longer line up with the pass's rounds; the pass
+    keeps its error in place of a trace.
     """
 
     def __init__(self, node_ids: tuple[int, ...], params: ProtocolParams,
@@ -494,12 +501,6 @@ class _Clocks:
         # offset and new rate (NaN for None).
         self.outcomes = array("d")
         self.logical_s = np.full((n_samples, len(self.lcs)), math.nan)
-
-    def answer(self, i: int, ticks: float) -> float:
-        return self.lcs[i].read(ticks)
-
-    def ack(self, i: int, ticks: float, payload: float) -> None:
-        self.err_acc[i] += payload - self.lcs[i].read(ticks)
 
     def round(self, t: float, i: int, ticks: float, n_acks: int) -> None:
         """The round of node i that closed at t with n_acks > 0 acks."""
@@ -524,11 +525,6 @@ class _Clocks:
             f"node {self.node_ids[i]} reads {reading} at t = {t} s{where}: the settings "
             "drive its clock out of float range"
         )
-
-    def frame(self, k: int, ticks: list[float | None]) -> None:
-        """Row k of the readings, from each node's ticks (None: not booted)."""
-        self.logical_s[k] = [math.nan if x is None else lc.read(x)
-                             for lc, x in zip(self.lcs, ticks)]
 
 
 def run_config(

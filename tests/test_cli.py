@@ -720,14 +720,17 @@ def test_the_output_transaction_keeps_readmes_rules(data):
     # planned paths and a stale trace that no run of these seeds writes
     state = {d: draw(st.sampled_from(["absent", "empty", "earlier", "stale"]), label=d)
              for d in dirs}
-    planned = ["sweep.csv", *(f"{d}/{name}{partial}" for d in dirs for partial in ("", ".partial")
-                              for name in ["summary.csv", *(f"trace_{p}_{s}.csv"
-                                           for s in range(1, n_seeds + 1)
-                                           for p in ("newton", "grades"))])]
+    earlier_sweep = draw(st.booleans(), label="an earlier sweep.csv")
+    planned = ["sweep.csv", "sweep.csv.partial",
+               *(f"{d}/{name}{partial}" for d in dirs for partial in ("", ".partial")
+                 for name in ["summary.csv", *(f"trace_{p}_{s}.csv"
+                              for s in range(1, n_seeds + 1) for p in ("newton", "grades"))])]
     blocked = draw(st.none() | st.sampled_from(planned), label="a directory at")
     runs = [(d, s, p) for d in dirs for s in range(1, n_seeds + 1) for p in ("newton", "grades")]
-    fault = draw(st.none() | st.tuples(st.sampled_from(runs), st.sampled_from(list(_FAULTS))),
-                 label="fault at")
+    # a fault in a run, or a full disk while sweep.csv is written
+    fault = draw(st.none() | st.tuples(st.sampled_from(runs), st.sampled_from(list(_FAULTS)))
+                 | st.just(("sweep.csv", "OSError")), label="fault at")
+    at_sweep_csv = fault is not None and fault[0] == "sweep.csv"
     argv = [*_CHEAP_SWEEP, "--values", ",".join(values), "--seed", f"1..{n_seeds}",
             "--jobs", jobs]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -740,6 +743,9 @@ def test_the_output_transaction_keeps_readmes_rules(data):
                     (root / d / name).write_bytes(b"earlier\n")
             if state[d] == "stale":
                 (root / d / "trace_newton_9.csv").write_bytes(b"stale\n")
+        if earlier_sweep:
+            root.mkdir(exist_ok=True)
+            (root / "sweep.csv").write_bytes(b"earlier\n")
         if blocked:  # in place of an earlier file, if one is there
             (root / blocked).unlink(missing_ok=True)
             (root / blocked).mkdir(parents=True)
@@ -761,7 +767,15 @@ def test_the_output_transaction_keeps_readmes_rules(data):
                 raise _FAULTS[fault[1]]()
             return real(*args, **kwargs)
 
+        real_preamble = outputs.write_csv_preamble
+
+        def preamble(fh, *args):
+            real_preamble(fh, *args)
+            if at_sweep_csv and Path(fh.name).name == "sweep.csv.partial":
+                raise _FAULTS[fault[1]]()
+
         mp.setattr(metrics, "summarize", summarize)
+        mp.setattr(outputs, "write_csv_preamble", preamble)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -781,8 +795,9 @@ def test_the_output_transaction_keeps_readmes_rules(data):
     # the directories before the failing one are committed, each the bytes
     # of a run that did not fail beside the files it did not write; the
     # failing one and every later one are left as they were: no staged
-    # file, and a directory the sweep made is gone again
-    kept = dirs.index(fault[0][0]) if fault else len(dirs)
+    # file, and a directory the sweep made is gone again. A failed
+    # sweep.csv write keeps every directory and an earlier sweep.csv
+    kept = dirs.index(fault[0][0]) if fault and not at_sweep_csv else len(dirs)
     assert after == {**before, **{path: data for path, data in reference.items()
                                   if path.split("/")[0] in dirs[:kept] or not fault}}
     assert rc == (0 if not fault else None if fault[1] == "KeyboardInterrupt" else 2)
@@ -808,6 +823,8 @@ def test_the_output_transaction_keeps_readmes_rules(data):
 
 
 _SMALL_RUN = ("run", "--topology", "line:3", "--duration", "300", "--boot-window", "60")
+_VALIDATE_SMALL = ("validate-analysis", "--oracle-runs", "200", "--oracle-steps", "20",
+                   "--tail", "5", "--mu-grid", "1.0")
 
 
 @pytest.mark.parametrize("argv,earlier,in_the_way", [
@@ -815,23 +832,44 @@ _SMALL_RUN = ("run", "--topology", "line:3", "--duration", "300", "--boot-window
     ((*_SMALL_RUN, "--seed", "1..2", "--mu", "0.5"), (*_SMALL_RUN, "--seed", "1..2"),
      "trace_newton_2.csv"),
     ((*_SMALL_RUN,), (), "trace_newton_1.csv.partial"),
-    (("validate-analysis", "--oracle-runs", "200", "--oracle-steps", "20", "--tail", "5",
-      "--mu-grid", "1.0"), (), "analysis.csv"),
-], ids=["run-trace", "run-partial", "validate-analysis"])
-def test_a_directory_in_the_way_exits_two(tmp_path: Path, capsys, argv, earlier, in_the_way):
-    # run refuses one before any run and changes nothing; validate-analysis
-    # meets it as an OSError once its oracles have run
+    (_VALIDATE_SMALL, (), "analysis.csv"),
+    (_VALIDATE_SMALL, (), "analysis.csv.partial"),
+], ids=["run-trace", "run-partial", "validate-analysis", "validate-analysis-partial"])
+def test_a_directory_in_the_way_exits_two(tmp_path: Path, capsys, monkeypatch, argv, earlier,
+                                          in_the_way):
+    # refused before any run or oracle, with one line, and nothing changes
     if earlier:
         assert cli.main([*earlier, "--out-dir", str(tmp_path)]) == 0
         (tmp_path / in_the_way).unlink()
     (tmp_path / in_the_way).mkdir()
     before = _tree(tmp_path)
+    ran = []
+    for module, name in ((outputs, "record_schedule"), (analysis, "pairwise_oracle")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: ran.append(name))
     capsys.readouterr()
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: [Errno 21] Is a directory: '{tmp_path / in_the_way}'\n"
-                   if argv[0] == "validate-analysis" else
-                   f"error: cannot write {tmp_path / in_the_way}: it is not a regular file\n")
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: cannot write {tmp_path / in_the_way}: it is not a regular file\n")
+    assert (_tree(tmp_path), ran) == (before, [])
+
+
+def test_a_failed_analysis_csv_write_keeps_the_earlier_file(tmp_path: Path, capsys,
+                                                           monkeypatch):
+    # a full disk midway through the table: the earlier analysis.csv stays
+    # byte for byte, and no analysis.csv.partial is left
+    assert cli.main([*_VALIDATE_SMALL, "--out-dir", str(tmp_path)]) == 0
+    before = _tree(tmp_path)
+    real = outputs.write_csv_preamble
+
+    def full_disk(fh, *args):
+        real(fh, *args)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(outputs, "write_csv_preamble", full_disk)
+    capsys.readouterr()
+    assert cli.main([*_VALIDATE_SMALL, "--seed", "2", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert _tree(tmp_path) == before
 
 

@@ -1,7 +1,7 @@
 """Check the `wsnsync` command as README's examples use it: help, runs,
 sweeps, byte-identical reruns across --jobs, failed runs that leave no
-partial output, a directory in the way of a rerun's trace, and every
-refusal of tests/refusals.jsonl.
+partial output, a directory in the way of a rerun's trace or of
+analysis.csv, and every refusal of tests/refusals.jsonl.
 
     python3 tools/check_entry_point.py                    # the installed script
     PYTHONPATH=src WSNSYNC="python3 -m wsnsync.cli" python3 tools/check_entry_point.py
@@ -211,19 +211,28 @@ def a_failed_rerun_keeps_the_earlier_files(tmp: Path) -> None:
 
 @step
 def a_directory_in_the_way_is_refused_before_any_run(tmp: Path) -> None:
-    # a directory where a rerun's trace goes: refused before any run, with
-    # one error line, and the earlier run's files stay as they were
+    # a directory where a rerun's trace goes, or where analysis.csv goes:
+    # refused before any run or oracle, with one error line and nothing on
+    # stdout (validate-analysis prints its table only after the oracles),
+    # and the earlier files stay as they were
     run = ("run", "--topology", "line:3", "--duration", "300", "--boot-window", "60",
-           "--seed", "1..2", "--out-dir", str(tmp))
+           "--seed", "1..2", "--out-dir", str(tmp / "run"))
     wsnsync(*run)
-    (tmp / "trace_newton_2.csv").unlink()
-    (tmp / "trace_newton_2.csv").mkdir()
-    before = files(tmp)
-    err = wsnsync(*run, "--mu", "0.5", rc=2).stderr
-    if sum(line.startswith("error: ") for line in err.splitlines()) != 1 or "Traceback" in err:
-        raise Failed(f"not one error line: {err!r}")
-    if files(tmp) != before or not (tmp / "trace_newton_2.csv").is_dir():
-        raise Failed("the refused rerun changed the out-dir")
+    (tmp / "analysis").mkdir()
+    for in_the_way, argv in ((tmp / "run" / "trace_newton_2.csv", (*run, "--mu", "0.5")),
+                             (tmp / "analysis" / "analysis.csv",
+                              ("validate-analysis", "--out-dir", str(tmp / "analysis")))):
+        in_the_way.unlink(missing_ok=True)
+        in_the_way.mkdir()
+        before = files(tmp)
+        proc = wsnsync(*argv, rc=2)
+        err = proc.stderr
+        if sum(line.startswith("error: ") for line in err.splitlines()) != 1 or "Traceback" in err:
+            raise Failed(f"{argv[0]}: not one error line: {err!r}")
+        if proc.stdout:
+            raise Failed(f"{argv[0]}: printed to stdout: {proc.stdout!r}")
+        if files(tmp) != before or not in_the_way.is_dir():
+            raise Failed(f"{argv[0]}: the refused command changed the out-dir")
 
 
 @step
